@@ -41,10 +41,9 @@ from .curves import (
 from .cutting import (
     Cutting,
     PfCell,
-    build_cells,
     build_cutting,
-    build_rays,
     cell_crossings,
+    decompose,
     locate_point,
     sample_curves,
 )
@@ -64,7 +63,6 @@ from .errors import (
     ComplexityGuard,
     CuttingFailed,
     DegenerateDual,
-    DegenerateEvent,
     DomainViolation,
     DuplicateCurve,
     EmptyTrace,

@@ -9,6 +9,7 @@ integrator, so traces carry no drift.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -19,13 +20,6 @@ from .poly import BivariatePolynomial, poly1_der, poly1_eval
 TWO_PI = 2.0 * math.pi
 _INSET = 1e-9  # open-endpoint inset in parameter space
 _TINY_X = 1e-9
-
-GRAPH_KINDS = {
-    "line", "parabola", "exp", "log", "tan", "arctan",
-    "reciprocal", "exp-of-poly", "reciprocal-root", "composed",
-}
-# kinds whose derivative is a polynomial in the function value itself
-COMPOSABLE_KINDS = {"exp", "tan", "reciprocal"}
 
 
 @dataclass(frozen=True)
@@ -60,41 +54,7 @@ class PfaffianCurve:
     # -- parameterization ------------------------------------------------
 
     def base_point(self, t):
-        t = np.asarray(t, dtype=float)
-        k, p = self.kind, self.params
-        if k == "line":
-            a, b = p
-            return t, a * t + b
-        if k == "circle":
-            cx, cy, r = p
-            return cx + r * np.cos(t), cy + r * np.sin(t)
-        if k == "parabola":
-            a, b, c = p
-            return t, (a * t + b) * t + c
-        if k == "exp":
-            a, b = p
-            return t, a * np.exp(b * t)
-        if k == "log":
-            s, c = p
-            return np.exp(t), s * t + c
-        if k == "tan":
-            return t, np.tan(t)
-        if k == "arctan":
-            return np.tan(t), t
-        if k == "reciprocal":
-            a, _branch = p
-            return t, a / t
-        if k == "exp-of-poly":
-            coeffs, scale = p
-            return t, scale * np.exp(poly1_eval(coeffs, t))
-        if k == "reciprocal-root":
-            (kk,) = p
-            return np.exp(t), np.exp(-t / kk)
-        if k == "composed":
-            base_kind, base_params, coeffs = p
-            u = poly1_eval(coeffs, t)
-            return t, _graph_value(base_kind, base_params, u)
-        raise ValueError(f"unknown curve kind {k!r}")
+        return KINDS[self.kind].point(self.params, np.asarray(t, dtype=float))
 
     def point_at(self, t):
         x, y = self.base_point(t)
@@ -109,18 +69,17 @@ class PfaffianCurve:
     @property
     def period(self):
         """Parameter period for closed parameterizations, else None."""
-        return TWO_PI if self.kind == "circle" else None
+        return KINDS[self.kind].period
 
-    def param_from_x(self, x):
-        """Inverse of the x-coordinate map for untransformed graph kinds."""
-        if self.transform is not None or self.kind not in GRAPH_KINDS:
+    def param_from_x(self, x, hint):
+        """Parameter of the point with abscissa x; None for transformed curves.
+
+        hint is a parameter on the same x-monotone branch, which picks the
+        branch of a closed curve.
+        """
+        if self.transform is not None:
             return None
-        k = self.kind
-        if k in ("log", "reciprocal-root"):
-            return math.log(x)
-        if k == "arctan":
-            return math.atan(x)
-        return float(x)
+        return KINDS[self.kind].x_inverse(self.params, x, hint)
 
     # -- windows and tracing ----------------------------------------------
 
@@ -129,44 +88,11 @@ class PfaffianCurve:
         x0, x1, y0, y1 = viewport
         if self.transform is not None:
             x0, x1, y0, y1 = _preimage_bbox(self.transform, viewport)
-        k = self.kind
-        if k == "circle":
-            lo, hi = 0.0, TWO_PI
-        elif k == "arctan":
-            lo, hi = math.atan(x0), math.atan(x1)
-        elif k == "log":
-            if x1 <= _TINY_X:
-                raise EmptyTrace("log curve lies in x > 0")
-            lo, hi = math.log(max(x0, _TINY_X)), math.log(x1)
-            s, c = self.params
-            if s:
-                ta, tb = (y0 - c) / s, (y1 - c) / s
-                lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
-        elif k == "reciprocal-root":
-            if x1 <= _TINY_X:
-                raise EmptyTrace("reciprocal-root curve lies in x > 0")
-            lo, hi = math.log(max(x0, _TINY_X)), math.log(x1)
-            (kk,) = self.params
-            if y1 > 0:
-                lo = max(lo, -kk * math.log(y1))
-            if y0 > 0:
-                hi = min(hi, -kk * math.log(y0))
-        elif k == "reciprocal":
-            _a, branch = self.params
-            if branch > 0:
-                if x1 <= _TINY_X:
-                    raise EmptyTrace("positive branch lies in x > 0")
-                lo, hi = max(x0, _TINY_X), x1
-            else:
-                if x0 >= -_TINY_X:
-                    raise EmptyTrace("negative branch lies in x < 0")
-                lo, hi = x0, min(x1, -_TINY_X)
-        else:
-            lo, hi = x0, x1
+        lo, hi = KINDS[self.kind].window(self.params, x0, x1, y0, y1)
         lo = max(lo, self.domain[0])
         hi = min(hi, self.domain[1])
         if not (hi - lo > 2 * _INSET):
-            raise EmptyTrace(f"{k} curve has empty parameter window in viewport")
+            raise EmptyTrace(f"{self.kind} curve has empty parameter window in viewport")
         return lo + _INSET, hi - _INSET
 
 
@@ -344,44 +270,124 @@ def reciprocal_root(k, label=""):
                    (-math.inf, math.inf), label=label)
 
 
-_FACTORIES = {
-    "line": line,
-    "circle": circle,
-    "parabola": parabola,
-    "exp": exp_curve,
-    "log": log_curve,
-    "tan": tan_curve,
-    "arctan": arctan_curve,
-    "reciprocal": reciprocal_curve,
-    "exp-of-poly": exp_of_poly,
-    "reciprocal-root": reciprocal_root,
+def composed(base_kind, base_params, coeffs, label=""):
+    """The graph y = f(p(x)) for a composable catalog graph y = f(x)."""
+    return compose_with_polynomial(KINDS[base_kind].factory(*base_params), coeffs, label)
+
+
+# -- the kind table -------------------------------------------------------
+
+
+def _x_window(p, x0, x1, y0, y1):
+    return x0, x1
+
+
+def _log_x_range(kind, x0, x1):
+    if x1 <= _TINY_X:
+        raise EmptyTrace(f"{kind} curve lies in x > 0")
+    return math.log(max(x0, _TINY_X)), math.log(x1)
+
+
+def _log_window(p, x0, x1, y0, y1):
+    lo, hi = _log_x_range("log", x0, x1)
+    s, c = p
+    if s:
+        ta, tb = (y0 - c) / s, (y1 - c) / s
+        lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
+    return lo, hi
+
+
+def _reciprocal_root_window(p, x0, x1, y0, y1):
+    lo, hi = _log_x_range("reciprocal-root", x0, x1)
+    (kk,) = p
+    if y1 > 0:
+        lo = max(lo, -kk * math.log(y1))
+    if y0 > 0:
+        hi = min(hi, -kk * math.log(y0))
+    return lo, hi
+
+
+def _reciprocal_window(p, x0, x1, y0, y1):
+    if p[1] > 0:
+        if x1 <= _TINY_X:
+            raise EmptyTrace("positive branch lies in x > 0")
+        return max(x0, _TINY_X), x1
+    if x0 >= -_TINY_X:
+        raise EmptyTrace("negative branch lies in x < 0")
+    return x0, min(x1, -_TINY_X)
+
+
+def _t_is_x(p, x, hint):
+    return float(x)
+
+
+def _t_is_log_x(p, x, hint):
+    return math.log(x)
+
+
+def _circle_t(p, x, hint):
+    cx, _cy, r = p
+    t0 = math.acos(min(1.0, max(-1.0, (x - cx) / r)))
+    return t0 if hint % TWO_PI <= math.pi else TWO_PI - t0
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything that differs between curve kinds, for one kind.
+
+    `params` names the entries of `PfaffianCurve.params`; the names are both
+    the JSON keys of a saved curve and the argument names of `factory`.  The
+    defaults describe a graph y = f(x) parameterized by t = x.
+    """
+
+    params: tuple
+    factory: Callable
+    point: Callable  # (params, t) -> (x, y), the closed-form map
+    x_inverse: Callable = _t_is_x  # (params, x, hint) -> t with x(t) = x
+    window: Callable = _x_window  # (params, x0, x1, y0, y1) -> parameter bounds
+    period: float | None = None
+    # composable graphs y = f(x), whose derivative is a polynomial q in f
+    value: Callable | None = None  # (params, u) -> f(u)
+    value_derivative: Callable | None = None  # params -> q(y)
+    compose: Callable | None = None  # (params, coeffs, label) -> f(p(x)) as a catalog kind
+
+
+KINDS = {
+    "line": KindSpec(("a", "b"), line, lambda p, t: (t, p[0] * t + p[1])),
+    "circle": KindSpec(
+        ("cx", "cy", "r"), circle,
+        lambda p, t: (p[0] + p[2] * np.cos(t), p[1] + p[2] * np.sin(t)),
+        x_inverse=_circle_t, window=lambda p, x0, x1, y0, y1: (0.0, TWO_PI),
+        period=TWO_PI),
+    "parabola": KindSpec(("a", "b", "c"), parabola,
+                         lambda p, t: (t, (p[0] * t + p[1]) * t + p[2])),
+    "exp": KindSpec(
+        ("a", "b"), exp_curve, lambda p, t: (t, p[0] * np.exp(p[1] * t)),
+        compose=lambda p, coeffs, label: exp_of_poly(tuple(p[1] * c for c in coeffs),
+                                                     scale=p[0], label=label)),
+    "log": KindSpec(("s", "c"), log_curve, lambda p, t: (np.exp(t), p[0] * t + p[1]),
+                    x_inverse=_t_is_log_x, window=_log_window),
+    "tan": KindSpec(
+        ("branch",), tan_curve, lambda p, t: (t, np.tan(t)),
+        value=lambda p, u: np.tan(u),
+        value_derivative=lambda p: BivariatePolynomial({(0, 0): 1.0, (0, 2): 1.0})),
+    "arctan": KindSpec(
+        (), arctan_curve, lambda p, t: (np.tan(t), t),
+        x_inverse=lambda p, x, hint: math.atan(x),
+        window=lambda p, x0, x1, y0, y1: (math.atan(x0), math.atan(x1))),
+    "reciprocal": KindSpec(
+        ("a", "branch"), reciprocal_curve, lambda p, t: (t, p[0] / t),
+        window=_reciprocal_window, value=lambda p, u: p[0] / u,
+        value_derivative=lambda p: BivariatePolynomial({(0, 2): -1.0 / p[0]})),
+    "exp-of-poly": KindSpec(("coeffs", "scale"), exp_of_poly,
+                            lambda p, t: (t, p[1] * np.exp(poly1_eval(p[0], t)))),
+    "reciprocal-root": KindSpec(("k",), reciprocal_root,
+                                lambda p, t: (np.exp(t), np.exp(-t / p[0])),
+                                x_inverse=_t_is_log_x, window=_reciprocal_root_window),
+    "composed": KindSpec(
+        ("base_kind", "base_params", "coeffs"), composed,
+        lambda p, t: (t, KINDS[p[0]].value(p[1], poly1_eval(p[2], t)))),
 }
-
-
-def _graph_value(base_kind, base_params, u):
-    """Value of the base graph function at argument u."""
-    if base_kind == "exp":
-        a, b = base_params
-        return a * np.exp(b * u)
-    if base_kind == "tan":
-        return np.tan(u)
-    if base_kind == "reciprocal":
-        a, _branch = base_params
-        return a / u
-    raise ValueError(f"no graph evaluator for {base_kind!r}")
-
-
-def _derivative_in_value(base_kind, base_params):
-    """q with d(f)/dt = q(f), as a polynomial in y."""
-    if base_kind == "exp":
-        _a, b = base_params
-        return BivariatePolynomial({(0, 1): b})
-    if base_kind == "tan":
-        return BivariatePolynomial({(0, 0): 1.0, (0, 2): 1.0})
-    if base_kind == "reciprocal":
-        a, _branch = base_params
-        return BivariatePolynomial({(0, 2): -1.0 / a})
-    raise ValueError(base_kind)
 
 
 def compose_with_polynomial(curve, coeffs, label=""):
@@ -393,13 +399,12 @@ def compose_with_polynomial(curve, coeffs, label=""):
     coeffs = tuple(float(c) for c in coeffs)
     if curve.transform is not None:
         raise NotComposable("transformed curves are not graphs y = f(x)")
-    if curve.kind == "exp":
-        a, b = curve.params
-        scaled = tuple(b * c for c in coeffs)
-        return exp_of_poly(scaled, scale=a, label=label or curve.label)
-    if curve.kind not in COMPOSABLE_KINDS:
+    spec = KINDS[curve.kind]
+    if spec.compose is not None:
+        return spec.compose(curve.params, coeffs, label or curve.label)
+    if spec.value_derivative is None:
         raise NotComposable(f"{curve.kind} has no polynomial derivative in its value")
-    q = _derivative_in_value(curve.kind, curve.params)
+    q = spec.value_derivative(curve.params)
     dp = poly1_der(coeffs)
     vy = q * BivariatePolynomial({(k, 0): c for k, c in enumerate(dp)})
     field = PolyVectorField(BivariatePolynomial.const(1.0), vy)

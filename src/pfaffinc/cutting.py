@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CuttingFailed, InconsistentScene
+from .errors import CuttingFailed
 from .intersect import branch_intersections, monotone_branches, vertical_tangent_points
 
 BOTTOM = -1  # region bounded below by the viewport
@@ -197,22 +197,24 @@ def _shoot_rays(events, branches, viewport):
     return rays, aux
 
 
-def build_rays(sample_ids, curves, traces, viewport=None, tol=1e-9):
-    """Rays shot from crossings and vertical tangents of the sampled curves."""
-    if not sample_ids:
-        raise ValueError("sample must be nonempty")
-    viewport = viewport or traces[sample_ids[0]].bbox
-    branch_map = {i: monotone_branches(curves[i], traces[i]) for i in sample_ids}
-    branches = [(i, b) for i in sample_ids for b in branch_map[i]]
-    events = _collect_events(sample_ids, curves, traces, branch_map, tol)
-    rays, _aux = _shoot_rays([e for e in events if e[2] != "endpoint"], branches, viewport)
-    return rays
-
-
 # -- decomposition --------------------------------------------------------------
 
 
-def _decompose(sample_ids, curves, traces, viewport, tol=1e-9):
+def decompose(sample_ids, curves, traces, viewport, tol=1e-9):
+    """Vertical decomposition of the viewport induced by the sampled curves.
+
+    Returns the uncertified cutting (r = 1, no draws recorded) with its
+    per-cell crossing sets; an empty sample gives the single whole-viewport
+    cell crossed by every curve.
+    """
+    # the occupancy pass runs after _cells returns, so the union-find state
+    # is freed before the trace samples are gathered (lower peak memory)
+    cut = _cells(sample_ids, curves, traces, viewport, tol)
+    cut._crossings = _occupancy(cut, traces)
+    return cut
+
+
+def _cells(sample_ids, curves, traces, viewport, tol):
     branch_map = {i: monotone_branches(curves[i], traces[i]) for i in sample_ids}
     branches = [(i, b) for i in sample_ids for b in branch_map[i]]
     events = _collect_events(sample_ids, curves, traces, branch_map, tol)
@@ -341,47 +343,20 @@ def _decompose(sample_ids, curves, traces, viewport, tol=1e-9):
         cells.append(PfCell(cid, xl, xr, bottom, top, left, right,
                             min(corner_count, 4), regions))
 
-    return {
-        "events": events,
-        "rays": rays,
-        "aux": aux,
-        "branches": branches,
-        "slab_xs": slab_xs,
-        "slab_arcs": slab_arcs,
-        "region_cell": region_cell,
-        "cells": cells,
-        "sample": list(sample_ids),
-    }
-
-
-def build_cells(sample_ids, curves, traces, viewport, tol=1e-9):
-    """Cells of the vertical decomposition induced by the sampled curves."""
-    if not sample_ids:
-        x0, x1, y0, y1 = viewport
-        return [PfCell(0, x0, x1, None, None, (x0, y0, y1), (x1, y0, y1), 4, [(0, 0)])]
-    return _decompose(sample_ids, curves, traces, viewport, tol)["cells"]
-
-
-def trivial_cutting(viewport, n=0):
-    """Degenerate cutting whose single cell is the whole viewport."""
-    cells = build_cells([], [], [], viewport)
-    x0, x1, _y0, _y1 = viewport
-    return Cutting(sample=[], rays=[], aux_walls=[], cells=cells, r=1, s=0,
-                   seed=0, retries_used=0, viewport=tuple(viewport), n=n,
-                   slab_xs=np.array([x0, x1]), _branches=[],
-                   _slab_arcs=[[]], _region_cell=[np.zeros(1, dtype=int)],
-                   _crossings=[set()])
+    return Cutting(sample=list(sample_ids), rays=rays, aux_walls=aux, cells=cells,
+                   r=1, s=0, seed=0, retries_used=0, viewport=tuple(viewport),
+                   n=len(curves), slab_xs=slab_xs, _branches=branches,
+                   _slab_arcs=slab_arcs, _region_cell=region_cell)
 
 
 # -- crossing counts --------------------------------------------------------
 
 
-def _occupancy(dec, curves, traces, skip_ids, viewport):
-    """Per-cell sets of curve ids whose trace enters the cell interior."""
-    slab_xs = dec["slab_xs"]
-    branches = dec["branches"]
-    region_cell = dec["region_cell"]
-    n_cells = len(dec["cells"])
+def _occupancy(cut, traces):
+    """Per-cell sets of unsampled curve ids whose trace enters the cell interior."""
+    slab_xs = cut.slab_xs
+    region_cell = cut._region_cell
+    skip_ids = set(cut.sample)
     xs_all, ys_all, ids_all = [], [], []
     for i, tr in enumerate(traces):
         if i in skip_ids:
@@ -390,7 +365,7 @@ def _occupancy(dec, curves, traces, skip_ids, viewport):
             xs_all.append(comp.xs)
             ys_all.append(comp.ys)
             ids_all.append(np.full(len(comp.xs), i, dtype=int))
-    crossings = [set() for _ in range(n_cells)]
+    crossings = [set() for _ in cut.cells]
     if not xs_all:
         return crossings
     xs = np.concatenate(xs_all)
@@ -401,9 +376,9 @@ def _occupancy(dec, curves, traces, skip_ids, viewport):
 
     below = np.zeros(len(xs), dtype=int)
     valid = np.ones(len(xs), dtype=bool)
-    _x0, _x1, y0, y1 = viewport
+    _x0, _x1, y0, y1 = cut.viewport
     valid &= (ys > y0 + 1e-12) & (ys < y1 - 1e-12)
-    for _cid, br in branches:
+    for _cid, br in cut._branches:
         lo = np.searchsorted(xs, br.x_lo, side="left")
         hi = np.searchsorted(xs, br.x_hi, side="right")
         if hi <= lo:
@@ -429,49 +404,12 @@ def _occupancy(dec, curves, traces, skip_ids, viewport):
     return crossings
 
 
-def cell_crossings(cell, cutting=None, curves=None, traces=None):
-    """Number of curves whose trace enters the cell interior.
-
-    Backed by the cutting's occupancy cache; the degenerate whole-viewport
-    cell (empty sample) is counted directly from the traces.
-    """
-    if cutting is not None and cutting._crossings is not None:
-        return len(cutting._crossings[cell.id])
-    if cell.bottom is None and cell.top is None and curves is not None:
-        count = 0
-        for trace in traces:
-            x0, x1 = cell.x_lo, cell.x_hi
-            for comp in trace.components:
-                inside = (comp.xs > x0) & (comp.xs < x1)
-                if np.any(inside):
-                    count += 1
-                    break
-        return count
-    raise InconsistentScene("cell has no crossing cache and is not trivial")
+def cell_crossings(cell, cutting):
+    """Number of unsampled curves whose trace enters the cell interior."""
+    return len(cutting._crossings[cell.id])
 
 
-# -- assembly and certification ------------------------------------------------
-
-
-def _make_cutting(dec, curves, traces, viewport, r, s, seed, retries):
-    cut = Cutting(
-        sample=dec["sample"],
-        rays=dec["rays"],
-        aux_walls=dec["aux"],
-        cells=dec["cells"],
-        r=r,
-        s=s,
-        seed=seed,
-        retries_used=retries,
-        viewport=tuple(viewport),
-        n=len(curves),
-        slab_xs=dec["slab_xs"],
-        _branches=dec["branches"],
-        _slab_arcs=dec["slab_arcs"],
-        _region_cell=dec["region_cell"],
-    )
-    cut._crossings = _occupancy(dec, curves, traces, set(dec["sample"]), viewport)
-    return cut
+# -- certification ---------------------------------------------------------------
 
 
 def build_cutting(curves, traces, viewport, r, seed=0, max_retries=32, tol=1e-9):
@@ -486,9 +424,9 @@ def build_cutting(curves, traces, viewport, r, seed=0, max_retries=32, tol=1e-9)
     s = int(math.ceil(5.0 * r * math.log(n)))
     for attempt in range(max_retries):
         ids = sample_curves(n, s, seed + attempt)
-        dec = _decompose(ids, curves, traces, viewport, tol)
-        cut = _make_cutting(dec, curves, traces, viewport, r, s, seed, attempt)
+        cut = decompose(ids, curves, traces, viewport, tol)
         if cut.max_crossings() <= n / r:
+            cut.r, cut.s, cut.seed, cut.retries_used = r, s, seed, attempt
             return cut
     raise CuttingFailed(f"no certified cutting in {max_retries} attempts (r={r}, n={n})")
 

@@ -29,10 +29,6 @@ class SharedComponent(PfaffincError):
     """Two curves overlap along an interval; intersection count undefined."""
 
 
-class DegenerateEvent(PfaffincError):
-    """Coincident event abscissas could not be separated."""
-
-
 class CuttingFailed(PfaffincError):
     """No certified cutting found within the retry budget."""
 

@@ -121,20 +121,6 @@ _PARAM_DRAWS = {
     "reciprocal-root": lambda rng: (int(rng.integers(1, 4)),),
 }
 
-_FACTORY = {
-    "line": cv.line,
-    "circle": cv.circle,
-    "parabola": cv.parabola,
-    "exp": cv.exp_curve,
-    "log": cv.log_curve,
-    "tan": cv.tan_curve,
-    "arctan": cv.arctan_curve,
-    "reciprocal": cv.reciprocal_curve,
-    "exp-of-poly": cv.exp_of_poly,
-    "reciprocal-root": cv.reciprocal_root,
-}
-
-
 def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
     """n distinct random catalog curves and m points, a planted fraction of
     which sits exactly on curve parameterizations."""
@@ -155,7 +141,7 @@ def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
         if key in seen:
             continue
         try:
-            curve = _FACTORY[kind](*params, label=f"{kind}{len(curves)}")
+            curve = cv.KINDS[kind].factory(*params, label=f"{kind}{len(curves)}")
             cv.trace_curve(curve, viewport, samples=64)
         except (EmptyTrace, ValueError):
             continue

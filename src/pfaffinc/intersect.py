@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -98,6 +99,11 @@ class GraphBranch:
     def covers(self, x, margin=0.0):
         return self.x_lo + margin <= x <= self.x_hi - margin
 
+    @cached_property
+    def t_mid(self):
+        """A parameter inside the branch, away from its turning points."""
+        return float(self.ts[len(self.ts) // 2])
+
     def y_interp(self, x):
         return np.interp(x, self.xs, self.ys)
 
@@ -107,17 +113,10 @@ class GraphBranch:
     def y_at(self, x):
         """Exact y by inverting the parameterization at this x."""
         curve = self.curve
-        t = curve.param_from_x(x)
+        t = curve.param_from_x(x, self.t_mid)
         if t is not None:
             return float(curve.point_at(t)[1])
-        if curve.kind == "circle" and curve.transform is None:
-            cx, cy, r = curve.params
-            u = min(1.0, max(-1.0, (x - cx) / r))
-            t0 = math.acos(u)
-            mid = float(self.ts[len(self.ts) // 2]) % (2 * math.pi)
-            t = t0 if mid <= math.pi else 2 * math.pi - t0
-            return float(curve.point_at(t)[1])
-        # generic: bisection on the monotone x(t)
+        # transformed curves: bisection on the monotone x(t)
         a, b = float(self.ts[0]), float(self.ts[-1])
         xa = float(curve.point_at(a)[0])
         xb = float(curve.point_at(b)[0])

@@ -35,13 +35,6 @@ class BivariatePolynomial:
     def y(cls):
         return cls({(0, 1): 1.0})
 
-    @classmethod
-    def from_univariate(cls, coeffs, var="x"):
-        """Build from ascending coefficients of a one-variable polynomial."""
-        if var == "x":
-            return cls({(k, 0): c for k, c in enumerate(coeffs)})
-        return cls({(0, k): c for k, c in enumerate(coeffs)})
-
     @property
     def degree(self):
         """Total degree; the zero polynomial has degree 0."""

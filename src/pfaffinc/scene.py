@@ -49,32 +49,8 @@ def _num(v):
 
 
 def _curve_to_dict(curve):
-    k, p = curve.kind, curve.params
-    if k == "line":
-        params = {"a": p[0], "b": p[1]}
-    elif k == "circle":
-        params = {"cx": p[0], "cy": p[1], "r": p[2]}
-    elif k == "parabola":
-        params = {"a": p[0], "b": p[1], "c": p[2]}
-    elif k == "exp":
-        params = {"a": p[0], "b": p[1]}
-    elif k == "log":
-        params = {"s": p[0], "c": p[1]}
-    elif k == "tan":
-        params = {"branch": p[0]}
-    elif k == "arctan":
-        params = {}
-    elif k == "reciprocal":
-        params = {"a": p[0], "branch": p[1]}
-    elif k == "exp-of-poly":
-        params = {"coeffs": list(p[0]), "scale": p[1]}
-    elif k == "reciprocal-root":
-        params = {"k": p[0]}
-    elif k == "composed":
-        params = {"base_kind": p[0], "base_params": list(p[1]), "coeffs": list(p[2])}
-    else:
-        raise PfaffincError(f"cannot serialize curve kind {k!r}")
-    out = {"kind": k, "params": params,
+    names = cv.KINDS[curve.kind].params
+    out = {"kind": curve.kind, "params": dict(zip(names, curve.params)),
            "domain": [_num(curve.domain[0]), _num(curve.domain[1])]}
     if curve.transform is not None:
         out["transform"] = list(curve.transform)
@@ -85,42 +61,16 @@ def _curve_to_dict(curve):
 
 def _curve_from_dict(data):
     k = data["kind"]
-    p = data.get("params", {})
-    label = data.get("label", "")
-    if k == "line":
-        c = cv.line(p["a"], p["b"], label)
-    elif k == "circle":
-        c = cv.circle(p["cx"], p["cy"], p["r"], label)
-    elif k == "parabola":
-        c = cv.parabola(p["a"], p["b"], p["c"], label)
-    elif k == "exp":
-        c = cv.exp_curve(p.get("a", 1.0), p.get("b", 1.0), label)
-    elif k == "log":
-        c = cv.log_curve(p.get("s", 1.0), p.get("c", 0.0), label)
-    elif k == "tan":
-        c = cv.tan_curve(p.get("branch", 0), label)
-    elif k == "arctan":
-        c = cv.arctan_curve(label)
-    elif k == "reciprocal":
-        c = cv.reciprocal_curve(p.get("a", 1.0), p.get("branch", 1), label)
-    elif k == "exp-of-poly":
-        c = cv.exp_of_poly(p["coeffs"], p.get("scale", 1.0), label)
-    elif k == "reciprocal-root":
-        c = cv.reciprocal_root(p["k"], label)
-    elif k == "composed":
-        base = _curve_from_dict({"kind": p["base_kind"],
-                                 "params": _base_params_dict(p["base_kind"], p["base_params"])})
-        c = cv.compose_with_polynomial(base, p["coeffs"], label)
-    else:
+    spec = cv.KINDS.get(k)
+    if spec is None:
         raise PfaffincError(f"unknown curve kind {k!r}")
+    params = data.get("params", {})
+    if set(params) != set(spec.params):
+        raise ValueError(f"{k} curve takes params {list(spec.params)}, got {sorted(params)}")
+    c = spec.factory(**params, label=data.get("label", ""))
     if "transform" in data:
         c = cv.apply_linear_transform(c, *data["transform"])
     return c
-
-
-def _base_params_dict(kind, params_tuple):
-    keys = {"exp": ("a", "b"), "tan": ("branch",), "reciprocal": ("a", "branch")}[kind]
-    return dict(zip(keys, params_tuple))
 
 
 def scene_to_dict(scene):
@@ -135,11 +85,22 @@ def scene_to_dict(scene):
 
 
 def scene_from_dict(data):
+    """Scene from its JSON form; ValueError on points or a viewport that no
+    count can use, and on curve params that the kind does not take."""
     pts = np.array(data.get("points", []), dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("scene points must be finite")
+    viewport = tuple(data["viewport"])
+    bounds = np.array(viewport, dtype=float)
+    if bounds.shape != (4,) or not np.all(np.isfinite(bounds)):
+        raise ValueError(f"viewport must be four finite numbers, got {viewport}")
+    x0, x1, y0, y1 = bounds
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"viewport {viewport} needs x0 < x1 and y0 < y1")
     return Scene(
         points=pts,
         curves=[_curve_from_dict(c) for c in data.get("curves", [])],
-        viewport=tuple(data["viewport"]),
+        viewport=viewport,
         seed=data.get("seed", 0),
         meta=data.get("meta", {}),
     )

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import pfaffinc as pf
-from pfaffinc.curves import max_tangent_error, rotation_matrix
+from pfaffinc.curves import KINDS, max_tangent_error, rotation_matrix
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
+from pfaffinc.scene import Scene, scene_from_dict, scene_to_dict, scene_to_json
 
 VP = (-2.0, 2.0, -2.0, 2.0)
 
@@ -245,3 +246,30 @@ def test_numeric_tangent_agrees_with_field(curve):
 def test_pf_degree_equals_field_degree():
     for curve in CATALOG:
         assert curve.pf_degree == curve.field.degree
+
+
+# -- the kind table ---------------------------------------------------------------
+
+KIND_EXAMPLES = {c.kind: c for c in CATALOG[:-1]}
+KIND_EXAMPLES["composed"] = pf.compose_with_polynomial(pf.tan_curve(0), (0.0, 0.5))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_kind_record_roundtrips_and_inverts(kind):
+    curve = KIND_EXAMPLES[kind]
+    assert curve.kind == kind
+    scene = Scene(np.zeros((0, 2)), [curve], VP)
+    back = scene_from_dict(scene_to_dict(scene))
+    assert back.curves[0].params == curve.params
+    assert scene_to_json(back) == scene_to_json(scene)
+
+    trace = pf.trace_curve(curve, (-2.5, 2.5, -2.5, 2.5), samples=256)
+    ts = np.concatenate([c.ts[1:-1] for c in trace.components])
+    assert max_tangent_error(curve, ts) <= 1e-5
+
+    for t in ts[::16]:
+        x, y = curve.point_at(t)
+        back_t = curve.param_from_x(float(x), t)
+        assert back_t is not None
+        bx, by = curve.point_at(back_t)
+        assert abs(bx - x) <= 1e-9 and abs(by - y) <= 1e-7

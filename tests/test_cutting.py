@@ -35,12 +35,12 @@ def test_sample_size_matches_with_replacement_expectation():
     assert abs(np.mean(sizes) - expected) <= 2.0
 
 
-# -- build_rays -------------------------------------------------------------------
+# -- decompose: rays -------------------------------------------------------------------
 
 def test_two_crossing_lines_shoot_two_full_rays():
     curves = [pf.line(1, 0), pf.line(-1, 0)]
     traces = [pf.trace_curve(c, VP) for c in curves]
-    rays = pf.build_rays([0, 1], curves, traces, VP)
+    rays = pf.decompose([0, 1], curves, traces, VP).rays
     assert len(rays) == 2
     spans = sorted((r.y_lo, r.y_hi) for r in rays)
     assert spans == [(-2.0, 0.0), (0.0, 2.0)]
@@ -49,7 +49,7 @@ def test_two_crossing_lines_shoot_two_full_rays():
 def test_lone_circle_shoots_four_rays():
     c = pf.circle(0, 0, 1)
     traces = [pf.trace_curve(c, VP)]
-    rays = pf.build_rays([0], [c], traces, VP)
+    rays = pf.decompose([0], [c], traces, VP).rays
     assert len(rays) == 4
     assert sorted(round(r.x, 6) for r in rays) == [-1.0, -1.0, 1.0, 1.0]
 
@@ -57,16 +57,16 @@ def test_lone_circle_shoots_four_rays():
 def test_parabola_touching_line_shoots_two_rays():
     curves = [pf.parabola(1, 0, 0), pf.line(0, 0)]
     traces = [pf.trace_curve(c, VP) for c in curves]
-    rays = pf.build_rays([0, 1], curves, traces, VP)
+    rays = pf.decompose([0, 1], curves, traces, VP).rays
     assert len(rays) == 2
     assert all(abs(r.x) <= 1e-6 for r in rays)
 
 
-# -- build_cells --------------------------------------------------------------------
+# -- decompose: cells --------------------------------------------------------------------
 
 def test_single_horizontal_line_splits_plane_in_two():
     c = pf.line(0, 0.5)
-    cells = pf.build_cells([0], [c], [pf.trace_curve(c, VP)], VP)
+    cells = pf.decompose([0], [c], [pf.trace_curve(c, VP)], VP).cells
     assert len(cells) == 2
 
 
@@ -74,12 +74,12 @@ def test_two_crossing_lines_give_six_cells():
     # by hand: two slabs of three regions each, full-height wall at x = 0
     curves = [pf.line(1, 0), pf.line(-1, 0)]
     traces = [pf.trace_curve(c, VP) for c in curves]
-    cells = pf.build_cells([0, 1], curves, traces, VP)
+    cells = pf.decompose([0, 1], curves, traces, VP).cells
     assert len(cells) == 6
 
 
 def test_empty_sample_keeps_whole_viewport():
-    cells = pf.build_cells([], [], [], VP)
+    cells = pf.decompose([], [], [], VP).cells
     assert len(cells) == 1
     assert cells[0].corner_count == 4
 
@@ -88,7 +88,7 @@ def test_cell_corner_counts_within_four():
     scene = gen.random_scene(["line", "circle", "parabola"], m=0, n=12,
                              planted=0.0, seed=3)
     traces = scene.traces()
-    cells = pf.build_cells([0, 2, 4, 6], scene.curves, traces, scene.viewport)
+    cells = pf.decompose([0, 2, 4, 6], scene.curves, traces, scene.viewport).cells
     assert all(0 <= c.corner_count <= 4 for c in cells)
     assert all(c.x_hi > c.x_lo for c in cells)
 
@@ -98,8 +98,8 @@ def test_cell_corner_counts_within_four():
 def test_whole_viewport_cell_sees_every_curve():
     scene = gen.random_scene(["line", "parabola"], m=0, n=7, planted=0.0, seed=5)
     traces = scene.traces()
-    cell = pf.build_cells([], [], [], scene.viewport)[0]
-    assert pf.cell_crossings(cell, None, scene.curves, traces) == 7
+    cut = pf.decompose([], scene.curves, traces, scene.viewport)
+    assert pf.cell_crossings(cut.cells[0], cut) == 7
 
 
 def test_region_beyond_all_curves_is_empty():
@@ -180,7 +180,7 @@ def test_invalid_r_rejected():
 # -- locate_point -----------------------------------------------------------------------
 
 def test_locate_in_single_cell_cutting():
-    cut = ct.trivial_cutting(VP)
+    cut = ct.decompose([], [], [], VP)
     for p in ((0.0, 0.0), (-1.9, 1.9), (1.5, -0.5)):
         loc = pf.locate_point(cut, p)
         assert loc.kind == "interior" and loc.cell == 0

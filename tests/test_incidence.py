@@ -169,12 +169,10 @@ def test_breakdown_exactness_over_randomized_scenes(seed, r_raw, n, m):
 
 
 def test_breakdown_against_trivial_cutting():
-    from pfaffinc.cutting import trivial_cutting
-
     scene = gen.random_scene(["line"], m=30, n=6, planted=0.5, seed=3)
     traces = scene.traces()
     graph = inc.count_incidences(scene.points, scene.curves, traces)
-    cut = trivial_cutting(scene.viewport, n=6)
+    cut = pf.decompose([], scene.curves, traces, scene.viewport)
     bd = inc.count_via_cutting(scene.points, scene.curves, traces, cut, graph=graph)
     assert bd.total == graph.count()
     assert sum(bd.per_cell) == graph.count()  # one cell carries everything

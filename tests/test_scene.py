@@ -1,7 +1,12 @@
 
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import pfaffinc as pf
+from pfaffinc import cli
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
 from pfaffinc.scene import (Scene, load_scene, prerotate_scene, rotate_scene,
@@ -50,6 +55,48 @@ def test_json_text_is_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     again = load_scene(p1)
     assert scene_to_json(again) == scene_to_json(scene)
+
+
+def test_json_text_matches_golden_bytes():
+    golden = Path(__file__).parent / "data" / "mixed_scene.json"
+    assert scene_to_json(_mixed_scene()) == golden.read_text()
+
+
+def _set_point_nan(d):
+    d["points"][0] = ["nan", 1.0]
+
+
+def _set_viewport_inf(d):
+    d["viewport"][1] = "inf"
+
+
+def _reverse_viewport(d):
+    d["viewport"][0], d["viewport"][1] = d["viewport"][1], d["viewport"][0]
+
+
+def _add_unknown_param(d):
+    d["curves"][0]["params"]["zz"] = 1.0
+
+
+def _drop_param(d):
+    del d["curves"][0]["params"]["b"]
+
+
+BAD_INPUTS = [_set_point_nan, _set_viewport_inf, _reverse_viewport,
+              _add_unknown_param, _drop_param]
+
+
+@pytest.mark.parametrize("spoil", BAD_INPUTS, ids=lambda f: f.__name__.strip("_"))
+def test_load_rejects_bad_input(spoil, tmp_path, capsys):
+    data = scene_to_dict(gen.grid_lines(2, 2))
+    scene_from_dict(data)
+    spoil(data)
+    with pytest.raises(ValueError):
+        scene_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["count", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_rotation_preserves_incidence_count():
