@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainViolation, NotUnivariateForm
 from .poly import BivariatePolynomial, MultiPoly, poly1_der, poly1_eval
@@ -45,6 +44,8 @@ class ChainLink:
             (p,) = self.params
             return p(x, y)
         if k == "integral":
+            from scipy.integrate import quad
+
             inner, c = self.params
             key = float(x)
             if key not in self._cache:

@@ -2,7 +2,8 @@
 
 Every curve carries a closed-form parameterization (the exact tracer) plus
 the polynomial vector field that its directional vectors satisfy.  The field
-is used for verification and for vertical-tangent detection, never as an ODE
+is the exact t-derivative of the parameterization, so root refinement
+(`refine_root`) takes its Newton steps from it; it is never used as an ODE
 integrator, so traces carry no drift.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .errors import EmptyTrace, NotComposable, SingularMatrix
 from .poly import BivariatePolynomial, poly1_der, poly1_eval
 
 TWO_PI = 2.0 * math.pi
+_RTOL = 4 * np.finfo(float).eps  # relative part of the root tolerance
 _INSET = 1e-9  # open-endpoint inset in parameter space
 _TINY_X = 1e-9
 
@@ -31,8 +34,10 @@ class PolyVectorField:
     def degree(self):
         return max(self.vx.degree, self.vy.degree)
 
-    def __call__(self, x, y):
-        return self.vx(x, y), self.vy(x, y)
+    @cached_property
+    def vx_rate(self):
+        """d/dt of vx along a solution curve, grad(vx) . V, as a polynomial."""
+        return self.vx.partial("x") * self.vx + self.vx.partial("y") * self.vy
 
 
 def eval_vector_field(field, p):
@@ -167,6 +172,44 @@ def trace_curve(curve, viewport, step=None, samples=1024):
     return CurveTrace(components, step, tuple(viewport))
 
 
+# -- root refinement ------------------------------------------------------
+
+
+def refine_root(f, a, b, fprime=None, fa=None, fb=None, xtol=1e-14):
+    """A root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Newton steps on fprime from the bracket's secant point, safeguarded by
+    bisection (rtsafe; Press et al., Numerical Recipes, sec. 9.4): a step is
+    taken if it lands inside the bracket, which shrinks at every step, and at
+    least halves the step before it.  fprime(x) is called right after f(x),
+    so it may reuse what f computed.  The tolerance is xtol + 4 eps |x|.
+    """
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if fa > 0.0:
+        a, b, fa, fb = b, a, fb, fa  # f(a) < 0 < f(b) from here on
+    x = a - fa * (b - a) / (fb - fa)
+    last = abs(b - a)
+    while True:
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        a, b = (x, b) if fx < 0.0 else (a, x)
+        tol = xtol + _RTOL * abs(x)
+        slope = 0.0 if fprime is None else fprime(x)
+        step = fx / slope if slope else math.inf
+        if abs(step) <= tol:  # converged, even when rounding lands an ulp outside
+            return x - step
+        if abs(step) <= 0.5 * last and min(a, b) < x - step < max(a, b):
+            last, x = abs(step), x - step
+        elif abs(b - a) <= 2.0 * tol:
+            return 0.5 * (a + b)
+        else:
+            last, x = 0.5 * abs(b - a), 0.5 * (a + b)
+
+
 # -- catalog factories ----------------------------------------------------
 
 
@@ -226,6 +269,8 @@ def log_curve(s=1.0, c=0.0, label=""):
 
 def tan_curve(branch=0, label=""):
     """One period of y = tan(x), centered at branch*pi."""
+    if branch != int(branch):
+        raise ValueError(f"tan param 'branch' must be an integer, got {branch!r}")
     mid = branch * math.pi
     return _finish("tan", (int(branch),),
                    _fld({(0, 0): 1.0}, {(0, 0): 1.0, (0, 2): 1.0}),
@@ -243,8 +288,10 @@ def reciprocal_curve(a=1.0, branch=1, label=""):
     """One branch of y = a/x; branch > 0 means x > 0."""
     if a == 0:
         raise ValueError("degenerate hyperbola")
+    if branch not in (1, -1):
+        raise ValueError(f"reciprocal param 'branch' must be 1 or -1, got {branch!r}")
     dom = (0.0, math.inf) if branch > 0 else (-math.inf, 0.0)
-    return _finish("reciprocal", (float(a), 1 if branch > 0 else -1),
+    return _finish("reciprocal", (float(a), int(branch)),
                    _fld({(0, 0): 1.0}, {(0, 2): -1.0 / a}), dom, label=label)
 
 
@@ -262,9 +309,9 @@ def exp_of_poly(coeffs, scale=1.0, label=""):
 
 def reciprocal_root(k, label=""):
     """The graph y = x^(-1/k) for x > 0, parameterized as (e^t, e^(-t/k))."""
+    if k != int(k) or k < 1:
+        raise ValueError(f"reciprocal-root param 'k' must be a positive integer, got {k!r}")
     k = int(k)
-    if k < 1:
-        raise ValueError("root order must be a positive integer")
     return _finish("reciprocal-root", (k,),
                    _fld({(1, 0): 1.0}, {(0, 1): -1.0 / k}),
                    (-math.inf, math.inf), label=label)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .curves import refine_root
 from .errors import ChainMismatch, DegenerateDual, DuplicateCurve, RotationFailed
 from .incidence import IncidenceGraph
 from .poly import poly1_eval
@@ -316,24 +316,17 @@ def point_on_family_curve(family, curve, rng, resolution=256):
     if n_h + n_v == 0:
         return None
     pick = int(rng.integers(0, n_h + n_v))
+
+    def value(x, y):
+        return float(np.dot(curve.coeffs, family.eval_terms(x, y)))
+
     if pick < n_h:
         i, j = hor[0][pick], hor[1][pick]
         y = float(ys[j])
-
-        def f(x):
-            return float(np.dot(curve.coeffs, family.eval_terms(x, y)))
-
-        x = brentq(f, float(xs[i]), float(xs[i + 1]), xtol=1e-15)
-        return float(x), y
-    pick -= n_h
-    i, j = ver[0][pick], ver[1][pick]
+        return refine_root(lambda x: value(x, y), float(xs[i]), float(xs[i + 1]), xtol=1e-15), y
+    i, j = ver[0][pick - n_h], ver[1][pick - n_h]
     x = float(xs[i])
-
-    def g(y):
-        return float(np.dot(curve.coeffs, family.eval_terms(x, y)))
-
-    y = brentq(g, float(ys[j]), float(ys[j + 1]), xtol=1e-15)
-    return x, float(y)
+    return x, refine_root(lambda y: value(x, y), float(ys[j]), float(ys[j + 1]), xtol=1e-15)
 
 
 # -- the full chain -------------------------------------------------------------

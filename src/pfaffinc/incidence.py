@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .curves import refine_root
 from .cutting import locate_point
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -50,36 +50,29 @@ class IncidenceGraph:
 
 
 def _refine_distance(curve, comp, iv, px, py):
-    lo = float(comp.ts[max(0, iv - 2)])
-    hi = float(comp.ts[min(len(comp.ts) - 1, iv + 2)])
-    if hi <= lo:
-        x, y = curve.point_at(lo)
-        return math.hypot(x - px, y - py)
+    """Distance to (px, py) near sample iv: the least over the samples and
+    the minima, the - to + roots of (P - p) . V = d/dt |P - p|^2 / 2, whose
+    t-derivative is |V|^2 where the curve passes through p."""
+    win = slice(max(0, iv - 2), iv + 3)
+    ts, xs, ys = comp.ts[win], comp.xs[win], comp.ys[win]
+    vx, vy = curve.field_at(xs, ys)
+    g = (xs - px) * vx + (ys - py) * vy
+    best = float(np.min(np.hypot(xs - px, ys - py)))
+    v2 = 0.0
 
-    def d2(t):
-        x, y = curve.point_at(t)
-        return (x - px) ** 2 + (y - py) ** 2
-
-    res = minimize_scalar(d2, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    best = math.sqrt(max(res.fun, 0.0))
-    # Brent on a squared distance stalls at sqrt(eps) in t; polish with
-    # Newton on the tangency condition, using the field as the derivative
-    t = float(res.x)
-    for _ in range(30):
+    def along(t):
+        nonlocal v2
         x, y = curve.point_at(t)
         vx, vy = curve.field_at(x, y)
-        denom = vx * vx + vy * vy
-        if denom == 0.0:
-            break
-        step = ((x - px) * vx + (y - py) * vy) / denom
-        t_new = min(max(t - step, lo), hi)
-        if abs(t_new - t) <= 1e-15 * (1.0 + abs(t)):
-            t = t_new
-            break
-        t = t_new
-    x, y = curve.point_at(t)
-    return min(best, math.hypot(x - px, y - py))
+        v2 = float(vx * vx + vy * vy)
+        return float((x - px) * vx + (y - py) * vy)
+
+    for i in np.nonzero((g[:-1] < 0) & (g[1:] > 0))[0]:
+        t = refine_root(along, float(ts[i]), float(ts[i + 1]), lambda t: v2,
+                        float(g[i]), float(g[i + 1]))
+        x, y = curve.point_at(t)
+        best = min(best, math.hypot(x - px, y - py))
+    return best
 
 
 def point_curve_distance(curve, trace, p, tol=1e-7):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from .curves import refine_root
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
@@ -40,6 +40,12 @@ def _vx_along(curve, t):
     return float(curve.field.vx(x, y))
 
 
+def _vx_root(curve, a, b, va, vb):
+    """The t in [a, b] where vx(P(t)) = 0, given va and vb at a and b."""
+    return refine_root(lambda t: _vx_along(curve, t), a, b,
+                       lambda t: float(curve.field.vx_rate(*curve.point_at(t))), va, vb)
+
+
 def vertical_tangent_ts(curve, trace):
     """Parameters where the x-component of the field changes sign."""
     out = []
@@ -47,8 +53,8 @@ def vertical_tangent_ts(curve, trace):
         vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
         sign = np.sign(vx)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            out.append(brentq(lambda t: _vx_along(curve, t),
-                              comp.ts[i], comp.ts[i + 1], xtol=1e-14))
+            out.append(_vx_root(curve, float(comp.ts[i]), float(comp.ts[i + 1]),
+                                float(vx[i]), float(vx[i + 1])))
         for i in np.nonzero(sign == 0)[0]:
             out.append(float(comp.ts[i]))
     # closed parameterizations: check the wrap-around gap too
@@ -62,8 +68,7 @@ def vertical_tangent_ts(curve, trace):
             b = float(first.ts[0]) + curve.period
             va, vb = _vx_along(curve, a), _vx_along(curve, b)
             if va * vb < 0:
-                t = brentq(lambda u: _vx_along(curve, u), a, b, xtol=1e-14)
-                out.append(t % curve.period)
+                out.append(_vx_root(curve, a, b, va, vb) % curve.period)
     return sorted(out)
 
 
@@ -114,21 +119,14 @@ class GraphBranch:
         """Exact y by inverting the parameterization at this x."""
         curve = self.curve
         t = curve.param_from_x(x, self.t_mid)
-        if t is not None:
-            return float(curve.point_at(t)[1])
-        # transformed curves: bisection on the monotone x(t)
-        a, b = float(self.ts[0]), float(self.ts[-1])
-        xa = float(curve.point_at(a)[0])
-        xb = float(curve.point_at(b)[0])
-        inc = xa < xb
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            xm = float(curve.point_at(m)[0])
-            if (xm < x) == inc:
-                a = m
-            else:
-                b = m
-        return float(curve.point_at(0.5 * (a + b))[1])
+        if t is None:
+            # transformed curves: x(t) is monotone on the branch, dx/dt = vx
+            i = min(max(int(np.searchsorted(self.xs, x)), 1), len(self.xs) - 1)
+            t = refine_root(lambda u: float(curve.point_at(u)[0]) - x,
+                            float(self.ts[i - 1]), float(self.ts[i]),
+                            lambda u: _vx_along(curve, u),
+                            float(self.xs[i - 1]) - x, float(self.xs[i]) - x)
+        return float(curve.point_at(t)[1])
 
 
 def monotone_branches(curve, trace):
@@ -204,19 +202,28 @@ def branch_intersections(c1, b1s, c2, b2s, tol=1e-9):
             if np.mean(np.abs(h) <= 10 * tol) > 0.5 and len(grid) > 8:
                 overlap_votes += 1
 
+            y1 = y2 = 0.0
+
             def gap(x):
-                return b1.y_at(x) - b2.y_at(x)
+                nonlocal y1, y2
+                y1, y2 = b1.y_at(x), b2.y_at(x)
+                return y1 - y2
+
+            def gap_slope(x):  # dy/dx = vy/vx on each curve, at the last gap call
+                (u1, w1), (u2, w2) = c1.field_at(x, y1), c2.field_at(x, y2)
+                return float(w1 / u1 - w2 / u2)
+
+            def slope_difference(x):
+                gap(x)
+                return gap_slope(x)
 
             sign = np.sign(h)
             for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
                 a, b = float(grid[i]), float(grid[i + 1])
                 ga, gb = gap(a), gap(b)
-                if ga == 0.0:
-                    points.append((a, b1.y_at(a)))
-                    continue
                 if ga * gb > 0:
                     continue  # interpolation artifact
-                x = brentq(gap, a, b, xtol=1e-14)
+                x = refine_root(gap, a, b, gap_slope, ga, gb)
                 points.append((float(x), float(b1.y_at(x))))
             for i in np.nonzero(sign == 0)[0]:
                 x = float(grid[i])
@@ -226,12 +233,12 @@ def branch_intersections(c1, b1s, c2, b2s, tol=1e-9):
                 if absh[i] <= _TOUCH_SCAN and absh[i] <= absh[i - 1] and absh[i] <= absh[i + 1]:
                     if sign[i - 1] * sign[i] < 0 or sign[i] * sign[i + 1] < 0:
                         continue  # already found as a crossing
-                    res = minimize_scalar(lambda x: abs(gap(x)),
-                                          bounds=(float(grid[i - 1]), float(grid[i + 1])),
-                                          method="bounded",
-                                          options={"xatol": 1e-13})
-                    if res.fun <= tol:
-                        x = float(res.x)
+                    # a tangential contact is an extremum of the gap
+                    a, b = float(grid[i - 1]), float(grid[i + 1])
+                    sa, sb = slope_difference(a), slope_difference(b)
+                    x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
+                        if sa * sb <= 0 else float(grid[i])
+                    if abs(gap(x)) <= tol:
                         points.append((x, float(b1.y_at(x))))
     points = _dedup(points, 10 * tol)
     bound = pfaffian_bezout_bound(c1.pf_degree, c2.pf_degree)

@@ -27,14 +27,6 @@ class BivariatePolynomial:
     def const(cls, c):
         return cls({(0, 0): c})
 
-    @classmethod
-    def x(cls):
-        return cls({(1, 0): 1.0})
-
-    @classmethod
-    def y(cls):
-        return cls({(0, 1): 1.0})
-
     @property
     def degree(self):
         """Total degree; the zero polynomial has degree 0."""
@@ -166,11 +158,6 @@ class MultiPoly:
     @classmethod
     def zero(cls, nvars):
         return cls(nvars)
-
-    @classmethod
-    def var(cls, nvars, idx, coeff=1.0):
-        key = tuple(1 if k == idx else 0 for k in range(nvars))
-        return cls(nvars, {key: coeff})
 
     @property
     def degree(self):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,10 @@ def _curve_to_dict(curve):
     return out
 
 
+def _is_finite_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _curve_from_dict(data):
     k = data["kind"]
     spec = cv.KINDS.get(k)
@@ -67,6 +72,10 @@ def _curve_from_dict(data):
     params = data.get("params", {})
     if set(params) != set(spec.params):
         raise ValueError(f"{k} curve takes params {list(spec.params)}, got {sorted(params)}")
+    for name, value in params.items():
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if name != "base_kind" and not all(map(_is_finite_number, values)):
+            raise ValueError(f"{k} param {name!r} must hold finite numbers, got {value!r}")
     c = spec.factory(**params, label=data.get("label", ""))
     if "transform" in data:
         c = cv.apply_linear_transform(c, *data["transform"])
@@ -86,7 +95,8 @@ def scene_to_dict(scene):
 
 def scene_from_dict(data):
     """Scene from its JSON form; ValueError on points or a viewport that no
-    count can use, and on curve params that the kind does not take."""
+    count can use, on curve params that the kind does not take or that are
+    not finite numbers, and on a curve listed twice."""
     pts = np.array(data.get("points", []), dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("scene points must be finite")
@@ -97,9 +107,15 @@ def scene_from_dict(data):
     x0, x1, y0, y1 = bounds
     if not (x0 < x1 and y0 < y1):
         raise ValueError(f"viewport {viewport} needs x0 < x1 and y0 < y1")
+    curves = [_curve_from_dict(c) for c in data.get("curves", [])]
+    first = {}
+    for i, c in enumerate(curves):
+        j = first.setdefault((c.kind, c.params, c.transform), i)
+        if j != i:
+            raise ValueError(f"curves {j} and {i} are the same curve")
     return Scene(
         points=pts,
-        curves=[_curve_from_dict(c) for c in data.get("curves", [])],
+        curves=curves,
         viewport=viewport,
         seed=data.get("seed", 0),
         meta=data.get("meta", {}),

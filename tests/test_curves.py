@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import pfaffinc as pf
-from pfaffinc.curves import KINDS, max_tangent_error, rotation_matrix
+from pfaffinc.curves import KINDS, max_tangent_error, refine_root, rotation_matrix
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
 from pfaffinc.scene import Scene, scene_from_dict, scene_to_dict, scene_to_json
 
@@ -273,3 +277,44 @@ def test_kind_record_roundtrips_and_inverts(kind):
         assert back_t is not None
         bx, by = curve.point_at(back_t)
         assert abs(bx - x) <= 1e-9 and abs(by - y) <= 1e-7
+
+
+# -- root refinement ---------------------------------------------------------------
+
+
+def test_refine_root_newton_stops_at_converged_step():
+    # circle vx = -sin t; a converged Newton step can round an ulp outside the
+    # bracket, which must end the search rather than fall back to bisection
+    c = pf.circle(0.0, 0.0, 1.0)
+    calls = []
+
+    def vx(t):
+        calls.append(t)
+        return float(c.field.vx(*c.point_at(t)))
+
+    def vx_rate(t):
+        calls.append(t)
+        return float(c.field.vx_rate(*c.point_at(t)))
+
+    t = refine_root(vx, 3.13, 3.15, vx_rate)
+    assert abs(t - math.pi) <= 1e-14
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("with_slope", [True, False], ids=["newton", "bisection"])
+@pytest.mark.parametrize("bracket", [(-3.0, 0.0), (0.0, 3.0)])
+def test_refine_root_matches_brentq(bracket, with_slope):
+    def f(x):
+        return math.exp(x) - x - 2.0
+
+    fprime = (lambda x: math.exp(x) - 1.0) if with_slope else None
+    assert abs(refine_root(f, *bracket, fprime) - brentq(f, *bracket, xtol=1e-15)) <= 1e-14
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pf.__file__)))
+    code = "import sys, pfaffinc; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

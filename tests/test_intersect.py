@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import pfaffinc as pf
 from pfaffinc.errors import SharedComponent
 from pfaffinc.incidence import point_curve_distance
+from pfaffinc.intersect import monotone_branches
 
 VP = (-3.0, 3.0, -1.0, 8.0)
 
@@ -166,3 +168,19 @@ def test_vertical_tangent_residual_is_tiny():
     tr = pf.trace_curve(c, (-2, 2, -2, 2))
     for x, y in pf.vertical_tangent_points(c, tr):
         assert abs(c.field.vx(x, y)) <= 1e-10
+
+
+def test_y_at_on_rotated_parabola_matches_closed_form():
+    # y = x^2 rotated by theta: the point of parameter u is
+    # (c u - s u^2, s u + c u^2), so x fixes u by the quadratic formula
+    theta = 0.4
+    c, s = math.cos(theta), math.sin(theta)
+    curve = pf.apply_linear_transform(pf.parabola(1.0, 0.0, 0.0), c, -s, s, c)
+    trace = pf.trace_curve(curve, (-2.0, 2.0, -2.0, 2.0))
+    branches = monotone_branches(curve, trace)
+    assert len(branches) == 2
+    for br in branches:
+        sign = 1.0 if br.t_mid > c / (2 * s) else -1.0
+        for x in np.linspace(br.x_lo, br.x_hi, 41)[1:-1]:
+            u = (c + sign * math.sqrt(c * c - 4 * s * x)) / (2 * s)
+            assert abs(br.y_at(float(x)) - (s * u + c * u * u)) <= 1e-12

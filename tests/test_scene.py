@@ -82,8 +82,34 @@ def _drop_param(d):
     del d["curves"][0]["params"]["b"]
 
 
+def _duplicate_curve(d):
+    d["curves"].append(dict(d["curves"][0]))
+
+
+def _set_param_nan(d):
+    d["curves"][0]["params"]["a"] = float("nan")
+
+
+def _set_param_string(d):
+    d["curves"].append({"kind": "circle", "params": {"cx": 0.0, "cy": 0.0, "r": "inf"}})
+
+
+def _set_tan_branch_fraction(d):
+    d["curves"].append({"kind": "tan", "params": {"branch": 0.5}})
+
+
+def _set_root_order_fraction(d):
+    d["curves"].append({"kind": "reciprocal-root", "params": {"k": 1.7}})
+
+
+def _set_reciprocal_branch_zero(d):
+    d["curves"].append({"kind": "reciprocal", "params": {"a": 1.0, "branch": 0}})
+
+
 BAD_INPUTS = [_set_point_nan, _set_viewport_inf, _reverse_viewport,
-              _add_unknown_param, _drop_param]
+              _add_unknown_param, _drop_param, _duplicate_curve, _set_param_nan,
+              _set_param_string, _set_tan_branch_fraction, _set_root_order_fraction,
+              _set_reciprocal_branch_zero]
 
 
 @pytest.mark.parametrize("spoil", BAD_INPUTS, ids=lambda f: f.__name__.strip("_"))
