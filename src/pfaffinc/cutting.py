@@ -6,6 +6,11 @@ truncated at the first sampled curve hit or at the viewport.  Sweeping the
 slab structure between event abscissas and merging unseparated neighbors
 yields the pf-cells; a cutting is certified when no cell interior is crossed
 by more than n/r of the input curves.
+
+The slab structure is held in flat arrays: the arcs of slab k, bottom to
+top, are `_arcs[_arc_off[k]:_arc_off[k + 1]]` (branch indices), and region r
+of slab k (between arcs r - 1 and r) is entry `_arc_off[k] + k + r` of
+`_region_cell`.
 """
 
 from __future__ import annotations
@@ -78,8 +83,11 @@ class Cutting:
     n: int
     slab_xs: np.ndarray = field(repr=False, default=None)
     _branches: list = field(repr=False, default=None)  # (curve id, GraphBranch)
-    _slab_arcs: list = field(repr=False, default=None)
-    _region_cell: list = field(repr=False, default=None)
+    _arcs: np.ndarray = field(repr=False, default=None)  # branch indices, slab by slab
+    _arc_off: np.ndarray = field(repr=False, default=None)  # slab k's arcs start here
+    _region_cell: np.ndarray = field(repr=False, default=None)
+    _wall_xs: np.ndarray = field(repr=False, default=None)  # wall abscissas, ascending
+    _wall_order: np.ndarray = field(repr=False, default=None)  # their rays + aux_walls index
     _crossings: list = field(repr=False, default=None)
 
     def max_crossings(self):
@@ -95,8 +103,14 @@ class Cutting:
             total += 0.5 * ((ya[1] - ya[0]) + (yb[1] - yb[0])) * (b - a)
         return total
 
+    def _slab(self, k):
+        """Branch indices of slab k's arcs, bottom to top, and the
+        `_region_cell` index of its lowest region."""
+        lo, hi = self._arc_off[k], self._arc_off[k + 1]
+        return self._arcs[lo:hi].tolist(), int(lo) + k
+
     def _region_bounds(self, slab_idx, region_idx, x):
-        arcs = self._slab_arcs[slab_idx]
+        arcs, _base = self._slab(slab_idx)
         lo = self.viewport[2] if region_idx == 0 else \
             float(self._branches[arcs[region_idx - 1]][1].y_interp(x))
         hi = self.viewport[3] if region_idx == len(arcs) else \
@@ -172,6 +186,7 @@ def _shoot_rays(events, branches, viewport):
     """Up and down rays from each event, stopped at the first sampled arc."""
     _x0, _x1, y0, y1 = viewport
     xs_events = np.array([e[0] for e in events])
+    ys_events = np.array([e[1] for e in events])
     n_ev = len(events)
     above = np.full(n_ev, y1)
     below = np.full(n_ev, y0)
@@ -180,16 +195,14 @@ def _shoot_rays(events, branches, viewport):
         sel = np.nonzero((xs_events > br.x_lo + _X_EPS) & (xs_events < br.x_hi - _X_EPS))[0]
         if len(sel) == 0:
             continue
+        ey = ys_events[sel]
         ay = br.y_interp(xs_events[sel])
-        for k, idx in enumerate(sel):
-            ey = events[idx][1]
-            yk = ay[k]
-            if abs(yk - ey) <= 1e-6:
-                yk = br.y_at(xs_events[idx])  # near tie: use the exact value
-            if yk > ey + eps and yk < above[idx]:
-                above[idx] = yk
-            elif yk < ey - eps and yk > below[idx]:
-                below[idx] = yk
+        for k in np.nonzero(np.abs(ay - ey) <= 1e-6)[0]:
+            ay[k] = br.y_at(xs_events[sel[k]])  # near tie: use the exact value
+        up = ay > ey + eps
+        down = ~up & (ay < ey - eps)
+        above[sel[up]] = np.minimum(above[sel[up]], ay[up])
+        below[sel[down]] = np.maximum(below[sel[down]], ay[down])
     rays, aux = [], []
     for idx, (x, y, src) in enumerate(events):
         pair = [Wall(x, y, float(above[idx]), src), Wall(x, float(below[idx]), y, src)]
@@ -207,20 +220,16 @@ def decompose(sample_ids, curves, traces, viewport, tol=1e-9):
     per-cell crossing sets; an empty sample gives the single whole-viewport
     cell crossed by every curve.
     """
-    # the occupancy pass runs after _cells returns, so the union-find state
-    # is freed before the trace samples are gathered (lower peak memory)
+    # the occupancy pass runs after _cells returns, so the slab temporaries
+    # are freed before the trace samples are gathered (lower peak memory)
     cut = _cells(sample_ids, curves, traces, viewport, tol)
     cut._crossings = _occupancy(cut, traces)
     return cut
 
 
-def _cells(sample_ids, curves, traces, viewport, tol):
-    branch_map = {i: monotone_branches(curves[i], traces[i]) for i in sample_ids}
-    branches = [(i, b) for i in sample_ids for b in branch_map[i]]
-    events = _collect_events(sample_ids, curves, traces, branch_map, tol)
-    rays, aux = _shoot_rays(events, branches, viewport)
-
-    x0, x1, y0, y1 = viewport
+def _slab_edges(events, branches, viewport):
+    """Slab boundaries: event and branch-end abscissas, grouped within _X_GROUP."""
+    x0, x1, _y0, _y1 = viewport
     xs = [x0, x1]
     xs.extend(e[0] for e in events)
     for _cid, br in branches:
@@ -234,119 +243,169 @@ def _cells(sample_ids, curves, traces, viewport, tol):
         slab_xs.append(x1)
     else:
         slab_xs[-1] = x1
-    slab_xs = np.array(slab_xs)
+    return np.array(slab_xs)
+
+
+def _nearest_edges(slab_xs, xs):
+    """Index of the slab edge nearest to each x; ties go to the lower index."""
+    hi = np.clip(np.searchsorted(slab_xs, xs), 1, len(slab_xs) - 1)
+    lo = hi - 1
+    return np.where(np.abs(slab_xs[lo] - xs) <= np.abs(slab_xs[hi] - xs), lo, hi)
+
+
+def _at_edges(values, base, b, k, default):
+    """values[base[b] + k] for branches b >= 0; default for the viewport."""
+    out = np.full(len(b), default, dtype=float)
+    sel = b >= 0
+    out[sel] = values[base[b[sel]] + k[sel]]
+    return out
+
+
+def _cells(sample_ids, curves, traces, viewport, tol):
+    branch_map = {i: monotone_branches(curves[i], traces[i]) for i in sample_ids}
+    branches = [(i, b) for i in sample_ids for b in branch_map[i]]
+    events = _collect_events(sample_ids, curves, traces, branch_map, tol)
+    rays, aux = _shoot_rays(events, branches, viewport)
+    _x0, _x1, y0, y1 = viewport
+    slab_xs = _slab_edges(events, branches, viewport)
     n_slabs = len(slab_xs) - 1
+    n_br = len(branches)
 
-    # arcs per slab, sorted bottom to top at the midpoint
-    slab_arcs = []
-    for k in range(n_slabs):
-        mid = 0.5 * (slab_xs[k] + slab_xs[k + 1])
-        entries = []
-        for b_idx, (cid, br) in enumerate(branches):
-            if br.x_lo - _X_EPS <= mid <= br.x_hi + _X_EPS and br.covers(mid):
-                entries.append((float(br.y_interp(mid)), cid, b_idx))
-        entries.sort()
-        slab_arcs.append([b_idx for _y, _cid, b_idx in entries])
+    # branch b holds an arc in slabs first[b]..stop[b]-1 (those whose midpoint
+    # lies in its x-range): entry arc_base[b] + k of the arcs listed branch
+    # by branch; its heights and parameters at the slab edges first[b]..stop[b]
+    # are entries base[b] + k of edge_y and edge_t.  Index arrays are int32:
+    # they scale with slabs x branches, and half-size temporaries keep the
+    # heap's high-water mark down
+    mids = 0.5 * (slab_xs[:-1] + slab_xs[1:])
+    first = np.searchsorted(mids, [br.x_lo for _c, br in branches], side="left")
+    stop = np.searchsorted(mids, [br.x_hi for _c, br in branches], side="right")
+    first, stop = first.astype(np.int32), stop.astype(np.int32)
+    span = stop - first
+    arc_base = (np.cumsum(span) - span - first).astype(np.int32)
+    base = arc_base + np.arange(n_br, dtype=np.int32)
+    arc_y, edge_y, edge_t = [np.empty(0)], [np.empty(0)], [np.empty(0)]
+    for (_cid, br), f, e in zip(branches, first, stop):
+        arc_y.append(br.y_interp(mids[f:e]))
+        edges = slab_xs[f:e + 1]
+        edge_y.append(br.y_interp(edges))
+        edge_t.append(br.t_interp(edges))
+    arc_y, edge_y, edge_t = map(np.concatenate, (arc_y, edge_y, edge_t))
 
-    # walls indexed by the slab boundary they sit on
-    all_walls = rays + aux
-    wall_at = {}
-    for w in all_walls:
-        k = int(np.argmin(np.abs(slab_xs - w.x)))
-        if abs(slab_xs[k] - w.x) <= 2 * _X_GROUP:
-            wall_at.setdefault(k, []).append(w)
+    # arcs per slab, sorted bottom to top at the midpoint (ties by curve id,
+    # then branch index); entry i of the branch-by-branch list moves to slot[i]
+    arc_b = np.repeat(np.arange(n_br, dtype=np.int32), span)
+    arc_slab = np.arange(len(arc_b), dtype=np.int32) - np.repeat(arc_base, span)
+    arc_cid = np.repeat(np.array([cid for cid, _br in branches], dtype=np.int32), span)
+    order = np.lexsort((arc_b, arc_cid, arc_y, arc_slab))
+    del arc_y, arc_cid
+    arcs = arc_b[order]
+    arc_off = np.zeros(n_slabs + 1, dtype=np.int32)
+    arc_off[1:] = np.cumsum(np.bincount(arc_slab, minlength=n_slabs))
+    del arc_b, arc_slab
+    slot = np.empty(len(order), dtype=np.int32)
+    slot[order] = np.arange(len(order), dtype=np.int32)
+    del order
 
-    # union-find over (slab, region)
-    offsets = np.zeros(n_slabs + 1, dtype=int)
-    for k in range(n_slabs):
-        offsets[k + 1] = offsets[k] + len(slab_arcs[k]) + 1
-    parent = list(range(offsets[-1]))
+    # regions: (slab k, region r) is g = reg_off[k] + r, labelled by the
+    # branches below and above it (BOTTOM / TOP at the viewport)
+    reg_off = arc_off + np.arange(n_slabs + 1, dtype=np.int32)
+    n_reg = int(reg_off[-1])
+    reg_slab = np.repeat(np.arange(n_slabs, dtype=np.int32), np.diff(reg_off))
+    reg_r = np.arange(n_reg, dtype=np.int32) - reg_off[reg_slab]
+    top_arc = arc_off[reg_slab] + reg_r  # index into arcs of the arc above
+    padded = np.append(arcs, np.int32(TOP))
+    lo = np.where(reg_r == 0, BOTTOM, padded[top_arc - 1])
+    hi = np.where(top_arc == arc_off[reg_slab + 1], TOP, padded[top_arc])
+    del top_arc, padded
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    # a region of slab k - 1 continues across edge k into the region of slab
+    # k with the same label: region 0 if the viewport is below it, else the
+    # region above its lower arc if that arc goes on into slab k; the upper
+    # sides must agree too
+    n_left = int(reg_off[-2])  # the regions of slabs 0..n_slabs-2
+    k = reg_slab[:n_left] + 1
+    a = lo[:n_left]
+    right = np.where(a == BOTTOM, reg_off[k], n_reg)  # n_reg: no continuation
+    on = np.nonzero(a >= 0)[0]
+    on = on[stop[a[on]] > k[on]]
+    right[on] = slot[arc_base[a[on]] + k[on]] + k[on] + 1
+    del a, on, slot
+    left = np.nonzero(np.append(hi, np.int32(TOP - 1))[right] == hi[:n_left])[0]
+    right, k = right[left], k[left]
+    ymid = 0.5 * (_at_edges(edge_y, base, lo[right], k, y0)
+                  + _at_edges(edge_y, base, hi[right], k, y1))
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    # ... unless a wall on that edge spans the region's mid height
+    walls = rays + aux
+    wall_xs = np.array([w.x for w in walls])
+    pair_start = np.searchsorted(k, np.arange(n_slabs + 2))  # pairs are sorted by edge
+    open_ = np.ones(len(k), dtype=bool)
+    for w, kw in zip(walls, _nearest_edges(slab_xs, wall_xs).tolist()):
+        if abs(slab_xs[kw] - w.x) <= 2 * _X_GROUP:
+            at = slice(pair_start[kw], pair_start[kw + 1])
+            open_[at] &= ~((w.y_lo - _X_EPS <= ymid[at]) & (ymid[at] <= w.y_hi + _X_EPS))
+    del ymid, k
 
-    def labels(k):
-        arcs = slab_arcs[k]
-        out = []
-        for r in range(len(arcs) + 1):
-            lo = BOTTOM if r == 0 else arcs[r - 1]
-            hi = TOP if r == len(arcs) else arcs[r]
-            out.append((lo, hi))
-        return out
+    # merged regions form left-to-right chains, one region per slab; a cell
+    # is a chain, numbered by its first region
+    root = np.arange(n_reg, dtype=np.int32)
+    root[right[open_]] = left[open_]
+    del left, right, open_
+    while True:
+        nxt = root[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    del nxt
+    starts = np.nonzero(root == np.arange(n_reg, dtype=np.int32))[0].astype(np.int32)
+    region_cell = np.searchsorted(starts, root).astype(np.int32)
+    del root
 
-    for k in range(1, n_slabs):
-        xe = slab_xs[k]
-        left_labels = labels(k - 1)
-        right_labels = {lab: r for r, lab in enumerate(labels(k))}
-        walls = wall_at.get(k, [])
-        for r, lab in enumerate(left_labels):
-            rr = right_labels.get(lab)
-            if rr is None:
-                continue
-            lo_id, hi_id = lab
-            ylo = y0 if lo_id == BOTTOM else float(branches[lo_id][1].y_interp(xe))
-            yhi = y1 if hi_id == TOP else float(branches[hi_id][1].y_interp(xe))
-            ymid = 0.5 * (ylo + yhi)
-            blocked = any(w.y_lo - _X_EPS <= ymid <= w.y_hi + _X_EPS for w in walls)
-            if not blocked:
-                union(offsets[k - 1] + r, offsets[k] + rr)
+    # per cell: its label, its end slab edges k0 and kl, and its region
+    # indices rs[g0:g1] in the slabs k0..kl-1
+    by_cell = np.argsort(region_cell, kind="stable")
+    n_regions = np.bincount(region_cell)
+    g1 = np.cumsum(n_regions)
+    g0 = g1 - n_regions
+    k0 = reg_slab[starts]
+    kl = k0 + n_regions
+    lo_c, hi_c = lo[starts], hi[starts]
+    rs = reg_r[by_cell].tolist()
+    del reg_slab, reg_r, lo, hi, by_cell
+    columns = [
+        lo_c, hi_c, slab_xs[k0], slab_xs[kl],
+        _at_edges(edge_y, base, lo_c, k0, y0), _at_edges(edge_y, base, hi_c, k0, y1),
+        _at_edges(edge_y, base, lo_c, kl, y0), _at_edges(edge_y, base, hi_c, kl, y1),
+        _at_edges(edge_t, base, lo_c, k0, 0), _at_edges(edge_t, base, lo_c, kl, 0),
+        _at_edges(edge_t, base, hi_c, k0, 0), _at_edges(edge_t, base, hi_c, kl, 0),
+        k0, kl, g0, g1,
+    ]
+    del edge_y, edge_t
 
-    # assemble cells
-    root_to_cell = {}
-    cell_regions = []
-    region_cell = [np.zeros(len(slab_arcs[k]) + 1, dtype=int) for k in range(n_slabs)]
-    for k in range(n_slabs):
-        for r in range(len(slab_arcs[k]) + 1):
-            root = find(offsets[k] + r)
-            cid = root_to_cell.get(root)
-            if cid is None:
-                cid = len(cell_regions)
-                root_to_cell[root] = cid
-                cell_regions.append([])
-            cell_regions[cid].append((k, r))
-            region_cell[k][r] = cid
+    def side(x, a, b, ya, yb):
+        ylo = y0 if a == BOTTOM else ya
+        yhi = y1 if b == TOP else yb
+        return (x, ylo, yhi) if yhi - ylo > 1e-12 else None
 
+    slab_ids = list(range(n_slabs))  # shared by every cell's region tuples
     cells = []
-    for cid, regions in enumerate(cell_regions):
-        regions.sort()
-        k0, r0 = regions[0]
-        kl, _rl = regions[-1]
-        lo_id, hi_id = labels(k0)[r0]
-        xl, xr = float(slab_xs[k0]), float(slab_xs[kl + 1])
+    for cid, (a, b, xl, xr, lyl, lyh, ryl, ryh, tbl, tbr, ttl, ttr, ka, kb, ga, gb) in \
+            enumerate(zip(*(c.tolist() for c in columns))):
+        left = side(xl, a, b, lyl, lyh)
+        right = side(xr, a, b, ryl, ryh)
+        bottom = None if a == BOTTOM else (branches[a][0], tbl, tbr)
+        top = None if b == TOP else (branches[b][0], ttl, ttr)
+        corner_count = 2 + (left is not None) + (right is not None)
+        cells.append(PfCell(cid, xl, xr, bottom, top, left, right, corner_count,
+                            list(zip(slab_ids[ka:kb], rs[ga:gb]))))
 
-        def side(x, ri, ki):
-            a, b = labels(ki)[ri]
-            ylo = y0 if a == BOTTOM else float(branches[a][1].y_interp(x))
-            yhi = y1 if b == TOP else float(branches[b][1].y_interp(x))
-            return (float(x), ylo, yhi) if yhi - ylo > 1e-12 else None
-
-        left = side(xl, r0, k0)
-        right = side(xr, regions[-1][1], kl)
-        bottom = None
-        if lo_id != BOTTOM:
-            cidx, br = branches[lo_id]
-            bottom = (cidx, float(br.t_interp(xl)), float(br.t_interp(xr)))
-        top = None
-        if hi_id != TOP:
-            cidx, br = branches[hi_id]
-            top = (cidx, float(br.t_interp(xl)), float(br.t_interp(xr)))
-        pieces = 2 + (left is not None) + (right is not None)
-        corner_count = pieces if pieces >= 2 else 0
-        cells.append(PfCell(cid, xl, xr, bottom, top, left, right,
-                            min(corner_count, 4), regions))
-
+    wall_order = np.argsort(wall_xs, kind="stable")
     return Cutting(sample=list(sample_ids), rays=rays, aux_walls=aux, cells=cells,
                    r=1, s=0, seed=0, retries_used=0, viewport=tuple(viewport),
                    n=len(curves), slab_xs=slab_xs, _branches=branches,
-                   _slab_arcs=slab_arcs, _region_cell=region_cell)
+                   _arcs=arcs, _arc_off=arc_off, _region_cell=region_cell,
+                   _wall_xs=wall_xs[wall_order], _wall_order=wall_order)
 
 
 # -- crossing counts --------------------------------------------------------
@@ -355,7 +414,6 @@ def _cells(sample_ids, curves, traces, viewport, tol):
 def _occupancy(cut, traces):
     """Per-cell sets of unsampled curve ids whose trace enters the cell interior."""
     slab_xs = cut.slab_xs
-    region_cell = cut._region_cell
     skip_ids = set(cut.sample)
     xs_all, ys_all, ids_all = [], [], []
     for i, tr in enumerate(traces):
@@ -364,17 +422,17 @@ def _occupancy(cut, traces):
         for comp in tr.components:
             xs_all.append(comp.xs)
             ys_all.append(comp.ys)
-            ids_all.append(np.full(len(comp.xs), i, dtype=int))
-    crossings = [set() for _ in cut.cells]
+            ids_all.append(np.full(len(comp.xs), i, dtype=np.int32))
     if not xs_all:
-        return crossings
+        return [set() for _ in cut.cells]
     xs = np.concatenate(xs_all)
     ys = np.concatenate(ys_all)
     ids = np.concatenate(ids_all)
+    del xs_all, ys_all, ids_all
     order = np.argsort(xs, kind="stable")
     xs, ys, ids = xs[order], ys[order], ids[order]
 
-    below = np.zeros(len(xs), dtype=int)
+    below = np.zeros(len(xs), dtype=np.int32)
     valid = np.ones(len(xs), dtype=bool)
     _x0, _x1, y0, y1 = cut.viewport
     valid &= (ys > y0 + 1e-12) & (ys < y1 - 1e-12)
@@ -393,15 +451,18 @@ def _occupancy(cut, traces):
     # branch spans end there, so the below count cannot be trusted
     edge_gap = np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs)
     valid &= edge_gap > 2 * _X_GROUP
-    for k in np.unique(slab):
-        sel = (slab == k) & valid
-        if not np.any(sel):
-            continue
-        reg = np.clip(below[sel], 0, len(region_cell[k]) - 1)
-        cells_here = region_cell[k][reg]
-        for c, i in zip(cells_here, ids[sel]):
-            crossings[c].add(int(i))
-    return crossings
+    del xs, ys, order, edge_gap
+    slab, below, ids = slab[valid], below[valid], ids[valid]
+    del valid
+    arc_off = cut._arc_off
+    region = arc_off[slab] + slab + np.minimum(below, np.diff(arc_off)[slab])
+    del slab, below
+    n = len(traces)
+    key = cut._region_cell[region].astype(np.int64) * n + ids  # one per (cell, curve)
+    cell, ids = np.divmod(np.unique(key), n)
+    bounds = np.searchsorted(cell, np.arange(len(cut.cells) + 1)).tolist()
+    ids = ids.tolist()
+    return [set(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def cell_crossings(cell, cutting):
@@ -443,8 +504,13 @@ def locate_point(cutting, p, tol=1e-7):
     slab_xs = cutting.slab_xs
     k = int(np.clip(np.searchsorted(slab_xs, px, side="right") - 1, 0, len(slab_xs) - 2))
 
-    # on a vertical wall?
-    for w_idx, w in enumerate(cutting.rays + cutting.aux_walls):
+    # on a vertical wall?  (the lowest-index one; the x index is searched
+    # with a widened window, the test below is exact)
+    near = slice(np.searchsorted(cutting._wall_xs, px - 2 * tol, side="left"),
+                 np.searchsorted(cutting._wall_xs, px + 2 * tol, side="right"))
+    n_rays = len(cutting.rays)
+    for w_idx in sorted(cutting._wall_order[near].tolist()):
+        w = cutting.rays[w_idx] if w_idx < n_rays else cutting.aux_walls[w_idx - n_rays]
         if abs(px - w.x) <= tol and w.y_lo - tol <= py <= w.y_hi + tol:
             kl = int(np.clip(np.searchsorted(slab_xs, w.x - 2 * _X_EPS, side="right") - 1,
                              0, len(slab_xs) - 2))
@@ -455,7 +521,7 @@ def locate_point(cutting, p, tol=1e-7):
             cells = tuple(sorted({cl, cr}))
             return Location("boundary", cells=cells, on=("ray", w_idx))
 
-    arcs = cutting._slab_arcs[k]
+    arcs, region0 = cutting._slab(k)
     below = 0
     for b_idx in arcs:
         cid, br = cutting._branches[b_idx]
@@ -463,21 +529,20 @@ def locate_point(cutting, p, tol=1e-7):
         if abs(ay - py) <= 1e-5:
             ay = br.y_at(px)
         if abs(ay - py) <= tol:
-            r_below = below
-            cells = (int(cutting._region_cell[k][r_below]),
-                     int(cutting._region_cell[k][min(r_below + 1, len(arcs))]))
+            cells = (int(cutting._region_cell[region0 + below]),
+                     int(cutting._region_cell[region0 + min(below + 1, len(arcs))]))
             return Location("boundary", cells=tuple(sorted(set(cells))),
                             on=("curve", cid))
         if ay < py:
             below += 1
-    return Location("interior", cell=int(cutting._region_cell[k][below]))
+    return Location("interior", cell=int(cutting._region_cell[region0 + below]))
 
 
 def _region_at(cutting, k, x, y):
-    arcs = cutting._slab_arcs[k]
+    arcs, region0 = cutting._slab(k)
     below = 0
     for b_idx in arcs:
         _cid, br = cutting._branches[b_idx]
         if float(br.y_interp(x)) < y:
             below += 1
-    return int(cutting._region_cell[k][below])
+    return int(cutting._region_cell[region0 + below])

@@ -101,9 +101,6 @@ class GraphBranch:
     def x_hi(self):
         return float(self.xs[-1])
 
-    def covers(self, x, margin=0.0):
-        return self.x_lo + margin <= x <= self.x_hi - margin
-
     @cached_property
     def t_mid(self):
         """A parameter inside the branch, away from its turning points."""
@@ -228,18 +225,21 @@ def branch_intersections(c1, b1s, c2, b2s, tol=1e-9):
             for i in np.nonzero(sign == 0)[0]:
                 x = float(grid[i])
                 points.append((x, float(b1.y_at(x))))
+            # local minima of |gap| below the scan threshold, except next to a
+            # sign change (already found as a crossing); the threshold goes
+            # first, so the other tests run on the few points that pass it
             absh = np.abs(h)
-            for i in range(1, len(grid) - 1):
-                if absh[i] <= _TOUCH_SCAN and absh[i] <= absh[i - 1] and absh[i] <= absh[i + 1]:
-                    if sign[i - 1] * sign[i] < 0 or sign[i] * sign[i + 1] < 0:
-                        continue  # already found as a crossing
-                    # a tangential contact is an extremum of the gap
-                    a, b = float(grid[i - 1]), float(grid[i + 1])
-                    sa, sb = slope_difference(a), slope_difference(b)
-                    x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
-                        if sa * sb <= 0 else float(grid[i])
-                    if abs(gap(x)) <= tol:
-                        points.append((x, float(b1.y_at(x))))
+            near = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
+            near = near[(absh[near] <= absh[near - 1]) & (absh[near] <= absh[near + 1])
+                        & ~(sign[near - 1] * sign[near] < 0) & ~(sign[near] * sign[near + 1] < 0)]
+            for i in near:
+                # a tangential contact is an extremum of the gap
+                a, b = float(grid[i - 1]), float(grid[i + 1])
+                sa, sb = slope_difference(a), slope_difference(b)
+                x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
+                    if sa * sb <= 0 else float(grid[i])
+                if abs(gap(x)) <= tol:
+                    points.append((x, float(b1.y_at(x))))
     points = _dedup(points, 10 * tol)
     bound = pfaffian_bezout_bound(c1.pf_degree, c2.pf_degree)
     if overlap_votes and len(points) > bound:

@@ -78,7 +78,10 @@ def _curve_from_dict(data):
             raise ValueError(f"{k} param {name!r} must hold finite numbers, got {value!r}")
     c = spec.factory(**params, label=data.get("label", ""))
     if "transform" in data:
-        c = cv.apply_linear_transform(c, *data["transform"])
+        m = data["transform"]
+        if not (isinstance(m, (list, tuple)) and len(m) == 4 and all(map(_is_finite_number, m))):
+            raise ValueError(f"{k} transform must be 4 finite numbers, got {m!r}")
+        c = cv.apply_linear_transform(c, *m)
     return c
 
 
@@ -96,7 +99,8 @@ def scene_to_dict(scene):
 def scene_from_dict(data):
     """Scene from its JSON form; ValueError on points or a viewport that no
     count can use, on curve params that the kind does not take or that are
-    not finite numbers, and on a curve listed twice."""
+    not finite numbers, on a transform that is not 4 finite numbers, and on
+    a curve listed twice."""
     pts = np.array(data.get("points", []), dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("scene points must be finite")

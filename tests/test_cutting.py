@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from pfaffinc import generators as gen
 from pfaffinc.errors import CuttingFailed
 
 VP = (-2.0, 2.0, -2.0, 2.0)
+ACCEPTANCE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal",
+                    "exp-of-poly", "tan"]
 
 
 # -- sample_curves ---------------------------------------------------------------
@@ -234,6 +237,64 @@ def test_locate_matches_linear_scan(line_scene):
     assert checked > 800
 
 
+def _locate_by_scan(cut, p, tol=1e-7):
+    """locate_point by a scan of every wall, then of every arc in p's slab."""
+    px, py = float(p[0]), float(p[1])
+    last = len(cut.slab_xs) - 2
+
+    def slab_of(x):
+        return int(np.clip(np.searchsorted(cut.slab_xs, x, side="right") - 1, 0, last))
+
+    def region_cell(k, x, y):
+        arcs, region0 = cut._slab(k)
+        below = sum(float(cut._branches[b][1].y_interp(x)) < y for b in arcs)
+        return int(cut._region_cell[region0 + below])
+
+    for w_idx, w in enumerate(cut.rays + cut.aux_walls):
+        if abs(px - w.x) <= tol and w.y_lo - tol <= py <= w.y_hi + tol:
+            cl = region_cell(slab_of(w.x - 2e-12), w.x - 2e-12, py)
+            cr = region_cell(slab_of(w.x + 2e-12), w.x + 2e-12, py)
+            return "boundary", None, tuple(sorted({cl, cr})), ("ray", w_idx)
+    k = slab_of(px)
+    arcs, region0 = cut._slab(k)
+    below = 0
+    for b in arcs:
+        cid, br = cut._branches[b]
+        ay = float(br.y_interp(px))
+        if abs(ay - py) <= 1e-5:
+            ay = br.y_at(px)
+        if abs(ay - py) <= tol:
+            cells = {int(cut._region_cell[region0 + below]),
+                     int(cut._region_cell[region0 + min(below + 1, len(arcs))])}
+            return "boundary", None, tuple(sorted(cells)), ("curve", cid)
+        below += ay < py
+    return "interior", int(cut._region_cell[region0 + below]), (), ()
+
+
+def test_locate_matches_wall_and_arc_scan():
+    scene = gen.random_scene(["circle", "parabola", "exp", "line"], m=0, n=16,
+                             planted=0.0, seed=12)
+    traces = scene.traces()
+    cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=2, seed=3)
+    x0, x1, y0, y1 = scene.viewport
+    rng = np.random.default_rng(31)
+    probes = [tuple(p) for p in rng.uniform((x0, y0), (x1, y1), size=(500, 2))]
+    for w in cut.rays + cut.aux_walls:
+        mid = 0.5 * (w.y_lo + w.y_hi)
+        probes += [(w.x, mid), (w.x - 5e-8, mid), (w.x + 5e-8, mid), (w.x, w.y_lo), (w.x, w.y_hi)]
+    for _cid, br in cut._branches:
+        for x in rng.uniform(br.x_lo, br.x_hi, size=5):
+            probes.append((float(x), br.y_at(x)))
+    kinds = set()
+    for p in probes:
+        if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
+            continue
+        loc = pf.locate_point(cut, p)
+        assert (loc.kind, loc.cell, loc.cells, loc.on) == _locate_by_scan(cut, p), p
+        kinds.add(loc.on[0] if loc.on else loc.kind)
+    assert kinds == {"interior", "ray", "curve"}
+
+
 def test_partition_covers_viewport(line_scene):
     scene, traces, cut = line_scene
     rng = np.random.default_rng(5)
@@ -275,6 +336,14 @@ def test_cutting_serialization_is_reproducible():
     ja = json.dumps(a.to_dict(), sort_keys=True)
     jb = json.dumps(b.to_dict(), sort_keys=True)
     assert ja == jb
+
+
+def test_cutting_json_matches_golden_bytes():
+    # recorded from the slab-by-slab scalar assembly, before it was vectorised
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=60, planted=0.0, seed=7)
+    cut = pf.build_cutting(scene.curves, scene.traces(), scene.viewport, r=4, seed=7)
+    text = json.dumps(cut.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert text == (Path(__file__).parent / "data" / "cutting_golden.json").read_text()
 
 
 def test_failed_certification_raises():

@@ -106,10 +106,23 @@ def _set_reciprocal_branch_zero(d):
     d["curves"].append({"kind": "reciprocal", "params": {"a": 1.0, "branch": 0}})
 
 
+def _set_transform_string(d):
+    d["curves"][0]["transform"] = ["nan", 0, 0, 1]
+
+
+def _set_transform_nan(d):
+    d["curves"][0]["transform"] = [float("nan"), 0.0, 0.0, 1.0]
+
+
+def _set_transform_three(d):
+    d["curves"][0]["transform"] = [1.0, 0.0, 1.0]
+
+
 BAD_INPUTS = [_set_point_nan, _set_viewport_inf, _reverse_viewport,
               _add_unknown_param, _drop_param, _duplicate_curve, _set_param_nan,
               _set_param_string, _set_tan_branch_fraction, _set_root_order_fraction,
-              _set_reciprocal_branch_zero]
+              _set_reciprocal_branch_zero, _set_transform_string, _set_transform_nan,
+              _set_transform_three]
 
 
 @pytest.mark.parametrize("spoil", BAD_INPUTS, ids=lambda f: f.__name__.strip("_"))
