@@ -45,6 +45,7 @@ from .cutting import (
     cell_crossings,
     decompose,
     locate_point,
+    locate_points,
     sample_curves,
 )
 from .duality import (

@@ -411,9 +411,30 @@ def _cells(sample_ids, curves, traces, viewport, tol):
 # -- crossing counts --------------------------------------------------------
 
 
+def _sweep(cut, xs, ys, near):
+    """Per point (xs ascending): its slab, the branches below it, and whether
+    that count holds: no branch within `near` (interpolated), and not within
+    2 * _X_GROUP of a slab edge.  Every branch end lies within _X_GROUP of a
+    slab edge (`_slab_edges`), so the branches over any other point are
+    exactly its slab's arcs."""
+    below = np.zeros(len(xs), dtype=np.int32)
+    clear = np.ones(len(xs), dtype=bool)
+    for _cid, br in cut._branches:
+        lo = np.searchsorted(xs, br.x_lo, side="left")
+        hi = np.searchsorted(xs, br.x_hi, side="right")
+        if hi <= lo:
+            continue
+        gap = ys[lo:hi] - np.interp(xs[lo:hi], br.xs, br.ys)
+        clear[lo:hi] &= np.abs(gap) > near
+        below[lo:hi] += gap > 0
+    slab_xs = cut.slab_xs
+    slab = np.clip(np.searchsorted(slab_xs, xs, side="right") - 1, 0, len(slab_xs) - 2)
+    clear &= np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs) > 2 * _X_GROUP
+    return slab, below, clear
+
+
 def _occupancy(cut, traces):
     """Per-cell sets of unsampled curve ids whose trace enters the cell interior."""
-    slab_xs = cut.slab_xs
     skip_ids = set(cut.sample)
     xs_all, ys_all, ids_all = [], [], []
     for i, tr in enumerate(traces):
@@ -432,26 +453,10 @@ def _occupancy(cut, traces):
     order = np.argsort(xs, kind="stable")
     xs, ys, ids = xs[order], ys[order], ids[order]
 
-    below = np.zeros(len(xs), dtype=np.int32)
-    valid = np.ones(len(xs), dtype=bool)
     _x0, _x1, y0, y1 = cut.viewport
+    slab, below, valid = _sweep(cut, xs, ys, 1e-9)
     valid &= (ys > y0 + 1e-12) & (ys < y1 - 1e-12)
-    for _cid, br in cut._branches:
-        lo = np.searchsorted(xs, br.x_lo, side="left")
-        hi = np.searchsorted(xs, br.x_hi, side="right")
-        if hi <= lo:
-            continue
-        ay = np.interp(xs[lo:hi], br.xs, br.ys)
-        gap = ys[lo:hi] - ay
-        valid[lo:hi] &= np.abs(gap) > 1e-9
-        below[lo:hi] += gap > 0
-
-    slab = np.clip(np.searchsorted(slab_xs, xs, side="right") - 1, 0, len(slab_xs) - 2)
-    # samples within the grouping band of a slab boundary are ambiguous:
-    # branch spans end there, so the below count cannot be trusted
-    edge_gap = np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs)
-    valid &= edge_gap > 2 * _X_GROUP
-    del xs, ys, order, edge_gap
+    del xs, ys, order
     slab, below, ids = slab[valid], below[valid], ids[valid]
     del valid
     arc_off = cut._arc_off
@@ -536,6 +541,31 @@ def locate_point(cutting, p, tol=1e-7):
         if ay < py:
             below += 1
     return Location("interior", cell=int(cutting._region_cell[region0 + below]))
+
+
+def locate_points(cutting, pts, tol=1e-7):
+    """locate_point for many points: the interior cell id of each, or -1 on
+    a boundary.  One sweep over the points sorted by x counts the arcs below
+    them; a point within max(1e-5, tol) of an arc, 2 * _X_GROUP of a slab
+    edge or 2 * tol of a wall, or off the viewport, goes to locate_point
+    (which raises ValueError for a point off the viewport)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
+    slab, below, clear = _sweep(cutting, xs, ys, max(1e-5, tol))
+    walls = cutting._wall_xs
+    _x0, _x1, y0, y1 = cutting.viewport
+    clear &= (ys >= y0) & (ys <= y1)
+    clear &= (np.searchsorted(walls, xs - 2 * tol, side="left")
+              == np.searchsorted(walls, xs + 2 * tol, side="right"))
+    cell = np.full(len(pts), -1, dtype=np.int64)
+    slab, below = slab[clear], below[clear]
+    cell[order[clear]] = cutting._region_cell[cutting._arc_off[slab] + slab + below]
+    for i in np.sort(order[~clear]).tolist():
+        loc = locate_point(cutting, pts[i], tol)
+        if loc.kind == "interior":
+            cell[i] = loc.cell
+    return cell
 
 
 def _region_at(cutting, k, x, y):

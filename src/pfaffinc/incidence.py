@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import refine_root
-from .cutting import locate_point
+from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
 FEW_POINTS = "few-points"
@@ -75,49 +75,76 @@ def _refine_distance(curve, comp, iv, px, py):
     return best
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+
+
+def _search_radius(comp, tol):
+    """Distance from a sample within which a point may be within tol of the
+    curve: half the longest sample gap plus a margin for the refinement."""
+    seg = float(np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max()) if len(comp) > 1 else 0.0
+    return seg / 2 + max(100 * tol, 1e-6)
+
+
 def point_curve_distance(curve, trace, p, tol=1e-7):
     """Distance from p to the curve, refined on the parameterization."""
+    _check_tol(tol)
     px, py = float(p[0]), float(p[1])
     best = math.inf
     for comp in trace.components:
         d2 = (comp.xs - px) ** 2 + (comp.ys - py) ** 2
         iv = int(np.argmin(d2))
         coarse = math.sqrt(d2[iv])
-        seg = float(np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max()) if len(comp) > 1 else 0.0
-        if coarse <= seg / 2 + max(100 * tol, 1e-6):
+        if coarse <= _search_radius(comp, tol):
             best = min(best, _refine_distance(curve, comp, iv, px, py))
         else:
             best = min(best, coarse)
     return best
 
 
+def _near_points(pts, comp, radius):
+    """Indices of the points that can lie within radius of a sample: those
+    in the 3 x 3 neighbourhood of a sample's cell on a grid of side
+    2 * radius, which keeps every such point even after rounding."""
+    smp = np.column_stack((comp.xs, comp.ys))
+    lo = smp.min(axis=0) - radius
+    box = np.nonzero(np.all((pts >= lo) & (pts <= smp.max(axis=0) + radius), axis=1))[0]
+    # cells numbered from 1, so the neighbouring cells stay >= 0
+    sc = np.floor((smp - lo) / (2 * radius)).astype(np.int64) + 1
+    bc = np.floor((pts[box] - lo) / (2 * radius)).astype(np.int64) + 1
+    ny = max(sc[:, 1].max(), np.max(bc[:, 1], initial=0)) + 2
+    steps = (np.arange(-1, 2)[:, None] * ny + np.arange(-1, 2)).ravel()
+    near = np.unique((np.unique(sc @ [ny, 1])[:, None] + steps).ravel())
+    keys = bc @ [ny, 1]
+    at = np.minimum(np.searchsorted(near, keys), len(near) - 1)
+    return box[near[at] == keys]
+
+
 def count_incidences(points, curves, traces, tol=1e-7):
-    """Bipartite incidence graph at the given tolerance."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    """Bipartite incidence graph at the given tolerance.
+
+    Per trace component, only the points in the grid neighbourhood of its
+    samples are compared with them (`_near_points`); a point within the
+    search radius of its nearest sample is refined on the parameterization.
+    """
+    _check_tol(tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     edges = set()
     for ci, (curve, trace) in enumerate(zip(curves, traces)):
         if len(pts) == 0:
             break
         for comp in trace.components:
-            if len(comp) > 1:
-                seg = float(np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max())
-            else:
-                seg = 0.0
-            radius = seg / 2 + max(100 * tol, 1e-6)
-            bx0, bx1 = comp.xs.min() - radius, comp.xs.max() + radius
-            by0, by1 = comp.ys.min() - radius, comp.ys.max() + radius
-            box = np.nonzero((pts[:, 0] >= bx0) & (pts[:, 0] <= bx1)
-                             & (pts[:, 1] >= by0) & (pts[:, 1] <= by1))[0]
-            if len(box) == 0:
+            radius = _search_radius(comp, tol)
+            near = _near_points(pts, comp, radius)
+            if len(near) == 0:
                 continue
-            d2 = ((pts[box, 0, None] - comp.xs) ** 2
-                  + (pts[box, 1, None] - comp.ys) ** 2)
+            d2 = ((pts[near, 0, None] - comp.xs) ** 2
+                  + (pts[near, 1, None] - comp.ys) ** 2)
             iv = np.argmin(d2, axis=1)
-            dv = np.sqrt(d2[np.arange(len(box)), iv])
+            dv = np.sqrt(d2[np.arange(len(near)), iv])
             for k in np.nonzero(dv <= radius)[0]:
-                pi = int(box[k])
+                pi = int(near[k])
                 if (pi, ci) in edges:
                     continue
                 dist = _refine_distance(curve, comp, int(iv[k]),
@@ -194,42 +221,33 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
     if cutting.n != len(curves):
         raise InconsistentScene(
             f"cutting built for {cutting.n} curves, scene has {len(curves)}")
+    _check_tol(tol)
     if graph is None:
         graph = count_incidences(points, curves, traces, tol)
     sample = set(cutting.sample)
-    adj = graph.point_adj()
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-
-    cell_of = {}
-    boundary = set()
-    for pi in range(len(pts)):
-        if adj[pi] & sample:
-            boundary.add(pi)
-            continue
-        loc = locate_point(cutting, pts[pi], tol)
-        if loc.kind == "boundary":
-            boundary.add(pi)
-        else:
-            cell_of[pi] = loc.cell
+    on_sample = {pi for pi, ci in graph.edges if ci in sample}
+    rest = np.array([pi for pi in range(len(pts)) if pi not in on_sample], dtype=np.int64)
+    cell_of = np.full(len(pts), -1, dtype=np.int64)  # -1: on a boundary
+    cell_of[rest] = locate_points(cutting, pts[rest], tol)
+    boundary = int(np.count_nonzero(cell_of < 0))
+    cell_of = cell_of.tolist()
 
     per_cell = [0] * len(cutting.cells)
-    b_sample = 0
-    b_nonsample = 0
-    repairs = 0
+    b_sample = b_nonsample = repairs = 0
     for pi, ci in graph.edges:
-        if pi in boundary:
+        cell = cell_of[pi]
+        if cell < 0:
             if ci in sample:
                 b_sample += 1
             else:
                 b_nonsample += 1
         else:
-            cell = cell_of[pi]
             per_cell[cell] += 1
             if cutting._crossings is not None and ci not in cutting._crossings[cell]:
                 cutting._crossings[cell].add(ci)
                 repairs += 1
-    return IncidenceBreakdown(per_cell, b_nonsample, b_sample,
-                              len(boundary), repairs)
+    return IncidenceBreakdown(per_cell, b_nonsample, b_sample, boundary, repairs)
 
 
 # -- bound evaluators ---------------------------------------------------------

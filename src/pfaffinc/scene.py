@@ -98,9 +98,9 @@ def scene_to_dict(scene):
 
 def scene_from_dict(data):
     """Scene from its JSON form; ValueError on points or a viewport that no
-    count can use, on curve params that the kind does not take or that are
-    not finite numbers, on a transform that is not 4 finite numbers, and on
-    a curve listed twice."""
+    count can use (points must lie in the closed viewport), on curve params
+    that the kind does not take or that are not finite numbers, on a
+    transform that is not 4 finite numbers, and on a curve listed twice."""
     pts = np.array(data.get("points", []), dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("scene points must be finite")
@@ -111,6 +111,10 @@ def scene_from_dict(data):
     x0, x1, y0, y1 = bounds
     if not (x0 < x1 and y0 < y1):
         raise ValueError(f"viewport {viewport} needs x0 < x1 and y0 < y1")
+    outside = ~((pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"point {i} {pts[i].tolist()} lies outside viewport {viewport}")
     curves = [_curve_from_dict(c) for c in data.get("curves", [])]
     first = {}
     for i, c in enumerate(curves):

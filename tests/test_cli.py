@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from pfaffinc import cli
 from pfaffinc import chains as ch
@@ -121,6 +122,15 @@ def test_chains_command(tmp_path):
 
 def test_usage_error_exit_code(tmp_path):
     assert run(["count", "--scene", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_count_rejects_non_finite_tolerance(tol, tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    run(["generate", "--family", "grid", "--a", "2", "--b", "2", "--out", str(scene_path)])
+    capsys.readouterr()
+    assert run(["count", "--scene", str(scene_path), "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

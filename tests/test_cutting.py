@@ -271,7 +271,8 @@ def _locate_by_scan(cut, p, tol=1e-7):
     return "interior", int(cut._region_cell[region0 + below]), (), ()
 
 
-def test_locate_matches_wall_and_arc_scan():
+def _probe_cutting():
+    """A curved cutting and probes on its walls, wall ends and branches."""
     scene = gen.random_scene(["circle", "parabola", "exp", "line"], m=0, n=16,
                              planted=0.0, seed=12)
     traces = scene.traces()
@@ -285,14 +286,52 @@ def test_locate_matches_wall_and_arc_scan():
     for _cid, br in cut._branches:
         for x in rng.uniform(br.x_lo, br.x_hi, size=5):
             probes.append((float(x), br.y_at(x)))
+    inside = [p for p in probes if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
+    return cut, inside
+
+
+def test_locate_matches_wall_and_arc_scan():
+    cut, probes = _probe_cutting()
     kinds = set()
     for p in probes:
-        if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
-            continue
         loc = pf.locate_point(cut, p)
         assert (loc.kind, loc.cell, loc.cells, loc.on) == _locate_by_scan(cut, p), p
         kinds.add(loc.on[0] if loc.on else loc.kind)
     assert kinds == {"interior", "ray", "curve"}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_branches_over_a_point_off_slab_edges_are_its_slab_arcs(seed):
+    # the below-count sweep of locate_points and _occupancy relies on this
+    kinds = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
+    scene = gen.random_scene(kinds, m=0, n=16, planted=0.0, seed=seed)
+    cut = pf.build_cutting(scene.curves, scene.traces(), scene.viewport, r=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for k, (a, b) in enumerate(zip(cut.slab_xs[:-1], cut.slab_xs[1:])):
+        for x in rng.uniform(a + 2 * ct._X_GROUP, b - 2 * ct._X_GROUP, size=3):
+            if not (a + 2 * ct._X_GROUP < x < b - 2 * ct._X_GROUP):
+                continue
+            over = {i for i, (_cid, br) in enumerate(cut._branches) if br.x_lo <= x <= br.x_hi}
+            assert over == set(cut._slab(k)[0]), (k, x)
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-6])
+def test_batched_location_matches_locate_point(tol):
+    cut, probes = _probe_cutting()
+    for w in cut.rays + cut.aux_walls:  # within tol of a wall, off its slab edge
+        probes += [(w.x - 0.5 * tol, 0.5 * (w.y_lo + w.y_hi)),
+                   (w.x + 0.5 * tol, 0.5 * (w.y_lo + w.y_hi))]
+    cells = pf.locate_points(cut, probes, tol)
+    expect = [loc.cell if loc.kind == "interior" else -1
+              for loc in (pf.locate_point(cut, p, tol) for p in probes)]
+    assert cells.tolist() == expect
+    assert -1 in expect and len(set(expect)) > 10
+    x0, x1, y0, y1 = cut.viewport
+    with pytest.raises(ValueError, match="outside viewport"):
+        pf.locate_points(cut, probes[:3] + [(x1 + 1e-9, 0.5 * (y0 + y1))])
 
 
 def test_partition_covers_viewport(line_scene):

@@ -60,6 +60,86 @@ def test_zero_sum_construction_has_exactly_sixty():
     assert degrees == [3] * 20
 
 
+def _count_by_dense_scan(points, curves, traces, tol=1e-7):
+    """count_incidences by one |points in box| x samples distance matrix per
+    trace component."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    edges = set()
+    for ci, (curve, trace) in enumerate(zip(curves, traces)):
+        for comp in trace.components:
+            radius = _radius(comp, tol)
+            box = np.nonzero((pts[:, 0] >= comp.xs.min() - radius)
+                             & (pts[:, 0] <= comp.xs.max() + radius)
+                             & (pts[:, 1] >= comp.ys.min() - radius)
+                             & (pts[:, 1] <= comp.ys.max() + radius))[0]
+            if len(box) == 0:
+                continue
+            d2 = (pts[box, 0, None] - comp.xs) ** 2 + (pts[box, 1, None] - comp.ys) ** 2
+            iv = np.argmin(d2, axis=1)
+            dv = np.sqrt(d2[np.arange(len(box)), iv])
+            for k in np.nonzero(dv <= radius)[0]:
+                pi = int(box[k])
+                if (pi, ci) not in edges and inc._refine_distance(
+                        curve, comp, int(iv[k]), pts[pi, 0], pts[pi, 1]) <= tol:
+                    edges.add((pi, ci))
+    return edges
+
+
+def _radius(comp, tol):
+    seg = float(np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max()) if len(comp) > 1 else 0.0
+    return seg / 2 + max(100 * tol, 1e-6)
+
+
+def _edge_case_points(traces, tol, rng):
+    """Points at exactly the search radius from a sample (toward the next
+    sample, i.e. along the trace, and in random directions), and points on
+    the lines of the grid of side 2 * radius anchored at the component's box."""
+    out = []
+    for trace in traces:
+        for comp in trace.components:
+            if len(comp) < 2:
+                continue
+            radius = _radius(comp, tol)
+            x0, y0, h = comp.xs.min() - radius, comp.ys.min() - radius, 2 * radius
+            for i in rng.choice(len(comp) - 1, size=4, replace=False):
+                sx, sy = comp.xs[i], comp.ys[i]
+                step = np.array([comp.xs[i + 1] - sx, comp.ys[i + 1] - sy])
+                theta = rng.uniform(0, 2 * np.pi, size=3)
+                dirs = [step / np.hypot(*step)] + list(zip(np.cos(theta), np.sin(theta)))
+                out += [(sx + radius * u, sy + radius * v) for u, v in dirs]
+                gx = x0 + np.round((sx - x0) / h) * h
+                gy = y0 + np.round((sy - y0) / h) * h
+                out += [(gx, sy), (sx, gy), (gx, gy)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_grid_filter_matches_dense_scan(seed):
+    kinds = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
+    scene = gen.random_scene(kinds, m=150, n=16, planted=0.6, seed=seed)
+    traces = scene.traces()
+    rng = np.random.default_rng(seed)
+    for tol in (1e-7, 1e-4):
+        pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng)])
+        graph = inc.count_incidences(pts, scene.curves, traces, tol)
+        assert graph.edges == _count_by_dense_scan(pts, scene.curves, traces, tol)
+        assert graph.count() >= 0.6 * 150
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_non_finite_tolerance_is_rejected(tol):
+    scene = gen.grid_lines(2, 2)
+    traces = scene.traces()
+    cut = pf.decompose([], scene.curves, traces, scene.viewport)
+    graph = _count(scene)
+    with pytest.raises(ValueError, match="tolerance"):
+        inc.count_incidences(scene.points, scene.curves, traces, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        inc.point_curve_distance(scene.curves[0], traces[0], scene.points[0], tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        inc.count_via_cutting(scene.points, scene.curves, traces, cut, tol, graph=graph)
+
+
 # -- kst_free -------------------------------------------------------------------
 
 def test_distinct_lines_are_k22_free():
