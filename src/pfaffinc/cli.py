@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import chains as ch
+from . import curves as cv
 from . import cutting as ct
 from . import duality as du
 from . import generators as gen
@@ -82,15 +83,16 @@ def cmd_count(args):
 
 def cmd_intersect(args):
     scene = load_scene(args.scene)
-    traces = scene.traces()
+    curves = scene.curves
+    # one trace at a time, each freed once its branches exist
+    branches = [ix.monotone_branches(c, cv.trace_curve(c, scene.viewport)) for c in curves]
+    live = ix.candidate_pairs(branches, args.tol)
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
-    for i in range(scene.n):
-        for j in range(i + 1, scene.n):
-            pts = ix.intersect_curves(scene.curves[i], scene.curves[j],
-                                      traces[i], traces[j], args.tol)
-            for x, y in pts:
-                text += f"{i},{j},{x!r},{y!r}\n"
+    for i, j in zip(*np.nonzero(np.triu(live, 1))):
+        pts = ix.branch_intersections(curves[i], branches[i], curves[j], branches[j], args.tol)
+        for x, y in pts:
+            text += f"{i},{j},{x!r},{y!r}\n"
     _write(args.out, text)
     return EXIT_OK
 

@@ -175,6 +175,12 @@ def trace_curve(curve, viewport, step=None, samples=1024):
 # -- root refinement ------------------------------------------------------
 
 
+def check_tol(tol):
+    """Raise ValueError unless tol is a positive finite number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+
+
 def refine_root(f, a, b, fprime=None, fa=None, fb=None, xtol=1e-14):
     """A root of f between a and b, where f(a) and f(b) differ in sign.
 

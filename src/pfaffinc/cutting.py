@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CuttingFailed
-from .intersect import branch_intersections, monotone_branches, vertical_tangent_points
+from .intersect import (branch_intersections, candidate_pairs, monotone_branches,
+                        vertical_tangent_points)
 
 BOTTOM = -1  # region bounded below by the viewport
 TOP = -2  # region bounded above by the viewport
@@ -150,11 +151,11 @@ class Cutting:
 def _collect_events(sample_ids, curves, traces, branch_map, tol=1e-9):
     """Deduplicated event points: crossings, vertical tangents, loose ends."""
     raw = []  # (x, y, priority, source)
-    for a_pos, i in enumerate(sample_ids):
-        for j in sample_ids[a_pos + 1:]:
-            pts = branch_intersections(curves[i], branch_map[i],
-                                       curves[j], branch_map[j], tol)
-            raw.extend((x, y, 0, "crossing") for x, y in pts)
+    live = candidate_pairs([branch_map[i] for i in sample_ids], tol)
+    for a, b in zip(*np.nonzero(np.triu(live, 1))):
+        i, j = sample_ids[a], sample_ids[b]
+        pts = branch_intersections(curves[i], branch_map[i], curves[j], branch_map[j], tol)
+        raw.extend((x, y, 0, "crossing") for x, y in pts)
     for i in sample_ids:
         for x, y in vertical_tangent_points(curves[i], traces[i]):
             raw.append((x, y, 1, "tangent"))

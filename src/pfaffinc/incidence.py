@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import refine_root
+from .curves import check_tol, refine_root
 from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -75,11 +75,6 @@ def _refine_distance(curve, comp, iv, px, py):
     return best
 
 
-def _check_tol(tol):
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
-
-
 def _search_radius(comp, tol):
     """Distance from a sample within which a point may be within tol of the
     curve: half the longest sample gap plus a margin for the refinement."""
@@ -89,7 +84,7 @@ def _search_radius(comp, tol):
 
 def point_curve_distance(curve, trace, p, tol=1e-7):
     """Distance from p to the curve, refined on the parameterization."""
-    _check_tol(tol)
+    check_tol(tol)
     px, py = float(p[0]), float(p[1])
     best = math.inf
     for comp in trace.components:
@@ -128,7 +123,7 @@ def count_incidences(points, curves, traces, tol=1e-7):
     samples are compared with them (`_near_points`); a point within the
     search radius of its nearest sample is refined on the parameterization.
     """
-    _check_tol(tol)
+    check_tol(tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     edges = set()
     for ci, (curve, trace) in enumerate(zip(curves, traces)):
@@ -221,7 +216,7 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
     if cutting.n != len(curves):
         raise InconsistentScene(
             f"cutting built for {cutting.n} curves, scene has {len(curves)}")
-    _check_tol(tol)
+    check_tol(tol)
     if graph is None:
         graph = count_incidences(points, curves, traces, tol)
     sample = set(cutting.sample)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import refine_root
+from .curves import check_tol, refine_root
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
@@ -102,6 +102,14 @@ class GraphBranch:
         return float(self.xs[-1])
 
     @cached_property
+    def y_lo(self):
+        return float(self.ys.min())
+
+    @cached_property
+    def y_hi(self):
+        return float(self.ys.max())
+
+    @cached_property
     def t_mid(self):
         """A parameter inside the branch, away from its turning points."""
         return float(self.ts[len(self.ts) // 2])
@@ -164,6 +172,50 @@ def _dedup(points, radius):
     return merged
 
 
+def _separation(tol):
+    """The y-gap beyond which two branches cannot yield a point.
+
+    Every grid value of a pair's interpolated gap h = y1 - y2 lies in
+    [y_lo1 - y_hi2, y_hi1 - y_lo2].  When the two y-ranges are further apart
+    than this, h has one sign, no zero, no |h| <= _TOUCH_SCAN (touch scan)
+    and no |h| <= 10*tol (overlap vote), so the pair yields nothing.
+    """
+    check_tol(tol)
+    return max(_TOUCH_SCAN, 10 * tol)
+
+
+def _apart(lo1, hi1, lo2, hi2, sep):
+    """Whether y-ranges [lo1, hi1] and [lo2, hi2] are more than sep apart.
+
+    The slack covers np.interp overshooting a range by a few ulps of its
+    heights.  Takes floats, or arrays against one range.
+    """
+    sep = sep + 1e-12 * (1 + abs(lo1) + abs(hi1) + abs(lo2) + abs(hi2))
+    return (lo1 - hi2 > sep) | (lo2 - hi1 > sep)
+
+
+def candidate_pairs(branch_lists, tol=1e-9):
+    """n x n bool matrix over the curves whose branches are branch_lists.
+
+    True where some branch pair of curves i != j overlaps in x by more than
+    1e-12 and passes the y-range test of branch_intersections.  A pair left
+    False has no intersection points, so a caller may skip it.  Runs one row
+    per branch, vectorised over all branches.
+    """
+    sep = _separation(tol)
+    n = len(branch_lists)
+    owner = np.repeat(np.arange(n), [len(bs) for bs in branch_lists])
+    flat = [b for bs in branch_lists for b in bs]
+    x_lo, x_hi, y_lo, y_hi = np.array([(b.x_lo, b.x_hi, b.y_lo, b.y_hi) for b in flat],
+                                      dtype=float).reshape(-1, 4).T
+    live = np.zeros((n, n), dtype=bool)
+    for i, b in zip(owner, flat):
+        hit = (owner != i) & (np.minimum(b.x_hi, x_hi) - np.maximum(b.x_lo, x_lo) > 1e-12) \
+            & ~_apart(b.y_lo, b.y_hi, y_lo, y_hi, sep)
+        live[i, owner[hit]] = True
+    return live
+
+
 def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
     """Deduplicated intersection points of two distinct curves.
 
@@ -180,13 +232,14 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
 
 def branch_intersections(c1, b1s, c2, b2s, tol=1e-9):
     """intersect_curves on precomputed monotone branches."""
+    sep = _separation(tol)
     points = []
     overlap_votes = 0
     for b1 in b1s:
         for b2 in b2s:
             lo = max(b1.x_lo, b2.x_lo)
             hi = min(b1.x_hi, b2.x_hi)
-            if hi - lo <= 1e-12:
+            if hi - lo <= 1e-12 or _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
                 continue
             grid = np.unique(np.concatenate([
                 b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],

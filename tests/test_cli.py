@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pfaffinc as pf
 from pfaffinc import cli
 from pfaffinc import chains as ch
+from pfaffinc import generators as gen
+from pfaffinc.scene import save_scene
+
+DATA = Path(__file__).parent / "data"
+ACCEPTANCE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal",
+                    "exp-of-poly", "tan"]
 
 
 def run(argv):
@@ -31,6 +42,49 @@ def test_intersect_csv(tmp_path):
     rows = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "curve_i,curve_j,x,y"
     assert len(rows) > 1
+
+
+def test_intersect_csv_matches_golden_bytes(tmp_path):
+    # tests/data/intersect_golden.csv was written by the per-pair
+    # intersect_curves loop, before branches were built once per curve; its
+    # `# scene=` line, which holds a path, reads scene.json
+    scene_path = tmp_path / "scene.json"
+    save_scene(gen.random_scene(ACCEPTANCE_KINDS, m=0, n=60, planted=0.0, seed=7), scene_path)
+    out_path = tmp_path / "inter.csv"
+    assert run(["intersect", "--scene", str(scene_path), "--out", str(out_path)]) == 0
+    got = out_path.read_text().replace(f"# scene={scene_path}\n", "# scene=scene.json\n", 1)
+    assert got == (DATA / "intersect_golden.csv").read_text()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_intersect_rejects_bad_tolerance(tol, capsys):
+    assert run(["intersect", "--scene", str(DATA / "mixed_scene.json"), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert "curve_i" not in captured.out
+
+
+@pytest.mark.parametrize("n_curves", [0, 1])
+def test_intersect_small_scene_writes_header_only(n_curves, tmp_path):
+    data = json.loads((DATA / "mixed_scene.json").read_text())
+    data["curves"] = data["curves"][:n_curves]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(data))
+    out_path = tmp_path / "inter.csv"
+    assert run(["intersect", "--scene", str(scene_path), "--out", str(out_path)]) == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[-1] == "curve_i,curve_j,x,y"
+    assert all(line.startswith("#") for line in lines[:-1])
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "pfaffinc", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: pfaffinc")
+    assert "intersect" in out.stdout
 
 
 def test_cutting_command(tmp_path, capsys):

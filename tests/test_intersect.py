@@ -8,7 +8,10 @@ from scipy.optimize import brentq
 import pfaffinc as pf
 from pfaffinc.errors import SharedComponent
 from pfaffinc.incidence import point_curve_distance
-from pfaffinc.intersect import monotone_branches
+from pfaffinc import generators as gen
+from pfaffinc.curves import refine_root
+from pfaffinc.intersect import (_TOUCH_SCAN, _dedup, branch_intersections, candidate_pairs,
+                                monotone_branches)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
 
@@ -55,6 +58,125 @@ def test_identical_lines_raise_shared_component():
     tb = pf.trace_curve(b, (-2, 2, -2, 2))
     with pytest.raises(SharedComponent):
         pf.intersect_curves(a, b, ta, tb)
+
+
+# -- candidate branch pairs ------------------------------------------------------------
+
+ACCEPTANCE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal",
+                    "exp-of-poly", "tan"]
+
+
+def _scan_every_branch_pair(c1, b1s, c2, b2s, tol):
+    """branch_intersections as it was before the y-range test: every branch
+    pair that overlaps in x is scanned."""
+    points = []
+    overlap_votes = 0
+    for b1 in b1s:
+        for b2 in b2s:
+            lo = max(b1.x_lo, b2.x_lo)
+            hi = min(b1.x_hi, b2.x_hi)
+            if hi - lo <= 1e-12:
+                continue
+            grid = np.unique(np.concatenate([
+                b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
+                b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
+                [lo, hi],
+            ]))
+            if len(grid) > 4096:
+                grid = grid[:: len(grid) // 2048]
+            h = b1.y_interp(grid) - b2.y_interp(grid)
+            if np.mean(np.abs(h) <= 10 * tol) > 0.5 and len(grid) > 8:
+                overlap_votes += 1
+            y1 = y2 = 0.0
+
+            def gap(x):
+                nonlocal y1, y2
+                y1, y2 = b1.y_at(x), b2.y_at(x)
+                return y1 - y2
+
+            def gap_slope(x):
+                (u1, w1), (u2, w2) = c1.field_at(x, y1), c2.field_at(x, y2)
+                return float(w1 / u1 - w2 / u2)
+
+            def slope_difference(x):
+                gap(x)
+                return gap_slope(x)
+
+            sign = np.sign(h)
+            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+                a, b = float(grid[i]), float(grid[i + 1])
+                ga, gb = gap(a), gap(b)
+                if ga * gb > 0:
+                    continue
+                x = refine_root(gap, a, b, gap_slope, ga, gb)
+                points.append((float(x), float(b1.y_at(x))))
+            for i in np.nonzero(sign == 0)[0]:
+                x = float(grid[i])
+                points.append((x, float(b1.y_at(x))))
+            absh = np.abs(h)
+            near = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
+            near = near[(absh[near] <= absh[near - 1]) & (absh[near] <= absh[near + 1])
+                        & ~(sign[near - 1] * sign[near] < 0) & ~(sign[near] * sign[near + 1] < 0)]
+            for i in near:
+                a, b = float(grid[i - 1]), float(grid[i + 1])
+                sa, sb = slope_difference(a), slope_difference(b)
+                x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
+                    if sa * sb <= 0 else float(grid[i])
+                if abs(gap(x)) <= tol:
+                    points.append((x, float(b1.y_at(x))))
+    points = _dedup(points, 10 * tol)
+    bound = pf.pfaffian_bezout_bound(c1.pf_degree, c2.pf_degree)
+    if overlap_votes and len(points) > bound:
+        raise SharedComponent("shared component")
+    return points
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_candidate_pairs_leave_out_only_empty_pairs(seed, tol):
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
+    curves = scene.curves
+    branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
+    live = candidate_pairs(branches, tol)
+    assert (live == live.T).all() and not live.diagonal().any()
+    left_out = 0
+    for i, j in itertools.combinations(range(len(curves)), 2):
+        want = _scan_every_branch_pair(curves[i], branches[i], curves[j], branches[j], tol)
+        if live[i, j]:
+            got = branch_intersections(curves[i], branches[i], curves[j], branches[j], tol)
+            assert got == want, (i, j)
+        else:
+            assert want == [], (i, j)
+            # count the pairs only the y-range test removes
+            left_out += any(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) > 1e-12
+                            for b1 in branches[i] for b2 in branches[j])
+    assert left_out > 0
+
+
+def test_near_tangent_pair_stays_a_candidate():
+    # the gap x^2 + 5e-4 never changes sign; its minimum is within tol
+    vp = (-2.0, 2.0, -2.0, 2.0)
+    c1, c2 = pf.line(a=0, b=0), pf.parabola(a=1, b=0, c=5e-4)
+    b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
+    assert candidate_pairs([b1s, b2s], 1e-3)[0, 1]
+    assert branch_intersections(c1, b1s, c2, b2s, 1e-3) == [(0.0, 0.0)]
+    assert _scan_every_branch_pair(c1, b1s, c2, b2s, 1e-3) == [(0.0, 0.0)]
+
+
+def test_candidate_pairs_of_no_curves():
+    assert candidate_pairs([], 1e-9).shape == (0, 0)
+    c = pf.line(1, 0)
+    live = candidate_pairs([monotone_branches(c, pf.trace_curve(c, VP))], 1e-9)
+    assert live.shape == (1, 1) and not live.any()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_tolerance_is_rejected(tol):
+    c1, c2 = pf.line(1, 0), pf.line(-1, 0)
+    with pytest.raises(ValueError, match="tolerance"):
+        _pair(c1, c2, VP, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        candidate_pairs([], tol)
 
 
 # -- pfaffian_bezout_bound ----------------------------------------------------------
