@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curves import check_tol
 from .errors import DomainViolation, NotUnivariateForm
 from .poly import BivariatePolynomial, MultiPoly, poly1_der, poly1_eval
 
@@ -133,6 +134,7 @@ def verify_chain(chain, samples=1000, tol=1e-6, region=None, seed=0):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    check_tol(tol)
     rx0, rx1, ry0, ry1 = chain.region
     if region is None:
         region = chain.region

@@ -3,8 +3,9 @@
 Every curve carries a closed-form parameterization (the exact tracer) plus
 the polynomial vector field that its directional vectors satisfy.  The field
 is the exact t-derivative of the parameterization, so root refinement
-(`refine_root`) takes its Newton steps from it; it is never used as an ODE
-integrator, so traces carry no drift.
+(`refine_root`, and `refine_roots` over arrays of brackets) takes its Newton
+steps from it; it is never used as an ODE integrator, so traces carry no
+drift.
 """
 
 from __future__ import annotations
@@ -214,6 +215,36 @@ def refine_root(f, a, b, fprime=None, fa=None, fb=None, xtol=1e-14):
             return 0.5 * (a + b)
         else:
             last, x = 0.5 * abs(b - a), 0.5 * (a + b)
+
+
+def refine_roots(f, a, b, fa, fb, xtol=1e-14):
+    """`refine_root` in lockstep over arrays of brackets with fa < 0 < fb.
+
+    f(x, lanes) returns f and f' at x for the lanes still running (indices
+    into a); each lane takes the steps the scalar code takes and stops where
+    it stops, so one array call of f per round serves every bracket.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    x = a - fa * (b - a) / (fb - fa)
+    last = np.abs(b - a)
+    roots = np.empty_like(x)
+    lanes = np.arange(len(x))
+    while len(lanes):
+        fx, slope = f(x, lanes)
+        below = fx < 0.0
+        a, b = np.where(below, x, a), np.where(below, b, x)
+        tol = xtol + _RTOL * np.abs(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(slope != 0.0, fx / slope, np.inf)
+        nxt, size, mid, width = x - step, np.abs(step), 0.5 * (a + b), np.abs(b - a)
+        newton = (size <= 0.5 * last) & (np.minimum(a, b) < nxt) & (nxt < np.maximum(a, b))
+        zero, converged = fx == 0.0, size <= tol
+        done = zero | converged | (~newton & (width <= 2.0 * tol))
+        roots[lanes[done]] = np.where(zero, x, np.where(converged, nxt, mid))[done]
+        go = ~done
+        last, x = np.where(newton, size, 0.5 * width)[go], np.where(newton, nxt, mid)[go]
+        a, b, lanes = a[go], b[go], lanes[go]
+    return roots
 
 
 # -- catalog factories ----------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import refine_root
+from .curves import check_tol, refine_root
 from .errors import ChainMismatch, DegenerateDual, DuplicateCurve, RotationFailed
 from .incidence import IncidenceGraph
 from .poly import poly1_eval
@@ -359,6 +359,7 @@ def verify_duality_chain(points, family, curves, tol=1e-7, seed=0,
     There is no closed-form ceiling t for which the dual graph avoids
     K_{2,t}; pass kst_ceiling to check a candidate value empirically.
     """
+    check_tol(tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     primal_count, primal_graph = count_family_incidences(pts, family, curves, tol)
 

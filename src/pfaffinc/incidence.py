@@ -2,8 +2,9 @@
 
 Brute-force counting is the ground truth: every point-curve pair is tested
 against the trace, and near hits are re-refined on the exact
-parameterization.  The cutting-decomposed count classifies the same pairs
-through the cell structure and must reproduce the total exactly.
+parameterization, all of a curve's at once (`_refined_distances`).  The
+cutting-decomposed count classifies the same pairs through the cell
+structure and must reproduce the total exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_tol, refine_root
+from .curves import check_tol, refine_roots
 from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -49,30 +50,36 @@ class IncidenceGraph:
         return len(self.edges)
 
 
-def _refine_distance(curve, comp, iv, px, py):
-    """Distance to (px, py) near sample iv: the least over the samples and
-    the minima, the - to + roots of (P - p) . V = d/dt |P - p|^2 / 2, whose
-    t-derivative is |V|^2 where the curve passes through p."""
-    win = slice(max(0, iv - 2), iv + 3)
-    ts, xs, ys = comp.ts[win], comp.xs[win], comp.ys[win]
-    vx, vy = curve.field_at(xs, ys)
-    g = (xs - px) * vx + (ys - py) * vy
-    best = float(np.min(np.hypot(xs - px, ys - py)))
-    v2 = 0.0
+def _refined_distances(curve, trace, comp, iv, px, py):
+    """Distance from each point (px[k], py[k]) to the curve near sample
+    iv[k] of trace component comp[k]: the least over the samples iv-2 ..
+    iv+2 of that component and the minima between them, the - to + roots of
+    (P - p) . V = d/dt |P - p|^2 / 2, whose t-derivative is |V|^2 where the
+    curve passes through p.  All the roots are refined in lockstep."""
+    ts, xs, ys = trace.samples()
+    sizes = np.array([len(c) for c in trace.components])
+    size = sizes[comp, None]
+    j = iv[:, None] + np.arange(-2, 3)
+    inside = (j >= 0) & (j < size)  # windows are clipped at component ends
+    win = (np.cumsum(sizes) - sizes)[comp, None] + np.clip(j, 0, size - 1)
+    dx, dy = xs[win] - px[:, None], ys[win] - py[:, None]
+    dist = np.where(inside, np.hypot(dx, dy), np.inf).min(axis=1)
+    vx, vy = curve.field_at(xs[win], ys[win])
+    g = np.where(inside, dx * vx + dy * vy, np.nan)
+    k, i = np.nonzero((g[:, :-1] < 0) & (g[:, 1:] > 0))
+    if len(k) == 0:
+        return dist
+    lx, ly = px[k], py[k]
 
-    def along(t):
-        nonlocal v2
+    def along(t, lanes):
         x, y = curve.point_at(t)
         vx, vy = curve.field_at(x, y)
-        v2 = float(vx * vx + vy * vy)
-        return float((x - px) * vx + (y - py) * vy)
+        return (x - lx[lanes]) * vx + (y - ly[lanes]) * vy, vx * vx + vy * vy
 
-    for i in np.nonzero((g[:-1] < 0) & (g[1:] > 0))[0]:
-        t = refine_root(along, float(ts[i]), float(ts[i + 1]), lambda t: v2,
-                        float(g[i]), float(g[i + 1]))
-        x, y = curve.point_at(t)
-        best = min(best, math.hypot(x - px, y - py))
-    return best
+    t = refine_roots(along, ts[win[k, i]], ts[win[k, i + 1]], g[k, i], g[k, i + 1])
+    x, y = curve.point_at(t)
+    np.fmin.at(dist, k, np.hypot(x - lx, y - ly))
+    return dist
 
 
 def _search_radius(comp, tol):
@@ -86,15 +93,20 @@ def point_curve_distance(curve, trace, p, tol=1e-7):
     """Distance from p to the curve, refined on the parameterization."""
     check_tol(tol)
     px, py = float(p[0]), float(p[1])
-    best = math.inf
-    for comp in trace.components:
+    best, found = math.inf, []  # (component, nearest sample)
+    for c, comp in enumerate(trace.components):
         d2 = (comp.xs - px) ** 2 + (comp.ys - py) ** 2
         iv = int(np.argmin(d2))
         coarse = math.sqrt(d2[iv])
         if coarse <= _search_radius(comp, tol):
-            best = min(best, _refine_distance(curve, comp, iv, px, py))
+            found.append((c, iv))
         else:
             best = min(best, coarse)
+    if found:
+        comp, iv = np.array(found).T
+        dist = _refined_distances(curve, trace, comp, iv, np.full(len(found), px),
+                                  np.full(len(found), py))
+        best = min(best, float(dist.min()))
     return best
 
 
@@ -120,8 +132,9 @@ def count_incidences(points, curves, traces, tol=1e-7):
     """Bipartite incidence graph at the given tolerance.
 
     Per trace component, only the points in the grid neighbourhood of its
-    samples are compared with them (`_near_points`); a point within the
-    search radius of its nearest sample is refined on the parameterization.
+    samples are compared with them (`_near_points`); the points within the
+    search radius of their nearest sample, over all of a curve's
+    components, are refined together on the parameterization.
     """
     check_tol(tol)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -129,7 +142,8 @@ def count_incidences(points, curves, traces, tol=1e-7):
     for ci, (curve, trace) in enumerate(zip(curves, traces)):
         if len(pts) == 0:
             break
-        for comp in trace.components:
+        found = []  # (point indices, component, nearest samples)
+        for c, comp in enumerate(trace.components):
             radius = _search_radius(comp, tol)
             near = _near_points(pts, comp, radius)
             if len(near) == 0:
@@ -137,15 +151,12 @@ def count_incidences(points, curves, traces, tol=1e-7):
             d2 = ((pts[near, 0, None] - comp.xs) ** 2
                   + (pts[near, 1, None] - comp.ys) ** 2)
             iv = np.argmin(d2, axis=1)
-            dv = np.sqrt(d2[np.arange(len(near)), iv])
-            for k in np.nonzero(dv <= radius)[0]:
-                pi = int(near[k])
-                if (pi, ci) in edges:
-                    continue
-                dist = _refine_distance(curve, comp, int(iv[k]),
-                                        pts[pi, 0], pts[pi, 1])
-                if dist <= tol:
-                    edges.add((pi, ci))
+            keep = np.sqrt(d2[np.arange(len(near)), iv]) <= radius
+            found.append((near[keep], np.full(np.count_nonzero(keep), c), iv[keep]))
+        if found:
+            pi, comp, iv = (np.concatenate(parts) for parts in zip(*found))
+            dist = _refined_distances(curve, trace, comp, iv, pts[pi, 0], pts[pi, 1])
+            edges.update((int(p), ci) for p in np.unique(pi[dist <= tol]))
     return IncidenceGraph(edges, len(pts), len(curves))
 
 

@@ -56,6 +56,18 @@ def test_intersect_csv_matches_golden_bytes(tmp_path):
     assert got == (DATA / "intersect_golden.csv").read_text()
 
 
+def test_count_csv_matches_golden_bytes(tmp_path):
+    # tests/data/count_golden.csv was written by the scalar per-candidate
+    # refiner, before refinement was batched per curve; its `# scene=` line,
+    # which holds a path, reads scene.json
+    scene_path = tmp_path / "scene.json"
+    save_scene(gen.random_scene(ACCEPTANCE_KINDS, m=400, n=40, planted=0.6, seed=7), scene_path)
+    out_path = tmp_path / "count.csv"
+    assert run(["count", "--scene", str(scene_path), "--out", str(out_path)]) == 0
+    got = out_path.read_text().replace(f"# scene={scene_path}\n", "# scene=scene.json\n", 1)
+    assert got == (DATA / "count_golden.csv").read_text()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_intersect_rejects_bad_tolerance(tol, capsys):
     assert run(["intersect", "--scene", str(DATA / "mixed_scene.json"), "--tol", tol]) == 2
@@ -148,9 +160,7 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     assert c1.read_bytes() == c2.read_bytes()
 
 
-def test_duality_command(tmp_path):
-    from pfaffinc import generators as gen
-
+def _duality_family(tmp_path):
     points, family, curves = gen.duality_scene(3, 12, 8, seed=6)
     payload = {
         "family": family.to_dict(),
@@ -159,6 +169,17 @@ def test_duality_command(tmp_path):
     }
     path = tmp_path / "family.json"
     path.write_text(json.dumps(payload))
+    return path
+
+
+def _chain_file(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(ch.chain_to_json(ch.chain_cos_halfangle())))
+    return path
+
+
+def test_duality_command(tmp_path):
+    path = _duality_family(tmp_path)
     assert run(["duality", "--family", str(path), "--seed", "2",
                 "--out", str(tmp_path / "out.csv")]) == 0
     text = (tmp_path / "out.csv").read_text()
@@ -166,12 +187,28 @@ def test_duality_command(tmp_path):
 
 
 def test_chains_command(tmp_path):
-    chain = ch.chain_cos_halfangle()
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(ch.chain_to_json(chain)))
+    path = _chain_file(tmp_path)
     assert run(["chains", "--chain", str(path), "--samples", "100",
                 "--out", str(tmp_path / "rep.csv")]) == 0
     assert "# PASS" in (tmp_path / "rep.csv").read_text()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_duality_rejects_bad_tolerance(tol, tmp_path, capsys):
+    path = _duality_family(tmp_path)
+    assert run(["duality", "--family", str(path), "--seed", "2", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_chains_rejects_bad_tolerance(tol, tmp_path, capsys):
+    path = _chain_file(tmp_path)
+    assert run(["chains", "--chain", str(path), "--samples", "50", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert "PASS" not in captured.out
 
 
 def test_usage_error_exit_code(tmp_path):

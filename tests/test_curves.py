@@ -311,6 +311,29 @@ def test_refine_root_matches_brentq(bracket, with_slope):
     assert abs(refine_root(f, *bracket, fprime) - brentq(f, *bracket, xtol=1e-15)) <= 1e-14
 
 
+def test_refine_roots_takes_the_scalar_steps_in_every_lane():
+    # f = x^3 - c has f' = 0 at 0, so brackets near 0 bisect and the others
+    # take Newton steps; the lanes must end exactly where refine_root ends
+    rng = np.random.default_rng(5)
+    root = np.concatenate([rng.uniform(-1.0, 1.0, 300), [0.5, -0.25, 0.0]])
+    c = root * root * root
+    a = root - rng.uniform(1e-9, 1.5, len(root))
+    b = root + rng.uniform(1e-9, 1.5, len(root))
+    fa, fb = a * a * a - c, b * b * b - c
+    assert np.all((fa < 0) & (fb > 0))
+    rounds = []
+
+    def f(x, lanes):
+        rounds.append(len(lanes))
+        return x * x * x - c[lanes], 3.0 * x * x
+
+    got = pf.curves.refine_roots(f, a, b, fa, fb)
+    want = [refine_root(lambda x: x * x * x - ck, ak, bk, lambda x: 3.0 * x * x, fak, fbk)
+            for ck, ak, bk, fak, fbk in zip(c, a, b, fa, fb)]
+    assert got.tolist() == want
+    assert rounds[0] == len(root) and rounds == sorted(rounds, reverse=True)
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(pf.__file__)))
     code = "import sys, pfaffinc; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

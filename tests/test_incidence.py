@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 import pfaffinc as pf
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
+from pfaffinc.curves import CurveTrace, TraceComponent, refine_root
 from pfaffinc.errors import ComplexityGuard, InconsistentScene
 
 from conftest import zero_sum_line_scene
+
+KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
 
 
 def _count(scene, tol=1e-7):
@@ -60,27 +63,59 @@ def test_zero_sum_construction_has_exactly_sixty():
     assert degrees == [3] * 20
 
 
+def _refine_distance(curve, comp, iv, px, py):
+    """The scalar refiner that `inc._refined_distances` replaced, kept as its
+    oracle: distance to (px, py) near sample iv, the least over the samples
+    and the minima, the - to + roots of (P - p) . V, each refined alone."""
+    win = slice(max(0, iv - 2), iv + 3)
+    ts, xs, ys = comp.ts[win], comp.xs[win], comp.ys[win]
+    vx, vy = curve.field_at(xs, ys)
+    g = (xs - px) * vx + (ys - py) * vy
+    best = float(np.min(np.hypot(xs - px, ys - py)))
+    v2 = 0.0
+
+    def along(t):
+        nonlocal v2
+        x, y = curve.point_at(t)
+        vx, vy = curve.field_at(x, y)
+        v2 = float(vx * vx + vy * vy)
+        return float((x - px) * vx + (y - py) * vy)
+
+    for i in np.nonzero((g[:-1] < 0) & (g[1:] > 0))[0]:
+        t = refine_root(along, float(ts[i]), float(ts[i + 1]), lambda t: v2,
+                        float(g[i]), float(g[i + 1]))
+        x, y = curve.point_at(t)
+        best = min(best, math.hypot(x - px, y - py))
+    return best
+
+
+def _dense_candidates(pts, trace, tol):
+    """(component index, component, point indices, nearest samples) of the
+    points within the search radius of their nearest sample, found by one
+    |points in box| x samples distance matrix per component."""
+    for c, comp in enumerate(trace.components):
+        radius = _radius(comp, tol)
+        box = np.nonzero((pts[:, 0] >= comp.xs.min() - radius)
+                         & (pts[:, 0] <= comp.xs.max() + radius)
+                         & (pts[:, 1] >= comp.ys.min() - radius)
+                         & (pts[:, 1] <= comp.ys.max() + radius))[0]
+        if len(box) == 0:
+            continue
+        d2 = (pts[box, 0, None] - comp.xs) ** 2 + (pts[box, 1, None] - comp.ys) ** 2
+        iv = np.argmin(d2, axis=1)
+        keep = np.sqrt(d2[np.arange(len(box)), iv]) <= radius
+        yield c, comp, box[keep], iv[keep]
+
+
 def _count_by_dense_scan(points, curves, traces, tol=1e-7):
-    """count_incidences by one |points in box| x samples distance matrix per
-    trace component."""
+    """count_incidences by the dense scan and the scalar refiner."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     edges = set()
     for ci, (curve, trace) in enumerate(zip(curves, traces)):
-        for comp in trace.components:
-            radius = _radius(comp, tol)
-            box = np.nonzero((pts[:, 0] >= comp.xs.min() - radius)
-                             & (pts[:, 0] <= comp.xs.max() + radius)
-                             & (pts[:, 1] >= comp.ys.min() - radius)
-                             & (pts[:, 1] <= comp.ys.max() + radius))[0]
-            if len(box) == 0:
-                continue
-            d2 = (pts[box, 0, None] - comp.xs) ** 2 + (pts[box, 1, None] - comp.ys) ** 2
-            iv = np.argmin(d2, axis=1)
-            dv = np.sqrt(d2[np.arange(len(box)), iv])
-            for k in np.nonzero(dv <= radius)[0]:
-                pi = int(box[k])
-                if (pi, ci) not in edges and inc._refine_distance(
-                        curve, comp, int(iv[k]), pts[pi, 0], pts[pi, 1]) <= tol:
+        for _, comp, near, iv in _dense_candidates(pts, trace, tol):
+            for pi, v in zip(near.tolist(), iv.tolist()):
+                if (pi, ci) not in edges and _refine_distance(
+                        curve, comp, v, pts[pi, 0], pts[pi, 1]) <= tol:
                     edges.add((pi, ci))
     return edges
 
@@ -115,8 +150,7 @@ def _edge_case_points(traces, tol, rng):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_grid_filter_matches_dense_scan(seed):
-    kinds = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
-    scene = gen.random_scene(kinds, m=150, n=16, planted=0.6, seed=seed)
+    scene = gen.random_scene(KINDS, m=150, n=16, planted=0.6, seed=seed)
     traces = scene.traces()
     rng = np.random.default_rng(seed)
     for tol in (1e-7, 1e-4):
@@ -124,6 +158,93 @@ def test_grid_filter_matches_dense_scan(seed):
         graph = inc.count_incidences(pts, scene.curves, traces, tol)
         assert graph.edges == _count_by_dense_scan(pts, scene.curves, traces, tol)
         assert graph.count() >= 0.6 * 150
+
+
+def _threshold_points(curves, traces, tol, rng):
+    """Points off each curve along its normal by tol * (1 -+ 1e-3), at random
+    parameters between samples, so that decisions land at the threshold; and
+    points by the first, second, second-to-last and last samples of each
+    component, whose windows are clipped."""
+    out = []
+    for curve, trace in zip(curves, traces):
+        for comp in trace.components:
+            i = rng.choice(len(comp) - 1, size=min(4, len(comp) - 1), replace=False)
+            t = comp.ts[i] + rng.uniform(size=len(i)) * (comp.ts[i + 1] - comp.ts[i])
+            ends = np.array([0, 1, len(comp) - 2, len(comp) - 1])
+            for (x, y), scales in (
+                    (curve.point_at(t), [1 - 1e-3, 1 + 1e-3]),
+                    ((comp.xs[ends], comp.ys[ends]), [0.5, 2.0])):
+                vx, vy = np.broadcast_arrays(*curve.field_at(x, y), x)[:2]
+                v = np.hypot(vx, vy)
+                for s in scales:
+                    out += list(zip(x - s * tol * vy / v, y + s * tol * vx / v))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 12])  # 12 has circles of 2 and 3 components
+@pytest.mark.parametrize("tol", [1e-7, 1e-4])
+def test_batched_refinement_matches_scalar_oracle(seed, tol):
+    scene = gen.random_scene(KINDS, m=150, n=16, planted=0.6, seed=seed)
+    traces = scene.traces()
+    pts = np.vstack([scene.points,
+                     _threshold_points(scene.curves, traces, tol, np.random.default_rng(seed))])
+    at_threshold, clipped, multi = set(), 0, 0
+    for curve, trace in zip(scene.curves, traces):
+        # one kernel call over all of the curve's components, as in counting
+        found = [(c, pi, v) for c, _, near, iv in _dense_candidates(pts, trace, tol)
+                 for pi, v in zip(near.tolist(), iv.tolist())]
+        if not found:
+            continue
+        comp, near, iv = np.array(found).T
+        got = inc._refined_distances(curve, trace, comp, iv, pts[near, 0], pts[near, 1])
+        want = [_refine_distance(curve, trace.components[c], v, pts[pi, 0], pts[pi, 1])
+                for c, pi, v in found]
+        assert np.max(np.abs(got - want)) <= 1e-15
+        at_threshold |= {d <= tol for d in got if abs(d / tol - 1) <= 2e-3}
+        size = np.array([len(trace.components[c]) for c in comp])
+        clipped += np.count_nonzero((iv < 2) | (iv >= size - 2))
+        multi += len(set(comp.tolist())) > 1
+    assert at_threshold == {True, False} and clipped > 0 and (multi > 0) == (seed == 12)
+    graph = inc.count_incidences(pts, scene.curves, traces, tol)
+    assert graph.edges == _count_by_dense_scan(pts, scene.curves, traces, tol)
+    for p in pts[::7]:
+        for curve, trace in zip(scene.curves, traces):
+            got = inc.point_curve_distance(curve, trace, p, tol)
+            assert abs(got - _scalar_point_distance(curve, trace, p, tol)) <= 1e-15
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_refinement_window_reaches_two_samples_out(side):
+    # on a coarse trace of y = x^2, a point above the axis at height
+    # m^2 + 1/2 has two local minima of distance, at x = -m and x = +m; the
+    # point leans to +m (side 1), where the curve passes closest, but the
+    # nearest sample sits at -m and +m lies two samples further on
+    s, m, lean = 0.5, 0.375, 0.005
+    curve = pf.parabola(1.0, 0.0, 0.0)
+    ts = np.sort(side * (s * np.arange(-3, 5) - m))
+    comp = TraceComponent(ts, *curve.point_at(ts))
+    trace = CurveTrace([comp], s, (-2.0, 2.0, -1.0, 4.0))
+    px, py = side * lean, m * m + 0.5
+    iv = int(np.argmin(np.hypot(comp.xs - px, comp.ys - py)))
+    assert comp.ts[iv] == -side * m
+    got = inc._refined_distances(curve, trace, np.array([0]), np.array([iv]),
+                                 np.array([px]), np.array([py]))[0]
+    assert abs(got - _refine_distance(curve, comp, iv, px, py)) <= 1e-15
+    assert got < np.hypot(comp.xs - px, comp.ys - py).min() - 1e-3
+    assert inc.point_curve_distance(curve, trace, (px, py)) == got
+
+
+def _scalar_point_distance(curve, trace, p, tol):
+    """point_curve_distance by the scalar refiner."""
+    best = math.inf
+    for comp in trace.components:
+        d2 = (comp.xs - p[0]) ** 2 + (comp.ys - p[1]) ** 2
+        iv = int(np.argmin(d2))
+        coarse = math.sqrt(d2[iv])
+        if coarse <= _radius(comp, tol):
+            coarse = _refine_distance(curve, comp, iv, p[0], p[1])
+        best = min(best, coarse)
+    return best
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
