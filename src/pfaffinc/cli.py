@@ -89,8 +89,8 @@ def cmd_intersect(args):
     live = ix.candidate_pairs(branches, args.tol)
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
-    for i, j in zip(*np.nonzero(np.triu(live, 1))):
-        pts = ix.branch_intersections(curves[i], branches[i], curves[j], branches[j], args.tol)
+    pairs = np.argwhere(np.triu(live, 1))
+    for (i, j), pts in zip(pairs, ix.pair_intersections(curves, branches, pairs, args.tol)):
         for x, y in pts:
             text += f"{i},{j},{x!r},{y!r}\n"
     _write(args.out, text)

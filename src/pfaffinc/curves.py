@@ -81,11 +81,15 @@ class PfaffianCurve:
         """Parameter of the point with abscissa x; None for transformed curves.
 
         hint is a parameter on the same x-monotone branch, which picks the
-        branch of a closed curve.
+        branch of a closed curve.  x may be an array, with hint an array of
+        its shape or one parameter for all.
         """
         if self.transform is not None:
             return None
-        return KINDS[self.kind].x_inverse(self.params, x, hint)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        hints = np.broadcast_to(np.asarray(hint, dtype=float), xs.shape)
+        t = KINDS[self.kind].x_inverse(self.params, xs, hints)
+        return t if np.ndim(x) else float(t[0])
 
     # -- windows and tracing ----------------------------------------------
 
@@ -218,17 +222,21 @@ def refine_root(f, a, b, fprime=None, fa=None, fb=None, xtol=1e-14):
 
 
 def refine_roots(f, a, b, fa, fb, xtol=1e-14):
-    """`refine_root` in lockstep over arrays of brackets with fa < 0 < fb.
+    """`refine_root` in lockstep over arrays of brackets.
 
     f(x, lanes) returns f and f' at x for the lanes still running (indices
-    into a); each lane takes the steps the scalar code takes and stops where
-    it stops, so one array call of f per round serves every bracket.
+    into a); a zero f' takes the bisection step, as a missing fprime does.
+    Each lane takes the steps the scalar code takes and stops where it
+    stops, so one array call of f per round serves every bracket.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    roots = np.where(fa == 0.0, a, b)  # kept by the lanes with a zero end
+    lanes = np.nonzero((fa != 0.0) & (fb != 0.0))[0]
+    swap = fa > 0.0  # f(a) < 0 < f(b) from here on
+    a, b = np.where(swap, b, a)[lanes], np.where(swap, a, b)[lanes]
+    fa, fb = np.where(swap, fb, fa)[lanes], np.where(swap, fa, fb)[lanes]
     x = a - fa * (b - a) / (fb - fa)
     last = np.abs(b - a)
-    roots = np.empty_like(x)
-    lanes = np.arange(len(x))
     while len(lanes):
         fx, slope = f(x, lanes)
         below = fx < 0.0
@@ -401,18 +409,26 @@ def _reciprocal_window(p, x0, x1, y0, y1):
     return x0, min(x1, -_TINY_X)
 
 
+def _by_math(fn, x):
+    """fn from `math` applied to each entry of x.  np.log, np.arccos and
+    np.arctan differ from math.log, math.acos and math.atan in the last bit
+    on some inputs, and `x_inverse` keeps the values the recorded outputs
+    were made with."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
 def _t_is_x(p, x, hint):
-    return float(x)
+    return x
 
 
 def _t_is_log_x(p, x, hint):
-    return math.log(x)
+    return _by_math(math.log, x)
 
 
 def _circle_t(p, x, hint):
     cx, _cy, r = p
-    t0 = math.acos(min(1.0, max(-1.0, (x - cx) / r)))
-    return t0 if hint % TWO_PI <= math.pi else TWO_PI - t0
+    t0 = _by_math(lambda u: math.acos(min(1.0, max(-1.0, (u - cx) / r))), x)
+    return np.where(hint % TWO_PI <= math.pi, t0, TWO_PI - t0)
 
 
 @dataclass(frozen=True)
@@ -427,7 +443,7 @@ class KindSpec:
     params: tuple
     factory: Callable
     point: Callable  # (params, t) -> (x, y), the closed-form map
-    x_inverse: Callable = _t_is_x  # (params, x, hint) -> t with x(t) = x
+    x_inverse: Callable = _t_is_x  # (params, xs, hints) -> ts with x(t) = x, on arrays
     window: Callable = _x_window  # (params, x0, x1, y0, y1) -> parameter bounds
     period: float | None = None
     # composable graphs y = f(x), whose derivative is a polynomial q in f
@@ -457,7 +473,7 @@ KINDS = {
         value_derivative=lambda p: BivariatePolynomial({(0, 0): 1.0, (0, 2): 1.0})),
     "arctan": KindSpec(
         (), arctan_curve, lambda p, t: (np.tan(t), t),
-        x_inverse=lambda p, x, hint: math.atan(x),
+        x_inverse=lambda p, x, hint: _by_math(math.atan, x),
         window=lambda p, x0, x1, y0, y1: (math.atan(x0), math.atan(x1))),
     "reciprocal": KindSpec(
         ("a", "branch"), reciprocal_curve, lambda p, t: (t, p[0] / t),

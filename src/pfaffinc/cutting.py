@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CuttingFailed
-from .intersect import (branch_intersections, candidate_pairs, monotone_branches,
+from .intersect import (candidate_pairs, monotone_branches, pair_intersections,
                         vertical_tangent_points)
 
 BOTTOM = -1  # region bounded below by the viewport
@@ -152,9 +152,8 @@ def _collect_events(sample_ids, curves, traces, branch_map, tol=1e-9):
     """Deduplicated event points: crossings, vertical tangents, loose ends."""
     raw = []  # (x, y, priority, source)
     live = candidate_pairs([branch_map[i] for i in sample_ids], tol)
-    for a, b in zip(*np.nonzero(np.triu(live, 1))):
-        i, j = sample_ids[a], sample_ids[b]
-        pts = branch_intersections(curves[i], branch_map[i], curves[j], branch_map[j], tol)
+    pairs = np.asarray(sample_ids)[np.argwhere(np.triu(live, 1))]
+    for pts in pair_intersections(curves, branch_map, pairs, tol):
         raw.extend((x, y, 0, "crossing") for x, y in pts)
     for i in sample_ids:
         for x, y in vertical_tangent_points(curves[i], traces[i]):
@@ -198,8 +197,9 @@ def _shoot_rays(events, branches, viewport):
             continue
         ey = ys_events[sel]
         ay = br.y_interp(xs_events[sel])
-        for k in np.nonzero(np.abs(ay - ey) <= 1e-6)[0]:
-            ay[k] = br.y_at(xs_events[sel[k]])  # near tie: use the exact value
+        tie = np.abs(ay - ey) <= 1e-6
+        if tie.any():
+            ay[tie] = br.y_at(xs_events[sel[tie]])  # near ties: use the exact values
         up = ay > ey + eps
         down = ~up & (ay < ey - eps)
         above[sel[up]] = np.minimum(above[sel[up]], ay[up])

@@ -1,23 +1,37 @@
 """Pairwise curve intersection, vertical tangents, and intersection ceilings.
 
-Curves are handled as collections of x-monotone graph branches.  Candidate
-crossings come from trace-resolution grids; every candidate is refined
-against the exact parameterizations, so reported points carry closed-form
-accuracy rather than polyline accuracy.
+Curves are handled as collections of x-monotone graph branches.  The
+intersections of many curve pairs are found a block of pairs at a time, in
+two phases (`pair_intersections`).  The scan walks every branch pair on a
+trace-resolution grid and keeps only candidates: the brackets of sign
+changes of the interpolated gap, its grid zeros, the local minima of its
+size near zero (touches), and branch ends that meet.  The refinement then
+solves every crossing in one lockstep run of `curves.refine_roots` on the
+exact parameterizations, and every touch in a second run on the slope
+difference, so reported points carry closed-form accuracy rather than
+polyline accuracy.  Each round evaluates all the lanes of one curve in one
+array call.  Exact heights invert x(t) = x in closed form with `math`
+functions applied entry by entry, since numpy's arccos, log and arctan
+differ from them in the last bit on some inputs and the points would move.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .curves import check_tol, refine_root
+from .curves import check_tol, refine_root, refine_roots
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
+# curve pairs per scan-and-refine block of pair_intersections: a run's
+# temporaries take a few hundred bytes per candidate, and each round of a run
+# costs an array call per curve, so larger blocks trade memory for calls
+_BLOCK = 1024
 
 
 def pfaffian_bezout_bound(k1, k2):
@@ -121,17 +135,35 @@ class GraphBranch:
         return np.interp(x, self.xs, self.ts)
 
     def y_at(self, x):
-        """Exact y by inverting the parameterization at this x."""
-        curve = self.curve
-        t = curve.param_from_x(x, self.t_mid)
-        if t is None:
-            # transformed curves: x(t) is monotone on the branch, dx/dt = vx
-            i = min(max(int(np.searchsorted(self.xs, x)), 1), len(self.xs) - 1)
-            t = refine_root(lambda u: float(curve.point_at(u)[0]) - x,
-                            float(self.ts[i - 1]), float(self.ts[i]),
-                            lambda u: _vx_along(curve, u),
-                            float(self.xs[i - 1]) - x, float(self.xs[i]) - x)
-        return float(curve.point_at(t)[1])
+        """Exact y by inverting the parameterization at x (a float or an array)."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        ys = _heights(self.curve, xs, self.t_mid, lambda: [self] * len(xs))
+        return ys if np.ndim(x) else float(ys[0])
+
+    def _bracket(self, x):
+        """The parameters of the two samples about abscissa x, and their
+        abscissas minus x; past an end of the branch, the end pair."""
+        i = min(max(int(np.searchsorted(self.xs, x)), 1), len(self.xs) - 1)
+        return self.ts[i - 1], self.ts[i], self.xs[i - 1] - x, self.xs[i] - x
+
+
+def _heights(curve, x, hint, branches):
+    """Exact y of curve at abscissas x, on the branches that hold the
+    parameters hint (one per x, or one for all).
+
+    t inverts x(t) = x in closed form, or on transformed curves by
+    refinement between the samples about x of the branch of each x
+    (branches() lists them), where x(t) is monotone and dx/dt = vx.
+    """
+    t = curve.param_from_x(x, hint)
+    if t is None:
+        def along(u, lanes):
+            px, py = curve.point_at(u)
+            return px - x[lanes], curve.field.vx(px, py)
+
+        ends = np.array([b._bracket(v) for b, v in zip(branches(), x.tolist())]).reshape(-1, 4)
+        t = refine_roots(along, *ends.T)
+    return np.asarray(curve.point_at(t)[1], dtype=float)
 
 
 def monotone_branches(curve, trace):
@@ -194,25 +226,35 @@ def _apart(lo1, hi1, lo2, hi2, sep):
     return (lo1 - hi2 > sep) | (lo2 - hi1 > sep)
 
 
+def _ends_meet(x1, y1, x2, y2, tol):
+    """Whether branch ends (x1, y1) and (x2, y2) lie within tol of each other.
+    Takes floats, or arrays against one end."""
+    return np.hypot(x1 - x2, y1 - y2) <= tol
+
+
 def candidate_pairs(branch_lists, tol=1e-9):
     """n x n bool matrix over the curves whose branches are branch_lists.
 
     True where some branch pair of curves i != j overlaps in x by more than
-    1e-12 and passes the y-range test of branch_intersections.  A pair left
-    False has no intersection points, so a caller may skip it.  Runs one row
-    per branch, vectorised over all branches.
+    1e-12 and passes the y-range test of pair_intersections, or has an end
+    of one branch within tol of an end of the other.  A pair left False has
+    no intersection points, so a caller may skip it.  Runs one row per
+    branch, vectorised over all branches.
     """
     sep = _separation(tol)
     n = len(branch_lists)
     owner = np.repeat(np.arange(n), [len(bs) for bs in branch_lists])
     flat = [b for bs in branch_lists for b in bs]
-    x_lo, x_hi, y_lo, y_hi = np.array([(b.x_lo, b.x_hi, b.y_lo, b.y_hi) for b in flat],
-                                      dtype=float).reshape(-1, 4).T
+    x_lo, x_hi, y_lo, y_hi, y_left, y_right = np.array(
+        [(b.x_lo, b.x_hi, b.y_lo, b.y_hi, b.ys[0], b.ys[-1]) for b in flat],
+        dtype=float).reshape(-1, 6).T
     live = np.zeros((n, n), dtype=bool)
     for i, b in zip(owner, flat):
-        hit = (owner != i) & (np.minimum(b.x_hi, x_hi) - np.maximum(b.x_lo, x_lo) > 1e-12) \
+        overlap = (np.minimum(b.x_hi, x_hi) - np.maximum(b.x_lo, x_lo) > 1e-12) \
             & ~_apart(b.y_lo, b.y_hi, y_lo, y_hi, sep)
-        live[i, owner[hit]] = True
+        ends = _ends_meet(b.x_hi, b.ys[-1], x_lo, y_left, tol) \
+            | _ends_meet(b.x_lo, b.ys[0], x_hi, y_right, tol)
+        live[i, owner[(owner != i) & (overlap | ends)]] = True
     return live
 
 
@@ -232,71 +274,196 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
 
 def branch_intersections(c1, b1s, c2, b2s, tol=1e-9):
     """intersect_curves on precomputed monotone branches."""
+    return next(pair_intersections([c1, c2], [b1s, b2s], [(0, 1)], tol))
+
+
+def _grid(b1, b2, lo, hi):
+    """The scan grid of a branch pair over its x-overlap [lo, hi]."""
+    grid = np.unique(np.concatenate([
+        b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
+        b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
+        [lo, hi],
+    ]))
+    if len(grid) > 4096:
+        grid = grid[:: len(grid) // 2048]
+    return grid
+
+
+def _add_rows(columns, p, k1, k2, *values):
+    """Append candidates to columns (pair, branch 1, branch 2, value arrays...):
+    one row per entry of the equal-length value arrays."""
+    n = len(values[0])
+    for column, key in zip(columns, (p, k1, k2)):
+        column.extend((key,) * n)
+    for column, v in zip(columns[3:], values):
+        column.frombytes(v.tobytes())
+
+
+def pair_intersections(curves, branches, pairs, tol=1e-9):
+    """intersect_curves for each curve pair (i, j) in pairs.
+
+    branches[i] holds the monotone branches of curves[i]; pairs is a
+    sequence of index pairs or an (n, 2) array.  Returns an iterator over
+    the deduplicated points of each pair, in the order of pairs.  The pairs
+    are taken _BLOCK at a time: the scan walks their branch pairs and keeps
+    only candidates, then every crossing, and every touch, is refined in
+    one lockstep run of `refine_roots`.
+    """
     sep = _separation(tol)
-    points = []
-    overlap_votes = 0
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    ids = np.unique(pairs).tolist()
+    sizes = [len(branches[k]) for k in ids]
+    first = dict(zip(ids, np.cumsum([0] + sizes).tolist()))
+    both = _evaluator(curves, [b for k in ids for b in branches[k]], np.repeat(ids, sizes))
+    return (pts for start in range(0, len(pairs), _BLOCK)
+            for pts in _block(curves, branches, pairs[start:start + _BLOCK].tolist(), first,
+                              both, sep, tol))
+
+
+def _block(curves, branches, pairs, first, both, sep, tol):
+    """The points of each pair: scan, refine, then deduplicate and check
+    the pair's ceiling."""
+    points, cross, touch = _scan(pairs, branches, first, sep, tol)
+    for found in (_refine_crossings(both, cross), _refine_touches(both, touch, tol)):
+        for p, x, y in zip(*(v.tolist() for v in found)):
+            points[p].append((x, y))
+    out = []
+    for (i, j), pts in zip(pairs, points):
+        pts = _dedup(pts, 10 * tol)
+        bound = pfaffian_bezout_bound(curves[i].pf_degree, curves[j].pf_degree)
+        if len(pts) > bound and _coincide(branches[i], branches[j], sep, tol):
+            raise SharedComponent(
+                f"{len(pts)} surviving crossings with interval overlap "
+                f"(ceiling {bound}); curves appear to share a component")
+        out.append(pts)
+    return out
+
+
+def _scan(pairs, branches, first, sep, tol):
+    """Candidates of every branch pair of the curve pairs, from the gap
+    h = y1 - y2 interpolated on the pair's grid; no grid is kept.
+
+    Returns the points found as they are (grid zeros and meeting ends), one
+    list per pair, and the columns (pair, branch 1, branch 2, a, b) of the
+    crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of the
+    touches.  Branches are numbered from first[i] on for curve i.  Columns
+    are typed arrays, which hold a candidate in a few dozen bytes.
+    """
+    points = [[] for _ in pairs]
+    cross, touch = [array(t) for t in "qqqdd"], [array(t) for t in "qqqddd"]
+    for p, (i, j) in enumerate(pairs):
+        for k1, b1 in enumerate(branches[i], first[i]):
+            for k2, b2 in enumerate(branches[j], first[j]):
+                lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
+                if hi - lo <= 1e-12:
+                    # no overlap to scan: the branches meet, if at all, at ends
+                    for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
+                                               ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
+                        if _ends_meet(x1, y1, x2, y2, tol):
+                            points[p].append((x1, float(y1)))
+                    continue
+                if _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
+                    continue
+                grid = _grid(b1, b2, lo, hi)
+                h = b1.y_interp(grid) - b2.y_interp(grid)
+                sign = np.sign(h)
+                at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+                if len(at):
+                    _add_rows(cross, p, k1, k2, grid[at], grid[at + 1])
+                at = np.nonzero(sign == 0)[0]
+                if len(at):
+                    points[p].extend(zip(grid[at].tolist(), b1.y_at(grid[at]).tolist()))
+                # local minima of |gap| below the scan threshold, except next to
+                # a sign change (already found as a crossing); the threshold
+                # goes first, so the other tests run on the few points that pass
+                absh = np.abs(h)
+                at = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
+                at = at[(absh[at] <= absh[at - 1]) & (absh[at] <= absh[at + 1])
+                        & ~(sign[at - 1] * sign[at] < 0) & ~(sign[at] * sign[at + 1] < 0)]
+                if len(at):
+                    _add_rows(touch, p, k1, k2, grid[at - 1], grid[at + 1], grid[at])
+    return points, cross, touch
+
+
+def _evaluator(curves, flat, owner):
+    """both(k1, k2, *xs): y and dy/dx = vy/vx of branches flat[k1] and
+    flat[k2] (index arrays) at each array of xs, as the list of (y, dy/dx)
+    on k1 then k2 at xs[0], then at xs[1], ...  The lanes are sorted by
+    curve (owner[k] is curves' index of flat[k]), so each curve takes one
+    array call of its parameterization and field."""
+    t_mid = np.array([b.t_mid for b in flat])
+
+    def both(k1, k2, *xs):
+        k = np.concatenate([k1, k2] * len(xs))
+        x = np.concatenate([v for v in xs for _ in (k1, k2)])
+        order = np.argsort(owner[k], kind="stable")
+        k, x = k[order], x[order]
+        cid = owner[k]
+        starts = np.unique(cid, return_index=True)[1].tolist()
+        y, dydx = np.empty((2, len(k)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, e in zip(starts, starts[1:] + [len(k)]):
+                curve, lane = curves[cid[s]], k[s:e]
+                y[s:e] = _heights(curve, x[s:e], t_mid[lane], lambda: [flat[b] for b in lane])
+                vx, vy = curve.field_at(x[s:e], y[s:e])
+                dydx[s:e] = vy / vx
+        out = np.empty((2, len(k)))
+        out[:, order] = y, dydx
+        return list(zip(*out.reshape(2, 2 * len(xs), len(k1))))
+
+    return both
+
+
+def _refine_crossings(both, columns):
+    """Pairs, x and y of the crossings: y1 - y2 refined between the bracket
+    ends, with slope dy1/dx - dy2/dx; a bracket whose exact gap has one sign
+    is an interpolation artifact and is skipped."""
+    p, k1, k2, a, b = map(np.array, columns)
+    (ya1, _), (ya2, _), (yb1, _), (yb2, _) = both(k1, k2, a, b)
+    ga, gb = ya1 - ya2, yb1 - yb2
+    keep = ~(ga * gb > 0)
+    p, k1, k2 = p[keep], k1[keep], k2[keep]
+
+    def gap(x, lanes):
+        (y1, s1), (y2, s2) = both(k1[lanes], k2[lanes], x)
+        return y1 - y2, s1 - s2
+
+    x = refine_roots(gap, a[keep], b[keep], ga[keep], gb[keep])
+    (y, _), _ = both(k1, k2, x)
+    return p, x, y
+
+
+def _refine_touches(both, columns, tol):
+    """Pairs, x and y of the touches within tol: a tangential contact is an
+    extremum of the gap, bisected on the slope difference (slope 0 takes the
+    bisection step) where that changes sign across (a, b), else the grid
+    point."""
+    p, k1, k2, a, b, x = map(np.array, columns)
+    (_, sa1), (_, sa2), (_, sb1), (_, sb2) = both(k1, k2, a, b)
+    sa, sb = sa1 - sa2, sb1 - sb2
+    run = sa * sb <= 0
+    r1, r2 = k1[run], k2[run]
+
+    def slope_difference(u, lanes):
+        (_, s1), (_, s2) = both(r1[lanes], r2[lanes], u)
+        return s1 - s2, 0.0
+
+    x[run] = refine_roots(slope_difference, a[run], b[run], sa[run], sb[run])
+    (y1, _), (y2, _) = both(k1, k2, x)
+    near = np.abs(y1 - y2) <= tol
+    return p[near], x[near], y1[near]
+
+
+def _coincide(b1s, b2s, sep, tol):
+    """Whether some branch pair's exact gap is within 10*tol on most of its
+    scan grid.  The exact gap, not the interpolated one: two traces of one
+    curve sampled at different parameters differ by their chord error."""
     for b1 in b1s:
         for b2 in b2s:
-            lo = max(b1.x_lo, b2.x_lo)
-            hi = min(b1.x_hi, b2.x_hi)
+            lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
             if hi - lo <= 1e-12 or _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
                 continue
-            grid = np.unique(np.concatenate([
-                b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
-                b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
-                [lo, hi],
-            ]))
-            if len(grid) > 4096:
-                grid = grid[:: len(grid) // 2048]
-            h = b1.y_interp(grid) - b2.y_interp(grid)
-            if np.mean(np.abs(h) <= 10 * tol) > 0.5 and len(grid) > 8:
-                overlap_votes += 1
-
-            y1 = y2 = 0.0
-
-            def gap(x):
-                nonlocal y1, y2
-                y1, y2 = b1.y_at(x), b2.y_at(x)
-                return y1 - y2
-
-            def gap_slope(x):  # dy/dx = vy/vx on each curve, at the last gap call
-                (u1, w1), (u2, w2) = c1.field_at(x, y1), c2.field_at(x, y2)
-                return float(w1 / u1 - w2 / u2)
-
-            def slope_difference(x):
-                gap(x)
-                return gap_slope(x)
-
-            sign = np.sign(h)
-            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-                a, b = float(grid[i]), float(grid[i + 1])
-                ga, gb = gap(a), gap(b)
-                if ga * gb > 0:
-                    continue  # interpolation artifact
-                x = refine_root(gap, a, b, gap_slope, ga, gb)
-                points.append((float(x), float(b1.y_at(x))))
-            for i in np.nonzero(sign == 0)[0]:
-                x = float(grid[i])
-                points.append((x, float(b1.y_at(x))))
-            # local minima of |gap| below the scan threshold, except next to a
-            # sign change (already found as a crossing); the threshold goes
-            # first, so the other tests run on the few points that pass it
-            absh = np.abs(h)
-            near = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
-            near = near[(absh[near] <= absh[near - 1]) & (absh[near] <= absh[near + 1])
-                        & ~(sign[near - 1] * sign[near] < 0) & ~(sign[near] * sign[near + 1] < 0)]
-            for i in near:
-                # a tangential contact is an extremum of the gap
-                a, b = float(grid[i - 1]), float(grid[i + 1])
-                sa, sb = slope_difference(a), slope_difference(b)
-                x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
-                    if sa * sb <= 0 else float(grid[i])
-                if abs(gap(x)) <= tol:
-                    points.append((x, float(b1.y_at(x))))
-    points = _dedup(points, 10 * tol)
-    bound = pfaffian_bezout_bound(c1.pf_degree, c2.pf_degree)
-    if overlap_votes and len(points) > bound:
-        raise SharedComponent(
-            f"{len(points)} surviving crossings with interval overlap "
-            f"(ceiling {bound}); curves appear to share a component")
-    return points
+            grid = _grid(b1, b2, lo, hi)
+            if len(grid) > 8 and np.mean(np.abs(b1.y_at(grid) - b2.y_at(grid)) <= 10 * tol) > 0.5:
+                return True
+    return False

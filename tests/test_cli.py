@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +75,23 @@ def test_intersect_rejects_bad_tolerance(tol, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:")
     assert "curve_i" not in captured.out
+
+
+def test_intersect_reports_a_shared_component(tmp_path, capsys):
+    # a circle and its copy rotated about the centre are one curve
+    c, s = math.cos(0.3), math.sin(0.3)
+    data = {"viewport": [-2.0, 2.0, -2.0, 2.0], "points": [], "curves": [
+        {"kind": "line", "params": {"a": 0.5, "b": 1.5}},
+        {"kind": "circle", "params": {"cx": 0.0, "cy": 0.0, "r": 1.0}},
+        {"kind": "circle", "params": {"cx": 0.0, "cy": 0.0, "r": 1.0},
+         "transform": [c, -s, s, c]}]}
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(data))
+    out_path = tmp_path / "inter.csv"
+    assert run(["intersect", "--scene", str(scene_path), "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "share a component" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("n_curves", [0, 1])

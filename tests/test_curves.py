@@ -321,6 +321,13 @@ def test_refine_roots_takes_the_scalar_steps_in_every_lane():
     b = root + rng.uniform(1e-9, 1.5, len(root))
     fa, fb = a * a * a - c, b * b * b - c
     assert np.all((fa < 0) & (fb > 0))
+    # the same brackets given from the + end, and brackets with a root at an
+    # end (0.5 and -0.25 cube exactly), which end before the first round
+    c = np.concatenate([c, c[:100], [0.125, -0.015625, 0.125]])
+    a, b = (np.concatenate([a, b[:100], [0.5, -1.0, 0.0]]),
+            np.concatenate([b, a[:100], [1.0, -0.25, 0.5]]))
+    fa, fb = a * a * a - c, b * b * b - c
+    assert np.count_nonzero((fa == 0) | (fb == 0)) == 3
     rounds = []
 
     def f(x, lanes):
@@ -331,7 +338,7 @@ def test_refine_roots_takes_the_scalar_steps_in_every_lane():
     want = [refine_root(lambda x: x * x * x - ck, ak, bk, lambda x: 3.0 * x * x, fak, fbk)
             for ck, ak, bk, fak, fbk in zip(c, a, b, fa, fb)]
     assert got.tolist() == want
-    assert rounds[0] == len(root) and rounds == sorted(rounds, reverse=True)
+    assert rounds[0] == len(c) - 3 and rounds == sorted(rounds, reverse=True)
 
 
 def test_import_loads_no_scipy():

@@ -1,19 +1,24 @@
 import itertools
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import pfaffinc as pf
+from conftest import CORPUS_VIEWPORT, corpus_curves
 from pfaffinc.errors import SharedComponent
 from pfaffinc.incidence import point_curve_distance
 from pfaffinc import generators as gen
-from pfaffinc.curves import refine_root
-from pfaffinc.intersect import (_TOUCH_SCAN, _dedup, branch_intersections, candidate_pairs,
-                                monotone_branches)
+from pfaffinc.scene import load_scene
+from pfaffinc.curves import KINDS, refine_root, rotation_matrix
+from pfaffinc.intersect import (_TOUCH_SCAN, _apart, _dedup, branch_intersections,
+                                candidate_pairs, monotone_branches, pair_intersections)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
+DATA = Path(__file__).parent / "data"
 
 
 def _pair(c1, c2, viewport, tol=1e-9):
@@ -52,6 +57,29 @@ def test_tangential_contact_reported_once():
     assert math.hypot(*pts[0]) <= 1e-6
 
 
+def test_circle_and_rotated_copy_raise_shared_component():
+    # the two traces sample the circle at different parameters, so their
+    # interpolated gap is the chord error (about 5e-6), far above 10*tol
+    a = pf.circle(0.0, 0.0, 1.0)
+    b = pf.apply_linear_transform(a, *rotation_matrix(0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SharedComponent):
+            _pair(a, b, (-2, 2, -2, 2))
+
+
+def test_circles_touching_at_branch_ends_meet_once():
+    # every branch pair meets only at x = 0, where both circles are vertical
+    c1, c2 = pf.circle(0.5, 0.0, 0.5), pf.circle(-0.5, 0.0, 0.5)
+    vp = (-2.0, 2.0, -2.0, 2.0)
+    b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
+    assert all(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) <= 1e-12
+               for b1 in b1s for b2 in b2s)
+    assert candidate_pairs([b1s, b2s], 1e-9)[0, 1]
+    for pts in (_pair(c1, c2, vp)[0], _pair(c2, c1, vp)[0]):
+        assert len(pts) == 1 and math.hypot(*pts[0]) <= 1e-9
+
+
 def test_identical_lines_raise_shared_component():
     a, b = pf.line(1, 0, label="a"), pf.line(1, 0, label="b")
     ta = pf.trace_curve(a, (-2, 2, -2, 2))
@@ -66,9 +94,42 @@ ACCEPTANCE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal",
                     "exp-of-poly", "tan"]
 
 
-def _scan_every_branch_pair(c1, b1s, c2, b2s, tol):
-    """branch_intersections as it was before the y-range test: every branch
-    pair that overlaps in x is scanned."""
+def _circle_t(p, x, hint):
+    cx, _cy, r = p
+    t0 = math.acos(min(1.0, max(-1.0, (x - cx) / r)))
+    return t0 if hint % (2 * math.pi) <= math.pi else 2 * math.pi - t0
+
+
+# the scalar closed-form x-inverses of the catalog, t = x where not listed
+_SCALAR_X_INVERSE = {
+    "circle": _circle_t,
+    "log": lambda p, x, hint: math.log(x),
+    "reciprocal-root": lambda p, x, hint: math.log(x),
+    "arctan": lambda p, x, hint: math.atan(x),
+}
+
+
+def _scalar_y_at(br, x):
+    """GraphBranch.y_at as it was for one float x: the oracle of the array
+    y_at."""
+    curve = br.curve
+    if curve.transform is None:
+        t = _SCALAR_X_INVERSE.get(curve.kind, lambda p, x, hint: x)(curve.params, x, br.t_mid)
+    else:
+        # transformed curves: x(t) is monotone on the branch, dx/dt = vx
+        i = min(max(int(np.searchsorted(br.xs, x)), 1), len(br.xs) - 1)
+        t = refine_root(lambda u: float(curve.point_at(u)[0]) - x,
+                        float(br.ts[i - 1]), float(br.ts[i]),
+                        lambda u: float(curve.field.vx(*curve.point_at(u))),
+                        float(br.xs[i - 1]) - x, float(br.xs[i]) - x)
+    return float(curve.point_at(t)[1])
+
+
+def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
+    """branch_intersections as it was, one branch pair and one candidate at a
+    time on the scalar y_at: the oracle of the lockstep pass.  Without the
+    y-range test every branch pair that overlaps in x is scanned."""
+    sep = max(_TOUCH_SCAN, 10 * tol)
     points = []
     overlap_votes = 0
     for b1 in b1s:
@@ -76,6 +137,8 @@ def _scan_every_branch_pair(c1, b1s, c2, b2s, tol):
             lo = max(b1.x_lo, b2.x_lo)
             hi = min(b1.x_hi, b2.x_hi)
             if hi - lo <= 1e-12:
+                continue
+            if y_range_test and _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
                 continue
             grid = np.unique(np.concatenate([
                 b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
@@ -91,7 +154,7 @@ def _scan_every_branch_pair(c1, b1s, c2, b2s, tol):
 
             def gap(x):
                 nonlocal y1, y2
-                y1, y2 = b1.y_at(x), b2.y_at(x)
+                y1, y2 = _scalar_y_at(b1, x), _scalar_y_at(b2, x)
                 return y1 - y2
 
             def gap_slope(x):
@@ -109,10 +172,10 @@ def _scan_every_branch_pair(c1, b1s, c2, b2s, tol):
                 if ga * gb > 0:
                     continue
                 x = refine_root(gap, a, b, gap_slope, ga, gb)
-                points.append((float(x), float(b1.y_at(x))))
+                points.append((float(x), _scalar_y_at(b1, x)))
             for i in np.nonzero(sign == 0)[0]:
                 x = float(grid[i])
-                points.append((x, float(b1.y_at(x))))
+                points.append((x, _scalar_y_at(b1, x)))
             absh = np.abs(h)
             near = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
             near = near[(absh[near] <= absh[near - 1]) & (absh[near] <= absh[near + 1])
@@ -123,7 +186,7 @@ def _scan_every_branch_pair(c1, b1s, c2, b2s, tol):
                 x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
                     if sa * sb <= 0 else float(grid[i])
                 if abs(gap(x)) <= tol:
-                    points.append((x, float(b1.y_at(x))))
+                    points.append((x, _scalar_y_at(b1, x)))
     points = _dedup(points, 10 * tol)
     bound = pf.pfaffian_bezout_bound(c1.pf_degree, c2.pf_degree)
     if overlap_votes and len(points) > bound:
@@ -139,18 +202,79 @@ def test_candidate_pairs_leave_out_only_empty_pairs(seed, tol):
     branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
     live = candidate_pairs(branches, tol)
     assert (live == live.T).all() and not live.diagonal().any()
+    pairs = list(zip(*np.nonzero(np.triu(live, 1))))
+    got = dict(zip(pairs, pair_intersections(curves, branches, pairs, tol)))
     left_out = 0
     for i, j in itertools.combinations(range(len(curves)), 2):
-        want = _scan_every_branch_pair(curves[i], branches[i], curves[j], branches[j], tol)
+        want = _scalar_pair(curves[i], branches[i], curves[j], branches[j], tol,
+                            y_range_test=False)
         if live[i, j]:
-            got = branch_intersections(curves[i], branches[i], curves[j], branches[j], tol)
-            assert got == want, (i, j)
+            assert got[i, j] == want, (i, j)
         else:
             assert want == [], (i, j)
             # count the pairs only the y-range test removes
             left_out += any(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) > 1e-12
                             for b1 in branches[i] for b2 in branches[j])
     assert left_out > 0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_pair_pass_equals_scalar_oracle_on_mixed_scene(tol):
+    scene = load_scene(DATA / "mixed_scene.json")
+    curves = scene.curves
+    assert any(c.transform is not None for c in curves)
+    branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
+    pairs = list(itertools.combinations(range(len(curves)), 2))
+    got = list(pair_intersections(curves, branches, pairs, tol))
+    want = [_scalar_pair(curves[i], branches[i], curves[j], branches[j], tol) for i, j in pairs]
+    assert got == want
+    assert sum(map(len, got)) >= 20
+
+
+def test_pair_pass_gives_the_same_points_in_small_blocks(monkeypatch):
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=11)
+    branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in scene.curves]
+    pairs = np.argwhere(np.triu(candidate_pairs(branches), 1))
+    whole = list(pair_intersections(scene.curves, branches, pairs))
+    assert len(pairs) > 7 * 10 and sum(map(len, whole)) > 0
+    monkeypatch.setattr(pf.intersect, "_BLOCK", 7)
+    assert list(pair_intersections(scene.curves, branches, pairs)) == whole
+
+
+def test_shared_component_is_raised_for_the_first_offending_pair():
+    lines = pf.line(1, 0, label="a"), pf.line(1, 0, label="b")
+    circle = pf.circle(0.0, 0.0, 1.0)
+    curves = [*lines, circle, pf.apply_linear_transform(circle, *rotation_matrix(0.3))]
+    vp = (-2.0, 2.0, -2.0, 2.0)
+    branches = [monotone_branches(c, pf.trace_curve(c, vp)) for c in curves]
+    for pairs, ceiling in (([(0, 1), (2, 3)], 1), ([(2, 3), (0, 1)], 8)):
+        with pytest.raises(SharedComponent, match=rf"\(ceiling {ceiling}\)"):
+            list(pair_intersections(curves, branches, pairs))
+
+
+def _every_kind():
+    """A curve of each catalog kind, and a rotated circle and parabola."""
+    curves = corpus_curves() + [
+        pf.exp_of_poly((0.1, 0.3, -0.2), 1.5), pf.reciprocal_root(2),
+        pf.compose_with_polynomial(pf.tan_curve(0), (0.0, 0.5)),
+        pf.apply_linear_transform(pf.circle(0.3, 0.1, 1.1), *rotation_matrix(0.7)),
+        pf.apply_linear_transform(pf.parabola(1.0, 0.0, 0.0), *rotation_matrix(0.4))]
+    assert {c.kind for c in curves} == set(KINDS)
+    return curves
+
+
+def test_array_y_at_equals_scalar_y_at():
+    rng = np.random.default_rng(3)
+    circle_halves = 0
+    for curve in _every_kind():
+        for br in monotone_branches(curve, pf.trace_curve(curve, CORPUS_VIEWPORT)):
+            circle_halves += curve.kind == "circle" and curve.transform is None
+            xs = np.concatenate([br.xs, 0.5 * (br.xs[1:] + br.xs[:-1]),
+                                 rng.uniform(br.x_lo, br.x_hi, 200)])
+            want = [_scalar_y_at(br, x) for x in xs.tolist()]
+            assert br.y_at(xs).tolist() == want, curve.label
+            assert [br.y_at(x) for x in xs[::50].tolist()] == want[::50]
+    assert circle_halves == 4  # the upper and lower halves of each of two circles
 
 
 def test_near_tangent_pair_stays_a_candidate():
@@ -160,7 +284,7 @@ def test_near_tangent_pair_stays_a_candidate():
     b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
     assert candidate_pairs([b1s, b2s], 1e-3)[0, 1]
     assert branch_intersections(c1, b1s, c2, b2s, 1e-3) == [(0.0, 0.0)]
-    assert _scan_every_branch_pair(c1, b1s, c2, b2s, 1e-3) == [(0.0, 0.0)]
+    assert _scalar_pair(c1, b1s, c2, b2s, 1e-3, y_range_test=False) == [(0.0, 0.0)]
 
 
 def test_candidate_pairs_of_no_curves():
