@@ -86,11 +86,9 @@ def cmd_intersect(args):
     curves = scene.curves
     # one trace at a time, each freed once its branches exist
     branches = [ix.monotone_branches(c, cv.trace_curve(c, scene.viewport)) for c in curves]
-    live = ix.candidate_pairs(branches, args.tol)
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
-    pairs = np.argwhere(np.triu(live, 1))
-    for (i, j), pts in zip(pairs, ix.pair_intersections(curves, branches, pairs, args.tol)):
+    for i, j, pts in ix.pair_intersections(curves, branches, args.tol):
         for x, y in pts:
             text += f"{i},{j},{x!r},{y!r}\n"
     _write(args.out, text)
@@ -145,6 +143,8 @@ def cmd_verify_bound(args):
 
 def cmd_sweep(args):
     sizes = [int(v) for v in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"sizes must be positive, got {args.sizes}")
     rows = []
     for nominal in sizes:
         g = max(1, round(nominal ** (1.0 / 3.0)))

@@ -3,9 +3,8 @@
 Every curve carries a closed-form parameterization (the exact tracer) plus
 the polynomial vector field that its directional vectors satisfy.  The field
 is the exact t-derivative of the parameterization, so root refinement
-(`refine_root`, and `refine_roots` over arrays of brackets) takes its Newton
-steps from it; it is never used as an ODE integrator, so traces carry no
-drift.
+(`refine_roots`, over arrays of brackets) takes its Newton steps from it;
+it is never used as an ODE integrator, so traces carry no drift.
 """
 
 from __future__ import annotations
@@ -186,48 +185,20 @@ def check_tol(tol):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
 
 
-def refine_root(f, a, b, fprime=None, fa=None, fb=None, xtol=1e-14):
-    """A root of f between a and b, where f(a) and f(b) differ in sign.
-
-    Newton steps on fprime from the bracket's secant point, safeguarded by
-    bisection (rtsafe; Press et al., Numerical Recipes, sec. 9.4): a step is
-    taken if it lands inside the bracket, which shrinks at every step, and at
-    least halves the step before it.  fprime(x) is called right after f(x),
-    so it may reuse what f computed.  The tolerance is xtol + 4 eps |x|.
-    """
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    if fa > 0.0:
-        a, b, fa, fb = b, a, fb, fa  # f(a) < 0 < f(b) from here on
-    x = a - fa * (b - a) / (fb - fa)
-    last = abs(b - a)
-    while True:
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        a, b = (x, b) if fx < 0.0 else (a, x)
-        tol = xtol + _RTOL * abs(x)
-        slope = 0.0 if fprime is None else fprime(x)
-        step = fx / slope if slope else math.inf
-        if abs(step) <= tol:  # converged, even when rounding lands an ulp outside
-            return x - step
-        if abs(step) <= 0.5 * last and min(a, b) < x - step < max(a, b):
-            last, x = abs(step), x - step
-        elif abs(b - a) <= 2.0 * tol:
-            return 0.5 * (a + b)
-        else:
-            last, x = 0.5 * abs(b - a), 0.5 * (a + b)
-
-
 def refine_roots(f, a, b, fa, fb, xtol=1e-14):
-    """`refine_root` in lockstep over arrays of brackets.
+    """Roots of f between a and b, lane by lane, where f(a) and f(b) differ
+    in sign or one is zero.
+
+    Newton steps on f' from each bracket's secant point, safeguarded by
+    bisection (rtsafe; Press et al., Numerical Recipes, sec. 9.4): a step is
+    taken if it lands inside the bracket, which shrinks at every step, and
+    at least halves the step before it.  A lane returns as soon as a Newton
+    step is within tolerance, before the bracket test, since a converged
+    step can round an ulp outside.  The tolerance is xtol + 4 eps |x|.
 
     f(x, lanes) returns f and f' at x for the lanes still running (indices
-    into a); a zero f' takes the bisection step, as a missing fprime does.
-    Each lane takes the steps the scalar code takes and stops where it
-    stops, so one array call of f per round serves every bracket.
+    into a); a zero f' takes the bisection step.  The lanes run in lockstep,
+    so one array call of f per round serves every bracket.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     roots = np.where(fa == 0.0, a, b)  # kept by the lanes with a zero end

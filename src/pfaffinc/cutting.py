@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CuttingFailed
-from .intersect import (candidate_pairs, monotone_branches, pair_intersections,
-                        vertical_tangent_points)
+from .intersect import monotone_branches, pair_intersections, vertical_tangent_points
 
 BOTTOM = -1  # region bounded below by the viewport
 TOP = -2  # region bounded above by the viewport
@@ -151,9 +150,8 @@ class Cutting:
 def _collect_events(sample_ids, curves, traces, branch_map, tol=1e-9):
     """Deduplicated event points: crossings, vertical tangents, loose ends."""
     raw = []  # (x, y, priority, source)
-    live = candidate_pairs([branch_map[i] for i in sample_ids], tol)
-    pairs = np.asarray(sample_ids)[np.argwhere(np.triu(live, 1))]
-    for pts in pair_intersections(curves, branch_map, pairs, tol):
+    for _, _, pts in pair_intersections([curves[i] for i in sample_ids],
+                                        [branch_map[i] for i in sample_ids], tol):
         raw.extend((x, y, 0, "crossing") for x, y in pts)
     for i in sample_ids:
         for x, y in vertical_tangent_points(curves[i], traces[i]):
@@ -488,6 +486,8 @@ def build_cutting(curves, traces, viewport, r, seed=0, max_retries=32, tol=1e-9)
     n = len(curves)
     if not (1 <= r < n):
         raise ValueError("require 1 <= r < n")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     s = int(math.ceil(5.0 * r * math.log(n)))
     for attempt in range(max_retries):
         ids = sample_curves(n, s, seed + attempt)

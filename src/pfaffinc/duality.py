@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_tol, refine_root
+from .curves import check_tol, refine_roots
 from .errors import ChainMismatch, DegenerateDual, DuplicateCurve, RotationFailed
 from .incidence import IncidenceGraph
 from .poly import poly1_eval
@@ -320,13 +320,18 @@ def point_on_family_curve(family, curve, rng, resolution=256):
     def value(x, y):
         return float(np.dot(curve.coeffs, family.eval_terms(x, y)))
 
+    def root(f, a, b):
+        """A root of f between grid values a and b, by bisection (slope 0)."""
+        return float(refine_roots(lambda u, lanes: (np.array([f(float(u[0]))]), 0.0),
+                                  [a], [b], [f(a)], [f(b)], xtol=1e-15)[0])
+
     if pick < n_h:
         i, j = hor[0][pick], hor[1][pick]
         y = float(ys[j])
-        return refine_root(lambda x: value(x, y), float(xs[i]), float(xs[i + 1]), xtol=1e-15), y
+        return root(lambda x: value(x, y), float(xs[i]), float(xs[i + 1])), y
     i, j = ver[0][pick - n_h], ver[1][pick - n_h]
     x = float(xs[i])
-    return x, refine_root(lambda y: value(x, y), float(ys[j]), float(ys[j + 1]), xtol=1e-15)
+    return x, root(lambda y: value(x, y), float(ys[j]), float(ys[j + 1]))
 
 
 # -- the full chain -------------------------------------------------------------

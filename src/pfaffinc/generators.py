@@ -124,6 +124,8 @@ _PARAM_DRAWS = {
 def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
     """n distinct random catalog curves and m points, a planted fraction of
     which sits exactly on curve parameterizations."""
+    if m < 0 or n < 0:
+        raise ValueError("sizes must be nonnegative")
     if not 0.0 <= planted <= 1.0:
         raise ValueError("planted fraction must lie in [0, 1]")
     kinds = list(kinds)

@@ -1,9 +1,9 @@
 """Pairwise curve intersection, vertical tangents, and intersection ceilings.
 
 Curves are handled as collections of x-monotone graph branches.  The
-intersections of many curve pairs are found a block of pairs at a time, in
-two phases (`pair_intersections`).  The scan walks every branch pair on a
-trace-resolution grid and keeps only candidates: the brackets of sign
+intersections of all curve pairs are found a block of pairs at a time, in
+two phases (`pair_intersections`).  The scan walks every live branch pair
+(`_live`) on a trace-resolution grid and keeps only candidates: the brackets of sign
 changes of the interpolated gap, its grid zeros, the local minima of its
 size near zero (touches), and branch ends that meet.  The refinement then
 solves every crossing in one lockstep run of `curves.refine_roots` on the
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import check_tol, refine_root, refine_roots
+from .curves import check_tol, refine_roots
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
@@ -49,41 +49,40 @@ def check_bezout(c1, c2, found):
 # -- vertical tangents -------------------------------------------------------
 
 
-def _vx_along(curve, t):
-    x, y = curve.point_at(t)
-    return float(curve.field.vx(x, y))
-
-
-def _vx_root(curve, a, b, va, vb):
-    """The t in [a, b] where vx(P(t)) = 0, given va and vb at a and b."""
-    return refine_root(lambda t: _vx_along(curve, t), a, b,
-                       lambda t: float(curve.field.vx_rate(*curve.point_at(t))), va, vb)
-
-
 def vertical_tangent_ts(curve, trace):
-    """Parameters where the x-component of the field changes sign."""
-    out = []
+    """Parameters where the x-component of the field changes sign: the
+    sampled zeros, and every sign change refined in one lockstep run on
+    f' = vx_rate, the t-derivative of vx."""
+    zeros, ends = [], [np.zeros((0, 4))]  # ends: rows (a, b, vx at a, vx at b)
     for comp in trace.components:
         vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
         sign = np.sign(vx)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            out.append(_vx_root(curve, float(comp.ts[i]), float(comp.ts[i + 1]),
-                                float(vx[i]), float(vx[i + 1])))
-        for i in np.nonzero(sign == 0)[0]:
-            out.append(float(comp.ts[i]))
+        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        ends.append(np.stack([comp.ts[at], comp.ts[at + 1], vx[at], vx[at + 1]], axis=1))
+        zeros.extend(comp.ts[sign == 0].tolist())
+    rate = curve.field.vx_rate
+
+    def along(t, lanes=None):
+        x, y = curve.point_at(t)
+        return curve.field.vx(x, y) + np.zeros_like(t), rate(x, y) + np.zeros_like(t)
+
     # closed parameterizations: check the wrap-around gap too
+    wrap = False
     if curve.period is not None and trace.components:
         first, last = trace.components[0], trace.components[-1]
         px, py = last.xs[-1], last.ys[-1]
         qx, qy = first.xs[0], first.ys[0]
         gap = math.hypot(px - qx, py - qy)
         if gap < 64 * trace.step * (1 + curve.period):
-            a = float(last.ts[-1])
-            b = float(first.ts[0]) + curve.period
-            va, vb = _vx_along(curve, a), _vx_along(curve, b)
-            if va * vb < 0:
-                out.append(_vx_root(curve, a, b, va, vb) % curve.period)
-    return sorted(out)
+            ab = np.array([last.ts[-1], first.ts[0] + curve.period])
+            va, vb = along(ab)[0]
+            wrap = va * vb < 0
+            if wrap:
+                ends.append([[*ab, va, vb]])
+    roots = refine_roots(along, *np.concatenate(ends).T).tolist()
+    if wrap:
+        roots[-1] %= curve.period
+    return sorted(roots + zeros)
 
 
 def vertical_tangent_points(curve, trace):
@@ -232,30 +231,32 @@ def _ends_meet(x1, y1, x2, y2, tol):
     return np.hypot(x1 - x2, y1 - y2) <= tol
 
 
-def candidate_pairs(branch_lists, tol=1e-9):
-    """n x n bool matrix over the curves whose branches are branch_lists.
+def _live(flat, owner, sep, tol):
+    """The live branch pairs (k1, k2) of flat, owner[k1] < owner[k2], in the
+    order of curve pair, k1, then k2; and whether each overlaps in x.
 
-    True where some branch pair of curves i != j overlaps in x by more than
-    1e-12 and passes the y-range test of pair_intersections, or has an end
-    of one branch within tol of an end of the other.  A pair left False has
-    no intersection points, so a caller may skip it.  Runs one row per
-    branch, vectorised over all branches.
+    owner[k] is the curve of flat[k], ascending.  A pair is live when it
+    overlaps in x by more than 1e-12 and its y-ranges are not _apart, or has
+    no overlap and an end of one branch within tol of an end of the other.
+    Other pairs yield no point.  Runs one row per branch, vectorised over the
+    branches of later curves.
     """
-    sep = _separation(tol)
-    n = len(branch_lists)
-    owner = np.repeat(np.arange(n), [len(bs) for bs in branch_lists])
-    flat = [b for bs in branch_lists for b in bs]
     x_lo, x_hi, y_lo, y_hi, y_left, y_right = np.array(
         [(b.x_lo, b.x_hi, b.y_lo, b.y_hi, b.ys[0], b.ys[-1]) for b in flat],
         dtype=float).reshape(-1, 6).T
-    live = np.zeros((n, n), dtype=bool)
-    for i, b in zip(owner, flat):
-        overlap = (np.minimum(b.x_hi, x_hi) - np.maximum(b.x_lo, x_lo) > 1e-12) \
-            & ~_apart(b.y_lo, b.y_hi, y_lo, y_hi, sep)
-        ends = _ends_meet(b.x_hi, b.ys[-1], x_lo, y_left, tol) \
-            | _ends_meet(b.x_lo, b.ys[0], x_hi, y_right, tol)
-        live[i, owner[(owner != i) & (overlap | ends)]] = True
-    return live
+    later = np.searchsorted(owner, owner, side="right")
+    k1, k2 = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for k, (b, s) in enumerate(zip(flat, later.tolist())):
+        overlap = np.minimum(b.x_hi, x_hi[s:]) - np.maximum(b.x_lo, x_lo[s:]) > 1e-12
+        live = np.where(overlap, ~_apart(b.y_lo, b.y_hi, y_lo[s:], y_hi[s:], sep),
+                        _ends_meet(b.x_hi, b.ys[-1], x_lo[s:], y_left[s:], tol)
+                        | _ends_meet(b.x_lo, b.ys[0], x_hi[s:], y_right[s:], tol))
+        k2.append(np.nonzero(live)[0] + s)
+        k1.append(np.full(len(k2[-1]), k))
+    k1, k2 = np.concatenate(k1), np.concatenate(k2)
+    order = np.lexsort((owner[k2], owner[k1]))  # stable
+    k1, k2 = k1[order], k2[order]
+    return k1, k2, np.minimum(x_hi[k1], x_hi[k2]) - np.maximum(x_lo[k1], x_lo[k2]) > 1e-12
 
 
 def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
@@ -267,18 +268,13 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
     """
     if c1 is c2:
         raise ValueError("curves must be distinct objects")
-    b1s = monotone_branches(c1, trace1)
-    b2s = monotone_branches(c2, trace2)
-    return branch_intersections(c1, b1s, c2, b2s, tol)
+    branches = [monotone_branches(c1, trace1), monotone_branches(c2, trace2)]
+    return next((pts for _, _, pts in pair_intersections([c1, c2], branches, tol)), [])
 
 
-def branch_intersections(c1, b1s, c2, b2s, tol=1e-9):
-    """intersect_curves on precomputed monotone branches."""
-    return next(pair_intersections([c1, c2], [b1s, b2s], [(0, 1)], tol))
-
-
-def _grid(b1, b2, lo, hi):
-    """The scan grid of a branch pair over its x-overlap [lo, hi]."""
+def _grid(b1, b2):
+    """The scan grid of a branch pair over its x-overlap."""
+    lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
     grid = np.unique(np.concatenate([
         b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
         b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
@@ -299,89 +295,93 @@ def _add_rows(columns, p, k1, k2, *values):
         column.frombytes(v.tobytes())
 
 
-def pair_intersections(curves, branches, pairs, tol=1e-9):
-    """intersect_curves for each curve pair (i, j) in pairs.
+def pair_intersections(curves, branches, tol=1e-9):
+    """intersect_curves for every pair of curves that can meet.
 
-    branches[i] holds the monotone branches of curves[i]; pairs is a
-    sequence of index pairs or an (n, 2) array.  Returns an iterator over
-    the deduplicated points of each pair, in the order of pairs.  The pairs
-    are taken _BLOCK at a time: the scan walks their branch pairs and keeps
-    only candidates, then every crossing, and every touch, is refined in
-    one lockstep run of `refine_roots`.
+    branches[i] holds the monotone branches of curves[i].  Returns an
+    iterator over (i, j, deduplicated points) for i < j in lexicographic
+    order, over the curve pairs with a live branch pair (`_live`); the
+    others have no points.  tol is checked at the call.  The curve pairs are
+    taken _BLOCK at a time: the scan walks their live branch pairs and keeps
+    only candidates, then every crossing, and every touch, is refined in one
+    lockstep run of `refine_roots`.
     """
     sep = _separation(tol)
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    ids = np.unique(pairs).tolist()
-    sizes = [len(branches[k]) for k in ids]
-    first = dict(zip(ids, np.cumsum([0] + sizes).tolist()))
-    both = _evaluator(curves, [b for k in ids for b in branches[k]], np.repeat(ids, sizes))
-    return (pts for start in range(0, len(pairs), _BLOCK)
-            for pts in _block(curves, branches, pairs[start:start + _BLOCK].tolist(), first,
-                              both, sep, tol))
+    flat = [b for bs in branches for b in bs]
+    owner = np.repeat(np.arange(len(branches)), [len(bs) for bs in branches])
+    k1, k2, overlap = _live(flat, owner, sep, tol)
+    i, j = owner[k1], owner[k2]
+    new = np.diff(i * len(branches) + j, prepend=-1) != 0  # a curve pair's first
+    cuts = np.append(np.flatnonzero(new)[::_BLOCK], len(new)).tolist()
+    both = _evaluator(curves, flat, owner)
+    return (out for s, e in zip(cuts, cuts[1:])
+            for out in _block(curves, flat, both, i[s:e], j[s:e], k1[s:e], k2[s:e],
+                              overlap[s:e], tol))
 
 
-def _block(curves, branches, pairs, first, both, sep, tol):
-    """The points of each pair: scan, refine, then deduplicate and check
-    the pair's ceiling."""
-    points, cross, touch = _scan(pairs, branches, first, sep, tol)
+def _block(curves, flat, both, i, j, k1, k2, overlap, tol):
+    """(i, j, points) of each curve pair of the live branch pairs (i, j, k1,
+    k2, overlap): scan, refine, then deduplicate and check the pair's
+    ceiling."""
+    new = np.diff(i * len(curves) + j, prepend=-1) != 0
+    p = np.cumsum(new) - 1  # the curve pair of each branch pair, from 0
+    points, cross, touch = _scan(flat, p, k1, k2, overlap, tol)
     for found in (_refine_crossings(both, cross), _refine_touches(both, touch, tol)):
-        for p, x, y in zip(*(v.tolist() for v in found)):
-            points[p].append((x, y))
+        for q, x, y in zip(*(v.tolist() for v in found)):
+            points[q].append((x, y))
     out = []
-    for (i, j), pts in zip(pairs, points):
+    for q, (ci, cj, pts) in enumerate(zip(i[new].tolist(), j[new].tolist(), points)):
         pts = _dedup(pts, 10 * tol)
-        bound = pfaffian_bezout_bound(curves[i].pf_degree, curves[j].pf_degree)
-        if len(pts) > bound and _coincide(branches[i], branches[j], sep, tol):
+        bound = pfaffian_bezout_bound(curves[ci].pf_degree, curves[cj].pf_degree)
+        scanned = (p == q) & overlap
+        if len(pts) > bound and _coincide(flat, k1[scanned], k2[scanned], tol):
             raise SharedComponent(
                 f"{len(pts)} surviving crossings with interval overlap "
                 f"(ceiling {bound}); curves appear to share a component")
-        out.append(pts)
+        out.append((ci, cj, pts))
     return out
 
 
-def _scan(pairs, branches, first, sep, tol):
-    """Candidates of every branch pair of the curve pairs, from the gap
-    h = y1 - y2 interpolated on the pair's grid; no grid is kept.
+def _scan(flat, p, k1, k2, overlap, tol):
+    """Candidates of the live branch pairs (flat[k1], flat[k2]) of curve
+    pairs p, from the gap h = y1 - y2 interpolated on the pair's grid; no
+    grid is kept.
 
     Returns the points found as they are (grid zeros and meeting ends), one
-    list per pair, and the columns (pair, branch 1, branch 2, a, b) of the
-    crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of the
-    touches.  Branches are numbered from first[i] on for curve i.  Columns
-    are typed arrays, which hold a candidate in a few dozen bytes.
+    list per curve pair, and the columns (pair, branch 1, branch 2, a, b) of
+    the crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of
+    the touches.  Columns are typed arrays, which hold a candidate in a few
+    dozen bytes.
     """
-    points = [[] for _ in pairs]
+    points = [[] for _ in range(p[-1] + 1)]
     cross, touch = [array(t) for t in "qqqdd"], [array(t) for t in "qqqddd"]
-    for p, (i, j) in enumerate(pairs):
-        for k1, b1 in enumerate(branches[i], first[i]):
-            for k2, b2 in enumerate(branches[j], first[j]):
-                lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
-                if hi - lo <= 1e-12:
-                    # no overlap to scan: the branches meet, if at all, at ends
-                    for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
-                                               ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
-                        if _ends_meet(x1, y1, x2, y2, tol):
-                            points[p].append((x1, float(y1)))
-                    continue
-                if _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
-                    continue
-                grid = _grid(b1, b2, lo, hi)
-                h = b1.y_interp(grid) - b2.y_interp(grid)
-                sign = np.sign(h)
-                at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-                if len(at):
-                    _add_rows(cross, p, k1, k2, grid[at], grid[at + 1])
-                at = np.nonzero(sign == 0)[0]
-                if len(at):
-                    points[p].extend(zip(grid[at].tolist(), b1.y_at(grid[at]).tolist()))
-                # local minima of |gap| below the scan threshold, except next to
-                # a sign change (already found as a crossing); the threshold
-                # goes first, so the other tests run on the few points that pass
-                absh = np.abs(h)
-                at = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
-                at = at[(absh[at] <= absh[at - 1]) & (absh[at] <= absh[at + 1])
-                        & ~(sign[at - 1] * sign[at] < 0) & ~(sign[at] * sign[at + 1] < 0)]
-                if len(at):
-                    _add_rows(touch, p, k1, k2, grid[at - 1], grid[at + 1], grid[at])
+    for q, m1, m2, over in zip(p.tolist(), k1.tolist(), k2.tolist(), overlap.tolist()):
+        b1, b2 = flat[m1], flat[m2]
+        if not over:
+            # no overlap to scan: the branches meet at ends
+            for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
+                                       ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
+                if _ends_meet(x1, y1, x2, y2, tol):
+                    points[q].append((x1, float(y1)))
+            continue
+        grid = _grid(b1, b2)
+        h = b1.y_interp(grid) - b2.y_interp(grid)
+        sign = np.sign(h)
+        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        if len(at):
+            _add_rows(cross, q, m1, m2, grid[at], grid[at + 1])
+        at = np.nonzero(sign == 0)[0]
+        if len(at):
+            points[q].extend(zip(grid[at].tolist(), b1.y_at(grid[at]).tolist()))
+        # local minima of |gap| below the scan threshold, except next to a
+        # sign change (already found as a crossing); the threshold goes
+        # first, so the other tests run on the few points that pass
+        absh = np.abs(h)
+        at = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
+        at = at[(absh[at] <= absh[at - 1]) & (absh[at] <= absh[at + 1])
+                & ~(sign[at - 1] * sign[at] < 0) & ~(sign[at] * sign[at + 1] < 0)]
+        if len(at):
+            _add_rows(touch, q, m1, m2, grid[at - 1], grid[at + 1], grid[at])
     return points, cross, touch
 
 
@@ -454,16 +454,13 @@ def _refine_touches(both, columns, tol):
     return p[near], x[near], y1[near]
 
 
-def _coincide(b1s, b2s, sep, tol):
-    """Whether some branch pair's exact gap is within 10*tol on most of its
-    scan grid.  The exact gap, not the interpolated one: two traces of one
-    curve sampled at different parameters differ by their chord error."""
-    for b1 in b1s:
-        for b2 in b2s:
-            lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
-            if hi - lo <= 1e-12 or _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
-                continue
-            grid = _grid(b1, b2, lo, hi)
-            if len(grid) > 8 and np.mean(np.abs(b1.y_at(grid) - b2.y_at(grid)) <= 10 * tol) > 0.5:
-                return True
+def _coincide(flat, k1, k2, tol):
+    """Whether some of the x-overlapping branch pairs (flat[k1], flat[k2])
+    has its exact gap within 10*tol on most of its scan grid.  The exact gap,
+    not the interpolated one: two traces of one curve sampled at different
+    parameters differ by their chord error."""
+    for b1, b2 in zip((flat[k] for k in k1.tolist()), (flat[k] for k in k2.tolist())):
+        grid = _grid(b1, b2)
+        if len(grid) > 8 and np.mean(np.abs(b1.y_at(grid) - b2.y_at(grid)) <= 10 * tol) > 0.5:
+            return True
     return False

@@ -68,7 +68,7 @@ def _curve_from_dict(data):
     k = data["kind"]
     spec = cv.KINDS.get(k)
     if spec is None:
-        raise PfaffincError(f"unknown curve kind {k!r}")
+        raise ValueError(f"unknown curve kind {k!r}")
     params = data.get("params", {})
     if set(params) != set(spec.params):
         raise ValueError(f"{k} curve takes params {list(spec.params)}, got {sorted(params)}")

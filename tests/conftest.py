@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import pfaffinc as pf
+from pfaffinc.curves import _RTOL
 
 
 CORPUS_VIEWPORT = (-3.0, 3.0, -3.0, 3.0)
@@ -23,6 +26,43 @@ def corpus_curves():
         pf.reciprocal_curve(1.0, 1, label="r1"),
         pf.arctan_curve(label="a1"),
     ]
+
+
+# The scalar root refiner that `pfaffinc.curves.refine_roots` runs lane by
+# lane: the oracle of every lockstep refinement.
+def refine_root(f, a, b, fprime=None, fa=None, fb=None, xtol=1e-14):
+    """A root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Newton steps on fprime from the bracket's secant point, safeguarded by
+    bisection (rtsafe; Press et al., Numerical Recipes, sec. 9.4): a step is
+    taken if it lands inside the bracket, which shrinks at every step, and at
+    least halves the step before it.  fprime(x) is called right after f(x),
+    so it may reuse what f computed.  The tolerance is xtol + 4 eps |x|.
+    """
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if fa > 0.0:
+        a, b, fa, fb = b, a, fb, fa  # f(a) < 0 < f(b) from here on
+    x = a - fa * (b - a) / (fb - fa)
+    last = abs(b - a)
+    while True:
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        a, b = (x, b) if fx < 0.0 else (a, x)
+        tol = xtol + _RTOL * abs(x)
+        slope = 0.0 if fprime is None else fprime(x)
+        step = fx / slope if slope else math.inf
+        if abs(step) <= tol:  # converged, even when rounding lands an ulp outside
+            return x - step
+        if abs(step) <= 0.5 * last and min(a, b) < x - step < max(a, b):
+            last, x = abs(step), x - step
+        elif abs(b - a) <= 2.0 * tol:
+            return 0.5 * (a + b)
+        else:
+            last, x = 0.5 * abs(b - a), 0.5 * (a + b)
 
 
 @pytest.fixture(scope="session")

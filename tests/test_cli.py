@@ -229,6 +229,25 @@ def test_chains_rejects_bad_tolerance(tol, tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sizes", "-8"],
+    ["sweep", "--sizes", "8,0"],
+    ["cutting", "--r", "2", "--max-retries", "0"],
+    ["cutting", "--r", "2", "--max-retries", "-3"],
+    ["generate", "--family", "random", "--m", "-5"],
+    ["generate", "--family", "random", "--n", "-5"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_sizes_are_usage_errors(argv, tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    run(["generate", "--family", "grid", "--a", "2", "--b", "2", "--out", str(scene_path)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    scene = ["--scene", str(scene_path)] if argv[0] == "cutting" else []
+    assert run(argv + scene + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(tmp_path):
     assert run(["count", "--scene", str(tmp_path / "missing.json")]) == 2
 

@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 import pfaffinc as pf
-from pfaffinc.curves import KINDS, max_tangent_error, refine_root, rotation_matrix
+from conftest import refine_root
+from pfaffinc.curves import KINDS, max_tangent_error, refine_roots, rotation_matrix
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
 from pfaffinc.scene import Scene, scene_from_dict, scene_to_dict, scene_to_json
 
@@ -290,13 +291,14 @@ def test_refine_root_newton_stops_at_converged_step():
 
     def vx(t):
         calls.append(t)
-        return float(c.field.vx(*c.point_at(t)))
+        return c.field.vx(*c.point_at(t))
 
     def vx_rate(t):
         calls.append(t)
-        return float(c.field.vx_rate(*c.point_at(t)))
+        return c.field.vx_rate(*c.point_at(t))
 
-    t = refine_root(vx, 3.13, 3.15, vx_rate)
+    a, b = np.array([3.13]), np.array([3.15])
+    (t,) = refine_roots(lambda t, lanes: (vx(t), vx_rate(t)), a, b, vx(a), vx(b))
     assert abs(t - math.pi) <= 1e-14
     assert len(calls) <= 6
 
@@ -305,10 +307,14 @@ def test_refine_root_newton_stops_at_converged_step():
 @pytest.mark.parametrize("bracket", [(-3.0, 0.0), (0.0, 3.0)])
 def test_refine_root_matches_brentq(bracket, with_slope):
     def f(x):
-        return math.exp(x) - x - 2.0
+        return np.exp(x) - x - 2.0
 
-    fprime = (lambda x: math.exp(x) - 1.0) if with_slope else None
-    assert abs(refine_root(f, *bracket, fprime) - brentq(f, *bracket, xtol=1e-15)) <= 1e-14
+    def with_rate(x, lanes):
+        return f(x), (np.exp(x) - 1.0 if with_slope else 0.0)
+
+    a, b = (np.array([v]) for v in bracket)
+    (root,) = refine_roots(with_rate, a, b, f(a), f(b))
+    assert abs(root - brentq(f, *bracket, xtol=1e-15)) <= 1e-14
 
 
 def test_refine_roots_takes_the_scalar_steps_in_every_lane():
@@ -334,7 +340,7 @@ def test_refine_roots_takes_the_scalar_steps_in_every_lane():
         rounds.append(len(lanes))
         return x * x * x - c[lanes], 3.0 * x * x
 
-    got = pf.curves.refine_roots(f, a, b, fa, fb)
+    got = refine_roots(f, a, b, fa, fb)
     want = [refine_root(lambda x: x * x * x - ck, ak, bk, lambda x: 3.0 * x * x, fak, fbk)
             for ck, ak, bk, fak, fbk in zip(c, a, b, fa, fb)]
     assert got.tolist() == want

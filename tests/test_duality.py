@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pfaffinc as pf
+from conftest import refine_root
 from pfaffinc import duality as du
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
@@ -226,6 +227,43 @@ def test_family_trace_follows_the_zero_set():
     assert len(segs) > 50
     mids = segs.mean(axis=1)
     assert np.max(np.abs(mids[:, 0] - mids[:, 1])) <= 0.05
+
+
+def _scalar_point_on_family_curve(family, curve, rng, resolution):
+    """point_on_family_curve as it was, bisecting with the scalar refiner:
+    the oracle of its one-lane run."""
+    xs, ys, grids = du.term_grid(family, resolution)
+    sgn = np.where(np.tensordot(curve.coeffs, grids, axes=1) >= 0, 1, -1)
+    hor = np.nonzero(sgn[:-1, :] * sgn[1:, :] < 0)
+    ver = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    n_h, n_v = len(hor[0]), len(ver[0])
+    if n_h + n_v == 0:
+        return None
+    pick = int(rng.integers(0, n_h + n_v))
+
+    def value(x, y):
+        return float(np.dot(curve.coeffs, family.eval_terms(x, y)))
+
+    if pick < n_h:
+        i, j = hor[0][pick], hor[1][pick]
+        y = float(ys[j])
+        return refine_root(lambda x: value(x, y), float(xs[i]), float(xs[i + 1]), xtol=1e-15), y
+    i, j = ver[0][pick - n_h], ver[1][pick - n_h]
+    x = float(xs[i])
+    return x, refine_root(lambda y: value(x, y), float(ys[j]), float(ys[j + 1]), xtol=1e-15)
+
+
+def test_planted_points_equal_scalar_bisection():
+    fixed = set()  # whether the grid fixed x (a vertical bracket) or y
+    for d, variant in ((3, 0), (3, 1), (4, 0), (4, 1)):
+        _points, family, curves = gen.duality_scene(d, 12, 8, seed=6, variant=variant)
+        for seed, curve in enumerate(curves):
+            for resolution in (64, 256):
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = du.point_on_family_curve(family, curve, rngs[0], resolution)
+                assert got == _scalar_point_on_family_curve(family, curve, rngs[1], resolution)
+                fixed.add(got[0] in du.term_grid(family, resolution)[0].tolist())
+    assert fixed == {True, False}
 
 
 def test_planted_point_lands_on_trace():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import pfaffinc as pf
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
-from pfaffinc.curves import CurveTrace, TraceComponent, refine_root
+from pfaffinc.curves import CurveTrace, TraceComponent
 from pfaffinc.errors import ComplexityGuard, InconsistentScene
 
-from conftest import zero_sum_line_scene
+from conftest import refine_root, zero_sum_line_scene
 
 KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
 

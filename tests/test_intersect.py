@@ -8,14 +8,14 @@ import pytest
 from scipy.optimize import brentq
 
 import pfaffinc as pf
-from conftest import CORPUS_VIEWPORT, corpus_curves
+from conftest import CORPUS_VIEWPORT, corpus_curves, refine_root
 from pfaffinc.errors import SharedComponent
 from pfaffinc.incidence import point_curve_distance
 from pfaffinc import generators as gen
 from pfaffinc.scene import load_scene
-from pfaffinc.curves import KINDS, refine_root, rotation_matrix
-from pfaffinc.intersect import (_TOUCH_SCAN, _apart, _dedup, branch_intersections,
-                                candidate_pairs, monotone_branches, pair_intersections)
+from pfaffinc.curves import KINDS, rotation_matrix
+from pfaffinc.intersect import (_TOUCH_SCAN, _apart, _dedup, monotone_branches,
+                                pair_intersections, vertical_tangent_ts)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
 DATA = Path(__file__).parent / "data"
@@ -75,7 +75,7 @@ def test_circles_touching_at_branch_ends_meet_once():
     b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
     assert all(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) <= 1e-12
                for b1 in b1s for b2 in b2s)
-    assert candidate_pairs([b1s, b2s], 1e-9)[0, 1]
+    assert [(i, j) for i, j, _ in pair_intersections([c1, c2], [b1s, b2s], 1e-9)] == [(0, 1)]
     for pts in (_pair(c1, c2, vp)[0], _pair(c2, c1, vp)[0]):
         assert len(pts) == 1 and math.hypot(*pts[0]) <= 1e-9
 
@@ -126,9 +126,10 @@ def _scalar_y_at(br, x):
 
 
 def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
-    """branch_intersections as it was, one branch pair and one candidate at a
-    time on the scalar y_at: the oracle of the lockstep pass.  Without the
-    y-range test every branch pair that overlaps in x is scanned."""
+    """The points of one curve pair as the per-pair pass found them, one
+    branch pair and one candidate at a time on the scalar y_at: the oracle of
+    the lockstep pass.  Without the y-range test every branch pair that
+    overlaps in x is scanned."""
     sep = max(_TOUCH_SCAN, 10 * tol)
     points = []
     overlap_votes = 0
@@ -200,15 +201,13 @@ def test_candidate_pairs_leave_out_only_empty_pairs(seed, tol):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
     curves = scene.curves
     branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
-    live = candidate_pairs(branches, tol)
-    assert (live == live.T).all() and not live.diagonal().any()
-    pairs = list(zip(*np.nonzero(np.triu(live, 1))))
-    got = dict(zip(pairs, pair_intersections(curves, branches, pairs, tol)))
+    got = {(i, j): pts for i, j, pts in pair_intersections(curves, branches, tol)}
+    assert list(got) == sorted(got) and all(i < j for i, j in got)
     left_out = 0
     for i, j in itertools.combinations(range(len(curves)), 2):
         want = _scalar_pair(curves[i], branches[i], curves[j], branches[j], tol,
                             y_range_test=False)
-        if live[i, j]:
+        if (i, j) in got:
             assert got[i, j] == want, (i, j)
         else:
             assert want == [], (i, j)
@@ -224,32 +223,31 @@ def test_pair_pass_equals_scalar_oracle_on_mixed_scene(tol):
     curves = scene.curves
     assert any(c.transform is not None for c in curves)
     branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
-    pairs = list(itertools.combinations(range(len(curves)), 2))
-    got = list(pair_intersections(curves, branches, pairs, tol))
-    want = [_scalar_pair(curves[i], branches[i], curves[j], branches[j], tol) for i, j in pairs]
-    assert got == want
-    assert sum(map(len, got)) >= 20
+    got = {(i, j): pts for i, j, pts in pair_intersections(curves, branches, tol)}
+    for i, j in itertools.combinations(range(len(curves)), 2):
+        want = _scalar_pair(curves[i], branches[i], curves[j], branches[j], tol)
+        assert got.get((i, j), []) == want, (i, j)
+    assert sum(map(len, got.values())) >= 20
 
 
 def test_pair_pass_gives_the_same_points_in_small_blocks(monkeypatch):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=11)
     branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in scene.curves]
-    pairs = np.argwhere(np.triu(candidate_pairs(branches), 1))
-    whole = list(pair_intersections(scene.curves, branches, pairs))
-    assert len(pairs) > 7 * 10 and sum(map(len, whole)) > 0
+    whole = list(pair_intersections(scene.curves, branches))
+    assert len(whole) > 7 * 10 and sum(len(pts) for _, _, pts in whole) > 0
     monkeypatch.setattr(pf.intersect, "_BLOCK", 7)
-    assert list(pair_intersections(scene.curves, branches, pairs)) == whole
+    assert list(pair_intersections(scene.curves, branches)) == whole
 
 
 def test_shared_component_is_raised_for_the_first_offending_pair():
-    lines = pf.line(1, 0, label="a"), pf.line(1, 0, label="b")
+    lines = [pf.line(1, 0, label="a"), pf.line(1, 0, label="b")]
     circle = pf.circle(0.0, 0.0, 1.0)
-    curves = [*lines, circle, pf.apply_linear_transform(circle, *rotation_matrix(0.3))]
+    circles = [circle, pf.apply_linear_transform(circle, *rotation_matrix(0.3))]
     vp = (-2.0, 2.0, -2.0, 2.0)
-    branches = [monotone_branches(c, pf.trace_curve(c, vp)) for c in curves]
-    for pairs, ceiling in (([(0, 1), (2, 3)], 1), ([(2, 3), (0, 1)], 8)):
+    for curves, ceiling in ((lines + circles, 1), (circles + lines, 8)):
+        branches = [monotone_branches(c, pf.trace_curve(c, vp)) for c in curves]
         with pytest.raises(SharedComponent, match=rf"\(ceiling {ceiling}\)"):
-            list(pair_intersections(curves, branches, pairs))
+            list(pair_intersections(curves, branches))
 
 
 def _every_kind():
@@ -282,16 +280,14 @@ def test_near_tangent_pair_stays_a_candidate():
     vp = (-2.0, 2.0, -2.0, 2.0)
     c1, c2 = pf.line(a=0, b=0), pf.parabola(a=1, b=0, c=5e-4)
     b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
-    assert candidate_pairs([b1s, b2s], 1e-3)[0, 1]
-    assert branch_intersections(c1, b1s, c2, b2s, 1e-3) == [(0.0, 0.0)]
+    assert list(pair_intersections([c1, c2], [b1s, b2s], 1e-3)) == [(0, 1, [(0.0, 0.0)])]
     assert _scalar_pair(c1, b1s, c2, b2s, 1e-3, y_range_test=False) == [(0.0, 0.0)]
 
 
 def test_candidate_pairs_of_no_curves():
-    assert candidate_pairs([], 1e-9).shape == (0, 0)
+    assert list(pair_intersections([], [], 1e-9)) == []
     c = pf.line(1, 0)
-    live = candidate_pairs([monotone_branches(c, pf.trace_curve(c, VP))], 1e-9)
-    assert live.shape == (1, 1) and not live.any()
+    assert list(pair_intersections([c], [monotone_branches(c, pf.trace_curve(c, VP))], 1e-9)) == []
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
@@ -300,7 +296,7 @@ def test_bad_tolerance_is_rejected(tol):
     with pytest.raises(ValueError, match="tolerance"):
         _pair(c1, c2, VP, tol)
     with pytest.raises(ValueError, match="tolerance"):
-        candidate_pairs([], tol)
+        pair_intersections([], [], tol)  # at the call, before any iteration
 
 
 # -- pfaffian_bezout_bound ----------------------------------------------------------
@@ -341,6 +337,49 @@ def test_stretched_circle_tangents_at_extreme_x():
     assert len(pts) == 2
     assert math.hypot(pts[0][0] + 2, pts[0][1]) <= 1e-8
     assert math.hypot(pts[1][0] - 2, pts[1][1]) <= 1e-8
+
+
+def _scalar_vertical_tangent_ts(curve, trace, wraps):
+    """vertical_tangent_ts as it was, each sign change refined alone by the
+    scalar refiner: the oracle of the lockstep run.  Appends the refined
+    wrap-around roots to wraps."""
+    def vx_along(t):
+        return float(curve.field.vx(*curve.point_at(t)))
+
+    def vx_root(a, b, va, vb):
+        return refine_root(vx_along, a, b,
+                           lambda t: float(curve.field.vx_rate(*curve.point_at(t))), va, vb)
+
+    out = []
+    for comp in trace.components:
+        vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
+        sign = np.sign(vx)
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+            out.append(vx_root(float(comp.ts[i]), float(comp.ts[i + 1]),
+                               float(vx[i]), float(vx[i + 1])))
+        for i in np.nonzero(sign == 0)[0]:
+            out.append(float(comp.ts[i]))
+    if curve.period is not None and trace.components:
+        first, last = trace.components[0], trace.components[-1]
+        gap = math.hypot(last.xs[-1] - first.xs[0], last.ys[-1] - first.ys[0])
+        if gap < 64 * trace.step * (1 + curve.period):
+            a, b = float(last.ts[-1]), float(first.ts[0]) + curve.period
+            va, vb = vx_along(a), vx_along(b)
+            if va * vb < 0:
+                wraps.append(vx_root(a, b, va, vb) % curve.period)
+                out.append(wraps[-1])
+    return sorted(out)
+
+
+def test_vertical_tangents_equal_scalar_oracle():
+    stretched = pf.apply_linear_transform(pf.circle(0.0, 0.0, 1.0), 2.0, 0.0, 0.0, 1.0)
+    wraps = []
+    for curve in _every_kind() + [stretched]:
+        trace = pf.trace_curve(curve, CORPUS_VIEWPORT)
+        assert vertical_tangent_ts(curve, trace) == _scalar_vertical_tangent_ts(
+            curve, trace, wraps), curve.label
+    # the unit circle's tangent at t = 0 runs the wrap-around lane
+    assert any(min(t, 2 * math.pi - t) <= 1e-12 for t in wraps)
 
 
 def test_graph_kinds_have_no_vertical_tangents(corpus):

@@ -118,6 +118,10 @@ def _set_transform_three(d):
     d["curves"][0]["transform"] = [1.0, 0.0, 1.0]
 
 
+def _set_unknown_kind(d):
+    d["curves"][0]["kind"] = "spiral"
+
+
 def _move_point_outside(d):
     x0, x1, _y0, y1 = d["viewport"]
     d["points"][0] = [x1 + 1.0, y1 + 1.0]
@@ -127,7 +131,7 @@ BAD_INPUTS = [_set_point_nan, _move_point_outside, _set_viewport_inf, _reverse_v
               _add_unknown_param, _drop_param, _duplicate_curve, _set_param_nan,
               _set_param_string, _set_tan_branch_fraction, _set_root_order_fraction,
               _set_reciprocal_branch_zero, _set_transform_string, _set_transform_nan,
-              _set_transform_three]
+              _set_transform_three, _set_unknown_kind]
 
 
 @pytest.mark.parametrize("spoil", BAD_INPUTS, ids=lambda f: f.__name__.strip("_"))
