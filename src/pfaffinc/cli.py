@@ -22,7 +22,7 @@ from . import duality as du
 from . import generators as gen
 from . import incidence as inc
 from . import intersect as ix
-from .errors import PfaffincError
+from .errors import EmptyTrace, PfaffincError
 from .render import render_svg
 from .scene import load_scene, save_scene
 
@@ -286,12 +286,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (OSError, ValueError, KeyError, EmptyTrace) as err:
+        # an EmptyTrace here is always a scene curve that misses the viewport
+        print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except PfaffincError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (OSError, ValueError, KeyError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

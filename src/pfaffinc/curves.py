@@ -226,6 +226,22 @@ def refine_roots(f, a, b, fa, fb, xtol=1e-14):
     return roots
 
 
+def by_curve(cid, fn, *cols):
+    """fn(c, *cols on the lanes of curve c) for each curve index c of the
+    ascending array cid, stitched back in lane order: the one place where
+    lanes meet curves, so each curve takes one array call.  fn returns a
+    tuple of arrays (or scalars) over its lanes, lanes first; the result is
+    a list of float arrays.  Zero lanes run fn once, on curve 0."""
+    starts = np.flatnonzero(np.diff(cid, prepend=-1)).tolist() or [0]
+    out = None
+    for s, e in zip(starts, starts[1:] + [len(cid)]):
+        got = fn(int(cid[s]) if e > s else 0, *(v[s:e] for v in cols))
+        out = out or [np.empty((len(cid),) + np.shape(g)[1:]) for g in got]
+        for o, g in zip(out, got):
+            o[s:e] = g
+    return out
+
+
 # -- catalog factories ----------------------------------------------------
 
 

@@ -2,9 +2,10 @@
 
 Brute-force counting is the ground truth: every point-curve pair is tested
 against the trace, and near hits are re-refined on the exact
-parameterization, all of a curve's at once (`_refined_distances`).  The
-cutting-decomposed count classifies the same pairs through the cell
-structure and must reproduce the total exactly.
+parameterization, those of all curves in one lockstep run
+(`_refined_distances`), whose lanes meet their curves only through
+`curves.by_curve`.  The cutting-decomposed count classifies the same pairs
+through the cell structure and must reproduce the total exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_tol, refine_roots
+from .curves import by_curve, check_tol, refine_roots
 from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -38,10 +39,7 @@ class IncidenceGraph:
         return adj
 
     def curve_adj(self):
-        adj = {i: set() for i in range(self.n)}
-        for p, c in self.edges:
-            adj[c].add(p)
-        return adj
+        return self.transpose().point_adj()
 
     def transpose(self):
         return IncidenceGraph({(c, p) for p, c in self.edges}, self.n, self.m)
@@ -50,64 +48,39 @@ class IncidenceGraph:
         return len(self.edges)
 
 
-def _refined_distances(curve, trace, comp, iv, px, py):
-    """Distance from each point (px[k], py[k]) to the curve near sample
-    iv[k] of trace component comp[k]: the least over the samples iv-2 ..
-    iv+2 of that component and the minima between them, the - to + roots of
-    (P - p) . V = d/dt |P - p|^2 / 2, whose t-derivative is |V|^2 where the
-    curve passes through p.  All the roots are refined in lockstep."""
-    ts, xs, ys = trace.samples()
-    sizes = np.array([len(c) for c in trace.components])
-    size = sizes[comp, None]
-    j = iv[:, None] + np.arange(-2, 3)
-    inside = (j >= 0) & (j < size)  # windows are clipped at component ends
-    win = (np.cumsum(sizes) - sizes)[comp, None] + np.clip(j, 0, size - 1)
-    dx, dy = xs[win] - px[:, None], ys[win] - py[:, None]
-    dist = np.where(inside, np.hypot(dx, dy), np.inf).min(axis=1)
-    vx, vy = curve.field_at(xs[win], ys[win])
-    g = np.where(inside, dx * vx + dy * vy, np.nan)
+def _refined_distances(curves, traces, cid, comp, iv, px, py):
+    """Distance from each point (px[k], py[k]) to curve cid[k] near sample
+    iv[k] of its trace component comp[k], with cid ascending: the least over
+    the samples iv-2 .. iv+2 of that component and the minima between them,
+    the - to + roots of (P - p) . V = d/dt |P - p|^2 / 2, whose t-derivative
+    is |V|^2 where the curve passes through p.  The roots of every curve are
+    refined in one lockstep run; lanes meet curves through `by_curve`."""
+
+    def windows(c, comp, iv, px, py):
+        ts, xs, ys = traces[c].samples()
+        sizes = np.array([len(part) for part in traces[c].components])
+        size = sizes[comp, None]
+        j = iv[:, None] + np.arange(-2, 3)
+        inside = (j >= 0) & (j < size)  # windows are clipped at component ends
+        win = (np.cumsum(sizes) - sizes)[comp, None] + np.clip(j, 0, size - 1)
+        dx, dy = xs[win] - px[:, None], ys[win] - py[:, None]
+        vx, vy = curves[c].field_at(xs[win], ys[win])
+        return (ts[win], np.where(inside, np.hypot(dx, dy), np.inf).min(axis=1),
+                np.where(inside, dx * vx + dy * vy, np.nan))
+
+    def along(c, t, lx, ly):
+        x, y = curves[c].point_at(t)
+        vx, vy = curves[c].field_at(x, y)
+        return (x - lx) * vx + (y - ly) * vy, vx * vx + vy * vy
+
+    tw, dist, g = by_curve(cid, windows, comp, iv, px, py)
     k, i = np.nonzero((g[:, :-1] < 0) & (g[:, 1:] > 0))
-    if len(k) == 0:
-        return dist
-    lx, ly = px[k], py[k]
-
-    def along(t, lanes):
-        x, y = curve.point_at(t)
-        vx, vy = curve.field_at(x, y)
-        return (x - lx[lanes]) * vx + (y - ly[lanes]) * vy, vx * vx + vy * vy
-
-    t = refine_roots(along, ts[win[k, i]], ts[win[k, i + 1]], g[k, i], g[k, i + 1])
-    x, y = curve.point_at(t)
+    lc, lx, ly = cid[k], px[k], py[k]
+    t = refine_roots(lambda t, lanes: by_curve(lc[lanes], along, t, lx[lanes], ly[lanes]),
+                     tw[k, i], tw[k, i + 1], g[k, i], g[k, i + 1])
+    x, y = by_curve(lc, lambda c, t: curves[c].point_at(t), t)
     np.fmin.at(dist, k, np.hypot(x - lx, y - ly))
     return dist
-
-
-def _search_radius(comp, tol):
-    """Distance from a sample within which a point may be within tol of the
-    curve: half the longest sample gap plus a margin for the refinement."""
-    seg = float(np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max()) if len(comp) > 1 else 0.0
-    return seg / 2 + max(100 * tol, 1e-6)
-
-
-def point_curve_distance(curve, trace, p, tol=1e-7):
-    """Distance from p to the curve, refined on the parameterization."""
-    check_tol(tol)
-    px, py = float(p[0]), float(p[1])
-    best, found = math.inf, []  # (component, nearest sample)
-    for c, comp in enumerate(trace.components):
-        d2 = (comp.xs - px) ** 2 + (comp.ys - py) ** 2
-        iv = int(np.argmin(d2))
-        coarse = math.sqrt(d2[iv])
-        if coarse <= _search_radius(comp, tol):
-            found.append((c, iv))
-        else:
-            best = min(best, coarse)
-    if found:
-        comp, iv = np.array(found).T
-        dist = _refined_distances(curve, trace, comp, iv, np.full(len(found), px),
-                                  np.full(len(found), py))
-        best = min(best, float(dist.min()))
-    return best
 
 
 def _near_points(pts, comp, radius):
@@ -128,36 +101,52 @@ def _near_points(pts, comp, radius):
     return box[near[at] == keys]
 
 
-def count_incidences(points, curves, traces, tol=1e-7):
-    """Bipartite incidence graph at the given tolerance.
-
-    Per trace component, only the points in the grid neighbourhood of its
-    samples are compared with them (`_near_points`); the points within the
-    search radius of their nearest sample, over all of a curve's
-    components, are refined together on the parameterization.
-    """
-    check_tol(tol)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    edges = set()
-    for ci, (curve, trace) in enumerate(zip(curves, traces)):
-        if len(pts) == 0:
-            break
-        found = []  # (point indices, component, nearest samples)
+def _candidates(pts, traces, tol):
+    """Rows (point, curve, component, nearest sample), in the order of curve
+    then component, of the points within the search radius of their nearest
+    sample on a trace component: half its longest sample gap plus a margin
+    for the refinement.  Points are prefiltered by `_near_points`."""
+    rows = [np.zeros((0, 4), dtype=np.int64)]
+    for ci, trace in enumerate(traces):
         for c, comp in enumerate(trace.components):
-            radius = _search_radius(comp, tol)
+            gap = np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max(initial=0.0)
+            radius = gap / 2 + max(100 * tol, 1e-6)
             near = _near_points(pts, comp, radius)
-            if len(near) == 0:
-                continue
             d2 = ((pts[near, 0, None] - comp.xs) ** 2
                   + (pts[near, 1, None] - comp.ys) ** 2)
             iv = np.argmin(d2, axis=1)
             keep = np.sqrt(d2[np.arange(len(near)), iv]) <= radius
-            found.append((near[keep], np.full(np.count_nonzero(keep), c), iv[keep]))
-        if found:
-            pi, comp, iv = (np.concatenate(parts) for parts in zip(*found))
-            dist = _refined_distances(curve, trace, comp, iv, pts[pi, 0], pts[pi, 1])
-            edges.update((int(p), ci) for p in np.unique(pi[dist <= tol]))
-    return IncidenceGraph(edges, len(pts), len(curves))
+            rows.append(np.column_stack(np.broadcast_arrays(near, ci, c, iv))[keep])
+    return np.concatenate(rows).T
+
+
+def point_curve_distance(curve, trace, p, tol=1e-7):
+    """Distance from p to the curve: on each trace component, refined on
+    the parameterization if the nearest sample is within the search radius,
+    else the distance to that sample."""
+    check_tol(tol)
+    pts = np.array([p], dtype=float).reshape(1, 2)
+    pi, cid, comp, iv = _candidates(pts, [trace], tol)
+    _, xs, ys = trace.samples()
+    sizes = np.array([len(part) for part in trace.components])
+    best = np.sqrt(np.minimum.reduceat((xs - pts[0, 0]) ** 2 + (ys - pts[0, 1]) ** 2,
+                                       np.cumsum(sizes) - sizes))
+    best[comp] = _refined_distances([curve], [trace], cid, comp, iv, pts[pi, 0], pts[pi, 1])
+    return float(best.min())
+
+
+def count_incidences(points, curves, traces, tol=1e-7):
+    """Bipartite incidence graph at the given tolerance: a point and a curve
+    meet when one of their candidates (`_candidates`) lies within tol once
+    refined; the candidates of all curves are refined in one run."""
+    check_tol(tol)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) == 0 or not curves:
+        return IncidenceGraph(set(), len(pts), len(curves))
+    pi, cid, comp, iv = _candidates(pts, traces, tol)
+    dist = _refined_distances(curves, traces, cid, comp, iv, pts[pi, 0], pts[pi, 1])
+    on = dist <= tol
+    return IncidenceGraph(set(zip(pi[on].tolist(), cid[on].tolist())), len(pts), len(curves))
 
 
 def kst_free(graph, s, t):
@@ -169,8 +158,8 @@ def kst_free(graph, s, t):
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
-    point_side = _combinations_bound(graph.m, s)
-    curve_side = _combinations_bound(graph.n, t)
+    point_side = math.comb(graph.m, s)
+    curve_side = math.comb(graph.n, t)
     if min(point_side, curve_side) > _GUARD:
         raise ComplexityGuard(f"C(m,s)={point_side}, C(n,t)={curve_side} both exceed {_GUARD}")
     if point_side <= curve_side:
@@ -180,15 +169,9 @@ def kst_free(graph, s, t):
     return _no_complete_bipartite(adj, t, s)
 
 
-def _combinations_bound(n, k):
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _no_complete_bipartite(adj, pick, need):
     eligible = [v for v, nb in adj.items() if len(nb) >= need]
-    if _combinations_bound(len(eligible), pick) > _GUARD:
+    if math.comb(len(eligible), pick) > _GUARD:
         raise ComplexityGuard("subset enumeration over eligible vertices too large")
     for combo in itertools.combinations(eligible, pick):
         common = set(adj[combo[0]])

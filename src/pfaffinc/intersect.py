@@ -3,16 +3,17 @@
 Curves are handled as collections of x-monotone graph branches.  The
 intersections of all curve pairs are found a block of pairs at a time, in
 two phases (`pair_intersections`).  The scan walks every live branch pair
-(`_live`) on a trace-resolution grid and keeps only candidates: the brackets of sign
-changes of the interpolated gap, its grid zeros, the local minima of its
-size near zero (touches), and branch ends that meet.  The refinement then
-solves every crossing in one lockstep run of `curves.refine_roots` on the
-exact parameterizations, and every touch in a second run on the slope
+(`_live`) on a trace-resolution grid and keeps only candidates: the brackets
+of sign changes of the interpolated gap, its grid zeros, the local minima of
+its size near zero (touches), and branch ends that meet.  The refinement
+then solves every crossing in one lockstep run of `curves.refine_roots` on
+the exact parameterizations, and every touch in a second run on the slope
 difference, so reported points carry closed-form accuracy rather than
-polyline accuracy.  Each round evaluates all the lanes of one curve in one
-array call.  Exact heights invert x(t) = x in closed form with `math`
-functions applied entry by entry, since numpy's arccos, log and arctan
-differ from them in the last bit on some inputs and the points would move.
+polyline accuracy.  Each round evaluates the lanes of each curve in one
+array call, through `curves.by_curve`, the one place where lanes meet
+curves.  Exact heights invert x(t) = x in closed form with `math` functions
+applied entry by entry, since numpy's arccos, log and arctan differ from
+them in the last bit on some inputs and the points would move.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import check_tol, refine_roots
+from .curves import by_curve, check_tol, refine_roots
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
@@ -389,26 +390,22 @@ def _evaluator(curves, flat, owner):
     """both(k1, k2, *xs): y and dy/dx = vy/vx of branches flat[k1] and
     flat[k2] (index arrays) at each array of xs, as the list of (y, dy/dx)
     on k1 then k2 at xs[0], then at xs[1], ...  The lanes are sorted by
-    curve (owner[k] is curves' index of flat[k]), so each curve takes one
-    array call of its parameterization and field."""
+    curve (owner[k] is curves' index of flat[k]) and evaluated through
+    `curves.by_curve`, one array call per curve."""
     t_mid = np.array([b.t_mid for b in flat])
+
+    def on_curve(c, k, x):
+        y = _heights(curves[c], x, t_mid[k], lambda: [flat[b] for b in k])
+        vx, vy = curves[c].field_at(x, y)
+        return y, vy / vx
 
     def both(k1, k2, *xs):
         k = np.concatenate([k1, k2] * len(xs))
         x = np.concatenate([v for v in xs for _ in (k1, k2)])
         order = np.argsort(owner[k], kind="stable")
-        k, x = k[order], x[order]
-        cid = owner[k]
-        starts = np.unique(cid, return_index=True)[1].tolist()
-        y, dydx = np.empty((2, len(k)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for s, e in zip(starts, starts[1:] + [len(k)]):
-                curve, lane = curves[cid[s]], k[s:e]
-                y[s:e] = _heights(curve, x[s:e], t_mid[lane], lambda: [flat[b] for b in lane])
-                vx, vy = curve.field_at(x[s:e], y[s:e])
-                dydx[s:e] = vy / vx
         out = np.empty((2, len(k)))
-        out[:, order] = y, dydx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[:, order] = by_curve(owner[k[order]], on_curve, k[order], x[order])
         return list(zip(*out.reshape(2, 2 * len(xs), len(k1))))
 
     return both

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as cv
-from .errors import PfaffincError
+from .errors import PfaffincError, SingularMatrix
 
 FORMAT_VERSION = 1
 
@@ -81,7 +81,10 @@ def _curve_from_dict(data):
         m = data["transform"]
         if not (isinstance(m, (list, tuple)) and len(m) == 4 and all(map(_is_finite_number, m))):
             raise ValueError(f"{k} transform must be 4 finite numbers, got {m!r}")
-        c = cv.apply_linear_transform(c, *m)
+        try:
+            c = cv.apply_linear_transform(c, *m)
+        except SingularMatrix as err:
+            raise ValueError(f"{k} transform {m!r} is singular: {err}") from None
     return c
 
 
@@ -99,8 +102,8 @@ def scene_to_dict(scene):
 def scene_from_dict(data):
     """Scene from its JSON form; ValueError on points or a viewport that no
     count can use (points must lie in the closed viewport), on curve params
-    that the kind does not take or that are not finite numbers, on a
-    transform that is not 4 finite numbers, and on a curve listed twice."""
+    that the kind does not take or that are not finite numbers, on a singular
+    transform or one not of 4 finite numbers, and on a curve listed twice."""
     pts = np.array(data.get("points", []), dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("scene points must be finite")

@@ -94,6 +94,32 @@ def test_intersect_reports_a_shared_component(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def _singular_transform(matrix):
+    def spoil(data):
+        data["curves"][0]["transform"] = matrix
+    return spoil
+
+
+def _add_curve_off_viewport(data):
+    data["curves"].append({"kind": "line", "params": {"a": 5, "b": 40}})
+
+
+@pytest.mark.parametrize("command", [["count"], ["intersect"], ["cutting", "--r", "2"]])
+@pytest.mark.parametrize("spoil", [_singular_transform([0, 0, 0, 0]),
+                                   _singular_transform([1, 2, 2, 4]),
+                                   _add_curve_off_viewport],
+                         ids=["transform-zero", "transform-rank-one", "off-viewport"])
+def test_bad_curves_are_usage_errors(spoil, command, tmp_path, capsys):
+    data = json.loads((DATA / "mixed_scene.json").read_text())
+    spoil(data)
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(data))
+    out_path = tmp_path / "out"
+    assert run([*command, "--scene", str(scene_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("n_curves", [0, 1])
 def test_intersect_small_scene_writes_header_only(n_curves, tmp_path):
     data = json.loads((DATA / "mixed_scene.json").read_text())

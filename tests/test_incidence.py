@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pfaffinc as pf
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
-from pfaffinc.curves import CurveTrace, TraceComponent
+from pfaffinc.curves import CurveTrace, TraceComponent, refine_roots
 from pfaffinc.errors import ComplexityGuard, InconsistentScene
 
 from conftest import refine_root, zero_sum_line_scene
@@ -188,23 +188,32 @@ def test_batched_refinement_matches_scalar_oracle(seed, tol):
     traces = scene.traces()
     pts = np.vstack([scene.points,
                      _threshold_points(scene.curves, traces, tol, np.random.default_rng(seed))])
-    at_threshold, clipped, multi = set(), 0, 0
-    for curve, trace in zip(scene.curves, traces):
-        # one kernel call over all of the curve's components, as in counting
+    at_threshold, clipped, multi, lanes, parts = set(), 0, 0, [], []
+    for ci, (curve, trace) in enumerate(zip(scene.curves, traces)):
+        # one kernel call over all of the curve's components
         found = [(c, pi, v) for c, _, near, iv in _dense_candidates(pts, trace, tol)
                  for pi, v in zip(near.tolist(), iv.tolist())]
         if not found:
             continue
         comp, near, iv = np.array(found).T
-        got = inc._refined_distances(curve, trace, comp, iv, pts[near, 0], pts[near, 1])
+        got = inc._refined_distances([curve], [trace], np.zeros_like(comp), comp, iv,
+                                     pts[near, 0], pts[near, 1])
         want = [_refine_distance(curve, trace.components[c], v, pts[pi, 0], pts[pi, 1])
                 for c, pi, v in found]
         assert np.max(np.abs(got - want)) <= 1e-15
+        lanes += [(ci, *row) for row in found]
+        parts.append(got)
         at_threshold |= {d <= tol for d in got if abs(d / tol - 1) <= 2e-3}
         size = np.array([len(trace.components[c]) for c in comp])
         clipped += np.count_nonzero((iv < 2) | (iv >= size - 2))
         multi += len(set(comp.tolist())) > 1
     assert at_threshold == {True, False} and clipped > 0 and (multi > 0) == (seed == 12)
+    # the lanes are independent: one call over every curve, as in counting,
+    # gives the single-curve results bit for bit
+    cid, comp, near, iv = np.array(lanes).T
+    assert np.array_equal(inc._refined_distances(scene.curves, traces, cid, comp, iv,
+                                                 pts[near, 0], pts[near, 1]),
+                          np.concatenate(parts))
     graph = inc.count_incidences(pts, scene.curves, traces, tol)
     assert graph.edges == _count_by_dense_scan(pts, scene.curves, traces, tol)
     for p in pts[::7]:
@@ -227,11 +236,25 @@ def test_refinement_window_reaches_two_samples_out(side):
     px, py = side * lean, m * m + 0.5
     iv = int(np.argmin(np.hypot(comp.xs - px, comp.ys - py)))
     assert comp.ts[iv] == -side * m
-    got = inc._refined_distances(curve, trace, np.array([0]), np.array([iv]),
-                                 np.array([px]), np.array([py]))[0]
+    got = inc._refined_distances([curve], [trace], np.array([0]), np.array([0]),
+                                 np.array([iv]), np.array([px]), np.array([py]))[0]
     assert abs(got - _refine_distance(curve, comp, iv, px, py)) <= 1e-15
     assert got < np.hypot(comp.xs - px, comp.ys - py).min() - 1e-3
     assert inc.point_curve_distance(curve, trace, (px, py)) == got
+
+
+def test_count_refines_in_one_run(monkeypatch):
+    scene = gen.random_scene(KINDS, m=150, n=16, planted=0.6, seed=3)
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(len(args[1]))
+        return refine_roots(*args, **kwargs)
+
+    monkeypatch.setattr(inc, "refine_roots", counting)
+    graph = _count(scene)
+    assert len(runs) == 1 and runs[0] > 0
+    assert len({c for _, c in graph.edges}) > 1
 
 
 def _scalar_point_distance(curve, trace, p, tol):

@@ -118,6 +118,14 @@ def _set_transform_three(d):
     d["curves"][0]["transform"] = [1.0, 0.0, 1.0]
 
 
+def _set_transform_zero(d):
+    d["curves"][0]["transform"] = [0, 0, 0, 0]
+
+
+def _set_transform_rank_one(d):
+    d["curves"][0]["transform"] = [1, 2, 2, 4]
+
+
 def _set_unknown_kind(d):
     d["curves"][0]["kind"] = "spiral"
 
@@ -131,7 +139,8 @@ BAD_INPUTS = [_set_point_nan, _move_point_outside, _set_viewport_inf, _reverse_v
               _add_unknown_param, _drop_param, _duplicate_curve, _set_param_nan,
               _set_param_string, _set_tan_branch_fraction, _set_root_order_fraction,
               _set_reciprocal_branch_zero, _set_transform_string, _set_transform_nan,
-              _set_transform_three, _set_unknown_kind]
+              _set_transform_three, _set_transform_zero, _set_transform_rank_one,
+              _set_unknown_kind]
 
 
 @pytest.mark.parametrize("spoil", BAD_INPUTS, ids=lambda f: f.__name__.strip("_"))
