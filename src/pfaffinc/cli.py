@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from . import chains as ch
-from . import curves as cv
 from . import cutting as ct
 from . import duality as du
 from . import generators as gen
@@ -85,7 +84,7 @@ def cmd_intersect(args):
     scene = load_scene(args.scene)
     curves = scene.curves
     # one trace at a time, each freed once its branches exist
-    branches = [ix.monotone_branches(c, cv.trace_curve(c, scene.viewport)) for c in curves]
+    branches = [ix.monotone_branches(c, scene.trace(i)) for i, c in enumerate(curves)]
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
     for i, j, pts in ix.pair_intersections(curves, branches, args.tol):

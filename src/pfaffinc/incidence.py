@@ -1,11 +1,11 @@
 """Incidence counting, forbidden-subgraph checks, and bound evaluators.
 
-Brute-force counting is the ground truth: every point-curve pair is tested
-against the trace, and near hits are re-refined on the exact
-parameterization, those of all curves in one lockstep run
-(`_refined_distances`), whose lanes meet their curves only through
-`curves.by_curve`.  The cutting-decomposed count classifies the same pairs
-through the cell structure and must reproduce the total exactly.
+Brute-force counting is the ground truth.  One cell join per grid side
+finds each point's nearest sample within the search radius, as a dense
+scan would (`_candidates`); the pairs are refined on the exact curves in
+one lockstep run (`_refined_distances`, through `curves.by_curve`).  The
+cutting-decomposed count classifies the same pairs through the cell
+structure and must reproduce the total exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ FEW_POINTS = "few-points"
 MANY_POINTS = "n<sqrt(m)"
 
 _GUARD = 10**8
+
+# (point, sample) pairs per block of the candidate search; a block exceeds it
+# by at most one point's pairs, no more than the samples.  Its temporaries take
+# under 100 bytes a pair, so the search's memory is bounded whatever the radius
+_BLOCK = 2**17
 
 
 @dataclass
@@ -83,41 +88,77 @@ def _refined_distances(curves, traces, cid, comp, iv, px, py):
     return dist
 
 
-def _near_points(pts, comp, radius):
-    """Indices of the points that can lie within radius of a sample: those
-    in the 3 x 3 neighbourhood of a sample's cell on a grid of side
-    2 * radius, which keeps every such point even after rounding."""
-    smp = np.column_stack((comp.xs, comp.ys))
-    lo = smp.min(axis=0) - radius
-    box = np.nonzero(np.all((pts >= lo) & (pts <= smp.max(axis=0) + radius), axis=1))[0]
-    # cells numbered from 1, so the neighbouring cells stay >= 0
-    sc = np.floor((smp - lo) / (2 * radius)).astype(np.int64) + 1
-    bc = np.floor((pts[box] - lo) / (2 * radius)).astype(np.int64) + 1
-    ny = max(sc[:, 1].max(), np.max(bc[:, 1], initial=0)) + 2
-    steps = (np.arange(-1, 2)[:, None] * ny + np.arange(-1, 2)).ravel()
-    near = np.unique((np.unique(sc @ [ny, 1])[:, None] + steps).ravel())
-    keys = bc @ [ny, 1]
-    at = np.minimum(np.searchsorted(near, keys), len(near) - 1)
-    return box[near[at] == keys]
-
-
 def _candidates(pts, traces, tol):
-    """Rows (point, curve, component, nearest sample), in the order of curve
-    then component, of the points within the search radius of their nearest
-    sample on a trace component: half its longest sample gap plus a margin
-    for the refinement.  Points are prefiltered by `_near_points`."""
-    rows = [np.zeros((0, 4), dtype=np.int64)]
-    for ci, trace in enumerate(traces):
-        for c, comp in enumerate(trace.components):
-            gap = np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max(initial=0.0)
-            radius = gap / 2 + max(100 * tol, 1e-6)
-            near = _near_points(pts, comp, radius)
-            d2 = ((pts[near, 0, None] - comp.xs) ** 2
-                  + (pts[near, 1, None] - comp.ys) ** 2)
-            iv = np.argmin(d2, axis=1)
-            keep = np.sqrt(d2[np.arange(len(near)), iv]) <= radius
-            rows.append(np.column_stack(np.broadcast_arrays(near, ci, c, iv))[keep])
-    return np.concatenate(rows).T
+    """Rows (point, curve, component, nearest sample), by curve, component and
+    point, for each point whose nearest sample on a trace component lies within
+    its search radius, half the longest sample gap plus a margin.  Pairs come
+    from one cell index per grid side, taken _BLOCK pairs at a time."""
+    curve, local, parts = zip(*[(ci, c, comp) for ci, trace in enumerate(traces)
+                                for c, comp in enumerate(trace.components)])
+    owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    start = np.flatnonzero(np.diff(owner, prepend=-1))
+    xs, ys = map(np.concatenate, zip(*[(part.xs, part.ys) for part in parts]))
+    lo = np.array([[xs.min()], [ys.min()]])
+    gap = np.hypot(np.diff(xs), np.diff(ys)) * (np.diff(owner) == 0)  # none across components
+    radius = np.maximum.reduceat(np.append(gap, 0.0), start) / 2 + max(100 * tol, 1e-6)
+    # grid sides: powers of two above the radius, by a margin for rounding; under
+    # 2^24 cells across keep keys exact
+    sides = 2.0 ** np.ceil(np.log2(np.maximum(radius * (1 + 2**-19),
+                                              max(np.ptp(xs), np.ptp(ys)) / 2**24)))
+
+    def join(side):  # one sort of the side's samples by cell
+        s = np.flatnonzero((sides == side)[owner])
+        reach = radius[owner[s]].max() / side + 2**-20  # under one cell
+        # the cells within reach of a point, at most 3 x 3, hold every sample
+        # within the radius; those of a far point, clipped, hold none
+        with np.errstate(over="ignore"):
+            q = (np.hstack(([xs[s], ys[s]], pts.T)) - lo) / side
+        (kx, ky), (x0, y0), (x1, y1) = (np.clip(np.floor(c), -2, 2**24 + 2).astype(np.int64) for c in
+                                        (q[:, :len(s)], q[:, len(s):] - reach, q[:, len(s):] + reach))
+        keys = kx * 2**25 + ky
+        order = np.argsort(keys, kind="stable")  # a cell's samples by index, so by component
+        s, keys = s[order], keys[order]
+        cx = x0[:, None] + np.arange(3)
+        first = np.searchsorted(keys, cx * 2**25 + y0[:, None])
+        hits = np.searchsorted(keys, cx * 2**25 + y1[:, None], side="right") - first
+        hits[cx > x1[:, None]] = 0
+        cuts = np.searchsorted(np.cumsum(hits.sum(axis=1)), np.arange(_BLOCK, hits.sum(), _BLOCK),
+                               side="right")
+        starts = np.unique(np.append(0, cuts)).tolist()
+        near = (s, xs[s], ys[s], radius[owner[s]])
+        return [nearest(*near, first[a:b], hits[a:b], a, b)
+                for a, b in zip(starts, starts[1:] + [len(pts)])]
+
+    def nearest(s, sx, sy, sr, first, hits, a, b):  # of the points a .. b-1
+        per = hits.sum(axis=1)
+        first, hits = first.ravel(), hits.ravel()
+        j = np.repeat(first - np.cumsum(hits) + hits, hits) + np.arange(per.sum())
+        d2 = (np.repeat(pts[a:b, 0], per) - sx[j]) ** 2 + (np.repeat(pts[a:b, 1], per) - sy[j]) ** 2
+        keep = np.flatnonzero(np.sqrt(d2) <= sr[j])
+        sj = s[j[keep]]
+        # runs of one (component, point) are reduced before the sort
+        group, d2, sj = least(owner[sj] * len(pts) + np.repeat(np.arange(a, b), per)[keep],
+                              d2[keep], sj)
+        order = np.argsort(group)
+        return least(group[order], d2[order], sj[order])[::2]
+
+    def least(group, d2, sj):  # per run of one group, the least d2 and of its ties the lowest sample
+        at = np.flatnonzero(np.diff(group, prepend=-1))
+        low = np.minimum.reduceat(d2, at)
+        tie = d2 == np.repeat(low, np.diff(at, append=len(group)))
+        return group[at], low, np.minimum.reduceat(np.where(tie, sj, len(xs)), at)
+
+    group, sj = map(np.concatenate, zip(*[g for side in np.unique(sides) for g in join(side)]))
+    order = np.argsort(group)  # one row per (component, point)
+    c, pi = np.divmod(group[order], len(pts))
+    return np.array([pi, np.array(curve)[c], np.array(local)[c], sj[order] - start[c]])
+
+
+def _finite(points):
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return pts
 
 
 def point_curve_distance(curve, trace, p, tol=1e-7):
@@ -125,7 +166,7 @@ def point_curve_distance(curve, trace, p, tol=1e-7):
     the parameterization if the nearest sample is within the search radius,
     else the distance to that sample."""
     check_tol(tol)
-    pts = np.array([p], dtype=float).reshape(1, 2)
+    pts = _finite([p])
     pi, cid, comp, iv = _candidates(pts, [trace], tol)
     _, xs, ys = trace.samples()
     sizes = np.array([len(part) for part in trace.components])
@@ -140,7 +181,7 @@ def count_incidences(points, curves, traces, tol=1e-7):
     meet when one of their candidates (`_candidates`) lies within tol once
     refined; the candidates of all curves are refined in one run."""
     check_tol(tol)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _finite(points)
     if len(pts) == 0 or not curves:
         return IncidenceGraph(set(), len(pts), len(curves))
     pi, cid, comp, iv = _candidates(pts, traces, tol)
@@ -214,7 +255,7 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
     if graph is None:
         graph = count_incidences(points, curves, traces, tol)
     sample = set(cutting.sample)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _finite(points)
     on_sample = {pi for pi, ci in graph.edges if ci in sample}
     rest = np.array([pi for pi in range(len(pts)) if pi not in on_sample], dtype=np.int64)
     cell_of = np.full(len(pts), -1, dtype=np.int64)  # -1: on a boundary

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as cv
-from .errors import PfaffincError, SingularMatrix
+from .errors import EmptyTrace, PfaffincError, SingularMatrix
 
 FORMAT_VERSION = 1
 
@@ -39,10 +39,17 @@ class Scene:
     def traces(self, samples=1024):
         """Traces for all curves, cached per sampling density."""
         if samples not in self._trace_cache:
-            self._trace_cache[samples] = [
-                cv.trace_curve(c, self.viewport, samples=samples) for c in self.curves
-            ]
+            self._trace_cache[samples] = [self.trace(i, samples) for i in range(self.n)]
         return self._trace_cache[samples]
+
+    def trace(self, i, samples=1024):
+        """Trace of curve i, not cached; an EmptyTrace names the curve."""
+        curve = self.curves[i]
+        try:
+            return cv.trace_curve(curve, self.viewport, samples=samples)
+        except EmptyTrace as err:
+            label = f" {curve.label!r}" if curve.label else ""
+            raise EmptyTrace(f"curve {i}{label}: {err}") from None
 
 
 def _num(v):

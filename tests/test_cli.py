@@ -116,8 +116,21 @@ def test_bad_curves_are_usage_errors(spoil, command, tmp_path, capsys):
     scene_path.write_text(json.dumps(data))
     out_path = tmp_path / "out"
     assert run([*command, "--scene", str(scene_path), "--out", str(out_path)]) == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    if spoil is _add_curve_off_viewport:
+        # the message names the curve by its index in the scene
+        assert f"curve {len(data['curves']) - 1}: line curve misses viewport" in err
     assert not out_path.exists()
+
+
+def test_off_viewport_error_gives_the_label(tmp_path, capsys):
+    data = json.loads((DATA / "mixed_scene.json").read_text())
+    data["curves"].insert(1, {"kind": "line", "params": {"a": 5, "b": 40}, "label": "far"})
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(data))
+    assert run(["count", "--scene", str(scene_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: curve 1 'far': line curve misses")
 
 
 @pytest.mark.parametrize("n_curves", [0, 1])

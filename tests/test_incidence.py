@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import pfaffinc as pf
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
-from pfaffinc.curves import CurveTrace, TraceComponent, refine_roots
+from pfaffinc.curves import CurveTrace, TraceComponent, apply_linear_transform, refine_roots
 from pfaffinc.errors import ComplexityGuard, InconsistentScene
 
 from conftest import refine_root, zero_sum_line_scene
@@ -158,6 +159,151 @@ def test_grid_filter_matches_dense_scan(seed):
         graph = inc.count_incidences(pts, scene.curves, traces, tol)
         assert graph.edges == _count_by_dense_scan(pts, scene.curves, traces, tol)
         assert graph.count() >= 0.6 * 150
+
+
+def _dense_rows(pts, traces, tol):
+    """`inc._candidates` by the dense scan `_dense_candidates`."""
+    rows = [(p, ci, c, v) for ci, trace in enumerate(traces)
+            for c, _, near, iv in _dense_candidates(pts, trace, tol)
+            for p, v in zip(near.tolist(), iv.tolist())]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+
+
+def _scaled(scene, s):
+    return pf.Scene(scene.points * s, [apply_linear_transform(c, s, 0, 0, s) for c in scene.curves],
+                    tuple(s * v for v in scene.viewport), scene.seed)
+
+
+FAR = [(x, y) for v in (1e6, 1e300, np.finfo(float).max) for x, y in
+       [(v, 0.0), (-v, 0.0), (0.0, v), (0.0, -v), (v, -v), (-v, v)]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_candidates_match_dense_scan(seed, scale):
+    scene = _scaled(gen.random_scene(KINDS, m=120, n=12, planted=0.6, seed=seed), scale)
+    traces = scene.traces()
+    rng = np.random.default_rng(seed)
+    for tol in (1e-7, 1e-4):
+        pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng), FAR])
+        rows = inc._candidates(pts, traces, tol)
+        assert rows.dtype == np.int64 and np.array_equal(rows, _dense_rows(pts, traces, tol))
+        assert len(set(rows[1].tolist())) == scene.n
+        # a single point, on a curve or far away
+        for p in pts[[0, 1, -1]]:
+            assert np.array_equal(inc._candidates(p[None], traces, tol),
+                                  _dense_rows(p[None], traces, tol))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_candidates_break_distance_ties_to_the_lower_sample():
+    # samples 1/4 apart on y = 0 and on a square; points halfway between two
+    # samples are exactly as far from both
+    xs = np.arange(-8, 9) / 4
+    line = TraceComponent(xs, xs, np.zeros_like(xs))
+    sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]) / 4 + 1
+    square = TraceComponent(np.arange(5.0), sq[:, 0], sq[:, 1])
+    traces = [CurveTrace([line], 0.25, (-3, 3, -3, 3)), CurveTrace([square], 1.0, (-3, 3, -3, 3))]
+    mid = (xs[:-1] + xs[1:]) / 2
+    pts = np.vstack([np.column_stack((mid, np.zeros_like(mid))),
+                     np.column_stack((mid, np.full_like(mid, 1e-7))),
+                     [(1.125, 1.0), (1.25, 1.125), (1.125, 1.25), (1.0, 1.125)]])
+    for tol in (1e-7, 1e-4):
+        rows = inc._candidates(pts, traces, tol)
+        assert np.array_equal(rows, _dense_rows(pts, traces, tol))
+        on_line = rows[:, rows[1] == 0]
+        assert np.array_equal(on_line[0], np.arange(2 * len(mid)))
+        assert np.array_equal(on_line[3], np.tile(np.arange(len(mid)), 2))
+        # the square's edge midpoints; the last ties on samples 0, 3 and 4
+        assert rows[3, rows[1] == 1].tolist() == [0, 1, 2, 0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_candidates_at_the_radius_across_a_cell_boundary():
+    # samples 1/4 apart on y = 0 lie on the lines of the grid of side 1/4;
+    # points a search radius away along an axis lie in the neighbouring cells
+    xs = np.arange(-8, 9) / 4
+    traces = [CurveTrace([TraceComponent(xs, xs, np.zeros_like(xs))], 0.25, (-3, 3, -3, 3))]
+    for tol in (1e-7, 1e-5):
+        r = _radius(traces[0].components[0], tol)
+        pts = np.vstack([np.column_stack((xs + dx, np.full_like(xs, dy)))
+                         for dx, dy in [(-r, 0), (r, 0), (0, -r), (0, r)]])
+        rows = inc._candidates(pts, traces, tol)
+        assert np.array_equal(rows, _dense_rows(pts, traces, tol))
+        assert len(rows[0]) >= 2 * len(xs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_candidates_of_a_tiny_circle_in_a_wide_viewport():
+    viewport = (-1e6, 1e6, -1e6, 1e6)
+    curves = [pf.circle(3e3, -2e3, 1e-3), pf.circle(-7e5, 4e5, 2e-3), pf.line(0.3, 5.0),
+              pf.parabola(1e-6, 0.0, -5e5)]
+    traces = [pf.trace_curve(c, viewport) for c in curves]
+    tol = 1e-7
+    comp = traces[0].components[0]
+    side = 2.0 ** np.ceil(np.log2(_radius(comp, tol)))
+    assert (2e6 / side) ** 2 > 2.0 ** 63  # cells keyed over the viewport would overflow
+    rng = np.random.default_rng(4)
+    pts = [curves[k].point_at(rng.uniform(*curves[k].t_window(viewport), size=20))
+           for k in range(4)]
+    pts = np.vstack([np.column_stack(p) for p in pts]
+                    + [(3e3, -2e3) + rng.normal(scale=1e-3, size=(40, 2)),
+                       rng.uniform(-1e6, 1e6, size=(40, 2)), FAR])
+    rows = inc._candidates(pts, traces, tol)
+    assert np.array_equal(rows, _dense_rows(pts, traces, tol))
+    assert set(rows[1].tolist()) == {0, 1, 2, 3}
+    graph = inc.count_incidences(pts, curves, traces, tol)
+    assert {(p, c) for p in range(80) for c in [p // 20]} <= graph.edges
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 50, 2000])
+def test_candidates_in_small_blocks_match_dense_scan(block, monkeypatch):
+    scene = gen.random_scene(KINDS, m=120, n=12, planted=0.6, seed=8)
+    traces = scene.traces()
+    pts = np.vstack([scene.points, FAR])
+    monkeypatch.setattr(inc, "_BLOCK", block)
+    for tol in (1e-7, 1e-4, 1e-2):
+        assert np.array_equal(inc._candidates(pts, traces, tol), _dense_rows(pts, traces, tol))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wide_search_radius_memory_is_bounded():
+    # at tol 1e-2 the search radius exceeds 1 and a point's cells hold about a
+    # quarter of the samples: 14 million (point, sample) pairs in all
+    scene = gen.random_scene(KINDS, m=2000, n=30, planted=0.5, seed=9)
+    traces = scene.traces()
+    samples = sum(len(comp) for trace in traces for comp in trace.components)
+    tracemalloc.start()
+    try:
+        rows = inc._candidates(scene.points, traces, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * (inc._BLOCK + samples)
+    assert np.array_equal(rows, _dense_rows(scene.points, traces, 1e-2))
+    small = gen.random_scene(KINDS, m=400, n=12, planted=0.5, seed=9)
+    graph = inc.count_incidences(small.points, small.curves, small.traces(), 1e-2)
+    assert graph.edges == _count_by_dense_scan(small.points, small.curves, small.traces(), 1e-2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_points_are_rejected(bad):
+    scene = gen.grid_lines(2, 2)
+    traces = scene.traces()
+    cut = pf.decompose([], scene.curves, traces, scene.viewport)
+    graph = _count(scene)
+    for p in [(bad, 0.0), (0.0, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            inc.count_incidences(np.vstack([scene.points, p]), scene.curves, traces)
+        with pytest.raises(ValueError, match="finite"):
+            inc.count_via_cutting(np.vstack([scene.points[1:], p]), scene.curves, traces, cut,
+                                  graph=graph)
+        with pytest.raises(ValueError, match="finite"):
+            inc.count_incidences([p], [], [])
+        with pytest.raises(ValueError, match="finite"):
+            inc.point_curve_distance(scene.curves[0], traces[0], p)
 
 
 def _threshold_points(curves, traces, tol, rng):
