@@ -21,7 +21,7 @@ from . import duality as du
 from . import generators as gen
 from . import incidence as inc
 from . import intersect as ix
-from .errors import EmptyTrace, PfaffincError
+from .errors import DuplicateCurve, EmptyTrace, PfaffincError
 from .render import render_svg
 from .scene import load_scene, save_scene
 
@@ -83,8 +83,10 @@ def cmd_count(args):
 def cmd_intersect(args):
     scene = load_scene(args.scene)
     curves = scene.curves
-    # one trace at a time, each freed once its branches exist
-    branches = [ix.monotone_branches(c, scene.trace(i)) for i, c in enumerate(curves)]
+    branches = []
+    for i, c in enumerate(curves):  # one trace at a time, freed once its branches exist
+        tr = scene.trace(i)
+        branches.append(ix.monotone_branches(c, tr, ix.vertical_tangent_ts([c], [tr])[0]))
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
     for i, j, pts in ix.pair_intersections(curves, branches, args.tol):
@@ -285,8 +287,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, EmptyTrace) as err:
-        # an EmptyTrace here is always a scene curve that misses the viewport
+    except (OSError, ValueError, KeyError, EmptyTrace, DuplicateCurve) as err:
+        # an EmptyTrace here is always a scene curve that misses the viewport,
+        # and a DuplicateCurve a family file that lists a curve twice
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except PfaffincError as err:

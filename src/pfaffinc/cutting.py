@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import intersect as ix
 from .errors import CuttingFailed
-from .intersect import monotone_branches, pair_intersections, vertical_tangent_points
+from .intersect import monotone_branches, pair_intersections, points_at
 
 BOTTOM = -1  # region bounded below by the viewport
 TOP = -2  # region bounded above by the viewport
@@ -147,14 +148,15 @@ class Cutting:
 # -- events and rays ----------------------------------------------------------
 
 
-def _collect_events(sample_ids, curves, traces, branch_map, tol=1e-9):
-    """Deduplicated event points: crossings, vertical tangents, loose ends."""
+def _collect_events(sample_ids, curves, traces, branch_map, tangents):
+    """Deduplicated event points: crossings, vertical tangents (tangents[k]
+    the parameters of sample_ids[k]'s), loose ends."""
     raw = []  # (x, y, priority, source)
     for _, _, pts in pair_intersections([curves[i] for i in sample_ids],
-                                        [branch_map[i] for i in sample_ids], tol):
+                                        [branch_map[i] for i in sample_ids]):
         raw.extend((x, y, 0, "crossing") for x, y in pts)
-    for i in sample_ids:
-        for x, y in vertical_tangent_points(curves[i], traces[i]):
+    for i, ts in zip(sample_ids, tangents):
+        for x, y in points_at(curves[i], ts):
             raw.append((x, y, 1, "tangent"))
         x0, x1, y0, y1 = traces[i].bbox
         for comp in traces[i].components:
@@ -212,7 +214,7 @@ def _shoot_rays(events, branches, viewport):
 # -- decomposition --------------------------------------------------------------
 
 
-def decompose(sample_ids, curves, traces, viewport, tol=1e-9):
+def decompose(sample_ids, curves, traces, viewport):
     """Vertical decomposition of the viewport induced by the sampled curves.
 
     Returns the uncertified cutting (r = 1, no draws recorded) with its
@@ -221,7 +223,7 @@ def decompose(sample_ids, curves, traces, viewport, tol=1e-9):
     """
     # the occupancy pass runs after _cells returns, so the slab temporaries
     # are freed before the trace samples are gathered (lower peak memory)
-    cut = _cells(sample_ids, curves, traces, viewport, tol)
+    cut = _cells(sample_ids, curves, traces, viewport)
     cut._crossings = _occupancy(cut, traces)
     return cut
 
@@ -260,10 +262,14 @@ def _at_edges(values, base, b, k, default):
     return out
 
 
-def _cells(sample_ids, curves, traces, viewport, tol):
-    branch_map = {i: monotone_branches(curves[i], traces[i]) for i in sample_ids}
+def _cells(sample_ids, curves, traces, viewport):
+    # looked up on the module, where a traced run wraps it
+    tangents = ix.vertical_tangent_ts([curves[i] for i in sample_ids],
+                                      [traces[i] for i in sample_ids])
+    branch_map = {i: monotone_branches(curves[i], traces[i], ts)
+                  for i, ts in zip(sample_ids, tangents)}
     branches = [(i, b) for i in sample_ids for b in branch_map[i]]
-    events = _collect_events(sample_ids, curves, traces, branch_map, tol)
+    events = _collect_events(sample_ids, curves, traces, branch_map, tangents)
     rays, aux = _shoot_rays(events, branches, viewport)
     _x0, _x1, y0, y1 = viewport
     slab_xs = _slab_edges(events, branches, viewport)
@@ -477,7 +483,7 @@ def cell_crossings(cell, cutting):
 # -- certification ---------------------------------------------------------------
 
 
-def build_cutting(curves, traces, viewport, r, seed=0, max_retries=32, tol=1e-9):
+def build_cutting(curves, traces, viewport, r, seed=0, max_retries=32):
     """First certified cutting: every cell interior crossed by <= n/r curves.
 
     Draw count is ceil(5 r ln n); failed certification re-seeds with
@@ -491,7 +497,7 @@ def build_cutting(curves, traces, viewport, r, seed=0, max_retries=32, tol=1e-9)
     s = int(math.ceil(5.0 * r * math.log(n)))
     for attempt in range(max_retries):
         ids = sample_curves(n, s, seed + attempt)
-        cut = decompose(ids, curves, traces, viewport, tol)
+        cut = decompose(ids, curves, traces, viewport)
         if cut.max_crossings() <= n / r:
             cut.r, cut.s, cut.seed, cut.retries_used = r, s, seed, attempt
             return cut

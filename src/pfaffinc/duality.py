@@ -140,9 +140,6 @@ def family_curve_set(coeff_list, tol=1e-12):
 class OriginHyperplane:
     normal: np.ndarray
 
-    def unit(self):
-        return self.normal / np.linalg.norm(self.normal)
-
 
 def dual_point(curve):
     """The coefficient vector as a point; never the origin."""
@@ -250,45 +247,39 @@ def term_grid(family, resolution=256):
     return xs, ys, grids
 
 
-def trace_family_curve(family, curve, resolution=1024, grids=None):
+def trace_family_curve(family, curve, resolution=1024):
     """Implicit zero-set polyline segments by marching squares."""
-    if grids is None:
-        xs, ys, grids = term_grid(family, resolution)
-    else:
-        xs, ys, grids = grids
+    xs, ys, grids = term_grid(family, resolution)
     F = np.tensordot(curve.coeffs, grids, axes=1)
     sgn = np.where(F >= 0, 1, -1)
     mixed = np.abs(sgn[:-1, :-1] + sgn[1:, :-1] + sgn[:-1, 1:] + sgn[1:, 1:]) < 4
     segs = []
     for i, j in zip(*np.nonzero(mixed)):
-        f00, f10 = F[i, j], F[i + 1, j]
-        f01, f11 = F[i, j + 1], F[i + 1, j + 1]
-        pts = []
-        if (f00 >= 0) != (f10 >= 0):
-            t = f00 / (f00 - f10)
-            pts.append((xs[i] + t * (xs[i + 1] - xs[i]), ys[j]))
-        if (f01 >= 0) != (f11 >= 0):
-            t = f01 / (f01 - f11)
-            pts.append((xs[i] + t * (xs[i + 1] - xs[i]), ys[j + 1]))
-        if (f00 >= 0) != (f01 >= 0):
-            t = f00 / (f00 - f01)
-            pts.append((xs[i], ys[j] + t * (ys[j + 1] - ys[j])))
-        if (f10 >= 0) != (f11 >= 0):
-            t = f10 / (f10 - f11)
-            pts.append((xs[i + 1], ys[j] + t * (ys[j + 1] - ys[j])))
-        if len(pts) == 2:
-            segs.append((pts[0], pts[1]))
-        elif len(pts) == 4:
-            segs.append((pts[0], pts[2]))
-            segs.append((pts[1], pts[3]))
+        pts = []  # sign changes on the cell's bottom, top, left and right edges
+        for (ia, ja), (ib, jb) in (((i, j), (i + 1, j)), ((i, j + 1), (i + 1, j + 1)),
+                                   ((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))):
+            fa, fb = F[ia, ja], F[ib, jb]
+            if (fa >= 0) != (fb >= 0):
+                t = fa / (fa - fb)
+                pts.append((xs[ia] + t * (xs[ib] - xs[ia]), ys[ja]) if ja == jb
+                           else (xs[ia], ys[ja] + t * (ys[jb] - ys[ja])))
+        # two changes make a segment; four make two, pairing bottom with left
+        segs.extend(zip(pts[:len(pts) // 2], pts[len(pts) // 2:]))
     return np.array(segs, dtype=float).reshape(-1, 2, 2)
 
 
 def primal_residual(family, curve, p):
     """|a.m(p)| normalized by the coefficient and term magnitudes."""
-    vals = family.eval_terms(float(p[0]), float(p[1]))
-    denom = max(float(np.linalg.norm(vals)), 1e-300)
-    return abs(float(np.dot(curve.coeffs, vals))) / denom
+    return float(residuals(np.array([p], dtype=float), family, [curve])[0, 0])
+
+
+def residuals(points, family, curves):
+    """primal_residual of every curve (rows) at every point (columns) of the
+    (m, 2) array points."""
+    vals = family.eval_terms(points[:, 0], points[:, 1])  # (d, m)
+    denom = np.maximum(np.linalg.norm(vals, axis=0), 1e-300)
+    coeffs = np.stack([c.coeffs for c in curves])  # (n, d)
+    return np.abs(coeffs @ vals) / denom[None, :]
 
 
 def count_family_incidences(points, family, curves, tol=1e-7):
@@ -296,42 +287,68 @@ def count_family_incidences(points, family, curves, tol=1e-7):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0 or len(curves) == 0:
         return 0, IncidenceGraph(set(), len(pts), len(curves))
-    vals = family.eval_terms(pts[:, 0], pts[:, 1])  # (d, m)
-    denom = np.maximum(np.linalg.norm(vals, axis=0), 1e-300)
-    coeffs = np.stack([c.coeffs for c in curves])  # (n, d)
-    res = np.abs(coeffs @ vals) / denom[None, :]  # (n, m)
-    pairs = np.nonzero(res.T <= tol)
+    pairs = np.nonzero(residuals(pts, family, curves).T <= tol)
     edges = {(int(a), int(b)) for a, b in zip(*pairs)}
     return len(edges), IncidenceGraph(edges, len(pts), len(curves))
 
 
-def point_on_family_curve(family, curve, rng, resolution=256):
-    """A point of the zero set, found by sign change plus root refinement."""
-    xs, ys, grids = term_grid(family, resolution)
-    F = np.tensordot(curve.coeffs, grids, axes=1)
-    sgn = np.where(F >= 0, 1, -1)
-    hor = np.nonzero(sgn[:-1, :] * sgn[1:, :] < 0)
-    ver = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-    n_h, n_v = len(hor[0]), len(ver[0])
-    if n_h + n_v == 0:
+def draw_bracket(grid, curve, rng):
+    """A sign change of a.m on the term grid (xs, ys, grids) of `term_grid`,
+    drawn with one rng.integers call: (u_a, u_b, v, swap) brackets a zero at
+    (u, v) on a grid row, or at (v, u) on a grid column where swap is true.
+    None, with no draw, when a.m has one sign on the grid."""
+    xs, ys, grids = grid
+    pos = np.tensordot(curve.coeffs, grids, axes=1) >= 0
+    hor, ver = np.argwhere(pos[:-1, :] != pos[1:, :]), np.argwhere(pos[:, :-1] != pos[:, 1:])
+    if len(hor) + len(ver) == 0:
         return None
-    pick = int(rng.integers(0, n_h + n_v))
+    pick = int(rng.integers(0, len(hor) + len(ver)))
+    if pick < len(hor):
+        i, j = hor[pick]
+        return float(xs[i]), float(xs[i + 1]), float(ys[j]), False
+    i, j = ver[pick - len(hor)]
+    return float(ys[j]), float(ys[j + 1]), float(xs[i]), True
 
-    def value(x, y):
-        return float(np.dot(curve.coeffs, family.eval_terms(x, y)))
 
-    def root(f, a, b):
-        """A root of f between grid values a and b, by bisection (slope 0)."""
-        return float(refine_roots(lambda u, lanes: (np.array([f(float(u[0]))]), 0.0),
-                                  [a], [b], [f(a)], [f(b)], xtol=1e-15)[0])
+def _values(family, coeffs, u, v, swap):
+    """a.m at (u, v), or at (v, u) where swap, with each lane's a in coeffs:
+    a dot product on a contiguous row of term values per lane, which sums
+    the terms as a one-point evaluation does."""
+    rows = np.ascontiguousarray(family.eval_terms(np.where(swap, v, u), np.where(swap, u, v)).T)
+    return np.array([float(np.dot(a, row)) for a, row in zip(coeffs, rows)])
 
-    if pick < n_h:
-        i, j = hor[0][pick], hor[1][pick]
-        y = float(ys[j])
-        return root(lambda x: value(x, y), float(xs[i]), float(xs[i + 1])), y
-    i, j = ver[0][pick - n_h], ver[1][pick - n_h]
-    x = float(xs[i])
-    return x, root(lambda y: value(x, y), float(ys[j]), float(ys[j + 1]))
+
+def bisect_brackets(family, picks):
+    """The zero of a.m on the bracket, as a point (x, y), of each (curve,
+    bracket from `draw_bracket`) of picks: one lockstep bisection run."""
+    coeffs = np.array([c.coeffs for c, _ in picks]).reshape(-1, family.d)
+    a, b, v, swap = np.array([br for _, br in picks], dtype=float).reshape(-1, 4).T
+    swap = swap == 1.0
+    u = refine_roots(lambda u, k: (_values(family, coeffs[k], u, v[k], swap[k]), 0.0), a, b,
+                     _values(family, coeffs, a, v, swap), _values(family, coeffs, b, v, swap),
+                     xtol=1e-15)
+    return [(q, p) if s else (p, q) for p, q, s in zip(u.tolist(), v.tolist(), swap.tolist())]
+
+
+def zero_inside(family, curve, bracket):
+    """Whether `bisect_brackets` finds the zero on bracket inside the open
+    region.  Where a.m has opposite signs at the bracket ends, it ends
+    strictly between them, so the bracket's midpoint decides; otherwise (a
+    zero end, or the grid and the row sums rounding apart) it runs here."""
+    a, b, v, swap = bracket
+    fa, fb = _values(family, [curve.coeffs] * 2, np.array([a, b]), v, swap)
+    u = 0.5 * (a + b)
+    x, y = ((v, u) if swap else (u, v)) if fa * fb < 0.0 else \
+        bisect_brackets(family, [(curve, bracket)])[0]
+    x0, x1, y0, y1 = family.region
+    return x0 < x < x1 and y0 < y < y1
+
+
+def point_on_family_curve(family, curve, rng, resolution=256):
+    """A point of the zero set: a sign change on the term grid, drawn with
+    rng and bisected."""
+    bracket = draw_bracket(term_grid(family, resolution), curve, rng)
+    return None if bracket is None else bisect_brackets(family, [(curve, bracket)])[0]
 
 
 # -- the full chain -------------------------------------------------------------

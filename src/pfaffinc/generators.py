@@ -196,10 +196,12 @@ def duality_scene(d, m, n, seed=0, variant=0, max_rolls=50):
 
     Scenes are rerolled until planted pairs and non-pairs are separated by
     a wide residual gap, which keeps the three dual counts unambiguous.
+    Each roll draws its brackets in order, then bisects them in one run.
     """
     for roll in range(max_rolls):
         rng = np.random.default_rng(seed + 1009 * roll)
         family = _family_for(d, variant)
+        coarse, fine = du.term_grid(family, 64), du.term_grid(family, 256)
         curves = []
         while len(curves) < n:
             coeffs = rng.normal(size=d)
@@ -209,29 +211,26 @@ def duality_scene(d, m, n, seed=0, variant=0, max_rolls=50):
                 continue
             if any(np.linalg.norm(c.coeffs - o.coeffs) < 1e-9 for o in curves):
                 continue
-            if du.point_on_family_curve(family, c, rng, resolution=64) is None:
+            if du.draw_bracket(coarse, c, rng) is None:
                 continue
             curves.append(c)
         x0, x1, y0, y1 = family.region
-        pts = []
+        picks = []
         planted = int(round(0.8 * m))
         tries = 0
-        while len(pts) < planted and tries < 20 * planted:
+        while len(picks) < planted and tries < 20 * planted:
             tries += 1
-            c = curves[len(pts) % n]
-            p = du.point_on_family_curve(family, c, rng, resolution=256)
-            if p is not None and x0 < p[0] < x1 and y0 < p[1] < y1:
-                pts.append(p)
+            c = curves[len(picks) % n]
+            bracket = du.draw_bracket(fine, c, rng)
+            if bracket is not None and du.zero_inside(family, c, bracket):
+                picks.append((c, bracket))
+        pts = du.bisect_brackets(family, picks)
         while len(pts) < m:
             pts.append(tuple(rng.uniform((x0 + 0.05, y0 + 0.05), (x1 - 0.05, y1 - 0.05))))
         points = np.array(pts, dtype=float).reshape(-1, 2)
 
         # residual gap check: planted pairs vs everything else
-        vals = family.eval_terms(points[:, 0], points[:, 1])
-        denom = np.maximum(np.linalg.norm(vals, axis=0), 1e-300)
-        coeffs = np.stack([c.coeffs for c in curves])
-        res = np.abs(coeffs @ vals) / denom[None, :]
-        ambiguous = np.any((res > 1e-11) & (res < 1e-5))
-        if not ambiguous:
+        res = du.residuals(points, family, curves)
+        if not np.any((res > 1e-11) & (res < 1e-5)):
             return points, family, curves
     raise PfaffincError("no unambiguous scene found within the reroll budget")

@@ -50,49 +50,56 @@ def check_bezout(c1, c2, found):
 # -- vertical tangents -------------------------------------------------------
 
 
-def vertical_tangent_ts(curve, trace):
-    """Parameters where the x-component of the field changes sign: the
-    sampled zeros, and every sign change refined in one lockstep run on
-    f' = vx_rate, the t-derivative of vx."""
-    zeros, ends = [], [np.zeros((0, 4))]  # ends: rows (a, b, vx at a, vx at b)
-    for comp in trace.components:
-        vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
-        sign = np.sign(vx)
-        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        ends.append(np.stack([comp.ts[at], comp.ts[at + 1], vx[at], vx[at + 1]], axis=1))
-        zeros.extend(comp.ts[sign == 0].tolist())
-    rate = curve.field.vx_rate
+def vertical_tangent_ts(curves, traces):
+    """Per curve, the sorted parameters where the x-component of its field
+    changes sign along its trace: the sampled zeros, and every sign change,
+    the one across a closed curve's parameter seam included, refined in one
+    lockstep run over all the curves on f' = vx_rate, the t-derivative of
+    vx."""
+    def along(c, t):
+        x, y = curves[c].point_at(t)
+        vx, rate = curves[c].field.vx(x, y), curves[c].field.vx_rate(x, y)
+        return vx + np.zeros_like(t), rate + np.zeros_like(t)
 
-    def along(t, lanes=None):
-        x, y = curve.point_at(t)
-        return curve.field.vx(x, y) + np.zeros_like(t), rate(x, y) + np.zeros_like(t)
-
-    # closed parameterizations: check the wrap-around gap too
-    wrap = False
-    if curve.period is not None and trace.components:
-        first, last = trace.components[0], trace.components[-1]
-        px, py = last.xs[-1], last.ys[-1]
-        qx, qy = first.xs[0], first.ys[0]
-        gap = math.hypot(px - qx, py - qy)
-        if gap < 64 * trace.step * (1 + curve.period):
-            ab = np.array([last.ts[-1], first.ts[0] + curve.period])
-            va, vb = along(ab)[0]
-            wrap = va * vb < 0
-            if wrap:
-                ends.append([[*ab, va, vb]])
-    roots = refine_roots(along, *np.concatenate(ends).T).tolist()
-    if wrap:
-        roots[-1] %= curve.period
-    return sorted(roots + zeros)
+    zeros, ends, owner, seams = [], [np.zeros((0, 4))], [], []  # ends: (a, b, vx at a, at b)
+    for c, (curve, trace) in enumerate(zip(curves, traces)):
+        zeros.append([])
+        for comp in trace.components:
+            vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
+            sign = np.sign(vx)
+            at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+            ends.append(np.stack([comp.ts[at], comp.ts[at + 1], vx[at], vx[at + 1]], axis=1))
+            owner.extend([c] * len(at))
+            zeros[c].extend(comp.ts[sign == 0].tolist())
+        # closed parameterizations: check the wrap-around gap too
+        if curve.period is not None and trace.components:
+            first, last = trace.components[0], trace.components[-1]
+            gap = math.hypot(last.xs[-1] - first.xs[0], last.ys[-1] - first.ys[0])
+            if gap < 64 * trace.step * (1 + curve.period):
+                ab = np.array([last.ts[-1], first.ts[0] + curve.period])
+                va, vb = along(c, ab)[0]
+                if va * vb < 0:
+                    ends.append([[*ab, va, vb]])
+                    seams.append(len(owner))
+                    owner.append(c)
+    owner = np.array(owner, dtype=int)
+    roots = refine_roots(lambda t, lanes: by_curve(owner[lanes], along, t),
+                         *np.concatenate(ends).T).tolist()
+    for k in seams:
+        roots[k] %= curves[owner[k]].period
+    for c, t in zip(owner.tolist(), roots):
+        zeros[c].append(t)
+    return [sorted(ts) for ts in zeros]
 
 
 def vertical_tangent_points(curve, trace):
     """Points of the trace where the directional vector is vertical."""
-    pts = []
-    for t in vertical_tangent_ts(curve, trace):
-        x, y = curve.point_at(t)
-        pts.append((float(x), float(y)))
-    return _dedup(pts, 1e-8)
+    return points_at(curve, vertical_tangent_ts([curve], [trace])[0])
+
+
+def points_at(curve, ts):
+    """The points of curve at parameters ts, merged within 1e-8."""
+    return _dedup([tuple(map(float, curve.point_at(t))) for t in ts], 1e-8)
 
 
 # -- monotone branches -------------------------------------------------------
@@ -166,9 +173,9 @@ def _heights(curve, x, hint, branches):
     return np.asarray(curve.point_at(t)[1], dtype=float)
 
 
-def monotone_branches(curve, trace):
-    """Split trace components into x-monotone branches at vertical tangents."""
-    vts = vertical_tangent_ts(curve, trace)
+def monotone_branches(curve, trace, vts):
+    """Split trace components into x-monotone branches at the vertical
+    tangents vts, the curve's entry of `vertical_tangent_ts`."""
     branches = []
     for comp in trace.components:
         cuts = [t for t in vts if comp.ts[0] < t < comp.ts[-1]]
@@ -269,8 +276,9 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
     """
     if c1 is c2:
         raise ValueError("curves must be distinct objects")
-    branches = [monotone_branches(c1, trace1), monotone_branches(c2, trace2)]
-    return next((pts for _, _, pts in pair_intersections([c1, c2], branches, tol)), [])
+    pair, traces = [c1, c2], [trace1, trace2]
+    branches = list(map(monotone_branches, pair, traces, vertical_tangent_ts(pair, traces)))
+    return next((pts for _, _, pts in pair_intersections(pair, branches, tol)), [])
 
 
 def _grid(b1, b2):

@@ -11,10 +11,63 @@ import numpy as np
 _PRUNE = 0.0  # exact-zero pruning only; tiny coefficients are meaningful
 
 
-class BivariatePolynomial:
+class _Sparse:
+    """Arithmetic shared by the polynomial types, which hold terms {exponent
+    tuple: coefficient} in nvars variables; _like(terms) makes one of the
+    same type and arity."""
+
+    __slots__ = ()
+
+    @property
+    def degree(self):
+        """Total degree; the zero polynomial has degree 0."""
+        return max((sum(key) for key in self.terms), default=0)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _coerce(self, value):
+        return value if isinstance(value, _Sparse) else self._like({(0,) * self.nvars: value})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in self._coerce(other).terms.items():
+            terms[k] = terms.get(k, 0.0) + c
+        return self._like(terms)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return self._like({k: c * other for k, c in self.terms.items()})
+        other = self._coerce(other)
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                terms[k] = terms.get(k, 0.0) + c1 * c2
+        return self._like(terms)
+
+    __rmul__ = __mul__
+
+    def to_json(self):
+        return {",".join(str(e) for e in key): c for key, c in sorted(self.terms.items())}
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+
+class BivariatePolynomial(_Sparse):
     """Polynomial in (x, y) stored as {(i, j): coefficient}."""
 
     __slots__ = ("terms",)
+    nvars = 2
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -27,15 +80,8 @@ class BivariatePolynomial:
     def const(cls, c):
         return cls({(0, 0): c})
 
-    @property
-    def degree(self):
-        """Total degree; the zero polynomial has degree 0."""
-        if not self.terms:
-            return 0
-        return max(i + j for i, j in self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return BivariatePolynomial(terms)
 
     def __call__(self, x, y):
         out = 0.0
@@ -49,32 +95,6 @@ class BivariatePolynomial:
         if not self.terms:
             return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
         return out
-
-    def __add__(self, other):
-        other = _coerce(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        return BivariatePolynomial(terms)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __neg__(self):
-        return BivariatePolynomial({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return BivariatePolynomial({k: c * other for k, c in self.terms.items()})
-        other = _coerce(other)
-        terms = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                terms[k] = terms.get(k, 0.0) + c1 * c2
-        return BivariatePolynomial(terms)
-
-    __rmul__ = __mul__
 
     def partial(self, var):
         """Partial derivative with respect to "x" or "y"."""
@@ -107,21 +127,9 @@ class BivariatePolynomial:
             out = out + (u_pows[i] * v_pows[j]) * c
         return out
 
-    def to_json(self):
-        return {f"{i},{j}": c for (i, j), c in sorted(self.terms.items())}
-
     @classmethod
     def from_json(cls, data):
-        terms = {}
-        for key, c in data.items():
-            i, j = (int(p) for p in key.split(","))
-            terms[(i, j)] = c
-        return cls(terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return self.terms == other.terms
+        return cls({tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -133,13 +141,7 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({' + '.join(bits)})"
 
 
-def _coerce(value):
-    if isinstance(value, BivariatePolynomial):
-        return value
-    return BivariatePolynomial.const(value)
-
-
-class MultiPoly:
+class MultiPoly(_Sparse):
     """Polynomial in (x, y, z1..zr), exponent tuples of length r + 2."""
 
     __slots__ = ("terms", "nvars")
@@ -159,14 +161,8 @@ class MultiPoly:
     def zero(cls, nvars):
         return cls(nvars)
 
-    @property
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(key) for key in self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return MultiPoly(self.nvars, terms)
 
     def __call__(self, *args):
         if len(args) != self.nvars:
@@ -187,44 +183,9 @@ class MultiPoly:
         pad = nvars - self.nvars
         return MultiPoly(nvars, {key + (0,) * pad: c for key, c in self.terms.items()})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        return MultiPoly(self.nvars, terms)
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return MultiPoly(self.nvars, {k: c * other for k, c in self.terms.items()})
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                terms[k] = terms.get(k, 0.0) + c1 * c2
-        return MultiPoly(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def to_json(self):
-        return {",".join(str(e) for e in key): c for key, c in sorted(self.terms.items())}
-
     @classmethod
     def from_json(cls, nvars, data):
-        terms = {}
-        for key, c in data.items():
-            terms[tuple(int(p) for p in key.split(","))] = c
-        return cls(nvars, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return cls(nvars, {tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"

@@ -26,7 +26,7 @@ class Scene:
     viewport: tuple  # (x0, x1, y0, y1)
     seed: int = 0
     meta: dict = field(default_factory=dict)
-    _trace_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _traces: list = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -36,17 +36,17 @@ class Scene:
     def n(self):
         return len(self.curves)
 
-    def traces(self, samples=1024):
-        """Traces for all curves, cached per sampling density."""
-        if samples not in self._trace_cache:
-            self._trace_cache[samples] = [self.trace(i, samples) for i in range(self.n)]
-        return self._trace_cache[samples]
+    def traces(self):
+        """Traces for all curves, cached on the first call."""
+        if self._traces is None:
+            self._traces = [self.trace(i) for i in range(self.n)]
+        return self._traces
 
-    def trace(self, i, samples=1024):
+    def trace(self, i):
         """Trace of curve i, not cached; an EmptyTrace names the curve."""
         curve = self.curves[i]
         try:
-            return cv.trace_curve(curve, self.viewport, samples=samples)
+            return cv.trace_curve(curve, self.viewport)
         except EmptyTrace as err:
             label = f" {curve.label!r}" if curve.label else ""
             raise EmptyTrace(f"curve {i}{label}: {err}") from None

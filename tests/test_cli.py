@@ -259,6 +259,18 @@ def test_duality_rejects_bad_tolerance(tol, tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+def test_duality_rejects_proportional_curves(tmp_path, capsys):
+    path = _duality_family(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["curves"].append([2 * a for a in payload["curves"][0]])
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert run(["duality", "--family", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: coefficients of curve8 are proportional to curve0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_chains_rejects_bad_tolerance(tol, tmp_path, capsys):
     path = _chain_file(tmp_path)

@@ -367,6 +367,20 @@ def test_ray_count_bounded_by_events(line_scene):
     assert len(cut.rays) <= 2 * (crossings + tangents)
 
 
+def test_decompose_finds_the_sample_tangents_in_one_run(monkeypatch):
+    scene = gen.random_scene(["circle", "parabola", "line"], m=0, n=12, planted=0.0, seed=8)
+    traces = scene.traces()
+    runs = []
+    refine = pf.intersect.refine_roots
+    monkeypatch.setattr(pf.intersect, "refine_roots",
+                        lambda f, *args, **kw: runs.append(f.__qualname__) or refine(f, *args, **kw))
+    cut = ct.decompose(list(range(10)), scene.curves, traces, scene.viewport)
+    assert sum(q.startswith("vertical_tangent_ts.") for q in runs) == 1
+    assert any(w.source == "tangent" for w in cut.rays)
+    # one run for the crossings and one for the touches of the pair pass
+    assert len(runs) == 3
+
+
 def test_cutting_serialization_is_reproducible():
     scene = gen.random_scene(["line", "circle"], m=0, n=12, planted=0.0, seed=8)
     traces = scene.traces()

@@ -266,6 +266,95 @@ def test_planted_points_equal_scalar_bisection():
     assert fixed == {True, False}
 
 
+def _scalar_duality_scene(d, m, n, seed, variant):
+    """duality_scene as it was: each curve accepted, and each point planted,
+    by its own point_on_family_curve call with the scalar refiner; the
+    oracle of the per-roll run."""
+    for roll in range(50):
+        rng = np.random.default_rng(seed + 1009 * roll)
+        family = gen._family_for(d, variant)
+        curves = []
+        while len(curves) < n:
+            coeffs = rng.normal(size=d)
+            try:
+                c = du.FamilyCurve(coeffs, label=f"curve{len(curves)}")
+            except ValueError:
+                continue
+            if any(np.linalg.norm(c.coeffs - o.coeffs) < 1e-9 for o in curves):
+                continue
+            if _scalar_point_on_family_curve(family, c, rng, 64) is None:
+                continue
+            curves.append(c)
+        x0, x1, y0, y1 = family.region
+        pts = []
+        planted = int(round(0.8 * m))
+        tries = 0
+        while len(pts) < planted and tries < 20 * planted:
+            tries += 1
+            p = _scalar_point_on_family_curve(family, curves[len(pts) % n], rng, 256)
+            if p is not None and x0 < p[0] < x1 and y0 < p[1] < y1:
+                pts.append(p)
+        while len(pts) < m:
+            pts.append(tuple(rng.uniform((x0 + 0.05, y0 + 0.05), (x1 - 0.05, y1 - 0.05))))
+        points = np.array(pts, dtype=float).reshape(-1, 2)
+        vals = family.eval_terms(points[:, 0], points[:, 1])
+        denom = np.maximum(np.linalg.norm(vals, axis=0), 1e-300)
+        res = np.abs(np.stack([c.coeffs for c in curves]) @ vals) / denom[None, :]
+        if not np.any((res > 1e-11) & (res < 1e-5)):
+            return points, curves
+    raise AssertionError("no unambiguous scene")
+
+
+@pytest.mark.parametrize("d, m, n, seed", [(3, 20, 12, 6), (3, 50, 40, 103), (4, 20, 12, 6),
+                                           (4, 30, 20, 8), (4, 50, 40, 202)])
+@pytest.mark.parametrize("variant", [0, 1])
+def test_duality_scene_equals_per_point_planting(d, m, n, seed, variant):
+    points, family, curves = gen.duality_scene(d, m, n, seed=seed, variant=variant)
+    want_points, want_curves = _scalar_duality_scene(d, m, n, seed, variant)
+    assert points.tolist() == want_points.tolist()
+    assert [c.coeffs.tolist() for c in curves] == [c.coeffs.tolist() for c in want_curves]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+def test_duality_scene_refines_once_per_roll(monkeypatch):
+    runs = _count_calls(monkeypatch, du, "refine_roots")
+    rolls = _count_calls(monkeypatch, gen, "_family_for")
+    gen.duality_scene(3, 50, 40, seed=103, variant=1)
+    assert len(rolls) == 2  # the first roll leaves an ambiguous residual
+    assert len(runs) == len(rolls)
+
+
+def test_zero_inside_matches_the_bisected_point():
+    # f = (2y - x) / sqrt(5) is exactly 0.0 at (-2, -1), the left end of its
+    # bracket on the row y = -1, so the bisection returns that end, which
+    # lies on the region's edge
+    family = du.PfaffianFamily([du.monomial(0, 0), du.monomial(0, 1), du.monomial(1, 0)],
+                               (-2.0, 2.0, -2.0, 2.0))
+    edge = du.FamilyCurve(np.array([0.0, 2.0, -1.0]))
+    bracket = (-2.0, -2.0 + 4 / 256, -1.0, False)
+    assert du.bisect_brackets(family, [(edge, bracket)]) == [(-2.0, -1.0)]
+    assert not du.zero_inside(family, edge, bracket)
+    # a coarse grid, so that many brackets lie on the region's edges
+    grid = du.term_grid(family, 8)
+    rng = np.random.default_rng(1)
+    verdicts = []
+    for _ in range(100):
+        curve = du.FamilyCurve(rng.normal(size=3))
+        bracket = du.draw_bracket(grid, curve, rng)
+        if bracket is not None:
+            (x, y), = du.bisect_brackets(family, [(curve, bracket)])
+            verdicts.append(-2.0 < x < 2.0 and -2.0 < y < 2.0)
+            assert du.zero_inside(family, curve, bracket) == verdicts[-1]
+    assert 10 <= verdicts.count(False) <= len(verdicts) - 10
+
+
 def test_planted_point_lands_on_trace():
     rng = np.random.default_rng(3)
     points, family, curves = gen.duality_scene(3, 10, 6, seed=14)

@@ -21,6 +21,12 @@ VP = (-3.0, 3.0, -1.0, 8.0)
 DATA = Path(__file__).parent / "data"
 
 
+def _branches(curve, viewport):
+    """The monotone branches of curve's trace in viewport."""
+    trace = pf.trace_curve(curve, viewport)
+    return monotone_branches(curve, trace, vertical_tangent_ts([curve], [trace])[0])
+
+
 def _pair(c1, c2, viewport, tol=1e-9):
     t1 = pf.trace_curve(c1, viewport)
     t2 = pf.trace_curve(c2, viewport)
@@ -72,7 +78,7 @@ def test_circles_touching_at_branch_ends_meet_once():
     # every branch pair meets only at x = 0, where both circles are vertical
     c1, c2 = pf.circle(0.5, 0.0, 0.5), pf.circle(-0.5, 0.0, 0.5)
     vp = (-2.0, 2.0, -2.0, 2.0)
-    b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
+    b1s, b2s = (_branches(c, vp) for c in (c1, c2))
     assert all(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) <= 1e-12
                for b1 in b1s for b2 in b2s)
     assert [(i, j) for i, j, _ in pair_intersections([c1, c2], [b1s, b2s], 1e-9)] == [(0, 1)]
@@ -200,7 +206,7 @@ def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
 def test_candidate_pairs_leave_out_only_empty_pairs(seed, tol):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
     curves = scene.curves
-    branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
+    branches = [_branches(c, scene.viewport) for c in curves]
     got = {(i, j): pts for i, j, pts in pair_intersections(curves, branches, tol)}
     assert list(got) == sorted(got) and all(i < j for i, j in got)
     left_out = 0
@@ -222,7 +228,7 @@ def test_pair_pass_equals_scalar_oracle_on_mixed_scene(tol):
     scene = load_scene(DATA / "mixed_scene.json")
     curves = scene.curves
     assert any(c.transform is not None for c in curves)
-    branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in curves]
+    branches = [_branches(c, scene.viewport) for c in curves]
     got = {(i, j): pts for i, j, pts in pair_intersections(curves, branches, tol)}
     for i, j in itertools.combinations(range(len(curves)), 2):
         want = _scalar_pair(curves[i], branches[i], curves[j], branches[j], tol)
@@ -232,7 +238,7 @@ def test_pair_pass_equals_scalar_oracle_on_mixed_scene(tol):
 
 def test_pair_pass_gives_the_same_points_in_small_blocks(monkeypatch):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=11)
-    branches = [monotone_branches(c, pf.trace_curve(c, scene.viewport)) for c in scene.curves]
+    branches = [_branches(c, scene.viewport) for c in scene.curves]
     whole = list(pair_intersections(scene.curves, branches))
     assert len(whole) > 7 * 10 and sum(len(pts) for _, _, pts in whole) > 0
     monkeypatch.setattr(pf.intersect, "_BLOCK", 7)
@@ -245,7 +251,7 @@ def test_shared_component_is_raised_for_the_first_offending_pair():
     circles = [circle, pf.apply_linear_transform(circle, *rotation_matrix(0.3))]
     vp = (-2.0, 2.0, -2.0, 2.0)
     for curves, ceiling in ((lines + circles, 1), (circles + lines, 8)):
-        branches = [monotone_branches(c, pf.trace_curve(c, vp)) for c in curves]
+        branches = [_branches(c, vp) for c in curves]
         with pytest.raises(SharedComponent, match=rf"\(ceiling {ceiling}\)"):
             list(pair_intersections(curves, branches))
 
@@ -265,7 +271,7 @@ def test_array_y_at_equals_scalar_y_at():
     rng = np.random.default_rng(3)
     circle_halves = 0
     for curve in _every_kind():
-        for br in monotone_branches(curve, pf.trace_curve(curve, CORPUS_VIEWPORT)):
+        for br in _branches(curve, CORPUS_VIEWPORT):
             circle_halves += curve.kind == "circle" and curve.transform is None
             xs = np.concatenate([br.xs, 0.5 * (br.xs[1:] + br.xs[:-1]),
                                  rng.uniform(br.x_lo, br.x_hi, 200)])
@@ -279,7 +285,7 @@ def test_near_tangent_pair_stays_a_candidate():
     # the gap x^2 + 5e-4 never changes sign; its minimum is within tol
     vp = (-2.0, 2.0, -2.0, 2.0)
     c1, c2 = pf.line(a=0, b=0), pf.parabola(a=1, b=0, c=5e-4)
-    b1s, b2s = (monotone_branches(c, pf.trace_curve(c, vp)) for c in (c1, c2))
+    b1s, b2s = (_branches(c, vp) for c in (c1, c2))
     assert list(pair_intersections([c1, c2], [b1s, b2s], 1e-3)) == [(0, 1, [(0.0, 0.0)])]
     assert _scalar_pair(c1, b1s, c2, b2s, 1e-3, y_range_test=False) == [(0.0, 0.0)]
 
@@ -287,7 +293,7 @@ def test_near_tangent_pair_stays_a_candidate():
 def test_candidate_pairs_of_no_curves():
     assert list(pair_intersections([], [], 1e-9)) == []
     c = pf.line(1, 0)
-    assert list(pair_intersections([c], [monotone_branches(c, pf.trace_curve(c, VP))], 1e-9)) == []
+    assert list(pair_intersections([c], [_branches(c, VP)], 1e-9)) == []
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
@@ -376,10 +382,38 @@ def test_vertical_tangents_equal_scalar_oracle():
     wraps = []
     for curve in _every_kind() + [stretched]:
         trace = pf.trace_curve(curve, CORPUS_VIEWPORT)
-        assert vertical_tangent_ts(curve, trace) == _scalar_vertical_tangent_ts(
+        assert vertical_tangent_ts([curve], [trace])[0] == _scalar_vertical_tangent_ts(
             curve, trace, wraps), curve.label
     # the unit circle's tangent at t = 0 runs the wrap-around lane
     assert any(min(t, 2 * math.pi - t) <= 1e-12 for t in wraps)
+
+
+def _tangent_corpus():
+    """312 curves: random catalog curves, rotated and sheared images of
+    them, and circles, plain and sheared."""
+    curves = gen.random_scene(list(gen._PARAM_DRAWS), m=0, n=120, planted=0.0, seed=5).curves
+    rng = np.random.default_rng(5)
+    curves += [pf.apply_linear_transform(c, *rotation_matrix(rng.uniform(0.1, 3.0)))
+               for c in curves[:60]]
+    curves += [pf.apply_linear_transform(c, 1.0, rng.uniform(-1, 1), 0.0, 1.0)
+               for c in curves[60:96]]
+    circles = [pf.circle(*rng.uniform(-2, 2, size=2), rng.uniform(0.3, 1.8)) for _ in range(48)]
+    curves += circles + [pf.apply_linear_transform(c, 1.0, 0.0, rng.uniform(-1, 1), 1.0)
+                         for c in circles]
+    assert len(curves) == 312
+    return curves
+
+
+def test_multi_curve_tangents_equal_scalar_oracle():
+    viewport = (-4.0, 4.0, -4.0, 4.0)
+    curves = _tangent_corpus()
+    traces = [pf.trace_curve(c, viewport) for c in curves]
+    wraps = []
+    want = [_scalar_vertical_tangent_ts(c, t, wraps) for c, t in zip(curves, traces)]
+    assert vertical_tangent_ts(curves, traces) == want
+    assert len(wraps) >= 100 and sum(map(len, want)) >= 250
+    # a run over any slice of the curves gives the same parameters
+    assert vertical_tangent_ts(curves[100:200], traces[100:200]) == want[100:200]
 
 
 def test_graph_kinds_have_no_vertical_tangents(corpus):
@@ -462,7 +496,7 @@ def test_y_at_on_rotated_parabola_matches_closed_form():
     c, s = math.cos(theta), math.sin(theta)
     curve = pf.apply_linear_transform(pf.parabola(1.0, 0.0, 0.0), c, -s, s, c)
     trace = pf.trace_curve(curve, (-2.0, 2.0, -2.0, 2.0))
-    branches = monotone_branches(curve, trace)
+    branches = monotone_branches(curve, trace, vertical_tangent_ts([curve], [trace])[0])
     assert len(branches) == 2
     for br in branches:
         sign = 1.0 if br.t_mid > c / (2 * s) else -1.0
