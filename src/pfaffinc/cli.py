@@ -173,7 +173,7 @@ def cmd_duality(args):
     with open(args.family) as fh:
         data = json.load(fh)
     family = du.PfaffianFamily.from_dict(data["family"] if "family" in data else data)
-    curves = du.family_curve_set(data["curves"])
+    curves = du.family_curve_set(data["curves"], family.d)
     points = np.array(data["points"], dtype=float).reshape(-1, 2)
     try:
         report = du.verify_duality_chain(points, family, curves, args.tol, seed)

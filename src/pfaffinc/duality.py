@@ -123,11 +123,17 @@ class FamilyCurve:
         self.coeffs = normalize_coeffs(self.coeffs)
 
 
-def family_curve_set(coeff_list, tol=1e-12):
-    """Build curves, rejecting proportional coefficient vectors."""
+def family_curve_set(coeff_list, d, tol=1e-12):
+    """Build curves of a family with d terms, rejecting coefficient vectors
+    that are not flat lists of d numbers and proportional ones."""
     out = []
     for k, coeffs in enumerate(coeff_list):
-        c = FamilyCurve(np.asarray(coeffs, dtype=float), label=f"curve{k}")
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 1:
+            raise ValueError(f"curve{k} is not a flat list of {d} coefficients")
+        if len(coeffs) != d:
+            raise ValueError(f"curve{k} has {len(coeffs)} coefficients, the family has {d} terms")
+        c = FamilyCurve(coeffs, label=f"curve{k}")
         for prev in out:
             if np.linalg.norm(prev.coeffs - c.coeffs) <= tol:
                 raise DuplicateCurve(

@@ -5,7 +5,12 @@ intersections of all curve pairs are found a block of pairs at a time, in
 two phases (`pair_intersections`).  The scan walks every live branch pair
 (`_live`) on a trace-resolution grid and keeps only candidates: the brackets
 of sign changes of the interpolated gap, its grid zeros, the local minima of
-its size near zero (touches), and branch ends that meet.  The refinement
+its size near zero (touches), and branch ends that meet.  It interpolates
+only where the two branches come close (`_runs`): the branches' samples form
+chunks of _CHUNK, whose bounds cut a pair's overlap into intervals, and an
+interval whose two chunks' y-ranges lie apart holds no candidate, since the
+gap keeps one sign above the touch threshold there, so it is skipped.  The
+kept stretches of all pairs are interpolated in one flat pass.  The refinement
 then solves every crossing in one lockstep run of `curves.refine_roots` on
 the exact parameterizations, and every touch in a second run on the slope
 difference, so reported points carry closed-form accuracy rather than
@@ -19,7 +24,6 @@ them in the last bit on some inputs and the points would move.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +37,9 @@ _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
 # temporaries take a few hundred bytes per candidate, and each round of a run
 # costs an array call per curve, so larger blocks trade memory for calls
 _BLOCK = 1024
+_GRID_MAX = 4096  # a longer scan grid is subsampled to about half that
+_CHUNK = 32  # samples per chunk of the scan's y-range prune
+_ROWS = 1 << 12  # chunk intervals or gathered samples per row group of the scan
 
 
 def pfaffian_bezout_bound(k1, k2):
@@ -282,26 +289,98 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
 
 
 def _grid(b1, b2):
-    """The scan grid of a branch pair over its x-overlap."""
+    """The scan grid of a branch pair over its x-overlap: the samples of
+    both branches in it, every k-th of them past _GRID_MAX points."""
     lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
     grid = np.unique(np.concatenate([
         b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
         b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
         [lo, hi],
     ]))
-    if len(grid) > 4096:
-        grid = grid[:: len(grid) // 2048]
+    if len(grid) > _GRID_MAX:
+        grid = grid[:: len(grid) // (_GRID_MAX // 2)]
     return grid
 
 
-def _add_rows(columns, p, k1, k2, *values):
-    """Append candidates to columns (pair, branch 1, branch 2, value arrays...):
-    one row per entry of the equal-length value arrays."""
-    n = len(values[0])
-    for column, key in zip(columns, (p, k1, k2)):
-        column.extend((key,) * n)
-    for column, v in zip(columns[3:], values):
-        column.frombytes(v.tobytes())
+@dataclass
+class _Chunks:
+    """The chunks of a pass's branches.
+
+    Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK +
+    _CHUNK, size[k] - 1), sharing the last one with the next chunk, and has
+    the y-range [lo[i], hi[i]], i = start[k] - k + c.  Its bounds, the
+    abscissas x of those two samples, are rows start[k] + c and
+    start[k] + c + 1 of key = _key(k, x), which orders them for searches.
+    The tables hold about one entry per _CHUNK samples.
+    """
+
+    key: np.ndarray
+    start: np.ndarray  # one more entry than branches
+    size: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _chunks(flat):
+    """The _Chunks of the branches flat."""
+    size = np.array([len(b.xs) for b in flat], dtype=np.int64)
+    bounds, lo, hi = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+    for b, n in zip(flat, size.tolist()):
+        at = np.append(np.arange(0, n - 1, _CHUNK), n - 1)  # the chunks' first samples, the last
+        ends = b.ys[at[1:]]  # each chunk's last sample, the next one's first
+        bounds.append(b.xs[at])
+        lo.append(np.minimum(np.minimum.reduceat(b.ys, at[:-1]), ends))
+        hi.append(np.maximum(np.maximum.reduceat(b.ys, at[:-1]), ends))
+    start = np.cumsum([len(v) for v in bounds])
+    key = _key(np.repeat(np.arange(len(flat)), np.diff(start)), np.concatenate(bounds))
+    return _Chunks(key, start, size, np.concatenate(lo), np.concatenate(hi))
+
+
+def _ranges(starts, counts):
+    """The ranges starts[i] ... starts[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _groups(sizes):
+    """(start, stop) of consecutive groups of the items of sizes, each group
+    holding at most _ROWS plus the size of its last item."""
+    g = (np.cumsum(sizes) - sizes) // _ROWS
+    cuts = [0, *(np.flatnonzero(np.diff(g)) + 1).tolist(), len(sizes)]
+    return [(s, e) for s, e in zip(cuts, cuts[1:]) if e > s]
+
+
+def _key(major, minor):
+    """Complex keys major + i minor, integers major, which numpy sorts and
+    searches in the lexicographic order of (major, minor)."""
+    key = np.empty(np.broadcast(major, minor).shape, dtype=complex)
+    key.real, key.imag = major, minor
+    return key
+
+
+def _order(major, minor):
+    """The stable sort of (major, minor) pairs, integers major.  On a few
+    concatenated sorted sequences, as here, it takes linear time."""
+    return np.argsort(_key(major, minor), kind="stable")
+
+
+def _interp(x, y, at, j):
+    """np.interp(at, xs, ys) on the branches whose samples are rows j and
+    j + 1 of (x, y), where row j is the last sample at or below at: numpy's
+    formula entry by entry, its fallback for a NaN result included, so the
+    values are the same bits."""
+    out = y[j]
+    m = np.flatnonzero(x[j] != at)
+    j0, j1, u = j[m], j[m] + 1, at[m]
+    slope = (y[j1] - y[j0]) / (x[j1] - x[j0])
+    v = slope * (u - x[j0]) + y[j0]
+    nan = np.flatnonzero(np.isnan(v))
+    if len(nan):
+        j0, j1 = j0[nan], j1[nan]
+        w = slope[nan] * (u[nan] - x[j1]) + y[j1]
+        v[nan] = np.where(np.isnan(w) & (y[j0] == y[j1]), y[j0], w)
+    out[m] = v
+    return out
 
 
 def pair_intersections(curves, branches, tol=1e-9):
@@ -323,18 +402,19 @@ def pair_intersections(curves, branches, tol=1e-9):
     new = np.diff(i * len(branches) + j, prepend=-1) != 0  # a curve pair's first
     cuts = np.append(np.flatnonzero(new)[::_BLOCK], len(new)).tolist()
     both = _evaluator(curves, flat, owner)
+    chunks = _chunks(flat)
     return (out for s, e in zip(cuts, cuts[1:])
-            for out in _block(curves, flat, both, i[s:e], j[s:e], k1[s:e], k2[s:e],
+            for out in _block(curves, flat, chunks, both, i[s:e], j[s:e], k1[s:e], k2[s:e],
                               overlap[s:e], tol))
 
 
-def _block(curves, flat, both, i, j, k1, k2, overlap, tol):
+def _block(curves, flat, chunks, both, i, j, k1, k2, overlap, tol):
     """(i, j, points) of each curve pair of the live branch pairs (i, j, k1,
     k2, overlap): scan, refine, then deduplicate and check the pair's
     ceiling."""
     new = np.diff(i * len(curves) + j, prepend=-1) != 0
     p = np.cumsum(new) - 1  # the curve pair of each branch pair, from 0
-    points, cross, touch = _scan(flat, p, k1, k2, overlap, tol)
+    points, cross, touch = _scan(flat, chunks, p, k1, k2, overlap, tol)
     for found in (_refine_crossings(both, cross), _refine_touches(both, touch, tol)):
         for q, x, y in zip(*(v.tolist() for v in found)):
             points[q].append((x, y))
@@ -351,47 +431,173 @@ def _block(curves, flat, both, i, j, k1, k2, overlap, tol):
     return out
 
 
-def _scan(flat, p, k1, k2, overlap, tol):
+def _scan(flat, chunks, p, k1, k2, overlap, tol):
     """Candidates of the live branch pairs (flat[k1], flat[k2]) of curve
-    pairs p, from the gap h = y1 - y2 interpolated on the pair's grid; no
-    grid is kept.
+    pairs p: where a pair overlaps in x, from the gap h = y1 - y2 on its grid
+    (`_runs`; chunks are the pass's `_Chunks`), else from its ends.
 
     Returns the points found as they are (grid zeros and meeting ends), one
     list per curve pair, and the columns (pair, branch 1, branch 2, a, b) of
     the crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of
-    the touches.  Columns are typed arrays, which hold a candidate in a few
-    dozen bytes.
+    the touches, in the order of the branch pairs, then of x.
     """
     points = [[] for _ in range(p[-1] + 1)]
-    cross, touch = [array(t) for t in "qqqdd"], [array(t) for t in "qqqddd"]
-    for q, m1, m2, over in zip(p.tolist(), k1.tolist(), k2.tolist(), overlap.tolist()):
-        b1, b2 = flat[m1], flat[m2]
-        if not over:
-            # no overlap to scan: the branches meet at ends
-            for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
-                                       ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
-                if _ends_meet(x1, y1, x2, y2, tol):
-                    points[q].append((x1, float(y1)))
-            continue
+    for r in np.flatnonzero(~overlap).tolist():
+        # no overlap to scan: the branches meet at ends
+        b1, b2 = flat[k1[r]], flat[k2[r]]
+        for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
+                                   ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
+            if _ends_meet(x1, y1, x2, y2, tol):
+                points[p[r]].append((x1, float(y1)))
+    # rows (branch pair, x...) of the crossings (a, b), grid zeros (x) and
+    # touches (a, b, x): the columns of each scanned piece, after an empty one
+    empty = [np.zeros(0, dtype=np.int64)] + [np.zeros(0)] * 3
+    cross, zeros, touch = [empty[:3]], [empty[:2]], [empty]
+    for pair, x, h, first in _runs(flat, chunks, np.flatnonzero(overlap), k1, k2,
+                                   _separation(tol)):
+        c, z, t = _candidates(x, h, first)
+        cross.append((pair[c], x[c], x[c + 1]))
+        zeros.append((pair[z], x[z]))
+        touch.append((pair[t], x[t - 1], x[t + 1], x[t]))
+    (rc, *cross), (rz, xz), (rt, *touch) = (_by_pair(rows) for rows in (cross, zeros, touch))
+    for r, x in zip(rz.tolist(), xz.tolist()):
+        points[p[r]].append((x, flat[k1[r]].y_at(x)))
+    return points, (p[rc], k1[rc], k2[rc], *cross), (p[rt], k1[rt], k2[rt], *touch)
+
+
+def _by_pair(rows):
+    """The columns of the row pieces rows, stably sorted by the first."""
+    columns = [np.concatenate(c) for c in zip(*rows)]
+    order = np.argsort(columns[0], kind="stable")
+    return [c[order] for c in columns]
+
+
+def _candidates(x, h, first):
+    """The candidates of the gap h on the grid x, scanned in runs that start
+    where first is set: the indices i of the crossing brackets (x[i],
+    x[i + 1]), sign changes inside a run; of the grid zeros; and of the
+    touches, local minima of |h| within _TOUCH_SCAN inside a run, except
+    next to a sign change (already a crossing).  The threshold goes first,
+    so the other tests run on the few points that pass."""
+    sign = np.sign(h)
+    turn = sign[:-1] * sign[1:] < 0
+    absh = np.abs(h)
+    at = np.flatnonzero(absh[1:-1] <= _TOUCH_SCAN) + 1
+    at = at[~first[at] & ~first[at + 1] & (absh[at] <= absh[at - 1])
+            & (absh[at] <= absh[at + 1]) & ~turn[at - 1] & ~turn[at]]
+    return np.flatnonzero(turn & ~first[1:]), np.flatnonzero(sign == 0), at
+
+
+def _runs(flat, chunks, r, k1, k2, sep):
+    """The grids of the x-overlapping branch pairs (flat[k1[r]], flat[k2[r]]),
+    where a candidate can lie, as pieces (branch pair, x, h, first): the
+    pair of each grid point (an entry of r), its abscissa, the gap
+    h = y1 - y2 interpolated there, and whether it starts a run, a stretch
+    of one pair's grid to scan on its own.
+
+    A pair's grid is the union of both branches' samples in its overlap
+    [lo, hi].  When the chunks that span the overlap hold over _GRID_MAX
+    samples, it is `_grid`, one run.  Otherwise only runs of it are kept:
+    the chunk bounds of both branches inside (lo, hi) cut [lo, hi] into
+    intervals on which each branch stays in one chunk, and an interval whose
+    two chunks' y-ranges are _apart by sep is dropped.  The prune is exact:
+    consecutive grid points share an interval (the bounds are samples), and
+    on a dropped one every h has one sign and |h| > sep >= _TOUCH_SCAN, so
+    it holds no bracket, zero or touch, and the neighbours of a touch lie in
+    its run.  The pieces hold at most about _ROWS samples, and the intervals
+    are taken _ROWS at a time.
+    """
+    bx = chunks.key.imag
+    k = np.stack([k1[r], k2[r]])  # (branch 1, branch 2) of each pair
+    s = chunks.start[k]
+    lo, hi = bx[s].max(0), bx[chunks.start[k + 1] - 1].min(0)
+    # per branch, the chunks of lo and of the interval that ends at hi
+    c_lo = np.searchsorted(chunks.key, _key(k, lo), side="right") - 1 - s
+    c_hi = np.searchsorted(chunks.key, _key(k, hi)) - 1 - s
+    big = _spanned(chunks, k, c_lo, c_hi).sum(0) > _GRID_MAX
+    for q in np.flatnonzero(big).tolist():
+        b1, b2 = flat[k[0, q]], flat[k[1, q]]
         grid = _grid(b1, b2)
-        h = b1.y_interp(grid) - b2.y_interp(grid)
-        sign = np.sign(h)
-        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if len(at):
-            _add_rows(cross, q, m1, m2, grid[at], grid[at + 1])
-        at = np.nonzero(sign == 0)[0]
-        if len(at):
-            points[q].extend(zip(grid[at].tolist(), b1.y_at(grid[at]).tolist()))
-        # local minima of |gap| below the scan threshold, except next to a
-        # sign change (already found as a crossing); the threshold goes
-        # first, so the other tests run on the few points that pass
-        absh = np.abs(h)
-        at = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
-        at = at[(absh[at] <= absh[at - 1]) & (absh[at] <= absh[at + 1])
-                & ~(sign[at - 1] * sign[at] < 0) & ~(sign[at] * sign[at + 1] < 0)]
-        if len(at):
-            _add_rows(touch, q, m1, m2, grid[at - 1], grid[at + 1], grid[at])
-    return points, cross, touch
+        first = np.zeros(len(grid), dtype=bool)
+        first[0] = True
+        yield np.full(len(grid), r[q]), grid, b1.y_interp(grid) - b2.y_interp(grid), first
+    r, k, lo, hi, c_lo, c_hi = (v[..., ~big] for v in (r, k, lo, hi, c_lo, c_hi))
+    for g0, g1 in _groups(2 + (c_hi - c_lo).sum(0)):
+        u, ra, rb, cs, ce = _coarse(chunks, k[:, g0:g1], c_lo[:, g0:g1], c_hi[:, g0:g1],
+                                    lo[g0:g1], hi[g0:g1], sep)
+        ku = k[:, g0:g1][:, u]
+        n = _spanned(chunks, ku, cs, ce)  # the samples of each run's chunks
+        for f0, f1 in _groups(n.sum(0)):
+            run, at, h, first = _fine(flat, ku[:, f0:f1], _CHUNK * cs[:, f0:f1], n[:, f0:f1],
+                                      ra[f0:f1], rb[f0:f1])
+            yield r[g0:g1][u[f0:f1]][run], at, h, first
+
+
+def _spanned(chunks, k, c0, c1):
+    """The number of samples in chunks c0 ... c1 of branches k."""
+    return np.minimum(_CHUNK * (c1 + 1), chunks.size[k] - 1) - _CHUNK * c0 + 1
+
+
+def _coarse(chunks, k, c_lo, c_hi, lo, hi, sep):
+    """The runs of kept intervals of branch pairs k (see `_runs`), which
+    overlap on [lo, hi], with chunk bounds c_lo + 1 ... c_hi inside it: per
+    run, its pair, its ends ra < rb and, per branch, the chunks of its first
+    and last intervals."""
+    n, s = len(lo), chunks.start[k]
+    inner = (c_hi - c_lo).ravel()
+    own = np.repeat(np.arange(2 * n), inner)  # branch 1 of every pair, then branch 2
+    px = np.concatenate([lo, chunks.key.imag[s.ravel()[own] + _ranges(c_lo.ravel() + 1, inner)],
+                         hi])
+    pair = np.concatenate([np.arange(n), own % n, np.arange(n)])
+    side = np.concatenate([np.zeros(n, dtype=np.int64), own // n + 1, np.zeros(n, dtype=np.int64)])
+    order = _order(pair, px)
+    px, pair, side = px[order], pair[order], side[order]
+    # per branch, the chunk from each bound on: its bounds so far
+    count = 2 + inner.reshape(2, n).sum(0)
+    firsts = np.cumsum(count) - count
+    chunk = []
+    for i in (0, 1):
+        seen = np.cumsum(side == i + 1)
+        chunk.append(c_lo[i][pair] + seen - seen[firsts][pair])
+    chunk = np.stack(chunk)
+    # a bound of both branches: keep its last copy, which counts both
+    keep = np.append((px[1:] != px[:-1]) | (pair[1:] != pair[:-1]), True)
+    px, pair, chunk = px[keep], pair[keep], chunk[:, keep]
+    c = (s - k)[:, pair] + chunk
+    kept = np.append(pair[1:] == pair[:-1], False) & ~_apart(
+        chunks.lo[c[0]], chunks.hi[c[0]], chunks.lo[c[1]], chunks.hi[c[1]], sep)
+    prev = np.append(False, kept[:-1])
+    starts, ends = np.flatnonzero(kept & ~prev), np.flatnonzero(prev & ~kept)
+    return pair[starts], px[starts], px[ends], chunk[:, starts], chunk[:, ends - 1]
+
+
+def _fine(flat, k, a, n, ra, rb):
+    """The grids of runs [ra, rb] of branch pairs k (one row per branch, one
+    column per run) as (run, x, h, first): the union of both branches'
+    samples in each run, ascending, and the gap h = y1 - y2 interpolated
+    there.  Samples a ... a + n - 1 of each branch, its chunks about the
+    run, are gathered: they reach from at or below ra to at or above rb, so
+    they hold the two samples about every grid point."""
+    k, a, n, runs = k.ravel().tolist(), a.ravel(), n.ravel(), len(ra)
+    cut = list(zip(k, a.tolist(), (a + n).tolist()))
+    x = np.concatenate([flat[b].xs[i:j] for b, i, j in cut])
+    y = np.concatenate([flat[b].ys[i:j] for b, i, j in cut])
+    run = np.repeat(np.arange(2 * runs) % runs, n)
+    order = _order(run, x)  # branch 1 first on equal x
+    run, at = run[order], x[order]
+    # per branch, the position of its last sample at or below each point
+    mine = order < n[:runs].sum()
+    step = np.arange(len(order))
+    last = [np.maximum.accumulate(np.where(m, step, 0)) for m in (mine, ~mine)]
+    # the points in the runs; a sample of both branches: keep its last copy,
+    # which counts both
+    keep = (ra[run] <= at) & (at <= rb[run])
+    keep[:-1] &= (at[1:] != at[:-1]) | (run[1:] != run[:-1])
+    run, at = run[keep], at[keep]
+    h = _interp(x, y, at, order[last[0][keep]]) - _interp(x, y, at, order[last[1][keep]])
+    first = np.ones(len(run), dtype=bool)
+    first[1:] = run[1:] != run[:-1]
+    return run, at, h, first
 
 
 def _evaluator(curves, flat, owner):

@@ -271,6 +271,23 @@ def test_duality_rejects_proportional_curves(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("curves, bad", [
+    ([[0, 1], [1, 0]], "curve0 has 2 coefficients, the family has 3 terms"),
+    ([[0, 1, -1], [1, 0]], "curve1 has 2 coefficients, the family has 3 terms"),
+    ([[[0, 1, -1]], [1, 0, 0]], "curve0 is not a flat list of 3 coefficients")])
+def test_duality_rejects_curves_with_the_wrong_number_of_coefficients(curves, bad, tmp_path,
+                                                                      capsys):
+    path = _duality_family(tmp_path)
+    payload = json.loads(path.read_text())
+    assert len(payload["family"]["terms"]) == 3
+    payload["curves"] = curves
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert run(["duality", "--family", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {bad}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_chains_rejects_bad_tolerance(tol, tmp_path, capsys):
     path = _chain_file(tmp_path)

@@ -29,7 +29,7 @@ def test_normalized_coefficients_pass_through():
 
 def test_proportional_coefficients_rejected():
     with pytest.raises(DuplicateCurve):
-        du.family_curve_set([[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]])
+        du.family_curve_set([[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]], 3)
 
 
 def test_zero_vector_rejected():

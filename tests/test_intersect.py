@@ -14,8 +14,8 @@ from pfaffinc.incidence import point_curve_distance
 from pfaffinc import generators as gen
 from pfaffinc.scene import load_scene
 from pfaffinc.curves import KINDS, rotation_matrix
-from pfaffinc.intersect import (_TOUCH_SCAN, _apart, _dedup, monotone_branches,
-                                pair_intersections, vertical_tangent_ts)
+from pfaffinc.intersect import (_GRID_MAX, _TOUCH_SCAN, _apart, _dedup, _grid,
+                                monotone_branches, pair_intersections, vertical_tangent_ts)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
 DATA = Path(__file__).parent / "data"
@@ -303,6 +303,156 @@ def test_bad_tolerance_is_rejected(tol):
         _pair(c1, c2, VP, tol)
     with pytest.raises(ValueError, match="tolerance"):
         pair_intersections([], [], tol)  # at the call, before any iteration
+
+
+# -- the scan ------------------------------------------------------------------------
+
+
+def _scan_oracle(flat, p, k1, k2, overlap, tol):
+    """The candidates of the live branch pairs as the per-pair scan found
+    them, every x-overlapping pair on its whole `_grid`: the oracle of the
+    chunk-pruned scan.  Returns the points (grid zeros and meeting ends) per
+    curve pair, and the rows (pair, branch 1, branch 2, a, b) of the
+    crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of
+    the touches."""
+    points = [[] for _ in range(p[-1] + 1)]
+    cross, touch = [], []
+    for q, m1, m2, over in zip(p.tolist(), k1.tolist(), k2.tolist(), overlap.tolist()):
+        b1, b2 = flat[m1], flat[m2]
+        if not over:
+            for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
+                                       ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
+                if np.hypot(x1 - x2, y1 - y2) <= tol:
+                    points[q].append((x1, float(y1)))
+            continue
+        grid = _grid(b1, b2)
+        h = b1.y_interp(grid) - b2.y_interp(grid)
+        sign = np.sign(h)
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0].tolist():
+            cross.append((q, m1, m2, grid[i], grid[i + 1]))
+        at = np.nonzero(sign == 0)[0]
+        points[q].extend(zip(grid[at].tolist(), b1.y_at(grid[at]).tolist()))
+        absh = np.abs(h)
+        at = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
+        at = at[(absh[at] <= absh[at - 1]) & (absh[at] <= absh[at + 1])
+                & ~(sign[at - 1] * sign[at] < 0) & ~(sign[at] * sign[at + 1] < 0)]
+        for i in at.tolist():
+            touch.append((q, m1, m2, grid[i - 1], grid[i + 1], grid[i]))
+    return points, cross, touch
+
+
+def _overlap_samples(b1, b2):
+    lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
+    return sum(int(((b.xs >= lo) & (b.xs <= hi)).sum()) for b in (b1, b2))
+
+
+def _rows(columns):
+    return sorted(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _assert_scan_is_oracle(got, want):
+    assert [sorted(q) for q in got[0]] == [sorted(q) for q in want[0]]
+    assert _rows(got[1]) == sorted(want[1])
+    assert _rows(got[2]) == sorted(want[2])
+
+
+def _checked_pass(monkeypatch, curves, branches, tol):
+    """Run the pair pass with each block's scan checked against the oracle.
+    Returns the counts of scan points, crossing rows and touch rows, and of
+    the branch pairs whose grid is subsampled."""
+    scan, seen = pf.intersect._scan, dict.fromkeys(["points", "cross", "touch", "long"], 0)
+
+    def checked(flat, chunks, p, k1, k2, overlap, tol):
+        got = scan(flat, chunks, p, k1, k2, overlap, tol)
+        _assert_scan_is_oracle(got, _scan_oracle(flat, p, k1, k2, overlap, tol))
+        seen["points"] += sum(map(len, got[0]))
+        seen["cross"] += len(got[1][0])
+        seen["touch"] += len(got[2][0])
+        seen["long"] += sum(_overlap_samples(flat[a], flat[b]) > _GRID_MAX
+                            for a, b in zip(k1[overlap].tolist(), k2[overlap].tolist()))
+        return got
+
+    monkeypatch.setattr(pf.intersect, "_scan", checked)
+    list(pair_intersections(curves, branches, tol))
+    return seen
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.05])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_scan_equals_oracle_on_random_scenes(seed, tol, monkeypatch):
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
+    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    seen = _checked_pass(monkeypatch, scene.curves, branches, tol)
+    assert seen["cross"] > 50
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_scan_equals_oracle_on_mixed_scene(tol, monkeypatch):
+    scene = load_scene(DATA / "mixed_scene.json")
+    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    seen = _checked_pass(monkeypatch, scene.curves, branches, tol)
+    assert seen["points"] > 0 and seen["touch"] > 0
+
+
+def test_scan_equals_oracle_on_dense_traces(monkeypatch):
+    # 4,096 samples a trace: the grids of long branch pairs are subsampled
+    curves = corpus_curves()
+    branches = []
+    for c in curves:
+        trace = pf.trace_curve(c, CORPUS_VIEWPORT, samples=4096)
+        branches.append(monotone_branches(c, trace, vertical_tangent_ts([c], [trace])[0]))
+    seen = _checked_pass(monkeypatch, curves, branches, 1e-9)
+    assert seen["long"] > 0 and seen["cross"] > 0
+
+
+@pytest.mark.parametrize("chunk, rows", [(1, None), (2, None), (3, None), (None, 5)])
+def test_scan_equals_oracle_in_small_chunks_and_row_groups(chunk, rows, monkeypatch):
+    for name, value in (("_CHUNK", chunk), ("_ROWS", rows)):
+        if value is not None:
+            monkeypatch.setattr(pf.intersect, name, value)
+    for scene in (gen.random_scene(ACCEPTANCE_KINDS, m=0, n=16, planted=0.0, seed=11),
+                  load_scene(DATA / "mixed_scene.json")):
+        branches = [_branches(c, scene.viewport) for c in scene.curves]
+        seen = _checked_pass(monkeypatch, scene.curves, branches, 1e-3)
+        assert seen["cross"] > 0
+    assert seen["touch"] > 0  # on the mixed scene
+
+
+def test_scan_keeps_a_touch_that_interpolation_rounds_past_a_chunk():
+    # np.interp at x overshoots the segment's top y1 by an ulp, so a flat
+    # branch at height c with c - y1 just over the scan threshold still comes
+    # within it at x: its chunks' y-ranges are apart only by rounding
+    x0, x1, y0, y1 = -2.4975237871192744, 2.736192750117972, -1.1088691936974635, 1.3174741479388086
+    x = 2.7361927501179717
+    v = float(np.interp(x, [x0, x1], [y0, y1]))
+    c = y1 + _TOUCH_SCAN
+    while not (c - y1 > _TOUCH_SCAN):
+        c = math.nextafter(c, math.inf)
+    assert v > y1 and c - v <= _TOUCH_SCAN
+    line = pf.line(0.0, c)
+    b1 = pf.intersect.GraphBranch(line, np.array([x0, x1]), np.array([x0, x1]), np.array([y0, y1]))
+    xs = np.array([x0 - 1.0, 0.0, x, x1 + 1.0])
+    b2 = pf.intersect.GraphBranch(line, xs, xs, np.full(4, c))
+    flat, one = [b1, b2], np.zeros(1, dtype=int)
+    args = (one, one, one + 1, np.ones(1, dtype=bool), 1e-9)
+    want = _scan_oracle(flat, *args)
+    assert [row[-1] for row in want[2]] == [x]
+    _assert_scan_is_oracle(pf.intersect._scan(flat, pf.intersect._chunks(flat), *args), want)
+
+
+def test_interp_equals_numpy_interp():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 40):
+        xs = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        for ys in (rng.normal(size=n), np.cumsum(rng.normal(size=n)) * 1e6,
+                   np.where(rng.random(n) < 0.5, 1e308, -1e308),  # slopes overflow
+                   rng.choice([np.inf, -np.inf, 1.0], n)):  # NaN slopes: the fallback
+            at = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 200),
+                                 np.nextafter(xs[1:], -np.inf), np.nextafter(xs[:-1], np.inf)])
+            j = np.searchsorted(xs, at, side="right") - 1
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = pf.intersect._interp(xs, ys, at, j)
+            assert got.tobytes() == np.interp(at, xs, ys).tobytes()
 
 
 # -- pfaffian_bezout_bound ----------------------------------------------------------
