@@ -89,9 +89,9 @@ def cmd_intersect(args):
         branches.append(ix.monotone_branches(c, tr, ix.vertical_tangent_ts([c], [tr])[0]))
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
-    for i, j, pts in ix.pair_intersections(curves, branches, args.tol):
-        for x, y in pts:
-            text += f"{i},{j},{x!r},{y!r}\n"
+    text += "".join(f"{i},{j},{x!r},{y!r}\n"
+                    for i, j, pts in ix.pair_intersections(curves, branches, args.tol)
+                    for x, y in pts)
     _write(args.out, text)
     return EXIT_OK
 
@@ -107,8 +107,7 @@ def cmd_cutting(args):
     csv = _header(args, seed=seed, scene=args.scene, r=args.r,
                   s=cut.s, retries_used=cut.retries_used)
     csv += "cell,crossings\n"
-    for cell in cut.cells:
-        csv += f"{cell.id},{len(cut._crossings[cell.id])}\n"
+    csv += "".join(f"{cell.id},{len(cut._crossings[cell.id])}\n" for cell in cut.cells)
     _write(args.crossings_out, csv)
     if args.svg:
         _write(args.svg, render_svg(scene, traces, cut))
@@ -154,8 +153,7 @@ def cmd_sweep(args):
         rows.append((nominal, g, scene.m, scene.n, graph.count()))
     text = _header(args, sizes=args.sizes)
     text += "nominal,a,m,n,I\n"
-    for row in rows:
-        text += ",".join(str(v) for v in row) + "\n"
+    text += "".join(",".join(str(v) for v in row) + "\n" for row in rows)
     slope = None
     if args.fit_exponent:
         xs = np.log([r[3] for r in rows])
@@ -197,8 +195,8 @@ def cmd_chains(args):
     report = ch.verify_chain(chain, samples=args.samples, tol=args.tol, seed=_default_seed(args.seed))
     text = _header(args, chain=args.chain, samples=args.samples, tol=args.tol)
     text += "link,kind,max_error_x,max_error_y\n"
-    for i, c in enumerate(report.checks):
-        text += f"{i + 1},{c.kind},{c.max_error_x!r},{c.max_error_y!r}\n"
+    text += "".join(f"{i + 1},{c.kind},{c.max_error_x!r},{c.max_error_y!r}\n"
+                    for i, c in enumerate(report.checks))
     text += f"# {'PASS' if report.passed else 'FAIL'}\n"
     _write(args.out, text)
     print("PASS" if report.passed else "FAIL")

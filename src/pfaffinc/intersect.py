@@ -37,7 +37,6 @@ _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
 # temporaries take a few hundred bytes per candidate, and each round of a run
 # costs an array call per curve, so larger blocks trade memory for calls
 _BLOCK = 1024
-_GRID_MAX = 4096  # a longer scan grid is subsampled to about half that
 _CHUNK = 32  # samples per chunk of the scan's y-range prune
 _ROWS = 1 << 12  # chunk intervals or gathered samples per row group of the scan
 
@@ -151,23 +150,18 @@ class GraphBranch:
     def y_at(self, x):
         """Exact y by inverting the parameterization at x (a float or an array)."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ys = _heights(self.curve, xs, self.t_mid, lambda: [self] * len(xs))
+        ys = _heights(self.curve, xs, self.t_mid, [self], np.zeros(len(xs), dtype=int))
         return ys if np.ndim(x) else float(ys[0])
 
-    def _bracket(self, x):
-        """The parameters of the two samples about abscissa x, and their
-        abscissas minus x; past an end of the branch, the end pair."""
-        i = min(max(int(np.searchsorted(self.xs, x)), 1), len(self.xs) - 1)
-        return self.ts[i - 1], self.ts[i], self.xs[i - 1] - x, self.xs[i] - x
 
-
-def _heights(curve, x, hint, branches):
+def _heights(curve, x, hint, branches, which):
     """Exact y of curve at abscissas x, on the branches that hold the
     parameters hint (one per x, or one for all).
 
     t inverts x(t) = x in closed form, or on transformed curves by
-    refinement between the samples about x of the branch of each x
-    (branches() lists them), where x(t) is monotone and dx/dt = vx.
+    refinement between the samples about x of its branch, branches[which],
+    where x(t) is monotone and dx/dt = vx; past an end of the branch, the
+    end pair.  The samples are found with one search per branch.
     """
     t = curve.param_from_x(x, hint)
     if t is None:
@@ -175,9 +169,24 @@ def _heights(curve, x, hint, branches):
             px, py = curve.point_at(u)
             return px - x[lanes], curve.field.vx(px, py)
 
-        ends = np.array([b._bracket(v) for b, v in zip(branches(), x.tolist())]).reshape(-1, 4)
-        t = refine_roots(along, *ends.T)
+        def bracket(k, v):
+            b = branches[k]
+            i = np.clip(np.searchsorted(b.xs, v), 1, len(b.xs) - 1)
+            return b.ts[i - 1], b.ts[i], b.xs[i - 1] - v, b.xs[i] - v
+
+        t = refine_roots(along, *_grouped(which, bracket, x))
     return np.asarray(curve.point_at(t)[1], dtype=float)
+
+
+def _grouped(key, fn, *cols):
+    """`curves.by_curve`(key, fn, *cols) on lanes in any order of the
+    integer array key: grouped by key with a stable sort, returned as one
+    float array, a row per output of fn, in the lanes' order."""
+    order = np.argsort(key, kind="stable")
+    got = np.array(by_curve(key[order], fn, *(v[order] for v in cols)))
+    out = np.empty_like(got)
+    out[:, order] = got
+    return out
 
 
 def monotone_branches(curve, trace, vts):
@@ -210,11 +219,18 @@ def monotone_branches(curve, trace, vts):
 
 
 def _dedup(points, radius):
-    merged = []
+    """The sorted points, less each within radius of an earlier kept one.
+    The kept points ascend in x, so the search walks back from the last one
+    and stops where the x-distance alone exceeds radius."""
+    merged, r2 = [], radius * radius
     for p in sorted(points):
-        if any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= radius * radius for q in merged):
-            continue
-        merged.append(p)
+        i = len(merged) - 1
+        while i >= 0 and (p[0] - merged[i][0]) ** 2 <= r2:
+            if (p[0] - merged[i][0]) ** 2 + (p[1] - merged[i][1]) ** 2 <= r2:
+                break  # p is merged[i]'s duplicate
+            i -= 1
+        else:
+            merged.append(p)
     return merged
 
 
@@ -290,16 +306,13 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
 
 def _grid(b1, b2):
     """The scan grid of a branch pair over its x-overlap: the samples of
-    both branches in it, every k-th of them past _GRID_MAX points."""
+    both branches in it."""
     lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
-    grid = np.unique(np.concatenate([
+    return np.unique(np.concatenate([
         b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
         b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
         [lo, hi],
     ]))
-    if len(grid) > _GRID_MAX:
-        grid = grid[:: len(grid) // (_GRID_MAX // 2)]
-    return grid
 
 
 @dataclass
@@ -460,8 +473,9 @@ def _scan(flat, chunks, p, k1, k2, overlap, tol):
         zeros.append((pair[z], x[z]))
         touch.append((pair[t], x[t - 1], x[t + 1], x[t]))
     (rc, *cross), (rz, xz), (rt, *touch) = (_by_pair(rows) for rows in (cross, zeros, touch))
-    for r, x in zip(rz.tolist(), xz.tolist()):
-        points[p[r]].append((x, flat[k1[r]].y_at(x)))
+    yz = _grouped(k1[rz], lambda k, x: (flat[k].y_at(x),), xz)[0]  # one call per branch
+    for r, x, y in zip(rz.tolist(), xz.tolist(), yz.tolist()):
+        points[p[r]].append((x, y))
     return points, (p[rc], k1[rc], k2[rc], *cross), (p[rt], k1[rt], k2[rt], *touch)
 
 
@@ -495,17 +509,16 @@ def _runs(flat, chunks, r, k1, k2, sep):
     h = y1 - y2 interpolated there, and whether it starts a run, a stretch
     of one pair's grid to scan on its own.
 
-    A pair's grid is the union of both branches' samples in its overlap
-    [lo, hi].  When the chunks that span the overlap hold over _GRID_MAX
-    samples, it is `_grid`, one run.  Otherwise only runs of it are kept:
-    the chunk bounds of both branches inside (lo, hi) cut [lo, hi] into
-    intervals on which each branch stays in one chunk, and an interval whose
-    two chunks' y-ranges are _apart by sep is dropped.  The prune is exact:
-    consecutive grid points share an interval (the bounds are samples), and
-    on a dropped one every h has one sign and |h| > sep >= _TOUCH_SCAN, so
-    it holds no bracket, zero or touch, and the neighbours of a touch lie in
-    its run.  The pieces hold at most about _ROWS samples, and the intervals
-    are taken _ROWS at a time.
+    A pair's grid is `_grid`, the union of both branches' samples in its
+    overlap [lo, hi], and only runs of it are kept: the chunk bounds of both
+    branches inside (lo, hi) cut [lo, hi] into intervals on which each
+    branch stays in one chunk, and an interval whose two chunks' y-ranges
+    are _apart by sep is dropped.  The prune is exact: consecutive grid
+    points share an interval (the bounds are samples), and on a dropped one
+    every h has one sign and |h| > sep >= _TOUCH_SCAN, so it holds no
+    bracket, zero or touch, and the neighbours of a touch lie in its run.
+    The intervals are taken about _ROWS at a time, and the pieces hold
+    about _ROWS samples, or one longer run.
     """
     bx = chunks.key.imag
     k = np.stack([k1[r], k2[r]])  # (branch 1, branch 2) of each pair
@@ -514,28 +527,16 @@ def _runs(flat, chunks, r, k1, k2, sep):
     # per branch, the chunks of lo and of the interval that ends at hi
     c_lo = np.searchsorted(chunks.key, _key(k, lo), side="right") - 1 - s
     c_hi = np.searchsorted(chunks.key, _key(k, hi)) - 1 - s
-    big = _spanned(chunks, k, c_lo, c_hi).sum(0) > _GRID_MAX
-    for q in np.flatnonzero(big).tolist():
-        b1, b2 = flat[k[0, q]], flat[k[1, q]]
-        grid = _grid(b1, b2)
-        first = np.zeros(len(grid), dtype=bool)
-        first[0] = True
-        yield np.full(len(grid), r[q]), grid, b1.y_interp(grid) - b2.y_interp(grid), first
-    r, k, lo, hi, c_lo, c_hi = (v[..., ~big] for v in (r, k, lo, hi, c_lo, c_hi))
     for g0, g1 in _groups(2 + (c_hi - c_lo).sum(0)):
         u, ra, rb, cs, ce = _coarse(chunks, k[:, g0:g1], c_lo[:, g0:g1], c_hi[:, g0:g1],
                                     lo[g0:g1], hi[g0:g1], sep)
         ku = k[:, g0:g1][:, u]
-        n = _spanned(chunks, ku, cs, ce)  # the samples of each run's chunks
+        # the samples of each run's chunks, cs ... ce
+        n = np.minimum(_CHUNK * (ce + 1), chunks.size[ku] - 1) - _CHUNK * cs + 1
         for f0, f1 in _groups(n.sum(0)):
             run, at, h, first = _fine(flat, ku[:, f0:f1], _CHUNK * cs[:, f0:f1], n[:, f0:f1],
                                       ra[f0:f1], rb[f0:f1])
             yield r[g0:g1][u[f0:f1]][run], at, h, first
-
-
-def _spanned(chunks, k, c0, c1):
-    """The number of samples in chunks c0 ... c1 of branches k."""
-    return np.minimum(_CHUNK * (c1 + 1), chunks.size[k] - 1) - _CHUNK * c0 + 1
 
 
 def _coarse(chunks, k, c_lo, c_hi, lo, hi, sep):
@@ -609,17 +610,15 @@ def _evaluator(curves, flat, owner):
     t_mid = np.array([b.t_mid for b in flat])
 
     def on_curve(c, k, x):
-        y = _heights(curves[c], x, t_mid[k], lambda: [flat[b] for b in k])
+        y = _heights(curves[c], x, t_mid[k], flat, k)
         vx, vy = curves[c].field_at(x, y)
         return y, vy / vx
 
     def both(k1, k2, *xs):
         k = np.concatenate([k1, k2] * len(xs))
         x = np.concatenate([v for v in xs for _ in (k1, k2)])
-        order = np.argsort(owner[k], kind="stable")
-        out = np.empty((2, len(k)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[:, order] = by_curve(owner[k[order]], on_curve, k[order], x[order])
+            out = _grouped(owner[k], on_curve, k, x)
         return list(zip(*out.reshape(2, 2 * len(xs), len(k1))))
 
     return both

@@ -14,8 +14,8 @@ from pfaffinc.incidence import point_curve_distance
 from pfaffinc import generators as gen
 from pfaffinc.scene import load_scene
 from pfaffinc.curves import KINDS, rotation_matrix
-from pfaffinc.intersect import (_GRID_MAX, _TOUCH_SCAN, _apart, _dedup, _grid,
-                                monotone_branches, pair_intersections, vertical_tangent_ts)
+from pfaffinc.intersect import (_TOUCH_SCAN, _apart, _dedup, _grid, monotone_branches,
+                                pair_intersections, vertical_tangent_ts)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
 DATA = Path(__file__).parent / "data"
@@ -94,6 +94,63 @@ def test_identical_lines_raise_shared_component():
         pf.intersect_curves(a, b, ta, tb)
 
 
+@pytest.mark.parametrize("shared", ["lines", "circles"])
+def test_dense_traces_of_a_shared_component_raise(shared):
+    # 8,192 samples a trace: every branch pair is long, and each of its
+    # tens of thousands of candidates is refined and deduplicated
+    if shared == "lines":
+        a, b = pf.line(1, 0, label="a"), pf.line(1, 0, label="b")
+    else:
+        a = pf.circle(0.0, 0.0, 1.0)
+        b = pf.apply_linear_transform(a, *rotation_matrix(0.3))
+    vp = (-2.0, 2.0, -2.0, 2.0)
+    ta, tb = (pf.trace_curve(c, vp, samples=8192) for c in (a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SharedComponent):
+            pf.intersect_curves(a, b, ta, tb)
+
+
+def test_crossing_near_the_end_of_a_long_overlap_is_found():
+    # the lines meet at x = 2.9999, among the last samples of an overlap of
+    # over 8,000 samples
+    a, b = pf.line(0.5, 0.0), pf.line(0.4, 0.29999)
+    vp = (-3.0, 3.0, -3.0, 3.0)
+    pts = pf.intersect_curves(a, b, pf.trace_curve(a, vp, samples=4096),
+                              pf.trace_curve(b, vp, samples=4001))
+    assert len(pts) == 1
+    assert math.hypot(pts[0][0] - 2.9999, pts[0][1] - 1.49995) <= 1e-9
+
+
+# -- _dedup ------------------------------------------------------------------------
+
+def _quadratic_dedup(points, radius):
+    """_dedup as it was, each point tested against every kept one: the
+    oracle of the sweep."""
+    merged = []
+    for p in sorted(points):
+        if any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= radius * radius for q in merged):
+            continue
+        merged.append(p)
+    return merged
+
+
+@pytest.mark.parametrize("radius", [1e-8, 1.25])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dedup_equals_quadratic_oracle(seed, radius):
+    rng = np.random.default_rng(seed)
+    # a random cloud, and lattice points a step of radius / 5 apart, so some
+    # lie exactly radius apart, across, along and diagonally (3-4-5) when
+    # radius / 5 is exact, as 0.25 is
+    cloud = rng.uniform(-4, 4, (400, 2)) * radius
+    lattice = rng.integers(-12, 12, (400, 2)) * (radius / 5)
+    for points in (cloud, lattice, np.concatenate([cloud, lattice])):
+        points = [tuple(p) for p in points.tolist()]
+        want = _quadratic_dedup(points, radius)
+        assert _dedup(points, radius) == want
+        assert 1 < len(want) < len(set(points))
+
+
 # -- candidate branch pairs ------------------------------------------------------------
 
 ACCEPTANCE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal",
@@ -152,8 +209,6 @@ def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
                 b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
                 [lo, hi],
             ]))
-            if len(grid) > 4096:
-                grid = grid[:: len(grid) // 2048]
             h = b1.y_interp(grid) - b2.y_interp(grid)
             if np.mean(np.abs(h) <= 10 * tol) > 0.5 and len(grid) > 8:
                 overlap_votes += 1
@@ -356,10 +411,13 @@ def _assert_scan_is_oracle(got, want):
     assert _rows(got[2]) == sorted(want[2])
 
 
+_LONG = 4096  # overlap samples past which a branch pair counts as long
+
+
 def _checked_pass(monkeypatch, curves, branches, tol):
     """Run the pair pass with each block's scan checked against the oracle.
     Returns the counts of scan points, crossing rows and touch rows, and of
-    the branch pairs whose grid is subsampled."""
+    the long branch pairs, whose overlaps hold over _LONG samples."""
     scan, seen = pf.intersect._scan, dict.fromkeys(["points", "cross", "touch", "long"], 0)
 
     def checked(flat, chunks, p, k1, k2, overlap, tol):
@@ -368,7 +426,7 @@ def _checked_pass(monkeypatch, curves, branches, tol):
         seen["points"] += sum(map(len, got[0]))
         seen["cross"] += len(got[1][0])
         seen["touch"] += len(got[2][0])
-        seen["long"] += sum(_overlap_samples(flat[a], flat[b]) > _GRID_MAX
+        seen["long"] += sum(_overlap_samples(flat[a], flat[b]) > _LONG
                             for a, b in zip(k1[overlap].tolist(), k2[overlap].tolist()))
         return got
 
@@ -395,7 +453,7 @@ def test_scan_equals_oracle_on_mixed_scene(tol, monkeypatch):
 
 
 def test_scan_equals_oracle_on_dense_traces(monkeypatch):
-    # 4,096 samples a trace: the grids of long branch pairs are subsampled
+    # 4,096 samples a trace: long branch pairs are scanned on their whole grid
     curves = corpus_curves()
     branches = []
     for c in curves:
