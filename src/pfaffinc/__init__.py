@@ -42,7 +42,6 @@ from .cutting import (
     Cutting,
     PfCell,
     build_cutting,
-    cell_crossings,
     decompose,
     locate_point,
     locate_points,

@@ -107,7 +107,7 @@ def cmd_cutting(args):
     csv = _header(args, seed=seed, scene=args.scene, r=args.r,
                   s=cut.s, retries_used=cut.retries_used)
     csv += "cell,crossings\n"
-    csv += "".join(f"{cell.id},{len(cut._crossings[cell.id])}\n" for cell in cut.cells)
+    csv += "".join(f"{i},{len(crossed)}\n" for i, crossed in enumerate(cut._crossings))
     _write(args.crossings_out, csv)
     if args.svg:
         _write(args.svg, render_svg(scene, traces, cut))
@@ -195,7 +195,7 @@ def cmd_chains(args):
     report = ch.verify_chain(chain, samples=args.samples, tol=args.tol, seed=_default_seed(args.seed))
     text = _header(args, chain=args.chain, samples=args.samples, tol=args.tol)
     text += "link,kind,max_error_x,max_error_y\n"
-    text += "".join(f"{i + 1},{c.kind},{c.max_error_x!r},{c.max_error_y!r}\n"
+    text += "".join(f"{i + 1},{c.kind},{float(c.max_error_x)!r},{float(c.max_error_y)!r}\n"
                     for i, c in enumerate(report.checks))
     text += f"# {'PASS' if report.passed else 'FAIL'}\n"
     _write(args.out, text)

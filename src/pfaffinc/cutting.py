@@ -16,6 +16,7 @@ of slab k (between arcs r - 1 and r) is entry `_arc_off[k] + k + r` of
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,7 @@ from . import intersect as ix
 from .errors import CuttingFailed
 from .intersect import monotone_branches, pair_intersections, points_at
 
-BOTTOM = -1  # region bounded below by the viewport
-TOP = -2  # region bounded above by the viewport
+_VIEWPORT = -1  # the label of a region side on the viewport edge
 
 _EVENT_EPS = 1e-7  # dedup radius for event points
 _X_EPS = 1e-12  # exact-coincidence tolerance
@@ -59,7 +59,43 @@ class PfCell:
     left: tuple | None  # (x, y_lo, y_hi); None = pinched to a point
     right: tuple | None
     corner_count: int
-    regions: list  # [(slab index, region index)]
+
+
+@dataclass(eq=False)
+class Cells(Sequence):
+    """A cutting's cells as columns, one entry per cell.  Indexing and
+    iteration build PfCell rows on demand; len builds none."""
+    bottom: np.ndarray  # curve id of the lower arc; -1 = viewport edge
+    top: np.ndarray  # curve id of the upper arc; -1 = viewport edge
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    y_bottom: np.ndarray  # (cells, 2): the lower arc's heights at x_lo and x_hi
+    y_top: np.ndarray
+    t_bottom: np.ndarray  # (cells, 2): the lower arc's parameters at x_lo and x_hi
+    t_top: np.ndarray
+
+    def __len__(self):
+        return len(self.x_lo)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return PfCell(*next(self.rows(i, i + 1)))
+
+    def __iter__(self):
+        return (PfCell(*row) for row in self.rows())
+
+    def rows(self, start=0, stop=None):
+        """The PfCell fields of cells start..stop-1, as tuples."""
+        at = slice(start, stop)
+        y_bottom, y_top = self.y_bottom[at], self.y_top[at]
+        sides = y_top - y_bottom > 1e-12  # (cells, 2): has a left side, a right side
+        columns = (self.bottom[at], self.top[at], self.x_lo[at], self.x_hi[at], y_bottom, y_top,
+                   self.t_bottom[at], self.t_top[at], sides)
+        for i, (b, t, xl, xr, (bl, br), (tl, tr), tb, tt, (has_l, has_r)) in enumerate(
+                zip(*(c.tolist() for c in columns)), start):
+            yield (i, xl, xr, (b, *tb) if b >= 0 else None, (t, *tt) if t >= 0 else None,
+                   (xl, bl, tl) if has_l else None, (xr, br, tr) if has_r else None,
+                   2 + has_l + has_r)
 
 
 @dataclass
@@ -75,7 +111,7 @@ class Cutting:
     sample: list
     rays: list
     aux_walls: list
-    cells: list
+    cells: Cells
     r: int
     s: int
     seed: int
@@ -94,15 +130,23 @@ class Cutting:
     def max_crossings(self):
         return max((len(s) for s in self._crossings), default=0)
 
-    def cell_area(self, cell):
-        """Trapezoid-rule area (exact for straight arcs)."""
-        total = 0.0
-        for slab_idx, region_idx in cell.regions:
-            a, b = self.slab_xs[slab_idx], self.slab_xs[slab_idx + 1]
-            ya = self._region_bounds(slab_idx, region_idx, a)
-            yb = self._region_bounds(slab_idx, region_idx, b)
-            total += 0.5 * ((ya[1] - ya[0]) + (yb[1] - yb[0])) * (b - a)
-        return total
+    def cell_areas(self):
+        """Trapezoid-rule area of every cell (exact for straight arcs)."""
+        xs, arcs, arc_off = self.slab_xs, self._arcs, self._arc_off
+        ends = xs[np.repeat(np.arange(len(xs) - 1), np.diff(arc_off)) + np.array([[0], [1]])]
+        y = np.zeros((2, len(arcs) + 1))  # arc heights at their slab's ends; padded
+        by_branch = np.argsort(arcs, kind="stable")
+        bounds = np.searchsorted(arcs[by_branch], np.arange(len(self._branches) + 1))
+        for (_cid, br), a, b in zip(self._branches, bounds[:-1], bounds[1:]):
+            y[:, by_branch[a:b]] = br.y_interp(ends[:, by_branch[a:b]])
+        # region g of slab k lies between arcs g - k - 1 and g - k of `_arcs`
+        reg_slab = np.repeat(np.arange(len(xs) - 1), np.diff(arc_off) + 1)
+        above = np.arange(len(self._region_cell)) - reg_slab
+        _x0, _x1, y0, y1 = self.viewport
+        hi = np.where(above == arc_off[reg_slab + 1], y1, y[:, above])
+        lo = np.where(above == arc_off[reg_slab], y0, y[:, above - 1])
+        area = 0.5 * (hi - lo).sum(axis=0) * np.diff(xs)[reg_slab]
+        return np.bincount(self._region_cell, weights=area, minlength=len(self.cells))
 
     def _slab(self, k):
         """Branch indices of slab k's arcs, bottom to top, and the
@@ -130,17 +174,11 @@ class Cutting:
             "sample": list(self.sample),
             "rays": [[w.x, w.y_lo, w.y_hi, w.source] for w in self.rays],
             "cells": [
-                {
-                    "id": c.id,
-                    "x": [c.x_lo, c.x_hi],
-                    "bottom": list(c.bottom) if c.bottom else None,
-                    "top": list(c.top) if c.top else None,
-                    "left": list(c.left) if c.left else None,
-                    "right": list(c.right) if c.right else None,
-                    "corner_count": c.corner_count,
-                    "crossings": sorted(self._crossings[c.id]) if self._crossings else None,
-                }
-                for c in self.cells
+                {"id": i, "x": [xl, xr],
+                 **{k: part and list(part) for k, part in
+                    zip(("bottom", "top", "left", "right"), parts)},
+                 "corner_count": corners, "crossings": sorted(self._crossings[i])}
+                for i, xl, xr, *parts, corners in self.cells.rows()
             ],
         }
 
@@ -217,9 +255,9 @@ def _shoot_rays(events, branches, viewport):
 def decompose(sample_ids, curves, traces, viewport):
     """Vertical decomposition of the viewport induced by the sampled curves.
 
-    Returns the uncertified cutting (r = 1, no draws recorded) with its
-    per-cell crossing sets; an empty sample gives the single whole-viewport
-    cell crossed by every curve.
+    Returns the uncertified cutting (r = 1, no draws recorded): its cells as
+    one column table (`Cells`), and per-cell crossing sets.  An empty sample
+    gives the single whole-viewport cell crossed by every curve.
     """
     # the occupancy pass runs after _cells returns, so the slab temporaries
     # are freed before the trace samples are gathered (lower peak memory)
@@ -313,15 +351,15 @@ def _cells(sample_ids, curves, traces, viewport):
     del order
 
     # regions: (slab k, region r) is g = reg_off[k] + r, labelled by the
-    # branches below and above it (BOTTOM / TOP at the viewport)
+    # branches below and above it (_VIEWPORT at the viewport edges)
     reg_off = arc_off + np.arange(n_slabs + 1, dtype=np.int32)
     n_reg = int(reg_off[-1])
     reg_slab = np.repeat(np.arange(n_slabs, dtype=np.int32), np.diff(reg_off))
     reg_r = np.arange(n_reg, dtype=np.int32) - reg_off[reg_slab]
     top_arc = arc_off[reg_slab] + reg_r  # index into arcs of the arc above
-    padded = np.append(arcs, np.int32(TOP))
-    lo = np.where(reg_r == 0, BOTTOM, padded[top_arc - 1])
-    hi = np.where(top_arc == arc_off[reg_slab + 1], TOP, padded[top_arc])
+    padded = np.append(arcs, np.int32(_VIEWPORT))
+    lo = np.where(reg_r == 0, _VIEWPORT, padded[top_arc - 1])
+    hi = np.where(top_arc == arc_off[reg_slab + 1], _VIEWPORT, padded[top_arc])
     del top_arc, padded
 
     # a region of slab k - 1 continues across edge k into the region of slab
@@ -331,12 +369,12 @@ def _cells(sample_ids, curves, traces, viewport):
     n_left = int(reg_off[-2])  # the regions of slabs 0..n_slabs-2
     k = reg_slab[:n_left] + 1
     a = lo[:n_left]
-    right = np.where(a == BOTTOM, reg_off[k], n_reg)  # n_reg: no continuation
+    right = np.where(a == _VIEWPORT, reg_off[k], n_reg)  # n_reg: no continuation
     on = np.nonzero(a >= 0)[0]
     on = on[stop[a[on]] > k[on]]
     right[on] = slot[arc_base[a[on]] + k[on]] + k[on] + 1
     del a, on, slot
-    left = np.nonzero(np.append(hi, np.int32(TOP - 1))[right] == hi[:n_left])[0]
+    left = np.nonzero(np.append(hi, np.int32(_VIEWPORT - 1))[right] == hi[:n_left])[0]
     right, k = right[left], k[left]
     ymid = 0.5 * (_at_edges(edge_y, base, lo[right], k, y0)
                   + _at_edges(edge_y, base, hi[right], k, y1))
@@ -367,43 +405,22 @@ def _cells(sample_ids, curves, traces, viewport):
     region_cell = np.searchsorted(starts, root).astype(np.int32)
     del root
 
-    # per cell: its label, its end slab edges k0 and kl, and its region
-    # indices rs[g0:g1] in the slabs k0..kl-1
-    by_cell = np.argsort(region_cell, kind="stable")
-    n_regions = np.bincount(region_cell)
-    g1 = np.cumsum(n_regions)
-    g0 = g1 - n_regions
+    # per cell: its label and its end slab edges k0 and kl
     k0 = reg_slab[starts]
-    kl = k0 + n_regions
+    kl = k0 + np.bincount(region_cell)
     lo_c, hi_c = lo[starts], hi[starts]
-    rs = reg_r[by_cell].tolist()
-    del reg_slab, reg_r, lo, hi, by_cell
-    columns = [
-        lo_c, hi_c, slab_xs[k0], slab_xs[kl],
-        _at_edges(edge_y, base, lo_c, k0, y0), _at_edges(edge_y, base, hi_c, k0, y1),
-        _at_edges(edge_y, base, lo_c, kl, y0), _at_edges(edge_y, base, hi_c, kl, y1),
-        _at_edges(edge_t, base, lo_c, k0, 0), _at_edges(edge_t, base, lo_c, kl, 0),
-        _at_edges(edge_t, base, hi_c, k0, 0), _at_edges(edge_t, base, hi_c, kl, 0),
-        k0, kl, g0, g1,
-    ]
+    del reg_slab, reg_r, lo, hi
+    # curve id per branch label; the last entry maps _VIEWPORT to itself
+    cids = np.array([cid for cid, _br in branches] + [_VIEWPORT], dtype=np.int64)
+
+    def at_ends(values, b, default):  # values of arcs b at the cells' end edges
+        return np.stack([_at_edges(values, base, b, k0, default),
+                         _at_edges(values, base, b, kl, default)], axis=1)
+
+    cells = Cells(cids[lo_c], cids[hi_c], slab_xs[k0], slab_xs[kl],
+                  at_ends(edge_y, lo_c, y0), at_ends(edge_y, hi_c, y1),
+                  at_ends(edge_t, lo_c, 0), at_ends(edge_t, hi_c, 0))
     del edge_y, edge_t
-
-    def side(x, a, b, ya, yb):
-        ylo = y0 if a == BOTTOM else ya
-        yhi = y1 if b == TOP else yb
-        return (x, ylo, yhi) if yhi - ylo > 1e-12 else None
-
-    slab_ids = list(range(n_slabs))  # shared by every cell's region tuples
-    cells = []
-    for cid, (a, b, xl, xr, lyl, lyh, ryl, ryh, tbl, tbr, ttl, ttr, ka, kb, ga, gb) in \
-            enumerate(zip(*(c.tolist() for c in columns))):
-        left = side(xl, a, b, lyl, lyh)
-        right = side(xr, a, b, ryl, ryh)
-        bottom = None if a == BOTTOM else (branches[a][0], tbl, tbr)
-        top = None if b == TOP else (branches[b][0], ttl, ttr)
-        corner_count = 2 + (left is not None) + (right is not None)
-        cells.append(PfCell(cid, xl, xr, bottom, top, left, right, corner_count,
-                            list(zip(slab_ids[ka:kb], rs[ga:gb]))))
 
     wall_order = np.argsort(wall_xs, kind="stable")
     return Cutting(sample=list(sample_ids), rays=rays, aux_walls=aux, cells=cells,
@@ -433,7 +450,7 @@ def _sweep(cut, xs, ys, near):
         clear[lo:hi] &= np.abs(gap) > near
         below[lo:hi] += gap > 0
     slab_xs = cut.slab_xs
-    slab = np.clip(np.searchsorted(slab_xs, xs, side="right") - 1, 0, len(slab_xs) - 2)
+    slab = _slab_of(slab_xs, xs)
     clear &= np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs) > 2 * _X_GROUP
     return slab, below, clear
 
@@ -441,20 +458,13 @@ def _sweep(cut, xs, ys, near):
 def _occupancy(cut, traces):
     """Per-cell sets of unsampled curve ids whose trace enters the cell interior."""
     skip_ids = set(cut.sample)
-    xs_all, ys_all, ids_all = [], [], []
-    for i, tr in enumerate(traces):
-        if i in skip_ids:
-            continue
-        for comp in tr.components:
-            xs_all.append(comp.xs)
-            ys_all.append(comp.ys)
-            ids_all.append(np.full(len(comp.xs), i, dtype=np.int32))
-    if not xs_all:
-        return [set() for _ in cut.cells]
-    xs = np.concatenate(xs_all)
-    ys = np.concatenate(ys_all)
-    ids = np.concatenate(ids_all)
-    del xs_all, ys_all, ids_all
+    comps = [(i, comp) for i, tr in enumerate(traces) if i not in skip_ids
+             for comp in tr.components]
+    if not comps:
+        return [set() for _ in range(len(cut.cells))]
+    xs = np.concatenate([comp.xs for _i, comp in comps])
+    ys = np.concatenate([comp.ys for _i, comp in comps])
+    ids = np.concatenate([np.full(len(comp.xs), i, dtype=np.int32) for i, comp in comps])
     order = np.argsort(xs, kind="stable")
     xs, ys, ids = xs[order], ys[order], ids[order]
 
@@ -473,11 +483,6 @@ def _occupancy(cut, traces):
     bounds = np.searchsorted(cell, np.arange(len(cut.cells) + 1)).tolist()
     ids = ids.tolist()
     return [set(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def cell_crossings(cell, cutting):
-    """Number of unsampled curves whose trace enters the cell interior."""
-    return len(cutting._crossings[cell.id])
 
 
 # -- certification ---------------------------------------------------------------
@@ -513,8 +518,6 @@ def locate_point(cutting, p, tol=1e-7):
     x0, x1, y0, y1 = cutting.viewport
     if not (x0 <= px <= x1 and y0 <= py <= y1):
         raise ValueError(f"point {p} outside viewport {cutting.viewport}")
-    slab_xs = cutting.slab_xs
-    k = int(np.clip(np.searchsorted(slab_xs, px, side="right") - 1, 0, len(slab_xs) - 2))
 
     # on a vertical wall?  (the lowest-index one; the x index is searched
     # with a widened window, the test below is exact)
@@ -524,16 +527,11 @@ def locate_point(cutting, p, tol=1e-7):
     for w_idx in sorted(cutting._wall_order[near].tolist()):
         w = cutting.rays[w_idx] if w_idx < n_rays else cutting.aux_walls[w_idx - n_rays]
         if abs(px - w.x) <= tol and w.y_lo - tol <= py <= w.y_hi + tol:
-            kl = int(np.clip(np.searchsorted(slab_xs, w.x - 2 * _X_EPS, side="right") - 1,
-                             0, len(slab_xs) - 2))
-            kr = int(np.clip(np.searchsorted(slab_xs, w.x + 2 * _X_EPS, side="right") - 1,
-                             0, len(slab_xs) - 2))
-            cl = _region_at(cutting, kl, w.x - 2 * _X_EPS, py)
-            cr = _region_at(cutting, kr, w.x + 2 * _X_EPS, py)
-            cells = tuple(sorted({cl, cr}))
-            return Location("boundary", cells=cells, on=("ray", w_idx))
+            cells = {_region_at(cutting, w.x - 2 * _X_EPS, py),
+                     _region_at(cutting, w.x + 2 * _X_EPS, py)}
+            return Location("boundary", cells=tuple(sorted(cells)), on=("ray", w_idx))
 
-    arcs, region0 = cutting._slab(k)
+    arcs, region0 = cutting._slab(_slab_of(cutting.slab_xs, px))
     below = 0
     for b_idx in arcs:
         cid, br = cutting._branches[b_idx]
@@ -575,11 +573,12 @@ def locate_points(cutting, pts, tol=1e-7):
     return cell
 
 
-def _region_at(cutting, k, x, y):
-    arcs, region0 = cutting._slab(k)
-    below = 0
-    for b_idx in arcs:
-        _cid, br = cutting._branches[b_idx]
-        if float(br.y_interp(x)) < y:
-            below += 1
+def _slab_of(slab_xs, x):
+    """Index of the slab holding x (a float or an array), clipped to the viewport."""
+    return np.clip(np.searchsorted(slab_xs, x, side="right") - 1, 0, len(slab_xs) - 2)
+
+
+def _region_at(cutting, x, y):
+    arcs, region0 = cutting._slab(_slab_of(cutting.slab_xs, x))
+    below = sum(float(cutting._branches[b][1].y_interp(x)) < y for b in arcs)
     return int(cutting._region_cell[region0 + below])

@@ -274,7 +274,7 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
                 b_nonsample += 1
         else:
             per_cell[cell] += 1
-            if cutting._crossings is not None and ci not in cutting._crossings[cell]:
+            if ci not in cutting._crossings[cell]:
                 cutting._crossings[cell].add(ci)
                 repairs += 1
     return IncidenceBreakdown(per_cell, b_nonsample, b_sample, boundary, repairs)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -247,7 +248,13 @@ def test_chains_command(tmp_path):
     path = _chain_file(tmp_path)
     assert run(["chains", "--chain", str(path), "--samples", "100",
                 "--out", str(tmp_path / "rep.csv")]) == 0
-    assert "# PASS" in (tmp_path / "rep.csv").read_text()
+    text = (tmp_path / "rep.csv").read_text()
+    assert "# PASS" in text
+    rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+    assert rows[0] == ["link", "kind", "max_error_x", "max_error_y"]
+    assert len(rows) > 1
+    for link, _kind, err_x, err_y in rows[1:]:  # plain floats, not numpy reprs
+        assert int(link) >= 1 and float(err_x) >= 0 and float(err_y) >= 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

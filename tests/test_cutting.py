@@ -96,13 +96,31 @@ def test_cell_corner_counts_within_four():
     assert all(c.x_hi > c.x_lo for c in cells)
 
 
-# -- cell_crossings -------------------------------------------------------------------
+def test_cells_are_built_only_on_access(monkeypatch):
+    built = []
+    monkeypatch.setattr(ct, "PfCell", lambda *fields: built.append(fields) or pf.PfCell(*fields))
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=60, n=60, planted=0.5, seed=7)
+    traces = scene.traces()
+    cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=4, seed=7)
+    split = pf.count_via_cutting(scene.points, scene.curves, traces, cut)
+    assert split.total == pf.count_incidences(scene.points, scene.curves, traces).count()
+    assert built == []
+    cells = list(cut.cells)
+    assert len(cells) == len(cut.cells) > 100
+    assert [c.id for c in cells] == list(range(len(cells)))
+    assert cut.cells[-1] == cells[-1] and cut.cells[0] == cells[0]
+    assert all(cut.cells[i] == cell for i, cell in enumerate(cells))
+    with pytest.raises(IndexError):
+        cut.cells[len(cells)]
+
+
+# -- crossing sets -------------------------------------------------------------------
 
 def test_whole_viewport_cell_sees_every_curve():
     scene = gen.random_scene(["line", "parabola"], m=0, n=7, planted=0.0, seed=5)
     traces = scene.traces()
     cut = pf.decompose([], scene.curves, traces, scene.viewport)
-    assert pf.cell_crossings(cut.cells[0], cut) == 7
+    assert len(cut._crossings[0]) == 7
 
 
 def test_region_beyond_all_curves_is_empty():
@@ -221,16 +239,14 @@ def test_locate_matches_linear_scan(line_scene):
         loc = pf.locate_point(cut, p)
         if loc.kind != "interior":
             continue
-        # linear scan oracle over all cells
+        # linear scan oracle over every region of p's slab
         matches = []
         k = int(np.searchsorted(cut.slab_xs, p[0], side="right") - 1)
-        for cell in cut.cells:
-            for (kk, rr) in cell.regions:
-                if kk != k:
-                    continue
-                lo, hi = cut._region_bounds(kk, rr, p[0])
-                if lo + 1e-7 < p[1] < hi - 1e-7:
-                    matches.append(cell.id)
+        arcs, region0 = cut._slab(k)
+        for rr in range(len(arcs) + 1):
+            lo, hi = cut._region_bounds(k, rr, p[0])
+            if lo + 1e-7 < p[1] < hi - 1e-7:
+                matches.append(int(cut._region_cell[region0 + rr]))
         if len(matches) == 1:
             checked += 1
             assert matches[0] == loc.cell
@@ -348,10 +364,24 @@ def test_partition_covers_viewport(line_scene):
 
 
 def test_cell_areas_partition_viewport(line_scene):
-    scene, traces, cut = line_scene
-    x0, x1, y0, y1 = scene.viewport
-    total = sum(cut.cell_area(c) for c in cut.cells)
-    assert abs(total - (x1 - x0) * (y1 - y0)) <= 1e-6 * (x1 - x0) * (y1 - y0)
+    # the trapezoids of a slab's regions telescope to the slab's area, so
+    # the partition holds for curved arcs too
+    curved = gen.random_scene(["circle", "parabola"], m=0, n=16, planted=0.0, seed=4)
+    curved_cut = pf.build_cutting(curved.curves, curved.traces(), curved.viewport, r=2, seed=4)
+    for cut in (line_scene[2], curved_cut):
+        x0, x1, y0, y1 = cut.viewport
+        areas = cut.cell_areas()
+        assert len(areas) == len(cut.cells)
+        assert abs(areas.sum() - (x1 - x0) * (y1 - y0)) <= 1e-6 * (x1 - x0) * (y1 - y0)
+        # each cell against a region-by-region scalar sum
+        expect = np.zeros(len(cut.cells))
+        for k, (a, b) in enumerate(zip(cut.slab_xs[:-1], cut.slab_xs[1:])):
+            arcs, region0 = cut._slab(k)
+            for rr in range(len(arcs) + 1):
+                (lo_a, hi_a), (lo_b, hi_b) = (cut._region_bounds(k, rr, x) for x in (a, b))
+                area = 0.5 * (hi_a - lo_a + hi_b - lo_b) * (b - a)
+                expect[cut._region_cell[region0 + rr]] += area
+        np.testing.assert_allclose(areas, expect, rtol=1e-12, atol=1e-12)
 
 
 def test_ray_count_bounded_by_events(line_scene):
