@@ -10,7 +10,9 @@ by more than n/r of the input curves.
 The slab structure is held in flat arrays: the arcs of slab k, bottom to
 top, are `_arcs[_arc_off[k]:_arc_off[k + 1]]` (branch indices), and region r
 of slab k (between arcs r - 1 and r) is entry `_arc_off[k] + k + r` of
-`_region_cell`.
+`_region_cell`.  The same slice of `_arc_lo` and of `_arc_hi` holds the
+lows and the highs of those arcs' y-extents over the slab, each sorted on
+its own (float32, rounded outward).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _VIEWPORT = -1  # the label of a region side on the viewport edge
 _EVENT_EPS = 1e-7  # dedup radius for event points
 _X_EPS = 1e-12  # exact-coincidence tolerance
 _X_GROUP = 1e-7  # slab-boundary grouping tolerance (absorbs trace insets)
+_BLOCK = 2**17  # (wall, region) rows per block of the wall test
 
 
 def sample_curves(n, s, seed):
@@ -122,6 +125,8 @@ class Cutting:
     _branches: list = field(repr=False, default=None)  # (curve id, GraphBranch)
     _arcs: np.ndarray = field(repr=False, default=None)  # branch indices, slab by slab
     _arc_off: np.ndarray = field(repr=False, default=None)  # slab k's arcs start here
+    _arc_lo: np.ndarray = field(repr=False, default=None)  # arc y-extents, sorted per slab
+    _arc_hi: np.ndarray = field(repr=False, default=None)
     _region_cell: np.ndarray = field(repr=False, default=None)
     _wall_xs: np.ndarray = field(repr=False, default=None)  # wall abscissas, ascending
     _wall_order: np.ndarray = field(repr=False, default=None)  # their rays + aux_walls index
@@ -379,16 +384,25 @@ def _cells(sample_ids, curves, traces, viewport):
     ymid = 0.5 * (_at_edges(edge_y, base, lo[right], k, y0)
                   + _at_edges(edge_y, base, hi[right], k, y1))
 
-    # ... unless a wall on that edge spans the region's mid height
+    # ... unless a wall on that edge spans the region's mid height: one row
+    # per wall and pair of its edge, expanded about _BLOCK rows at a time
     walls = rays + aux
     wall_xs = np.array([w.x for w in walls])
+    kw = _nearest_edges(slab_xs, wall_xs)
+    on = np.nonzero(np.abs(slab_xs[kw] - wall_xs) <= 2 * _X_GROUP)[0]
+    wall_y = np.array([(walls[i].y_lo - _X_EPS, walls[i].y_hi + _X_EPS)
+                       for i in on.tolist()]).reshape(-1, 2)
     pair_start = np.searchsorted(k, np.arange(n_slabs + 2))  # pairs are sorted by edge
+    pair0, count = pair_start[kw[on]], np.diff(pair_start)[kw[on]]
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
     open_ = np.ones(len(k), dtype=bool)
-    for w, kw in zip(walls, _nearest_edges(slab_xs, wall_xs).tolist()):
-        if abs(slab_xs[kw] - w.x) <= 2 * _X_GROUP:
-            at = slice(pair_start[kw], pair_start[kw + 1])
-            open_[at] &= ~((w.y_lo - _X_EPS <= ymid[at]) & (ymid[at] <= w.y_hi + _X_EPS))
-    del ymid, k
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(on)]):
+        c = count[a:b]
+        w = np.repeat(np.arange(a, b), c)
+        pair = np.arange(len(w)) + np.repeat(pair0[a:b] - (np.cumsum(c) - c), c)
+        y = ymid[pair]
+        open_[pair[(wall_y[w, 0] <= y) & (y <= wall_y[w, 1])]] = False
+    del ymid, k, kw, on, wall_y, pair0, count, w, pair, y
 
     # merged regions form left-to-right chains, one region per slab; a cell
     # is a chain, numbered by its first region
@@ -420,13 +434,35 @@ def _cells(sample_ids, curves, traces, viewport):
     cells = Cells(cids[lo_c], cids[hi_c], slab_xs[k0], slab_xs[kl],
                   at_ends(edge_y, lo_c, y0), at_ends(edge_y, hi_c, y1),
                   at_ends(edge_t, lo_c, 0), at_ends(edge_t, hi_c, 0))
-    del edge_y, edge_t
+    del edge_t
+
+    # per arc, the y-extent of its branch's polyline over its slab: the
+    # heights at the slab's edges and at the vertices between them, rounded
+    # outward to float32; lows and highs each sorted within their slab
+    arc_lo, arc_hi = [np.empty(0, np.float32)], [np.empty(0, np.float32)]
+    for (_cid, br), f, e, b0 in zip(branches, first.tolist(), stop.tolist(), base.tolist()):
+        ey = edge_y[b0 + f:b0 + e + 1]
+        pos = np.searchsorted(br.xs, slab_xs[f:e + 1])
+        at = pos + np.arange(len(pos))  # the edges' places among the vertices
+        ys = np.insert(br.ys, pos, ey)[at[0]:at[-1]]
+        for out, least, inf in ((arc_lo, np.minimum, -np.inf), (arc_hi, np.maximum, np.inf)):
+            v = least(least.reduceat(ys, at[:-1] - at[0]), ey[1:])
+            v32 = v.astype(np.float32)
+            out.append(np.where(least(v32, v) != v32, np.nextafter(v32, np.float32(inf)), v32))
+    del edge_y
+    # into slab order, bottom to top, where they are nearly sorted already;
+    # then one stable sort of (slab, extent) as complex keys
+    arc_slab = np.repeat(np.arange(n_slabs, dtype=np.int32), np.diff(arc_off))
+    arc_lo, arc_hi = (np.sort(arc_slab + 1j * np.concatenate(v)[arc_base[arcs] + arc_slab],
+                              kind="stable").imag.astype(np.float32) for v in (arc_lo, arc_hi))
+    del arc_slab
 
     wall_order = np.argsort(wall_xs, kind="stable")
     return Cutting(sample=list(sample_ids), rays=rays, aux_walls=aux, cells=cells,
                    r=1, s=0, seed=0, retries_used=0, viewport=tuple(viewport),
                    n=len(curves), slab_xs=slab_xs, _branches=branches,
-                   _arcs=arcs, _arc_off=arc_off, _region_cell=region_cell,
+                   _arcs=arcs, _arc_off=arc_off, _arc_lo=arc_lo, _arc_hi=arc_hi,
+                   _region_cell=region_cell,
                    _wall_xs=wall_xs[wall_order], _wall_order=wall_order)
 
 
@@ -438,10 +474,52 @@ def _sweep(cut, xs, ys, near):
     that count holds: no branch within `near` (interpolated), and not within
     2 * _X_GROUP of a slab edge.  Every branch end lies within _X_GROUP of a
     slab edge (`_slab_edges`), so the branches over any other point are
-    exactly its slab's arcs."""
+    exactly its slab's arcs.
+
+    Most points are placed by one sorted search per slab over its arcs'
+    y-extents (`_arc_lo`, `_arc_hi`), with the slack m = 2 near + 1e-12
+    (1 + Y), Y the largest |height| of the sample's branches.  An arc whose
+    high is <= y - m lies below y by more than `near` over the whole slab,
+    and one whose low is >= y + m above it: its interpolated heights there
+    lie between the heights at the slab's edges and at the vertices between
+    them, which the extent holds (rounded outward), up to np.interp's
+    rounding, a few ulps of Y.  The slack exceeds `near` by near + 1e-12
+    (1 + Y): more than that rounding, and more than the rounding of y -+ m
+    unless y is so far out (|y| over 9e3 (1 + Y) and over 9e15 near) that
+    no arc comes within `near` of it.  So when every arc of the slab is
+    below or above, the scan would find each gap beyond `near` on that
+    side: `below` is the scan's count and `clear` holds.  The points off
+    the slab edges that some arc's widened extent contains, a few percent
+    of a cutting's trace samples, go through `_near_branches`, the
+    branch-by-branch scan.  `below` counts only where `clear` holds.
+    """
+    slab_xs = cut.slab_xs
+    slab = _slab_of(slab_xs, xs)
+    clear = np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs) > 2 * _X_GROUP
+    y_max = max((max(-br.y_lo, br.y_hi) for _c, br in cut._branches), default=0.0)
+    m = 2 * near + 1e-12 * (1 + y_max)
+    y_lo, y_hi = ys - m, ys + m
+    below = np.empty(len(xs), dtype=np.int32)  # arcs with high <= y - m
+    under = np.empty(len(xs), dtype=np.int32)  # arcs with low < y + m
+    at = np.searchsorted(slab, np.arange(len(slab_xs))).tolist()  # slab k's points: at[k]:at[k + 1]
+    off = cut._arc_off.tolist()
+    for k in np.nonzero(np.diff(at))[0].tolist():
+        a, b, lo, hi = at[k], at[k + 1], off[k], off[k + 1]
+        below[a:b] = cut._arc_hi[lo:hi].searchsorted(y_lo[a:b], side="right")
+        under[a:b] = cut._arc_lo[lo:hi].searchsorted(y_hi[a:b], side="left")
+    del y_lo, y_hi
+    rest = np.nonzero(clear & (below != under))[0]
+    del under
+    below[rest], clear[rest] = _near_branches(cut._branches, xs[rest], ys[rest], near)
+    return slab, below, clear
+
+
+def _near_branches(branches, xs, ys, near):
+    """Per point (xs ascending): the branches over it with y below it, and
+    whether none lies within `near` (interpolated)."""
     below = np.zeros(len(xs), dtype=np.int32)
     clear = np.ones(len(xs), dtype=bool)
-    for _cid, br in cut._branches:
+    for _cid, br in branches:
         lo = np.searchsorted(xs, br.x_lo, side="left")
         hi = np.searchsorted(xs, br.x_hi, side="right")
         if hi <= lo:
@@ -449,10 +527,7 @@ def _sweep(cut, xs, ys, near):
         gap = ys[lo:hi] - np.interp(xs[lo:hi], br.xs, br.ys)
         clear[lo:hi] &= np.abs(gap) > near
         below[lo:hi] += gap > 0
-    slab_xs = cut.slab_xs
-    slab = _slab_of(slab_xs, xs)
-    clear &= np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs) > 2 * _X_GROUP
-    return slab, below, clear
+    return below, clear
 
 
 def _occupancy(cut, traces):
@@ -467,19 +542,20 @@ def _occupancy(cut, traces):
     ids = np.concatenate([np.full(len(comp.xs), i, dtype=np.int32) for i, comp in comps])
     order = np.argsort(xs, kind="stable")
     xs, ys, ids = xs[order], ys[order], ids[order]
+    del order
 
     _x0, _x1, y0, y1 = cut.viewport
     slab, below, valid = _sweep(cut, xs, ys, 1e-9)
     valid &= (ys > y0 + 1e-12) & (ys < y1 - 1e-12)
-    del xs, ys, order
+    del xs, ys
     slab, below, ids = slab[valid], below[valid], ids[valid]
     del valid
     arc_off = cut._arc_off
     region = arc_off[slab] + slab + np.minimum(below, np.diff(arc_off)[slab])
     del slab, below
     n = len(traces)
-    key = cut._region_cell[region].astype(np.int64) * n + ids  # one per (cell, curve)
-    cell, ids = np.divmod(np.unique(key), n)
+    key = np.sort(cut._region_cell[region].astype(np.int64) * n + ids)
+    cell, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # one per (cell, curve)
     bounds = np.searchsorted(cell, np.arange(len(cut.cells) + 1)).tolist()
     ids = ids.tolist()
     return [set(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]

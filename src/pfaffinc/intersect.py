@@ -39,6 +39,7 @@ _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
 _BLOCK = 1024
 _CHUNK = 32  # samples per chunk of the scan's y-range prune
 _ROWS = 1 << 12  # chunk intervals or gathered samples per row group of the scan
+_LANES = 1 << 14  # crossing brackets per refinement run
 
 
 def pfaffian_bezout_bound(k1, k2):
@@ -627,8 +628,16 @@ def _evaluator(curves, flat, owner):
 def _refine_crossings(both, columns):
     """Pairs, x and y of the crossings: y1 - y2 refined between the bracket
     ends, with slope dy1/dx - dy2/dx; a bracket whose exact gap has one sign
-    is an interpolation artifact and is skipped."""
-    p, k1, k2, a, b = map(np.array, columns)
+    is an interpolation artifact and is skipped.  The brackets go _LANES at
+    a time, which bounds a run's memory; the lanes are independent, so the
+    roots do not depend on the slicing."""
+    columns = [np.array(c) for c in columns]
+    found = [_refine_slice(both, *(c[s:s + _LANES] for c in columns))
+             for s in range(0, max(len(columns[0]), 1), _LANES)]
+    return [np.concatenate(v) for v in zip(*found)]
+
+
+def _refine_slice(both, p, k1, k2, a, b):
     (ya1, _), (ya2, _), (yb1, _), (yb2, _) = both(k1, k2, a, b)
     ga, gb = ya1 - ya2, yb1 - yb2
     keep = ~(ga * gb > 0)

@@ -318,7 +318,8 @@ def test_locate_matches_wall_and_arc_scan():
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_branches_over_a_point_off_slab_edges_are_its_slab_arcs(seed):
-    # the below-count sweep of locate_points and _occupancy relies on this
+    # the below-count sweep of locate_points and _occupancy relies on this,
+    # both its search over the slab's arc extents and its branch scan
     kinds = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
     scene = gen.random_scene(kinds, m=0, n=16, planted=0.0, seed=seed)
     cut = pf.build_cutting(scene.curves, scene.traces(), scene.viewport, r=2, seed=seed)
@@ -332,6 +333,123 @@ def test_branches_over_a_point_off_slab_edges_are_its_slab_arcs(seed):
             assert over == set(cut._slab(k)[0]), (k, x)
             checked += 1
     assert checked > 20
+
+
+# -- the below-count sweep --------------------------------------------------
+
+
+def _sweep_by_branch(cut, xs, ys, near):
+    """_sweep's reference: every branch over every point, no extents."""
+    below = np.zeros(len(xs), dtype=int)
+    clear = np.ones(len(xs), dtype=bool)
+    for _cid, br in cut._branches:
+        over = (br.x_lo <= xs) & (xs <= br.x_hi)
+        gap = ys[over] - np.interp(xs[over], br.xs, br.ys)
+        clear[over] &= np.abs(gap) > near
+        below[over] += gap > 0
+    edges = cut.slab_xs
+    slab = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(edges) - 2)
+    clear &= np.minimum(xs - edges[slab], edges[slab + 1] - xs) > 2 * ct._X_GROUP
+    return slab, below, clear
+
+
+def _check_sweep(cut, pts, near):
+    """_sweep agrees with its reference on pts; returns the clear count."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    xs, ys = pts[np.argsort(pts[:, 0], kind="stable")].T
+    slab, below, clear = ct._sweep(cut, xs, ys, near)
+    want_slab, want_below, want_clear = _sweep_by_branch(cut, xs, ys, near)
+    assert np.array_equal(clear, want_clear)
+    assert np.array_equal(slab[clear], want_slab[clear])
+    assert np.array_equal(below[clear], want_below[clear])
+    return int(clear.sum())
+
+
+def _sweep_probes(cut, traces, near, rng):
+    """Trace samples, uniform points, points on and about the arcs (at
+    random abscissas and at branch vertices, the extremes included), and
+    points about 2 * _X_GROUP from the slab edges."""
+    x0, x1, y0, y1 = cut.viewport
+    probes = [np.column_stack([c.xs, c.ys]) for tr in traces for c in tr.components]
+    probes.append(rng.uniform((x0, y0), (x1, y1), size=(400, 2)))
+    offsets = near * np.array([0.0, 0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, -3.0])
+    for _cid, br in cut._branches:
+        x = rng.uniform(br.x_lo, br.x_hi, size=8)
+        at = np.append(rng.integers(0, len(br.xs), size=16), [br.ys.argmin(), br.ys.argmax()])
+        for px, py in ((x, br.y_at(x)), (x, br.y_interp(x)), (br.xs[at], br.ys[at])):
+            probes += [np.column_stack([px, py + d]) for d in offsets]
+    inner = cut.slab_xs[1:-1]
+    for d in (2 * ct._X_GROUP - 1e-9, 2 * ct._X_GROUP + 1e-9):
+        for x in (inner - d, inner + d):
+            probes.append(np.column_stack([x, rng.uniform(y0, y1, size=len(x))]))
+    pts = np.concatenate(probes)
+    return pts[(x0 <= pts[:, 0]) & (pts[:, 0] <= x1)]
+
+
+@pytest.mark.parametrize("near", [1e-9, 1e-5])
+@pytest.mark.parametrize("r", [2, 4])
+def test_sweep_matches_branch_by_branch_scan(r, near):
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=r)
+    traces = scene.traces()
+    cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=r, seed=r)
+    pts = _sweep_probes(cut, traces, near, np.random.default_rng(r))
+    assert _check_sweep(cut, pts, near) > 0.1 * len(pts)
+
+
+@pytest.mark.parametrize("near", [1e-9, 1e-5])
+def test_sweep_matches_branch_by_branch_scan_on_mixed_scene(near):
+    scene = pf.load_scene(Path(__file__).parent / "data" / "mixed_scene.json")
+    assert any(c.transform is not None for c in scene.curves)
+    traces = scene.traces()
+    cut = ct.decompose(range(len(scene.curves)), scene.curves, traces, scene.viewport)
+    pts = _sweep_probes(cut, traces, near, np.random.default_rng(5))
+    assert _check_sweep(cut, pts, near) > 0.1 * len(pts)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e6])
+def test_sweep_matches_branch_by_branch_scan_on_scaled_scene(scale):
+    base = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=16, planted=0.0, seed=6)
+    curves = [pf.apply_linear_transform(c, scale, 0.0, 0.0, scale) for c in base.curves]
+    vp = tuple(scale * v for v in base.viewport)
+    traces = [pf.trace_curve(c, vp) for c in curves]
+    cut = pf.build_cutting(curves, traces, vp, r=2, seed=6)
+    for near in (1e-9, 1e-5):
+        pts = _sweep_probes(cut, traces, near, np.random.default_rng(6))
+        assert _check_sweep(cut, pts, near) > 0.1 * len(pts)
+
+
+@pytest.mark.parametrize("height", [0.75, 2.0**25])
+def test_sweep_settles_points_a_slack_from_exact_extents(monkeypatch, height):
+    # horizontal lines at float32 heights have exact extents: a point on one
+    # is never clear, also at 2**25, where y - 2 near rounds down by an ulp
+    # but y + 2 near rounds to y; and a point just a slack m from one (m as
+    # in the _sweep docstring) is settled by the extents, not by the scan
+    curves = [pf.line(0.0, height), pf.line(0.0, height + 256.0)]
+    vp = (-1.0, 1.0, height - 512.0, height + 512.0)
+    cut = ct.decompose([0, 1], curves, [pf.trace_curve(c, vp) for c in curves], vp)
+    near = 1e-9
+    slack = 2 * near + 1e-12 * (1 + height + 256.0)
+
+    def a_slack_from_height(side):  # y with fl(y - side * slack) == height
+        y = height + side * slack
+        for _ in range(64):
+            v = y - side * slack
+            if v == height:
+                return y
+            y = np.nextafter(y, -math.inf if v > height else math.inf)
+        raise AssertionError("no such y")
+
+    xs = np.linspace(-0.9, 0.9, 7)
+    scanned = []
+    scan = ct._near_branches
+    monkeypatch.setattr(ct, "_near_branches", lambda *a: scanned.append(len(a[1])) or scan(*a))
+    for side, want_below in ((1, 1), (-1, 0)):
+        ys = np.full(len(xs), a_slack_from_height(side))
+        _slab, below, clear = ct._sweep(cut, xs, ys, near)
+        assert clear.all() and (below == want_below).all() and scanned[-1] == 0
+        assert _check_sweep(cut, np.column_stack([xs, ys]), near) == len(xs)
+    on = np.column_stack([xs, np.full(len(xs), height)])
+    assert _check_sweep(cut, on, near) == 0 and scanned[-1] == len(xs)
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-6])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -109,6 +110,32 @@ def test_dense_traces_of_a_shared_component_raise(shared):
         warnings.simplefilter("error")
         with pytest.raises(SharedComponent):
             pf.intersect_curves(a, b, ta, tb)
+
+
+def test_shared_component_refines_its_brackets_in_bounded_slices():
+    # a circle and its rotated copy at 16,384 samples give tens of thousands
+    # of crossing brackets; refined all at once they peaked at 21.8 MB
+    a = pf.circle(0.0, 0.0, 1.0)
+    b = pf.apply_linear_transform(a, *rotation_matrix(0.3))
+    vp = (-2.0, 2.0, -2.0, 2.0)
+    ta, tb = (pf.trace_curve(c, vp, samples=16384) for c in (a, b))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SharedComponent):
+            pf.intersect_curves(a, b, ta, tb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_crossings_do_not_depend_on_the_refinement_slices(monkeypatch):
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=11)
+    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    whole = list(pair_intersections(scene.curves, branches))
+    assert sum(len(pts) for _, _, pts in whole) > 50
+    monkeypatch.setattr(pf.intersect, "_LANES", 3)
+    assert list(pair_intersections(scene.curves, branches)) == whole
 
 
 def test_crossing_near_the_end_of_a_long_overlap_is_found():
