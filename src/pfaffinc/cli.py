@@ -107,7 +107,7 @@ def cmd_cutting(args):
     csv = _header(args, seed=seed, scene=args.scene, r=args.r,
                   s=cut.s, retries_used=cut.retries_used)
     csv += "cell,crossings\n"
-    csv += "".join(f"{i},{len(crossed)}\n" for i, crossed in enumerate(cut._crossings))
+    csv += "".join(f"{i},{k}\n" for i, k in enumerate(np.diff(cut._conflict_off()).tolist()))
     _write(args.crossings_out, csv)
     if args.svg:
         _write(args.svg, render_svg(scene, traces, cut))

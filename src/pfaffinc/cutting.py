@@ -12,7 +12,8 @@ top, are `_arcs[_arc_off[k]:_arc_off[k + 1]]` (branch indices), and region r
 of slab k (between arcs r - 1 and r) is entry `_arc_off[k] + k + r` of
 `_region_cell`.  The same slice of `_arc_lo` and of `_arc_hi` holds the
 lows and the highs of those arcs' y-extents over the slab, each sorted on
-its own (float32, rounded outward).
+its own (float32, rounded outward).  `_conflicts` holds the conflict lists,
+the unsampled curves crossing each cell, as sorted keys cell * n + curve.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def sample_curves(n, s, seed):
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, n, size=s)
-    return sorted(set(int(d) for d in draws))
+    return np.unique(draws).tolist()
 
 
 @dataclass
@@ -130,10 +131,22 @@ class Cutting:
     _region_cell: np.ndarray = field(repr=False, default=None)
     _wall_xs: np.ndarray = field(repr=False, default=None)  # wall abscissas, ascending
     _wall_order: np.ndarray = field(repr=False, default=None)  # their rays + aux_walls index
-    _crossings: list = field(repr=False, default=None)
+    _conflicts: np.ndarray = field(repr=False, default=None)  # cell * n + curve, ascending
 
     def max_crossings(self):
-        return max((len(s) for s in self._crossings), default=0)
+        return int(np.diff(self._conflict_off()).max(initial=0))
+
+    def _conflict_off(self):
+        """Where each cell's keys start in `_conflicts`, and the table's end."""
+        return np.searchsorted(self._conflicts, np.arange(len(self.cells) + 1) * self.n)
+
+    def _add_conflicts(self, cells, curves):
+        """Insert the (cell, curve) pairs the table lacks; returns their number."""
+        key = np.unique(cells * self.n + curves)
+        at = np.searchsorted(self._conflicts, key)
+        new = np.append(self._conflicts, -1)[at] != key
+        self._conflicts = np.insert(self._conflicts, at[new], key[new])
+        return int(np.count_nonzero(new))
 
     def cell_areas(self):
         """Trapezoid-rule area of every cell (exact for straight arcs)."""
@@ -168,6 +181,7 @@ class Cutting:
         return lo, hi
 
     def to_dict(self):
+        ids, off = (self._conflicts % self.n).tolist(), self._conflict_off().tolist()
         return {
             "format_version": 1,
             "n": self.n,
@@ -182,7 +196,7 @@ class Cutting:
                 {"id": i, "x": [xl, xr],
                  **{k: part and list(part) for k, part in
                     zip(("bottom", "top", "left", "right"), parts)},
-                 "corner_count": corners, "crossings": sorted(self._crossings[i])}
+                 "corner_count": corners, "crossings": ids[off[i]:off[i + 1]]}
                 for i, xl, xr, *parts, corners in self.cells.rows()
             ],
         }
@@ -261,13 +275,13 @@ def decompose(sample_ids, curves, traces, viewport):
     """Vertical decomposition of the viewport induced by the sampled curves.
 
     Returns the uncertified cutting (r = 1, no draws recorded): its cells as
-    one column table (`Cells`), and per-cell crossing sets.  An empty sample
-    gives the single whole-viewport cell crossed by every curve.
+    one column table (`Cells`), and its conflict table (`_conflicts`).  An
+    empty sample gives the single whole-viewport cell crossed by every curve.
     """
     # the occupancy pass runs after _cells returns, so the slab temporaries
     # are freed before the trace samples are gathered (lower peak memory)
     cut = _cells(sample_ids, curves, traces, viewport)
-    cut._crossings = _occupancy(cut, traces)
+    cut._conflicts = _occupancy(cut, traces)
     return cut
 
 
@@ -531,15 +545,16 @@ def _near_branches(branches, xs, ys, near):
 
 
 def _occupancy(cut, traces):
-    """Per-cell sets of unsampled curve ids whose trace enters the cell interior."""
-    skip_ids = set(cut.sample)
-    comps = [(i, comp) for i, tr in enumerate(traces) if i not in skip_ids
+    """Sorted distinct keys cell * n + curve, one per unsampled curve whose
+    trace enters the cell interior."""
+    sampled = np.bincount(cut.sample, minlength=cut.n) > 0
+    comps = [(i, comp.xs, comp.ys) for i, tr in enumerate(traces) if not sampled[i]
              for comp in tr.components]
     if not comps:
-        return [set() for _ in range(len(cut.cells))]
-    xs = np.concatenate([comp.xs for _i, comp in comps])
-    ys = np.concatenate([comp.ys for _i, comp in comps])
-    ids = np.concatenate([np.full(len(comp.xs), i, dtype=np.int32) for i, comp in comps])
+        return np.empty(0, dtype=np.int64)
+    owner, xs, ys = zip(*comps)
+    ids = np.repeat(np.array(owner, dtype=np.int32), [len(x) for x in xs])
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
     order = np.argsort(xs, kind="stable")
     xs, ys, ids = xs[order], ys[order], ids[order]
     del order
@@ -553,12 +568,8 @@ def _occupancy(cut, traces):
     arc_off = cut._arc_off
     region = arc_off[slab] + slab + np.minimum(below, np.diff(arc_off)[slab])
     del slab, below
-    n = len(traces)
-    key = np.sort(cut._region_cell[region].astype(np.int64) * n + ids)
-    cell, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # one per (cell, curve)
-    bounds = np.searchsorted(cell, np.arange(len(cut.cells) + 1)).tolist()
-    ids = ids.tolist()
-    return [set(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    key = np.sort(cut._region_cell[region].astype(np.int64) * cut.n + ids)
+    return key[np.diff(key, prepend=-1) != 0]
 
 
 # -- certification ---------------------------------------------------------------
@@ -603,9 +614,9 @@ def locate_point(cutting, p, tol=1e-7):
     for w_idx in sorted(cutting._wall_order[near].tolist()):
         w = cutting.rays[w_idx] if w_idx < n_rays else cutting.aux_walls[w_idx - n_rays]
         if abs(px - w.x) <= tol and w.y_lo - tol <= py <= w.y_hi + tol:
-            cells = {_region_at(cutting, w.x - 2 * _X_EPS, py),
-                     _region_at(cutting, w.x + 2 * _X_EPS, py)}
-            return Location("boundary", cells=tuple(sorted(cells)), on=("ray", w_idx))
+            cells = np.unique([_region_at(cutting, w.x - 2 * _X_EPS, py),
+                               _region_at(cutting, w.x + 2 * _X_EPS, py)])
+            return Location("boundary", cells=tuple(cells.tolist()), on=("ray", w_idx))
 
     arcs, region0 = cutting._slab(_slab_of(cutting.slab_xs, px))
     below = 0
@@ -615,9 +626,8 @@ def locate_point(cutting, p, tol=1e-7):
         if abs(ay - py) <= 1e-5:
             ay = br.y_at(px)
         if abs(ay - py) <= tol:
-            cells = (int(cutting._region_cell[region0 + below]),
-                     int(cutting._region_cell[region0 + min(below + 1, len(arcs))]))
-            return Location("boundary", cells=tuple(sorted(set(cells))),
+            cells = cutting._region_cell[[region0 + below, region0 + min(below + 1, len(arcs))]]
+            return Location("boundary", cells=tuple(np.unique(cells).tolist()),
                             on=("curve", cid))
         if ay < py:
             below += 1

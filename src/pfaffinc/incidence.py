@@ -254,30 +254,19 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
     check_tol(tol)
     if graph is None:
         graph = count_incidences(points, curves, traces, tol)
-    sample = set(cutting.sample)
+    sample = np.bincount(cutting.sample, minlength=len(curves)) > 0  # sampled curves
     pts = _finite(points)
-    on_sample = {pi for pi, ci in graph.edges if ci in sample}
-    rest = np.array([pi for pi in range(len(pts)) if pi not in on_sample], dtype=np.int64)
+    pi, ci = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2).T
+    rest = np.bincount(pi[sample[ci]], minlength=len(pts)) == 0  # on no sampled curve
     cell_of = np.full(len(pts), -1, dtype=np.int64)  # -1: on a boundary
     cell_of[rest] = locate_points(cutting, pts[rest], tol)
-    boundary = int(np.count_nonzero(cell_of < 0))
-    cell_of = cell_of.tolist()
-
-    per_cell = [0] * len(cutting.cells)
-    b_sample = b_nonsample = repairs = 0
-    for pi, ci in graph.edges:
-        cell = cell_of[pi]
-        if cell < 0:
-            if ci in sample:
-                b_sample += 1
-            else:
-                b_nonsample += 1
-        else:
-            per_cell[cell] += 1
-            if ci not in cutting._crossings[cell]:
-                cutting._crossings[cell].add(ci)
-                repairs += 1
-    return IncidenceBreakdown(per_cell, b_nonsample, b_sample, boundary, repairs)
+    cell = cell_of[pi]
+    inside = cell >= 0
+    b_sample = int(np.count_nonzero(sample[ci[~inside]]))
+    per_cell = np.bincount(cell[inside], minlength=len(cutting.cells)).tolist()
+    repairs = cutting._add_conflicts(cell[inside], ci[inside])
+    return IncidenceBreakdown(per_cell, int(np.count_nonzero(~inside)) - b_sample, b_sample,
+                              int(np.count_nonzero(cell_of < 0)), repairs)
 
 
 # -- bound evaluators ---------------------------------------------------------

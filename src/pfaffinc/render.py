@@ -37,10 +37,10 @@ def render_svg(scene, traces, cutting=None, width=800):
                 f'<line x1="{sx(w.x):.2f}" y1="{sy(w.y_lo):.2f}" '
                 f'x2="{sx(w.x):.2f}" y2="{sy(w.y_hi):.2f}" '
                 'stroke="#bbbbbb" stroke-width="1"/>')
+    sampled = set(cutting.sample) if cutting is not None else set()
     for ci, trace in enumerate(traces):
         color = _COLORS[ci % len(_COLORS)]
-        bold = cutting is not None and ci in set(cutting.sample)
-        swidth = 2.2 if bold else 1.1
+        swidth = 2.2 if ci in sampled else 1.1
         for comp in trace.components:
             coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(comp.xs, comp.ys))
             parts.append(f'<polyline points="{coords}" fill="none" '

@@ -70,6 +70,22 @@ def test_count_csv_matches_golden_bytes(tmp_path):
     assert got == (DATA / "count_golden.csv").read_text()
 
 
+def test_cutting_crossings_csv_matches_golden_bytes(tmp_path, capsys):
+    # tests/data/crossings_golden.csv was written from per-cell crossing
+    # sets, before they became one sorted key table; the scene is that of
+    # cutting_golden.json, and the `# scene=` line, which holds a path,
+    # reads scene.json
+    scene_path = tmp_path / "scene.json"
+    save_scene(gen.random_scene(ACCEPTANCE_KINDS, m=0, n=60, planted=0.0, seed=7), scene_path)
+    cut_path, csv_path = tmp_path / "cut.json", tmp_path / "cross.csv"
+    assert run(["cutting", "--scene", str(scene_path), "--r", "4", "--seed", "7",
+                "--out", str(cut_path), "--crossings-out", str(csv_path)]) == 0
+    assert capsys.readouterr().out == "cells=1986 max_crossings=5 bound=15.00 retries=0\n"
+    got = csv_path.read_text().replace(f"# scene={scene_path}\n", "# scene=scene.json\n", 1)
+    assert got == (DATA / "crossings_golden.csv").read_text()
+    assert json.loads(cut_path.read_text()) == json.loads((DATA / "cutting_golden.json").read_text())
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_intersect_rejects_bad_tolerance(tol, capsys):
     assert run(["intersect", "--scene", str(DATA / "mixed_scene.json"), "--tol", tol]) == 2

@@ -120,7 +120,7 @@ def test_whole_viewport_cell_sees_every_curve():
     scene = gen.random_scene(["line", "parabola"], m=0, n=7, planted=0.0, seed=5)
     traces = scene.traces()
     cut = pf.decompose([], scene.curves, traces, scene.viewport)
-    assert len(cut._crossings[0]) == 7
+    assert cut.to_dict()["cells"][0]["crossings"] == list(range(7))
 
 
 def test_region_beyond_all_curves_is_empty():
@@ -139,6 +139,7 @@ def test_cell_crossings_against_line_algebra_oracle(line_scene):
     scene, traces, cut = line_scene
     slopes = {i: c.params for i, c in enumerate(scene.curves)}
     x0, x1, y0, y1 = scene.viewport
+    crossings = [set(c["crossings"]) for c in cut.to_dict()["cells"]]
     checked = 0
     for cell in cut.cells:
         if checked >= 10:
@@ -159,7 +160,7 @@ def test_cell_crossings_against_line_algebra_oracle(line_scene):
             if np.any((ys > lo + 1e-9) & (ys < hi - 1e-9)
                       & (ys > y0) & (ys < y1)):
                 expected.add(i)
-        got = cut._crossings[cell.id]
+        got = crossings[cell.id]
         assert got == expected, (cell.id, sorted(got), sorted(expected))
     assert checked == 10
 

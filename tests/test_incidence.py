@@ -486,12 +486,72 @@ def test_degree_one_corpus_avoids_k_9_2(corpus):
 
 # -- count_via_cutting ------------------------------------------------------------
 
+def _split_by_edge(points, graph, cut, tol=1e-7):
+    """The per-edge loop that `inc.count_via_cutting` replaced, kept as its
+    oracle: per-cell counts, the boundary incidences on unsampled and on
+    sampled curves, the boundary points, and the (cell, curve) pairs of the
+    interior incidences."""
+    sample = set(cut.sample)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    on_sample = {pi for pi, ci in graph.edges if ci in sample}
+    rest = np.array([pi for pi in range(len(pts)) if pi not in on_sample], dtype=np.int64)
+    cell_of = np.full(len(pts), -1, dtype=np.int64)
+    cell_of[rest] = pf.locate_points(cut, pts[rest], tol)
+    boundary = int(np.count_nonzero(cell_of < 0))
+    per_cell = [0] * len(cut.cells)
+    b_sample = b_nonsample = 0
+    interior = set()
+    for pi, ci in graph.edges:
+        cell = int(cell_of[pi])
+        if cell < 0:
+            if ci in sample:
+                b_sample += 1
+            else:
+                b_nonsample += 1
+        else:
+            per_cell[cell] += 1
+            interior.add((cell, ci))
+    return per_cell, b_nonsample, b_sample, boundary, interior
+
+
+def _split(points, curves, traces, cut, graph):
+    """count_via_cutting, checked against the per-edge oracle."""
+    per_cell, b_nonsample, b_sample, boundary, _pairs = _split_by_edge(points, graph, cut)
+    bd = inc.count_via_cutting(points, curves, traces, cut, graph=graph)
+    assert bd.per_cell == per_cell
+    assert (bd.on_boundary_vs_nonsample, bd.on_boundary_vs_sample, bd.boundary_points) == \
+        (b_nonsample, b_sample, boundary)
+    return bd
+
+
+def _conflicts(cut):
+    """The (cell, curve) pairs of the cutting's conflict lists, as serialised."""
+    return {(cell["id"], c) for cell in cut.to_dict()["cells"] for c in cell["crossings"]}
+
+
+def test_split_repairs_the_conflict_lists_it_finds_short():
+    scene = gen.random_scene(KINDS, m=1000, n=100, planted=0.5, seed=2)
+    traces = scene.traces()
+    graph = _count(scene)
+    cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=4, seed=2)
+    before = _conflicts(cut)
+    missing = _split_by_edge(scene.points, graph, cut)[-1] - before
+    assert missing
+    bd = _split(scene.points, scene.curves, traces, cut, graph)
+    assert bd.crossing_repairs == len(missing)
+    assert bd.total == graph.count()
+    assert _conflicts(cut) == before | missing
+    assert _split(scene.points, scene.curves, traces, cut, graph).crossing_repairs == 0
+    assert _conflicts(cut) == before | missing
+    assert type(cut.max_crossings()) is int
+
+
 def test_unplanted_points_all_fall_in_cells():
     scene = gen.random_scene(["line"], m=80, n=12, planted=0.0, seed=6)
     traces = scene.traces()
     cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=2, seed=0)
     graph = _count(scene)
-    bd = inc.count_via_cutting(scene.points, scene.curves, traces, cut, graph=graph)
+    bd = _split(scene.points, scene.curves, traces, cut, graph)
     assert bd.total == graph.count()
     assert bd.on_boundary_vs_sample + bd.on_boundary_vs_nonsample == 0
 
@@ -507,7 +567,7 @@ def test_points_on_sampled_curves_leave_cells_empty():
         pytest.skip("no seed sampled both lines")
     points = np.array([(0.2, -1.0), (1.0, 1.0), (-1.0, 0.0)])
     graph = inc.count_incidences(points, curves, traces)
-    bd = inc.count_via_cutting(points, curves, traces, cut, graph=graph)
+    bd = _split(points, curves, traces, cut, graph)
     assert sum(bd.per_cell) == 0
     assert bd.total == graph.count() == 3
     assert bd.on_boundary_vs_sample == 3
@@ -518,7 +578,7 @@ def test_breakdown_total_matches_brute_force_exactly():
     traces = scene.traces()
     graph = _count(scene)
     cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=4, seed=2)
-    bd = inc.count_via_cutting(scene.points, scene.curves, traces, cut, graph=graph)
+    bd = _split(scene.points, scene.curves, traces, cut, graph)
     assert bd.total == graph.count()
     assert bd.total == sum(bd.per_cell) + bd.on_boundary_vs_nonsample + bd.on_boundary_vs_sample
 
@@ -533,8 +593,7 @@ def test_breakdown_exactness_over_randomized_scenes(seed, r_raw, n, m):
     graph = inc.count_incidences(scene.points, scene.curves, traces)
     cut = pf.build_cutting(scene.curves, traces, scene.viewport,
                            r=min(r_raw, n - 1), seed=seed + 1)
-    bd = inc.count_via_cutting(scene.points, scene.curves, traces, cut,
-                               graph=graph)
+    bd = _split(scene.points, scene.curves, traces, cut, graph)
     assert bd.total == graph.count()
 
 
@@ -543,7 +602,7 @@ def test_breakdown_against_trivial_cutting():
     traces = scene.traces()
     graph = inc.count_incidences(scene.points, scene.curves, traces)
     cut = pf.decompose([], scene.curves, traces, scene.viewport)
-    bd = inc.count_via_cutting(scene.points, scene.curves, traces, cut, graph=graph)
+    bd = _split(scene.points, scene.curves, traces, cut, graph)
     assert bd.total == graph.count()
     assert sum(bd.per_cell) == graph.count()  # one cell carries everything
 
