@@ -5,6 +5,13 @@ the polynomial vector field that its directional vectors satisfy.  The field
 is the exact t-derivative of the parameterization, so root refinement
 (`refine_roots`, over arrays of brackets) takes its Newton steps from it;
 it is never used as an ODE integrator, so traces carry no drift.
+
+Lanes, arrays of (curve, value) pairs that a pass evaluates in lockstep,
+meet the curves through a `CurveTable`: the curves whose evaluation takes
+the same sequence of operations form one group, whose parameters,
+transforms and field coefficients are columns, so each evaluation of the
+lanes makes one array call per group, however many curves they span, and
+gives each lane the bits of its curve's own evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyTrace, NotComposable, SingularMatrix
-from .poly import BivariatePolynomial, poly1_der, poly1_eval
+from .poly import BivariatePolynomial, eval_terms, poly1_der, poly1_eval
 
 TWO_PI = 2.0 * math.pi
 _RTOL = 4 * np.finfo(float).eps  # relative part of the root tolerance
@@ -58,15 +65,9 @@ class PfaffianCurve:
 
     # -- parameterization ------------------------------------------------
 
-    def base_point(self, t):
-        return KINDS[self.kind].point(self.params, np.asarray(t, dtype=float))
-
     def point_at(self, t):
-        x, y = self.base_point(t)
-        if self.transform is None:
-            return x, y
-        a1, a2, a3, a4 = self.transform
-        return a1 * x + a2 * y, a3 * x + a4 * y
+        x, y = KINDS[self.kind].point(self.params, np.asarray(t, dtype=float))
+        return (x, y) if self.transform is None else _transform(self.transform, x, y)
 
     def field_at(self, x, y):
         return self.field.vx(x, y), self.field.vy(x, y)
@@ -160,20 +161,17 @@ def trace_curve(curve, viewport, step=None, samples=1024):
         np.isfinite(xs) & np.isfinite(ys)
         & (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
     )
-    components = []
-    start = None
-    for i, ok in enumerate(inside):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            if i - start >= 2:
-                components.append(TraceComponent(ts[start:i], xs[start:i], ys[start:i]))
-            start = None
-    if start is not None and len(ts) - start >= 2:
-        components.append(TraceComponent(ts[start:], xs[start:], ys[start:]))
+    components = [TraceComponent(ts[s:e], xs[s:e], ys[s:e]) for s, e in _inside_runs(inside)]
     if not components:
         raise EmptyTrace(f"{curve.kind} curve misses viewport {viewport}")
     return CurveTrace(components, step, tuple(viewport))
+
+
+def _inside_runs(inside):
+    """(start, stop) of each run of set entries of the mask inside that holds
+    at least 2 of them."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], inside, [False]])))
+    return [(s, e) for s, e in zip(edges[::2].tolist(), edges[1::2].tolist()) if e - s >= 2]
 
 
 # -- root refinement ------------------------------------------------------
@@ -226,20 +224,142 @@ def refine_roots(f, a, b, fa, fb, xtol=1e-14):
     return roots
 
 
-def by_curve(cid, fn, *cols):
-    """fn(c, *cols on the lanes of curve c) for each curve index c of the
-    ascending array cid, stitched back in lane order: the one place where
-    lanes meet curves, so each curve takes one array call.  fn returns a
-    tuple of arrays (or scalars) over its lanes, lanes first; the result is
-    a list of float arrays.  Zero lanes run fn once, on curve 0."""
-    starts = np.flatnonzero(np.diff(cid, prepend=-1)).tolist() or [0]
-    out = None
-    for s, e in zip(starts, starts[1:] + [len(cid)]):
-        got = fn(int(cid[s]) if e > s else 0, *(v[s:e] for v in cols))
-        out = out or [np.empty((len(cid),) + np.shape(g)[1:]) for g in got]
-        for o, g in zip(out, got):
-            o[s:e] = g
-    return out
+# -- curve tables -----------------------------------------------------------
+
+
+def _shape(value):
+    """The structure of a parameter tuple: its strings, and None for each
+    number."""
+    if isinstance(value, tuple):
+        return tuple(map(_shape, value))
+    return value if isinstance(value, str) else None
+
+
+def _signature(curve):
+    """What fixes a curve's sequence of evaluation operations: its kind, its
+    parameters' structure (a composed curve's base kind, a coefficient
+    count), whether it is transformed, and the ordered term keys of vx, vy
+    and vx_rate."""
+    f = curve.field
+    return (curve.kind, _shape(curve.params), curve.transform is None,
+            tuple(f.vx.terms), tuple(f.vy.terms), tuple(f.vx_rate.terms))
+
+
+def _columns(values):
+    """Parameter tuples of one structure as one tuple of that structure,
+    each number replaced by the float column of its values."""
+    if isinstance(values[0], tuple):
+        return tuple(_columns(list(v)) for v in zip(*values))
+    return values[0] if isinstance(values[0], str) else np.array(values, dtype=float)
+
+
+def _take(columns, rows):
+    """The entries rows of each column of _columns."""
+    if isinstance(columns, tuple):
+        return tuple(_take(c, rows) for c in columns)
+    return columns if isinstance(columns, str) else columns[rows]
+
+
+class _Group:
+    """Curves of one `_signature`, row by row: their parameters, transforms
+    and field coefficients as columns.  The kind's `KindSpec` functions and
+    `poly.eval_terms` take the columns where a curve gives its scalars, so a
+    row evaluates by the same operations as its curve."""
+
+    def __init__(self, members):
+        first = members[0]
+        self.spec = KINDS[first.kind]
+        self.params = _columns([c.params for c in members])
+        self.transform = None if first.transform is None else np.array(
+            [c.transform for c in members]).T.copy()
+        self.terms = {}
+        for name in ("vx", "vy", "vx_rate"):
+            polys = [getattr(c.field, name).terms for c in members]
+            coef = np.array([list(t.values()) for t in polys], dtype=float)
+            self.terms[name] = (tuple(polys[0]), coef.reshape(len(members), -1).T.copy())
+
+    def point_at(self, rows, t):
+        x, y = self.spec.point(_take(self.params, rows), t)
+        return (x, y) if self.transform is None else _transform(self.transform[:, rows], x, y)
+
+    def poly(self, name, rows, x, y):
+        """Field polynomial name ("vx", "vy" or "vx_rate") of rows at (x, y),
+        arrays of one entry, or one row of entries, per row."""
+        keys, coef = self.terms[name]
+        coef = coef[:, rows].reshape(coef.shape[:1] + rows.shape + (1,) * (np.ndim(x) - 1))
+        return eval_terms(keys, coef, x, y)
+
+    def param_from_x(self, rows, x, hint, ends):
+        """See `Lanes.param_from_x`; ends are the brackets of a transformed
+        group."""
+        if self.transform is None:
+            return self.spec.x_inverse(_take(self.params, rows), x, hint)
+
+        def along(u, lanes):
+            px, py = self.point_at(rows[lanes], u)
+            return px - x[lanes], self.poly("vx", rows[lanes], px, py)
+
+        return refine_roots(along, *ends)
+
+
+class CurveTable:
+    """The curves of a pass, grouped by `_signature`: lane arrays of curve
+    indices are evaluated by `lanes`, one array call per group present."""
+
+    def __init__(self, curves):
+        members = {}
+        for c, curve in enumerate(curves):
+            members.setdefault(_signature(curve), []).append(c)
+        self.groups = [_Group([curves[c] for c in ids]) for ids in members.values()]
+        self.group, self.row = np.zeros((2, len(curves)), dtype=np.int64)
+        for g, ids in enumerate(members.values()):
+            self.group[ids], self.row[ids] = g, np.arange(len(ids))
+
+    def lanes(self, cid):
+        """The `Lanes` on curves cid (an integer array)."""
+        return Lanes(self, np.asarray(cid, dtype=np.int64))
+
+
+class Lanes:
+    """Lanes on curves of a `CurveTable`, split by group once: each method
+    takes one value per lane, makes one array call per group, and returns
+    float arrays in lane order.  A lane's values are the bits its curve's
+    own `point_at`, `field_at`, `param_from_x` and field give."""
+
+    def __init__(self, table, cid):
+        g = table.group[cid]
+        order = np.argsort(g, kind="stable")
+        self.size = len(cid)
+        self.parts = [(table.groups[g[s[0]]], table.row[cid[s]], s)
+                      for s in np.split(order, np.flatnonzero(np.diff(g[order])) + 1) if len(s)]
+
+    def point_at(self, t):
+        x, y = np.empty(self.size), np.empty(self.size)
+        for group, rows, s in self.parts:
+            x[s], y[s] = group.point_at(rows, t[s])
+        return x, y
+
+    def field_at(self, x, y):
+        return self.poly("vx", x, y), self.poly("vy", x, y)
+
+    def poly(self, name, x, y):
+        """Field polynomial name ("vx", "vy" or "vx_rate") at (x, y), one
+        entry, or one row of entries, per lane."""
+        out = np.empty(np.shape(x))
+        for group, rows, s in self.parts:
+            out[s] = group.poly(name, rows, x[s], y[s])
+        return out
+
+    def param_from_x(self, x, hint, bracket):
+        """Parameters with abscissa x on the branches that hold parameters
+        hint.  Transformed curves have no closed-form inverse: their lanes
+        are refined in one run per group, from bracket(lanes), which gives
+        the lanes' (a, b, x(a) - x, x(b) - x) about their roots."""
+        t = np.empty(self.size)
+        for group, rows, s in self.parts:
+            ends = None if group.transform is None else bracket(s)
+            t[s] = group.param_from_x(rows, x[s], hint[s], ends)
+        return t
 
 
 # -- catalog factories ----------------------------------------------------
@@ -414,7 +534,7 @@ def _t_is_log_x(p, x, hint):
 
 def _circle_t(p, x, hint):
     cx, _cy, r = p
-    t0 = _by_math(lambda u: math.acos(min(1.0, max(-1.0, (u - cx) / r))), x)
+    t0 = _by_math(lambda u: math.acos(min(1.0, max(-1.0, u))), (x - cx) / r)
     return np.where(hint % TWO_PI <= math.pi, t0, TWO_PI - t0)
 
 
@@ -532,6 +652,13 @@ def _composed_domain(curve, coeffs):
 
 
 # -- linear transforms ----------------------------------------------------
+
+
+def _transform(matrix, x, y):
+    """The image of (x, y) under the row-major matrix (a1, a2, a3, a4),
+    whose entries may be columns over the entries of x and y."""
+    a1, a2, a3, a4 = matrix
+    return a1 * x + a2 * y, a3 * x + a4 * y
 
 
 def _mat_mul(m, n):

@@ -3,9 +3,11 @@
 Brute-force counting is the ground truth.  One cell join per grid side
 finds each point's nearest sample within the search radius, as a dense
 scan would (`_candidates`); the pairs are refined on the exact curves in
-one lockstep run (`_refined_distances`, through `curves.by_curve`).  The
-cutting-decomposed count classifies the same pairs through the cell
-structure and must reproduce the total exactly.
+one lockstep run (`_refined_distances`), whose rounds make one array call
+per curve signature through a `curves.CurveTable`.  Both read one table of
+all the traces' samples (`_samples`).  The cutting-decomposed count
+classifies the same pairs through the cell structure and must reproduce
+the total exactly.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .curves import by_curve, check_tol, refine_roots
+from .curves import CurveTable, check_tol, refine_roots
 from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -53,51 +56,97 @@ class IncidenceGraph:
         return len(self.edges)
 
 
-def _refined_distances(curves, traces, cid, comp, iv, px, py):
+@dataclass
+class _Samples:
+    """The samples of all the components of a list of traces, concatenated.
+
+    Component c, in the order of the traces, holds rows start[c] ...
+    start[c] + size[c] - 1 of xs, ys and ts, and is component local[c] of
+    trace curve[c]; trace i's components start at component first[i].
+    """
+
+    parts: list
+    xs: np.ndarray
+    ys: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    curve: np.ndarray
+    local: np.ndarray
+    first: np.ndarray
+
+    @cached_property
+    def ts(self):
+        """Built on first use, once the candidate search has let go of its
+        temporaries."""
+        return np.concatenate([np.zeros(0)] + [part.ts for part in self.parts])
+
+
+def _samples(traces):
+    """The _Samples of traces."""
+    parts = [comp for trace in traces for comp in trace.components]
+    size = np.array([len(part) for part in parts], dtype=np.int64)
+    count = np.array([len(trace.components) for trace in traces], dtype=np.int64)
+    first = np.cumsum(count) - count
+    curve = np.repeat(np.arange(len(traces)), count)
+    xs, ys = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
+              for v in ("xs", "ys"))
+    return _Samples(parts, xs, ys, np.cumsum(size) - size, size, curve,
+                    np.arange(len(parts)) - first[curve], first)
+
+
+def _refined_distances(curves, samples, cid, comp, iv, px, py):
     """Distance from each point (px[k], py[k]) to curve cid[k] near sample
-    iv[k] of its trace component comp[k], with cid ascending: the least over
-    the samples iv-2 .. iv+2 of that component and the minima between them,
-    the - to + roots of (P - p) . V = d/dt |P - p|^2 / 2, whose t-derivative
-    is |V|^2 where the curve passes through p.  The roots of every curve are
-    refined in one lockstep run; lanes meet curves through `by_curve`."""
-
-    def windows(c, comp, iv, px, py):
-        ts, xs, ys = traces[c].samples()
-        sizes = np.array([len(part) for part in traces[c].components])
-        size = sizes[comp, None]
-        j = iv[:, None] + np.arange(-2, 3)
-        inside = (j >= 0) & (j < size)  # windows are clipped at component ends
-        win = (np.cumsum(sizes) - sizes)[comp, None] + np.clip(j, 0, size - 1)
-        dx, dy = xs[win] - px[:, None], ys[win] - py[:, None]
-        vx, vy = curves[c].field_at(xs[win], ys[win])
-        return (ts[win], np.where(inside, np.hypot(dx, dy), np.inf).min(axis=1),
-                np.where(inside, dx * vx + dy * vy, np.nan))
-
-    def along(c, t, lx, ly):
-        x, y = curves[c].point_at(t)
-        vx, vy = curves[c].field_at(x, y)
-        return (x - lx) * vx + (y - ly) * vy, vx * vx + vy * vy
-
-    tw, dist, g = by_curve(cid, windows, comp, iv, px, py)
+    iv[k] of its trace component comp[k] (samples holds the curves' traces,
+    `_samples`): the least over the samples iv-2 .. iv+2 of that component
+    and the minima between them, the - to + roots of (P - p) . V =
+    d/dt |P - p|^2 / 2, whose t-derivative is |V|^2 where the curve passes
+    through p.  The roots of every curve are refined in one lockstep run, and
+    each evaluation makes one array call per curve signature
+    (`curves.CurveTable`)."""
+    table = CurveTable(curves)
+    tw, dist, g = _windows(table, samples, cid, comp, iv, px, py)
     k, i = np.nonzero((g[:, :-1] < 0) & (g[:, 1:] > 0))
     lc, lx, ly = cid[k], px[k], py[k]
-    t = refine_roots(lambda t, lanes: by_curve(lc[lanes], along, t, lx[lanes], ly[lanes]),
-                     tw[k, i], tw[k, i + 1], g[k, i], g[k, i + 1])
-    x, y = by_curve(lc, lambda c, t: curves[c].point_at(t), t)
+
+    def along(t, lanes):
+        on = table.lanes(lc[lanes])
+        x, y = on.point_at(t)
+        vx, vy = on.field_at(x, y)
+        return (x - lx[lanes]) * vx + (y - ly[lanes]) * vy, vx * vx + vy * vy
+
+    t = refine_roots(along, tw[k, i], tw[k, i + 1], g[k, i], g[k, i + 1])
+    x, y = table.lanes(lc).point_at(t)
     np.fmin.at(dist, k, np.hypot(x - lx, y - ly))
     return dist
 
 
-def _candidates(pts, traces, tol):
+def _windows(table, samples, cid, comp, iv, px, py):
+    """Per lane of `_refined_distances`, its window, the samples iv-2 ..
+    iv+2 of its component clipped at the component's ends: their parameters,
+    the least distance from the point to them, and (P - p) . V at each (NaN
+    past an end).  Its temporaries end with the call, before the refinement
+    runs."""
+    part = samples.first[cid] + comp
+    size = samples.size[part, None]
+    j = iv[:, None] + np.arange(-2, 3)
+    inside = (j >= 0) & (j < size)
+    win = samples.start[part, None] + np.clip(j, 0, size - 1)
+    dx, dy = samples.xs[win], samples.ys[win]
+    vx, vy = table.lanes(cid).field_at(dx, dy)
+    dx -= px[:, None]
+    dy -= py[:, None]
+    return (samples.ts[win], np.where(inside, np.hypot(dx, dy), np.inf).min(axis=1),
+            np.where(inside, dx * vx + dy * vy, np.nan))
+
+
+def _candidates(pts, samples, tol):
     """Rows (point, curve, component, nearest sample), by curve, component and
-    point, for each point whose nearest sample on a trace component lies within
-    its search radius, half the longest sample gap plus a margin.  Pairs come
-    from one cell index per grid side, taken _BLOCK pairs at a time."""
-    curve, local, parts = zip(*[(ci, c, comp) for ci, trace in enumerate(traces)
-                                for c, comp in enumerate(trace.components)])
-    owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-    start = np.flatnonzero(np.diff(owner, prepend=-1))
-    xs, ys = map(np.concatenate, zip(*[(part.xs, part.ys) for part in parts]))
+    point, for each point whose nearest sample on a trace component (of
+    samples, `_samples`) lies within its search radius, half the longest
+    sample gap plus a margin.  Pairs come from one cell index per grid side,
+    taken _BLOCK pairs at a time."""
+    xs, ys, start = samples.xs, samples.ys, samples.start
+    owner = np.repeat(np.arange(len(start)), samples.size)
     lo = np.array([[xs.min()], [ys.min()]])
     gap = np.hypot(np.diff(xs), np.diff(ys)) * (np.diff(owner) == 0)  # none across components
     radius = np.maximum.reduceat(np.append(gap, 0.0), start) / 2 + max(100 * tol, 1e-6)
@@ -151,7 +200,7 @@ def _candidates(pts, traces, tol):
     group, sj = map(np.concatenate, zip(*[g for side in np.unique(sides) for g in join(side)]))
     order = np.argsort(group)  # one row per (component, point)
     c, pi = np.divmod(group[order], len(pts))
-    return np.array([pi, np.array(curve)[c], np.array(local)[c], sj[order] - start[c]])
+    return np.array([pi, samples.curve[c], samples.local[c], sj[order] - start[c]])
 
 
 def _finite(points):
@@ -167,12 +216,11 @@ def point_curve_distance(curve, trace, p, tol=1e-7):
     else the distance to that sample."""
     check_tol(tol)
     pts = _finite([p])
-    pi, cid, comp, iv = _candidates(pts, [trace], tol)
-    _, xs, ys = trace.samples()
-    sizes = np.array([len(part) for part in trace.components])
-    best = np.sqrt(np.minimum.reduceat((xs - pts[0, 0]) ** 2 + (ys - pts[0, 1]) ** 2,
-                                       np.cumsum(sizes) - sizes))
-    best[comp] = _refined_distances([curve], [trace], cid, comp, iv, pts[pi, 0], pts[pi, 1])
+    samples = _samples([trace])
+    pi, cid, comp, iv = _candidates(pts, samples, tol)
+    best = np.sqrt(np.minimum.reduceat((samples.xs - pts[0, 0]) ** 2
+                                       + (samples.ys - pts[0, 1]) ** 2, samples.start))
+    best[comp] = _refined_distances([curve], samples, cid, comp, iv, pts[pi, 0], pts[pi, 1])
     return float(best.min())
 
 
@@ -184,8 +232,9 @@ def count_incidences(points, curves, traces, tol=1e-7):
     pts = _finite(points)
     if len(pts) == 0 or not curves:
         return IncidenceGraph(set(), len(pts), len(curves))
-    pi, cid, comp, iv = _candidates(pts, traces, tol)
-    dist = _refined_distances(curves, traces, cid, comp, iv, pts[pi, 0], pts[pi, 1])
+    samples = _samples(traces)
+    pi, cid, comp, iv = _candidates(pts, samples, tol)
+    dist = _refined_distances(curves, samples, cid, comp, iv, pts[pi, 0], pts[pi, 1])
     on = dist <= tol
     return IncidenceGraph(set(zip(pi[on].tolist(), cid[on].tolist())), len(pts), len(curves))
 

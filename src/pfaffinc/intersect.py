@@ -14,11 +14,13 @@ kept stretches of all pairs are interpolated in one flat pass.  The refinement
 then solves every crossing in one lockstep run of `curves.refine_roots` on
 the exact parameterizations, and every touch in a second run on the slope
 difference, so reported points carry closed-form accuracy rather than
-polyline accuracy.  Each round evaluates the lanes of each curve in one
-array call, through `curves.by_curve`, the one place where lanes meet
-curves.  Exact heights invert x(t) = x in closed form with `math` functions
-applied entry by entry, since numpy's arccos, log and arctan differ from
-them in the last bit on some inputs and the points would move.
+polyline accuracy.  Each round evaluates its lanes through one
+`curves.CurveTable` of the pass's curves (`_Exact`), one array call per
+curve signature, not per curve.  Exact heights invert x(t) = x in closed
+form with `math` functions applied entry by entry, since numpy's arccos,
+log and arctan differ from them in the last bit on some inputs and the
+points would move; on transformed curves, by one nested refinement per
+signature.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import by_curve, check_tol, refine_roots
+from .curves import CurveTable, check_tol, refine_roots
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
@@ -63,11 +65,6 @@ def vertical_tangent_ts(curves, traces):
     the one across a closed curve's parameter seam included, refined in one
     lockstep run over all the curves on f' = vx_rate, the t-derivative of
     vx."""
-    def along(c, t):
-        x, y = curves[c].point_at(t)
-        vx, rate = curves[c].field.vx(x, y), curves[c].field.vx_rate(x, y)
-        return vx + np.zeros_like(t), rate + np.zeros_like(t)
-
     zeros, ends, owner, seams = [], [np.zeros((0, 4))], [], []  # ends: (a, b, vx at a, at b)
     for c, (curve, trace) in enumerate(zip(curves, traces)):
         zeros.append([])
@@ -84,14 +81,19 @@ def vertical_tangent_ts(curves, traces):
             gap = math.hypot(last.xs[-1] - first.xs[0], last.ys[-1] - first.ys[0])
             if gap < 64 * trace.step * (1 + curve.period):
                 ab = np.array([last.ts[-1], first.ts[0] + curve.period])
-                va, vb = along(c, ab)[0]
+                va, vb = curve.field.vx(*curve.point_at(ab)) + np.zeros(2)
                 if va * vb < 0:
                     ends.append([[*ab, va, vb]])
                     seams.append(len(owner))
                     owner.append(c)
-    owner = np.array(owner, dtype=int)
-    roots = refine_roots(lambda t, lanes: by_curve(owner[lanes], along, t),
-                         *np.concatenate(ends).T).tolist()
+    owner, table = np.array(owner, dtype=np.int64), CurveTable(curves)
+
+    def along(t, lanes):
+        on = table.lanes(owner[lanes])
+        x, y = on.point_at(t)
+        return on.poly("vx", x, y), on.poly("vx_rate", x, y)
+
+    roots = refine_roots(along, *np.concatenate(ends).T).tolist()
     for k in seams:
         roots[k] %= curves[owner[k]].period
     for c, t in zip(owner.tolist(), roots):
@@ -151,43 +153,60 @@ class GraphBranch:
     def y_at(self, x):
         """Exact y by inverting the parameterization at x (a float or an array)."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ys = _heights(self.curve, xs, self.t_mid, [self], np.zeros(len(xs), dtype=int))
+        ys = _Exact([self]).heights(np.zeros(len(xs), dtype=np.int64), xs)
         return ys if np.ndim(x) else float(ys[0])
 
 
-def _heights(curve, x, hint, branches, which):
-    """Exact y of curve at abscissas x, on the branches that hold the
-    parameters hint (one per x, or one for all).
+class _Exact:
+    """Exact evaluation on the branches flat: lane (k, x) is branch flat[k]
+    at abscissa x.  The branches' curves form one `curves.CurveTable`, a row
+    per branch, so each evaluation makes one array call per curve signature
+    present, not one per curve."""
 
-    t inverts x(t) = x in closed form, or on transformed curves by
-    refinement between the samples about x of its branch, branches[which],
-    where x(t) is monotone and dx/dt = vx; past an end of the branch, the
-    end pair.  The samples are found with one search per branch.
-    """
-    t = curve.param_from_x(x, hint)
-    if t is None:
-        def along(u, lanes):
-            px, py = curve.point_at(u)
-            return px - x[lanes], curve.field.vx(px, py)
+    def __init__(self, flat):
+        self.flat = flat
+        self.table = CurveTable([b.curve for b in flat])
+        self.t_mid = np.array([b.t_mid for b in flat])
 
-        def bracket(k, v):
-            b = branches[k]
-            i = np.clip(np.searchsorted(b.xs, v), 1, len(b.xs) - 1)
-            return b.ts[i - 1], b.ts[i], b.xs[i - 1] - v, b.xs[i] - v
+    def heights(self, k, x):
+        """Exact y of branches k at abscissas x."""
+        return self._heights(self.table.lanes(k), k, x)
 
-        t = refine_roots(along, *_grouped(which, bracket, x))
-    return np.asarray(curve.point_at(t)[1], dtype=float)
+    def _heights(self, lanes, k, x):
+        """t inverts x(t) = x in closed form, or on transformed curves by
+        refinement between the branch's samples about x (`_bracket`)."""
+        t = lanes.param_from_x(x, self.t_mid[k], lambda s: self._bracket(k[s], x[s]))
+        return lanes.point_at(t)[1]
 
+    @cached_property
+    def _samples(self):
+        """The branches' samples, concatenated: keys _key(k, x) ascending,
+        parameters, and each branch's first row and size."""
+        size = np.array([len(b.xs) for b in self.flat], dtype=np.int64)
+        key = _key(np.repeat(np.arange(len(size)), size), np.concatenate([b.xs for b in self.flat]))
+        return key, np.concatenate([b.ts for b in self.flat]), np.cumsum(size) - size, size
 
-def _grouped(key, fn, *cols):
-    """`curves.by_curve`(key, fn, *cols) on lanes in any order of the
-    integer array key: grouped by key with a stable sort, returned as one
-    float array, a row per output of fn, in the lanes' order."""
-    order = np.argsort(key, kind="stable")
-    got = np.array(by_curve(key[order], fn, *(v[order] for v in cols)))
-    out = np.empty_like(got)
-    out[:, order] = got
-    return out
+    def _bracket(self, k, x):
+        """(t, t', x(t) - x, x(t') - x) of the samples of branches k about x,
+        between which x(t) is monotone and dx/dt = vx; past an end of the
+        branch, the end pair.  One search over all the branches."""
+        key, ts, first, size = self._samples
+        i = first[k] + np.clip(np.searchsorted(key, _key(k, x)) - first[k], 1, size[k] - 1)
+        xs = key.imag
+        return ts[i - 1], ts[i], xs[i - 1] - x, xs[i] - x
+
+    def both(self, k1, k2, *xs):
+        """y and dy/dx = vy/vx of branches k1 and k2 (index arrays) at each
+        array of xs, as the list of (y, dy/dx) on k1 then k2 at xs[0], then
+        at xs[1], ..."""
+        k = np.concatenate([k1, k2] * len(xs))
+        x = np.concatenate([v for v in xs for _ in (k1, k2)])
+        lanes = self.table.lanes(k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = self._heights(lanes, k, x)
+            vx, vy = lanes.field_at(x, y)
+            out = np.stack([y, vy / vx])
+        return list(zip(*out.reshape(2, 2 * len(xs), len(k1))))
 
 
 def monotone_branches(curve, trace, vts):
@@ -318,36 +337,48 @@ def _grid(b1, b2):
 
 @dataclass
 class _Chunks:
-    """The chunks of a pass's branches.
+    """A pass's branches as tables: their samples, chunks and exact
+    evaluation.
 
-    Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK +
-    _CHUNK, size[k] - 1), sharing the last one with the next chunk, and has
-    the y-range [lo[i], hi[i]], i = start[k] - k + c.  Its bounds, the
+    Branch k's samples are rows first[k] ... first[k] + size[k] - 1 of xs
+    and ys.  Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK
+    + _CHUNK, size[k] - 1), sharing the last one with the next chunk, and
+    has the y-range [lo[i], hi[i]], i = start[k] - k + c.  Its bounds, the
     abscissas x of those two samples, are rows start[k] + c and
     start[k] + c + 1 of key = _key(k, x), which orders them for searches.
-    The tables hold about one entry per _CHUNK samples.
+    The chunk tables hold about one entry per _CHUNK samples.
     """
 
+    xs: np.ndarray
+    ys: np.ndarray
+    first: np.ndarray
+    size: np.ndarray
     key: np.ndarray
     start: np.ndarray  # one more entry than branches
-    size: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    exact: _Exact
 
 
 def _chunks(flat):
     """The _Chunks of the branches flat."""
     size = np.array([len(b.xs) for b in flat], dtype=np.int64)
-    bounds, lo, hi = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
-    for b, n in zip(flat, size.tolist()):
-        at = np.append(np.arange(0, n - 1, _CHUNK), n - 1)  # the chunks' first samples, the last
-        ends = b.ys[at[1:]]  # each chunk's last sample, the next one's first
-        bounds.append(b.xs[at])
-        lo.append(np.minimum(np.minimum.reduceat(b.ys, at[:-1]), ends))
-        hi.append(np.maximum(np.maximum.reduceat(b.ys, at[:-1]), ends))
-    start = np.cumsum([len(v) for v in bounds])
-    key = _key(np.repeat(np.arange(len(flat)), np.diff(start)), np.concatenate(bounds))
-    return _Chunks(key, start, size, np.concatenate(lo), np.concatenate(hi))
+    first = np.cumsum(size) - size
+    xs, ys = (np.concatenate([np.zeros(0)] + [getattr(b, v) for b in flat]) for v in ("xs", "ys"))
+    # per branch, the chunks' first samples, then its last sample
+    count = (size - 2) // _CHUNK + 2
+    at = np.repeat(first, count) + np.minimum(
+        _CHUNK * _ranges(np.zeros_like(count), count), np.repeat(size - 1, count))
+    last = np.cumsum(count) - 1
+    firsts = np.delete(at, last)
+    ends = ys[np.delete(at, last - count + 1)]  # each chunk's last sample, the next one's first
+    lo = hi = np.zeros(0)
+    if len(firsts):
+        lo = np.minimum(np.minimum.reduceat(ys, firsts), ends)
+        hi = np.maximum(np.maximum.reduceat(ys, firsts), ends)
+    start = np.append(0, np.cumsum(count))
+    key = _key(np.repeat(np.arange(len(flat)), count), xs[at])
+    return _Chunks(xs, ys, first, size, key, start, lo, hi, _Exact(flat))
 
 
 def _ranges(starts, counts):
@@ -415,20 +446,20 @@ def pair_intersections(curves, branches, tol=1e-9):
     i, j = owner[k1], owner[k2]
     new = np.diff(i * len(branches) + j, prepend=-1) != 0  # a curve pair's first
     cuts = np.append(np.flatnonzero(new)[::_BLOCK], len(new)).tolist()
-    both = _evaluator(curves, flat, owner)
     chunks = _chunks(flat)
     return (out for s, e in zip(cuts, cuts[1:])
-            for out in _block(curves, flat, chunks, both, i[s:e], j[s:e], k1[s:e], k2[s:e],
+            for out in _block(curves, flat, chunks, i[s:e], j[s:e], k1[s:e], k2[s:e],
                               overlap[s:e], tol))
 
 
-def _block(curves, flat, chunks, both, i, j, k1, k2, overlap, tol):
+def _block(curves, flat, chunks, i, j, k1, k2, overlap, tol):
     """(i, j, points) of each curve pair of the live branch pairs (i, j, k1,
     k2, overlap): scan, refine, then deduplicate and check the pair's
     ceiling."""
     new = np.diff(i * len(curves) + j, prepend=-1) != 0
     p = np.cumsum(new) - 1  # the curve pair of each branch pair, from 0
     points, cross, touch = _scan(flat, chunks, p, k1, k2, overlap, tol)
+    both = chunks.exact.both
     for found in (_refine_crossings(both, cross), _refine_touches(both, touch, tol)):
         for q, x, y in zip(*(v.tolist() for v in found)):
             points[q].append((x, y))
@@ -436,11 +467,12 @@ def _block(curves, flat, chunks, both, i, j, k1, k2, overlap, tol):
     for q, (ci, cj, pts) in enumerate(zip(i[new].tolist(), j[new].tolist(), points)):
         pts = _dedup(pts, 10 * tol)
         bound = pfaffian_bezout_bound(curves[ci].pf_degree, curves[cj].pf_degree)
-        scanned = (p == q) & overlap
-        if len(pts) > bound and _coincide(flat, k1[scanned], k2[scanned], tol):
-            raise SharedComponent(
-                f"{len(pts)} surviving crossings with interval overlap "
-                f"(ceiling {bound}); curves appear to share a component")
+        if len(pts) > bound:
+            scanned = (p == q) & overlap
+            if _coincide(flat, k1[scanned], k2[scanned], tol):
+                raise SharedComponent(
+                    f"{len(pts)} surviving crossings with interval overlap "
+                    f"(ceiling {bound}); curves appear to share a component")
         out.append((ci, cj, pts))
     return out
 
@@ -467,14 +499,13 @@ def _scan(flat, chunks, p, k1, k2, overlap, tol):
     # touches (a, b, x): the columns of each scanned piece, after an empty one
     empty = [np.zeros(0, dtype=np.int64)] + [np.zeros(0)] * 3
     cross, zeros, touch = [empty[:3]], [empty[:2]], [empty]
-    for pair, x, h, first in _runs(flat, chunks, np.flatnonzero(overlap), k1, k2,
-                                   _separation(tol)):
+    for pair, x, h, first in _runs(chunks, np.flatnonzero(overlap), k1, k2, _separation(tol)):
         c, z, t = _candidates(x, h, first)
         cross.append((pair[c], x[c], x[c + 1]))
         zeros.append((pair[z], x[z]))
         touch.append((pair[t], x[t - 1], x[t + 1], x[t]))
     (rc, *cross), (rz, xz), (rt, *touch) = (_by_pair(rows) for rows in (cross, zeros, touch))
-    yz = _grouped(k1[rz], lambda k, x: (flat[k].y_at(x),), xz)[0]  # one call per branch
+    yz = chunks.exact.heights(k1[rz], xz)
     for r, x, y in zip(rz.tolist(), xz.tolist(), yz.tolist()):
         points[p[r]].append((x, y))
     return points, (p[rc], k1[rc], k2[rc], *cross), (p[rt], k1[rt], k2[rt], *touch)
@@ -503,7 +534,7 @@ def _candidates(x, h, first):
     return np.flatnonzero(turn & ~first[1:]), np.flatnonzero(sign == 0), at
 
 
-def _runs(flat, chunks, r, k1, k2, sep):
+def _runs(chunks, r, k1, k2, sep):
     """The grids of the x-overlapping branch pairs (flat[k1[r]], flat[k2[r]]),
     where a candidate can lie, as pieces (branch pair, x, h, first): the
     pair of each grid point (an entry of r), its abscissa, the gap
@@ -535,7 +566,7 @@ def _runs(flat, chunks, r, k1, k2, sep):
         # the samples of each run's chunks, cs ... ce
         n = np.minimum(_CHUNK * (ce + 1), chunks.size[ku] - 1) - _CHUNK * cs + 1
         for f0, f1 in _groups(n.sum(0)):
-            run, at, h, first = _fine(flat, ku[:, f0:f1], _CHUNK * cs[:, f0:f1], n[:, f0:f1],
+            run, at, h, first = _fine(chunks, ku[:, f0:f1], _CHUNK * cs[:, f0:f1], n[:, f0:f1],
                                       ra[f0:f1], rb[f0:f1])
             yield r[g0:g1][u[f0:f1]][run], at, h, first
 
@@ -573,17 +604,17 @@ def _coarse(chunks, k, c_lo, c_hi, lo, hi, sep):
     return pair[starts], px[starts], px[ends], chunk[:, starts], chunk[:, ends - 1]
 
 
-def _fine(flat, k, a, n, ra, rb):
+def _fine(chunks, k, a, n, ra, rb):
     """The grids of runs [ra, rb] of branch pairs k (one row per branch, one
     column per run) as (run, x, h, first): the union of both branches'
     samples in each run, ascending, and the gap h = y1 - y2 interpolated
     there.  Samples a ... a + n - 1 of each branch, its chunks about the
     run, are gathered: they reach from at or below ra to at or above rb, so
-    they hold the two samples about every grid point."""
-    k, a, n, runs = k.ravel().tolist(), a.ravel(), n.ravel(), len(ra)
-    cut = list(zip(k, a.tolist(), (a + n).tolist()))
-    x = np.concatenate([flat[b].xs[i:j] for b, i, j in cut])
-    y = np.concatenate([flat[b].ys[i:j] for b, i, j in cut])
+    they hold the two samples about every grid point, and are gathered by
+    index from the pass's sample table."""
+    n, runs = n.ravel(), len(ra)
+    rows = _ranges(chunks.first[k.ravel()] + a.ravel(), n)
+    x, y = chunks.xs[rows], chunks.ys[rows]
     run = np.repeat(np.arange(2 * runs) % runs, n)
     order = _order(run, x)  # branch 1 first on equal x
     run, at = run[order], x[order]
@@ -600,29 +631,6 @@ def _fine(flat, k, a, n, ra, rb):
     first = np.ones(len(run), dtype=bool)
     first[1:] = run[1:] != run[:-1]
     return run, at, h, first
-
-
-def _evaluator(curves, flat, owner):
-    """both(k1, k2, *xs): y and dy/dx = vy/vx of branches flat[k1] and
-    flat[k2] (index arrays) at each array of xs, as the list of (y, dy/dx)
-    on k1 then k2 at xs[0], then at xs[1], ...  The lanes are sorted by
-    curve (owner[k] is curves' index of flat[k]) and evaluated through
-    `curves.by_curve`, one array call per curve."""
-    t_mid = np.array([b.t_mid for b in flat])
-
-    def on_curve(c, k, x):
-        y = _heights(curves[c], x, t_mid[k], flat, k)
-        vx, vy = curves[c].field_at(x, y)
-        return y, vy / vx
-
-    def both(k1, k2, *xs):
-        k = np.concatenate([k1, k2] * len(xs))
-        x = np.concatenate([v for v in xs for _ in (k1, k2)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _grouped(owner[k], on_curve, k, x)
-        return list(zip(*out.reshape(2, 2 * len(xs), len(k1))))
-
-    return both
 
 
 def _refine_crossings(both, columns):

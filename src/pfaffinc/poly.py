@@ -84,17 +84,7 @@ class BivariatePolynomial(_Sparse):
         return BivariatePolynomial(terms)
 
     def __call__(self, x, y):
-        out = 0.0
-        for (i, j), c in self.terms.items():
-            term = c
-            if i:
-                term = term * np.power(x, i)
-            if j:
-                term = term * np.power(y, j)
-            out = out + term
-        if not self.terms:
-            return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-        return out
+        return eval_terms(self.terms, self.terms.values(), x, y)
 
     def partial(self, var):
         """Partial derivative with respect to "x" or "y"."""
@@ -191,9 +181,34 @@ class MultiPoly(_Sparse):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
+def eval_terms(keys, coefs, x, y):
+    """The sum of c * x^i * y^j over the exponents (i, j) of keys and the
+    coefficients c of coefs, term by term in their order; zeros shaped like
+    x + y when there are no terms.  A coefficient may be a scalar or an
+    array over the entries of x and y: either way each entry takes the same
+    operations."""
+    out = 0.0
+    for (i, j), c in zip(keys, coefs):
+        term = c
+        if i:
+            term = term * np.power(x, i)
+        if j:
+            term = term * np.power(y, j)
+        out = out + term
+    if not len(keys):
+        return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
+    return out
+
+
 def poly1_eval(coeffs, x):
-    """Evaluate ascending-coefficient univariate polynomial, numpy friendly."""
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
+    """Evaluate ascending coefficients at x by Horner's rule, in the steps of
+    numpy's polyval, so with the same bits.  A coefficient may be a scalar
+    or an array over the entries of x."""
+    c = [np.asarray(v, dtype=float) for v in coeffs]
+    out = c[-1] + x * 0
+    for v in c[-2::-1]:
+        out = v + out * x
+    return out
 
 
 def poly1_der(coeffs):

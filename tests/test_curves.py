@@ -5,11 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import pfaffinc as pf
 from conftest import refine_root
-from pfaffinc.curves import KINDS, max_tangent_error, refine_roots, rotation_matrix
+from pfaffinc.curves import CurveTable, KINDS, max_tangent_error, refine_roots, rotation_matrix
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
 from pfaffinc.scene import Scene, scene_from_dict, scene_to_dict, scene_to_json
 
@@ -83,6 +85,65 @@ def test_trace_consecutive_points_bounded_by_field():
             vmax = np.max(np.hypot(vx + 0 * comp.xs, vy + 0 * comp.xs))
             gaps = np.hypot(np.diff(comp.xs), np.diff(comp.ys))
             assert np.all(gaps <= 2 * tr.step * max(vmax, 1.0))
+
+
+def _loop_runs(inside):
+    """The per-sample loop that split trace components before run
+    detection, kept as its oracle: (start, stop) of the runs of set
+    entries, those shorter than 2 dropped."""
+    runs, start = [], None
+    for i, ok in enumerate(inside):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            if i - start >= 2:
+                runs.append((start, i))
+            start = None
+    if start is not None and len(inside) - start >= 2:
+        runs.append((start, len(inside)))
+    return runs
+
+
+def test_inside_runs_equal_the_loop_on_masks():
+    rng = np.random.default_rng(5)
+    masks = [np.ones(9, bool), np.zeros(9, bool), np.zeros(0, bool), np.ones(1, bool),
+             np.array([1, 0, 0, 1, 1, 0, 1], bool),  # runs of 1 at either end
+             np.array([0, 1, 0, 1, 1, 1, 0, 1, 0], bool),
+             np.array([1, 1, 0, 1], bool), np.array([1, 0, 1, 1], bool)]
+    masks += [rng.random(n) < p for n in (2, 3, 17, 200) for p in (0.2, 0.5, 0.9)]
+    for mask in masks:
+        assert pf.curves._inside_runs(mask) == _loop_runs(mask)
+
+
+@pytest.mark.parametrize("viewport", [(-2.5, 2.5, -2.5, 2.5), (-1.0, 1.3, -0.4, 0.6),
+                                      (-3.0, 3.0, -1.0, 8.0)])
+def test_trace_components_equal_the_loop_on_every_kind(viewport):
+    # the samples are the curve's points at the trace's parameters; the mask
+    # of those inside the viewport, split by the loop, gives the components
+    for curve in list(KIND_EXAMPLES.values()) + TRANSFORMED:
+        try:
+            lo, hi = curve.t_window(viewport)
+        except EmptyTrace:
+            continue
+        step = (hi - lo) / 1024
+        ts = lo + step * np.arange(int(math.ceil((hi - lo) / step)) + 1)
+        ts = ts[ts <= hi]
+        if ts[-1] < hi - 1e-15:
+            ts = np.append(ts, hi)
+        with np.errstate(all="ignore"):
+            xs, ys = (np.asarray(v, dtype=float) + np.zeros_like(ts) for v in curve.point_at(ts))
+        x0, x1, y0, y1 = viewport
+        runs = _loop_runs(np.isfinite(xs) & np.isfinite(ys) & (xs >= x0) & (xs <= x1)
+                          & (ys >= y0) & (ys <= y1))
+        if not runs:
+            with pytest.raises(EmptyTrace):
+                pf.trace_curve(curve, viewport)
+            continue
+        got = pf.trace_curve(curve, viewport).components
+        assert len(got) == len(runs), curve.kind
+        for comp, (s, e) in zip(got, runs):
+            for mine, want in ((comp.ts, ts), (comp.xs, xs), (comp.ys, ys)):
+                assert mine.tobytes() == want[s:e].tobytes(), curve.kind
 
 
 # -- apply_linear_transform ----------------------------------------------------
@@ -257,6 +318,7 @@ def test_pf_degree_equals_field_degree():
 
 KIND_EXAMPLES = {c.kind: c for c in CATALOG[:-1]}
 KIND_EXAMPLES["composed"] = pf.compose_with_polynomial(pf.tan_curve(0), (0.0, 0.5))
+KIND_EXAMPLES_ORDER = {kind: i for i, kind in enumerate(KIND_EXAMPLES)}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -278,6 +340,68 @@ def test_kind_record_roundtrips_and_inverts(kind):
         assert back_t is not None
         bx, by = curve.point_at(back_t)
         assert abs(bx - x) <= 1e-9 and abs(by - y) <= 1e-7
+
+
+# -- curve tables -----------------------------------------------------------------
+
+TRANSFORMED = [pf.apply_linear_transform(pf.circle(0.3, 0.1, 1.1), *rotation_matrix(0.7)),
+               pf.apply_linear_transform(pf.circle(-0.2, 0.4, 0.9), *rotation_matrix(1.1)),
+               pf.apply_linear_transform(pf.parabola(1.0, 0.0, 0.0), *rotation_matrix(0.4)),
+               pf.apply_linear_transform(pf.exp_curve(), 2.0, 0.0, 0.0, 1.0)]
+# every kind, second curves of some kinds (more rows of a group), transformed curves
+TABLE_CURVES = list(KIND_EXAMPLES.values()) + [
+    pf.line(-0.3, 0.2), pf.circle(-0.4, 0.3, 0.8), pf.exp_of_poly((0.2, -0.1, 0.4), 0.7),
+    pf.compose_with_polynomial(pf.tan_curve(0), (0.1, 0.3)),
+    pf.compose_with_polynomial(pf.reciprocal_curve(2.0, 1), (1.0, 0.5)),
+    pf.reciprocal_root(3)] + TRANSFORMED
+TABLE_WINDOWS = [c.t_window((-2.5, 2.5, -2.5, 2.5)) for c in TABLE_CURVES]
+
+
+def _same(got, want):
+    return np.array_equal(got, np.broadcast_to(want, got.shape), equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(TABLE_CURVES) - 1), st.floats(0.0, 1.0)),
+                max_size=60))
+def test_table_lanes_equal_their_curves_bit_for_bit(draws):
+    cid = np.array([c for c, _ in draws], dtype=np.int64)
+    t = np.array([TABLE_WINDOWS[c][0] + u * (TABLE_WINDOWS[c][1] - TABLE_WINDOWS[c][0])
+                  for c, u in draws])
+    lanes = CurveTable(TABLE_CURVES).lanes(cid)
+    with np.errstate(all="ignore"):
+        x, y = lanes.point_at(t)
+        vx, vy = lanes.field_at(x, y)
+        rate = lanes.poly("vx_rate", x, y)
+        # transformed curves refine x(t) = x from a bracket about t
+        a, b = t - 1e-3, t + 1e-3
+        xa, xb = lanes.point_at(a)[0], lanes.point_at(b)[0]
+        back = lanes.param_from_x(x, t, lambda s: (a[s], b[s], xa[s] - x[s], xb[s] - x[s]))
+        for c, curve in enumerate(TABLE_CURVES):
+            on = cid == c
+            cx, cy = curve.point_at(t[on])
+            assert _same(x[on], cx) and _same(y[on], cy), curve
+            cvx, cvy = curve.field_at(cx, cy)
+            assert _same(vx[on], cvx) and _same(vy[on], cvy), curve
+            assert _same(rate[on], curve.field.vx_rate(cx, cy)), curve
+            want = curve.param_from_x(cx, t[on])
+            if want is None:
+                def along(u, lanes, cx=cx):
+                    px, py = curve.point_at(u)
+                    return px - cx[lanes], curve.field.vx(px, py)
+
+                ca, cb = a[on], b[on]
+                want = refine_roots(along, ca, cb, curve.point_at(ca)[0] - cx,
+                                    curve.point_at(cb)[0] - cx)
+            assert _same(back[on], want), curve
+
+
+def test_table_groups_curves_by_signature():
+    table = CurveTable(TABLE_CURVES)
+    # the kinds, each a group, one more for a second composed base kind and
+    # one per transformed signature: two rotated circles share one
+    assert len(table.groups) == len(KIND_EXAMPLES) + 1 + 3
+    assert table.group[-4] == table.group[-3] != table.group[KIND_EXAMPLES_ORDER["circle"]]
 
 
 # -- root refinement ---------------------------------------------------------------

@@ -187,12 +187,12 @@ def test_candidates_match_dense_scan(seed, scale):
     rng = np.random.default_rng(seed)
     for tol in (1e-7, 1e-4):
         pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng), FAR])
-        rows = inc._candidates(pts, traces, tol)
+        rows = inc._candidates(pts, inc._samples(traces), tol)
         assert rows.dtype == np.int64 and np.array_equal(rows, _dense_rows(pts, traces, tol))
         assert len(set(rows[1].tolist())) == scene.n
         # a single point, on a curve or far away
         for p in pts[[0, 1, -1]]:
-            assert np.array_equal(inc._candidates(p[None], traces, tol),
+            assert np.array_equal(inc._candidates(p[None], inc._samples(traces), tol),
                                   _dense_rows(p[None], traces, tol))
 
 
@@ -210,7 +210,7 @@ def test_candidates_break_distance_ties_to_the_lower_sample():
                      np.column_stack((mid, np.full_like(mid, 1e-7))),
                      [(1.125, 1.0), (1.25, 1.125), (1.125, 1.25), (1.0, 1.125)]])
     for tol in (1e-7, 1e-4):
-        rows = inc._candidates(pts, traces, tol)
+        rows = inc._candidates(pts, inc._samples(traces), tol)
         assert np.array_equal(rows, _dense_rows(pts, traces, tol))
         on_line = rows[:, rows[1] == 0]
         assert np.array_equal(on_line[0], np.arange(2 * len(mid)))
@@ -229,7 +229,7 @@ def test_candidates_at_the_radius_across_a_cell_boundary():
         r = _radius(traces[0].components[0], tol)
         pts = np.vstack([np.column_stack((xs + dx, np.full_like(xs, dy)))
                          for dx, dy in [(-r, 0), (r, 0), (0, -r), (0, r)]])
-        rows = inc._candidates(pts, traces, tol)
+        rows = inc._candidates(pts, inc._samples(traces), tol)
         assert np.array_equal(rows, _dense_rows(pts, traces, tol))
         assert len(rows[0]) >= 2 * len(xs)
 
@@ -250,7 +250,7 @@ def test_candidates_of_a_tiny_circle_in_a_wide_viewport():
     pts = np.vstack([np.column_stack(p) for p in pts]
                     + [(3e3, -2e3) + rng.normal(scale=1e-3, size=(40, 2)),
                        rng.uniform(-1e6, 1e6, size=(40, 2)), FAR])
-    rows = inc._candidates(pts, traces, tol)
+    rows = inc._candidates(pts, inc._samples(traces), tol)
     assert np.array_equal(rows, _dense_rows(pts, traces, tol))
     assert set(rows[1].tolist()) == {0, 1, 2, 3}
     graph = inc.count_incidences(pts, curves, traces, tol)
@@ -265,7 +265,7 @@ def test_candidates_in_small_blocks_match_dense_scan(block, monkeypatch):
     pts = np.vstack([scene.points, FAR])
     monkeypatch.setattr(inc, "_BLOCK", block)
     for tol in (1e-7, 1e-4, 1e-2):
-        assert np.array_equal(inc._candidates(pts, traces, tol), _dense_rows(pts, traces, tol))
+        assert np.array_equal(inc._candidates(pts, inc._samples(traces), tol), _dense_rows(pts, traces, tol))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -277,7 +277,7 @@ def test_wide_search_radius_memory_is_bounded():
     samples = sum(len(comp) for trace in traces for comp in trace.components)
     tracemalloc.start()
     try:
-        rows = inc._candidates(scene.points, traces, 1e-2)
+        rows = inc._candidates(scene.points, inc._samples(traces), 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,7 +342,7 @@ def test_batched_refinement_matches_scalar_oracle(seed, tol):
         if not found:
             continue
         comp, near, iv = np.array(found).T
-        got = inc._refined_distances([curve], [trace], np.zeros_like(comp), comp, iv,
+        got = inc._refined_distances([curve], inc._samples([trace]), np.zeros_like(comp), comp, iv,
                                      pts[near, 0], pts[near, 1])
         want = [_refine_distance(curve, trace.components[c], v, pts[pi, 0], pts[pi, 1])
                 for c, pi, v in found]
@@ -357,7 +357,7 @@ def test_batched_refinement_matches_scalar_oracle(seed, tol):
     # the lanes are independent: one call over every curve, as in counting,
     # gives the single-curve results bit for bit
     cid, comp, near, iv = np.array(lanes).T
-    assert np.array_equal(inc._refined_distances(scene.curves, traces, cid, comp, iv,
+    assert np.array_equal(inc._refined_distances(scene.curves, inc._samples(traces), cid, comp, iv,
                                                  pts[near, 0], pts[near, 1]),
                           np.concatenate(parts))
     graph = inc.count_incidences(pts, scene.curves, traces, tol)
@@ -382,7 +382,7 @@ def test_refinement_window_reaches_two_samples_out(side):
     px, py = side * lean, m * m + 0.5
     iv = int(np.argmin(np.hypot(comp.xs - px, comp.ys - py)))
     assert comp.ts[iv] == -side * m
-    got = inc._refined_distances([curve], [trace], np.array([0]), np.array([0]),
+    got = inc._refined_distances([curve], inc._samples([trace]), np.array([0]), np.array([0]),
                                  np.array([iv]), np.array([px]), np.array([py]))[0]
     assert abs(got - _refine_distance(curve, comp, iv, px, py)) <= 1e-15
     assert got < np.hypot(comp.xs - px, comp.ys - py).min() - 1e-3

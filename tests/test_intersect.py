@@ -738,3 +738,96 @@ def test_y_at_on_rotated_parabola_matches_closed_form():
         for x in np.linspace(br.x_lo, br.x_hi, 41)[1:-1]:
             u = (c + sign * math.sqrt(c * c - 4 * s * x)) / (2 * s)
             assert abs(br.y_at(float(x)) - (s * u + c * u * u)) <= 1e-12
+
+
+# -- curve tables in the passes ---------------------------------------------------------
+
+
+def _rounds(monkeypatch, module, calls):
+    """Wrap module's refine_roots so that each round of a run records the
+    counts in calls that its evaluation added; returns the list of them."""
+    refine, rounds = module.refine_roots, []
+
+    def wrapped(f, *args, **kwargs):
+        def counted(x, lanes):
+            calls.clear()
+            out = f(x, lanes)
+            rounds.append(dict(calls))
+            return out
+
+        return refine(counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "refine_roots", wrapped)
+    return rounds
+
+
+def test_refinement_rounds_make_one_call_per_signature(monkeypatch):
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=300, n=40, planted=0.6, seed=4)
+    traces = scene.traces()
+    signatures = len(pf.curves.CurveTable(scene.curves).groups)
+    assert signatures < len(scene.curves) // 4
+    calls = {}
+
+    def counted(fn, key):
+        def wrapper(self, *args):
+            calls[key(args)] = calls.get(key(args), 0) + 1
+            return fn(self, *args)
+        return wrapper
+
+    group = pf.curves._Group
+    monkeypatch.setattr(group, "point_at", counted(group.point_at, lambda args: "point_at"))
+    monkeypatch.setattr(group, "poly", counted(group.poly, lambda args: args[0]))
+    intersect_rounds = _rounds(monkeypatch, pf.intersect, calls)
+    branches = [monotone_branches(c, tr, vts) for c, tr, vts in
+                zip(scene.curves, traces, vertical_tangent_ts(scene.curves, traces))]
+    assert sum(len(pts) for _, _, pts in pair_intersections(scene.curves, branches)) > 50
+    incidence_rounds = _rounds(monkeypatch, pf.incidence, calls)
+    assert pf.count_incidences(scene.points, scene.curves, traces).count() > 100
+    for seen, names in ((intersect_rounds, {"point_at", "vx", "vy", "vx_rate"}),
+                        (incidence_rounds, {"point_at", "vx", "vy"})):
+        assert len(seen) >= 3
+        assert set().union(*seen) == names
+        assert max(max(r.values()) for r in seen if r) <= signatures
+
+
+def test_transformed_heights_refine_once_per_group_each_round(monkeypatch):
+    scene = load_scene(DATA / "mixed_scene.json")
+    extra = [pf.apply_linear_transform(pf.circle(0.2, -0.1, 0.7), *rotation_matrix(a))
+             for a in (0.3, 0.9, 2.0)]
+    extra.append(pf.apply_linear_transform(pf.parabola(0.8, 0.1, -0.5), *rotation_matrix(0.5)))
+    curves = scene.curves + extra
+    transformed = [c for c in curves if c.transform is not None]
+    table = pf.curves.CurveTable(curves)
+    groups = {id(g) for g in table.groups if g.transform is not None}
+    assert len(transformed) == 5 and len(groups) == 3
+    branches = [_branches(c, scene.viewport) for c in curves]
+    refine, param_from_x = pf.curves.refine_roots, pf.curves._Group.param_from_x
+    nested, called, per_round = [], [], []
+
+    def counting_refine(*args, **kwargs):
+        nested.append(1)
+        return refine(*args, **kwargs)
+
+    def recording(self, *args):
+        if self.transform is not None:
+            called.append(id(self))
+        return param_from_x(self, *args)
+
+    def outer(f, *args, **kwargs):
+        def counted(x, lanes):
+            nested.clear()
+            called.clear()
+            out = f(x, lanes)
+            per_round.append((len(nested), len(called), len(set(called))))
+            return out
+        return refine(counted, *args, **kwargs)
+
+    monkeypatch.setattr(pf.curves, "refine_roots", counting_refine)
+    monkeypatch.setattr(pf.curves._Group, "param_from_x", recording)
+    monkeypatch.setattr(pf.intersect, "refine_roots", outer)
+    found = list(pair_intersections(curves, branches, 1e-9))
+    assert found and len(per_round) > 10
+    # one nested run per transformed group present, each group called once
+    assert all(runs == groups_called == distinct for runs, groups_called, distinct in per_round)
+    assert max(runs for runs, _, _ in per_round) >= 2
+    assert max(distinct for _, _, distinct in per_round) <= len(groups)
