@@ -244,23 +244,25 @@ def _shoot_rays(events, branches, viewport):
     _x0, _x1, y0, y1 = viewport
     xs_events = np.array([e[0] for e in events])
     ys_events = np.array([e[1] for e in events])
-    n_ev = len(events)
-    above = np.full(n_ev, y1)
-    below = np.full(n_ev, y0)
     eps = 1e-9
-    for _cid, br in branches:
-        sel = np.nonzero((xs_events > br.x_lo + _X_EPS) & (xs_events < br.x_hi - _X_EPS))[0]
-        if len(sel) == 0:
-            continue
-        ey = ys_events[sel]
-        ay = br.y_interp(xs_events[sel])
-        tie = np.abs(ay - ey) <= 1e-6
-        if tie.any():
-            ay[tie] = br.y_at(xs_events[sel[tie]])  # near ties: use the exact values
-        up = ay > ey + eps
-        down = ~up & (ay < ey - eps)
-        above[sel[up]] = np.minimum(above[sel[up]], ay[up])
-        below[sel[down]] = np.maximum(below[sel[down]], ay[down])
+    # one lane per branch and event strictly inside its x-range: the event
+    # and the branch's height there
+    sel = [np.nonzero((xs_events > br.x_lo + _X_EPS) & (xs_events < br.x_hi - _X_EPS))[0]
+           for _cid, br in branches]
+    ay = np.concatenate([np.zeros(0)] + [br.y_interp(xs_events[s])
+                                         for (_cid, br), s in zip(branches, sel)])
+    ev = np.concatenate([np.zeros(0, dtype=np.int64)] + sel)
+    ey = ys_events[ev]
+    tie = np.flatnonzero(np.abs(ay - ey) <= 1e-6)
+    if len(tie):  # near ties: the exact heights, all in one call
+        b = np.repeat(np.arange(len(sel)), [len(s) for s in sel])
+        ay[tie] = ix._Exact([br for _cid, br in branches]).heights(b[tie], xs_events[ev[tie]])
+    up = ay > ey + eps
+    down = ~up & (ay < ey - eps)
+    above = np.full(len(events), y1)
+    below = np.full(len(events), y0)
+    np.minimum.at(above, ev[up], ay[up])
+    np.maximum.at(below, ev[down], ay[down])
     rays, aux = [], []
     for idx, (x, y, src) in enumerate(events):
         pair = [Wall(x, y, float(above[idx]), src), Wall(x, float(below[idx]), y, src)]
@@ -277,6 +279,7 @@ def decompose(sample_ids, curves, traces, viewport):
     Returns the uncertified cutting (r = 1, no draws recorded): its cells as
     one column table (`Cells`), and its conflict table (`_conflicts`).  An
     empty sample gives the single whole-viewport cell crossed by every curve.
+    `sample` keeps the order of sample_ids; the branches go by curve id.
     """
     # the occupancy pass runs after _cells returns, so the slab temporaries
     # are freed before the trace samples are gathered (lower peak memory)
@@ -325,7 +328,7 @@ def _cells(sample_ids, curves, traces, viewport):
                                       [traces[i] for i in sample_ids])
     branch_map = {i: monotone_branches(curves[i], traces[i], ts)
                   for i, ts in zip(sample_ids, tangents)}
-    branches = [(i, b) for i in sample_ids for b in branch_map[i]]
+    branches = [(i, b) for i in sorted(sample_ids) for b in branch_map[i]]
     events = _collect_events(sample_ids, curves, traces, branch_map, tangents)
     rays, aux = _shoot_rays(events, branches, viewport)
     _x0, _x1, y0, y1 = viewport
@@ -354,13 +357,13 @@ def _cells(sample_ids, curves, traces, viewport):
         edge_t.append(br.t_interp(edges))
     arc_y, edge_y, edge_t = map(np.concatenate, (arc_y, edge_y, edge_t))
 
-    # arcs per slab, sorted bottom to top at the midpoint (ties by curve id,
-    # then branch index); entry i of the branch-by-branch list moves to slot[i]
+    # arcs per slab, sorted bottom to top at the midpoint by one stable sort of
+    # (slab, height) as complex keys: ties keep the branch-by-branch order, by
+    # curve id and then branch index; entry i of that list moves to slot[i]
     arc_b = np.repeat(np.arange(n_br, dtype=np.int32), span)
     arc_slab = np.arange(len(arc_b), dtype=np.int32) - np.repeat(arc_base, span)
-    arc_cid = np.repeat(np.array([cid for cid, _br in branches], dtype=np.int32), span)
-    order = np.lexsort((arc_b, arc_cid, arc_y, arc_slab))
-    del arc_y, arc_cid
+    order = np.argsort(arc_slab + 1j * arc_y, kind="stable")
+    del arc_y
     arcs = arc_b[order]
     arc_off = np.zeros(n_slabs + 1, dtype=np.int32)
     arc_off[1:] = np.cumsum(np.bincount(arc_slab, minlength=n_slabs))

@@ -1,11 +1,12 @@
 """Incidence counting, forbidden-subgraph checks, and bound evaluators.
 
-Brute-force counting is the ground truth.  One cell join per grid side
-finds each point's nearest sample within the search radius, as a dense
-scan would (`_candidates`); the pairs are refined on the exact curves in
-one lockstep run (`_refined_distances`), whose rounds make one array call
-per curve signature through a `curves.CurveTable`.  Both read one table of
-all the traces' samples (`_samples`).  The cutting-decomposed count
+Brute-force counting is the ground truth.  One cell join per grid side,
+pruned to the points and samples within reach of each other, finds each
+point's nearest sample within the search radius, as a dense scan would
+(`_candidates`); the pairs are refined on the exact curves in one lockstep
+run (`_refined_distances`), whose rounds make one array call per curve
+signature through a `curves.CurveTable`.  Both read one table of all the
+traces' samples (`_samples`).  The cutting-decomposed count
 classifies the same pairs through the cell structure and must reproduce
 the total exactly.
 """
@@ -144,7 +145,8 @@ def _candidates(pts, samples, tol):
     point, for each point whose nearest sample on a trace component (of
     samples, `_samples`) lies within its search radius, half the longest
     sample gap plus a margin.  Pairs come from one cell index per grid side,
-    taken _BLOCK pairs at a time."""
+    built and searched only over the samples and points with a cell of the
+    other within reach (`_prune`), taken _BLOCK pairs at a time."""
     xs, ys, start = samples.xs, samples.ys, samples.start
     owner = np.repeat(np.arange(len(start)), samples.size)
     lo = np.array([[xs.min()], [ys.min()]])
@@ -162,8 +164,12 @@ def _candidates(pts, samples, tol):
         # within the radius; those of a far point, clipped, hold none
         with np.errstate(over="ignore"):
             q = (np.hstack(([xs[s], ys[s]], pts.T)) - lo) / side
-        (kx, ky), (x0, y0), (x1, y1) = (np.clip(np.floor(c), -2, 2**24 + 2).astype(np.int64) for c in
-                                        (q[:, :len(s)], q[:, len(s):] - reach, q[:, len(s):] + reach))
+        qp = q[:, len(s):]
+        ks, kp = (np.clip(np.floor(c), -2, 2**24 + 2).astype(np.int64) for c in (q[:, :len(s)], qp))
+        p, keep = _prune(ks, kp)
+        s, (kx, ky) = s[keep], ks[:, keep]
+        (x0, y0), (x1, y1) = (np.clip(np.floor(qp[:, p] + d), -2, 2**24 + 2).astype(np.int64)
+                              for d in (-reach, reach))
         keys = kx * 2**25 + ky
         order = np.argsort(keys, kind="stable")  # a cell's samples by index, so by component
         s, keys = s[order], keys[order]
@@ -175,19 +181,18 @@ def _candidates(pts, samples, tol):
                                side="right")
         starts = np.unique(np.append(0, cuts)).tolist()
         near = (s, xs[s], ys[s], radius[owner[s]])
-        return [nearest(*near, first[a:b], hits[a:b], a, b)
-                for a, b in zip(starts, starts[1:] + [len(pts)])]
+        return [nearest(*near, first[a:b], hits[a:b], p[a:b])
+                for a, b in zip(starts, starts[1:] + [len(p)])]
 
-    def nearest(s, sx, sy, sr, first, hits, a, b):  # of the points a .. b-1
+    def nearest(s, sx, sy, sr, first, hits, p):  # of the points p
         per = hits.sum(axis=1)
         first, hits = first.ravel(), hits.ravel()
         j = np.repeat(first - np.cumsum(hits) + hits, hits) + np.arange(per.sum())
-        d2 = (np.repeat(pts[a:b, 0], per) - sx[j]) ** 2 + (np.repeat(pts[a:b, 1], per) - sy[j]) ** 2
+        d2 = (np.repeat(pts[p, 0], per) - sx[j]) ** 2 + (np.repeat(pts[p, 1], per) - sy[j]) ** 2
         keep = np.flatnonzero(np.sqrt(d2) <= sr[j])
         sj = s[j[keep]]
         # runs of one (component, point) are reduced before the sort
-        group, d2, sj = least(owner[sj] * len(pts) + np.repeat(np.arange(a, b), per)[keep],
-                              d2[keep], sj)
+        group, d2, sj = least(owner[sj] * len(pts) + np.repeat(p, per)[keep], d2[keep], sj)
         order = np.argsort(group)
         return least(group[order], d2[order], sj[order])[::2]
 
@@ -201,6 +206,37 @@ def _candidates(pts, samples, tol):
     order = np.argsort(group)  # one row per (component, point)
     c, pi = np.divmod(group[order], len(pts))
     return np.array([pi, samples.curve[c], samples.local[c], sj[order] - start[c]])
+
+
+def _prune(ks, kp):
+    """The points (indices) and the samples (a mask) of one grid side of
+    `_candidates` that have a cell of the other within reach, given the
+    cells of its samples ks and of the points kp (2 x count each).  Two
+    occupancy bitmaps cover the samples' cells coarsened by 2^c, the least
+    power that keeps them within 2^20 coarse cells, and one coarse cell of
+    margin on each side.  A point's cells lie within one cell of its own, so
+    their coarse cells lie within one coarse cell of its own: bitmaps
+    dilated by one coarse cell miss no pair."""
+    k0 = ks.min(axis=1, keepdims=True)
+    span = ks.max(axis=1) - k0[:, 0]
+    c = 0
+    while np.prod((span >> c) + 1) > 2**20:
+        c += 1
+    shape = (span >> c) + 3
+    cs, cp = (((k - k0) >> c) + 1 for k in (ks, kp))
+    p = np.flatnonzero(((cp >= 0) & (cp < shape[:, None])).all(axis=0))
+    p = p[_dilated(cs, shape)[tuple(cp[:, p])]]
+    return p, _dilated(cp[:, p], shape)[tuple(cs)]
+
+
+def _dilated(cells, shape):
+    """The bitmap of the coarse cells (2 x count), dilated by one cell."""
+    grid = np.zeros(tuple(shape.tolist()), dtype=bool)
+    grid[tuple(cells)] = True
+    for g in (grid, grid.T):  # overlapping operands are read as copies
+        g[1:] |= g[:-1]
+        g[:-1] |= g[1:]
+    return grid
 
 
 def _finite(points):

@@ -96,6 +96,20 @@ def test_cell_corner_counts_within_four():
     assert all(c.x_hi > c.x_lo for c in cells)
 
 
+def test_slab_arcs_go_bottom_to_top_on_branches_by_curve_id():
+    # the sample keeps the caller's order; the branches, whose order breaks
+    # ties between arcs, go by curve id
+    scene = gen.random_scene(["line", "circle", "parabola"], m=0, n=12, planted=0.0, seed=3)
+    cut = pf.decompose([6, 0, 4, 2], scene.curves, scene.traces(), scene.viewport)
+    assert cut.sample == [6, 0, 4, 2]
+    assert [cid for cid, _br in cut._branches] == sorted(cid for cid, _br in cut._branches)
+    mids = (cut.slab_xs[:-1] + cut.slab_xs[1:]) / 2
+    for k, x in enumerate(mids):
+        arcs = list(cut._slab(k)[0])
+        ys = [float(cut._branches[b][1].y_interp(x)) for b in arcs]
+        assert sorted(zip(ys, arcs)) == list(zip(ys, arcs))
+
+
 def test_cells_are_built_only_on_access(monkeypatch):
     built = []
     monkeypatch.setattr(ct, "PfCell", lambda *fields: built.append(fields) or pf.PfCell(*fields))

@@ -178,22 +178,61 @@ FAR = [(x, y) for v in (1e6, 1e300, np.finfo(float).max) for x, y in
        [(v, 0.0), (-v, 0.0), (0.0, v), (0.0, -v), (v, -v), (-v, v)]]
 
 
+def _beyond(traces, tol):
+    """Points past the extent of the samples of each grid side of
+    `inc._candidates`, along each axis and at the corners, by 1/2, 1, 2, 4,
+    8 and 16 cells: one cell beyond, and one coarse cell of a bitmap
+    coarsened by 2 to 16."""
+    comps = [comp for trace in traces for comp in trace.components]
+    xs, ys = (np.concatenate([getattr(comp, v) for comp in comps]) for v in ("xs", "ys"))
+    floor = max(np.ptp(xs), np.ptp(ys)) / 2**24
+    sides = [2.0 ** np.ceil(np.log2(max(_radius(comp, tol) * (1 + 2**-19), floor)))
+             for comp in comps]
+    out = []
+    for side in set(sides):
+        on = [comp for comp, s in zip(comps, sides) if s == side]
+        x0, x1, y0, y1 = (f(np.concatenate([getattr(comp, v) for comp in on]))
+                          for v in ("xs", "ys") for f in (np.min, np.max))
+        for d in side * 2.0 ** np.arange(-1, 5):
+            out += [(x, y) for x in (x0 - d, (x0 + x1) / 2, x1 + d)
+                    for y in (y0 - d, (y0 + y1) / 2, y1 + d)]
+    return out
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
 @pytest.mark.parametrize("seed", [5, 6])
-def test_candidates_match_dense_scan(seed, scale):
+def test_candidates_match_dense_scan(seed, scale, monkeypatch):
     scene = _scaled(gen.random_scene(KINDS, m=120, n=12, planted=0.6, seed=seed), scale)
     traces = scene.traces()
     rng = np.random.default_rng(seed)
+    kept, prune = [], inc._prune
+
+    def spy(ks, kp):  # the points and the number of samples each grid side keeps
+        p, keep = prune(ks, kp)
+        kept.append((p, np.count_nonzero(keep)))
+        return p, keep
+
+    monkeypatch.setattr(inc, "_prune", spy)
     for tol in (1e-7, 1e-4):
-        pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng), FAR])
+        pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng), _beyond(traces, tol),
+                         FAR])
+        kept.clear()
         rows = inc._candidates(pts, inc._samples(traces), tol)
         assert rows.dtype == np.int64 and np.array_equal(rows, _dense_rows(pts, traces, tol))
         assert len(set(rows[1].tolist())) == scene.n
-        # a single point, on a curve or far away
-        for p in pts[[0, 1, -1]]:
-            assert np.array_equal(inc._candidates(p[None], inc._samples(traces), tol),
-                                  _dense_rows(p[None], traces, tol))
+        # the far points at 1e300 and beyond, clipped to the grid's edge, are
+        # kept by no side
+        assert all(p.max(initial=0) < len(pts) - 12 for p, _ in kept)
+        # a single point: on a curve, where a side keeps neither points nor
+        # samples (unless one side holds every sample), or far away, where no
+        # side keeps any
+        for point in pts[[0, 1, -1]]:
+            kept.clear()
+            rows = inc._candidates(point[None], inc._samples(traces), tol)
+            assert np.array_equal(rows, _dense_rows(point[None], traces, tol))
+            assert len(kept) == 1 or any(len(p) == n == 0 for p, n in kept)
+        assert rows.shape == (4, 0) and all(len(p) == n == 0 for p, n in kept)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -235,7 +274,7 @@ def test_candidates_at_the_radius_across_a_cell_boundary():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_candidates_of_a_tiny_circle_in_a_wide_viewport():
+def test_candidates_of_a_tiny_circle_in_a_wide_viewport(monkeypatch):
     viewport = (-1e6, 1e6, -1e6, 1e6)
     curves = [pf.circle(3e3, -2e3, 1e-3), pf.circle(-7e5, 4e5, 2e-3), pf.line(0.3, 5.0),
               pf.parabola(1e-6, 0.0, -5e5)]
@@ -250,7 +289,15 @@ def test_candidates_of_a_tiny_circle_in_a_wide_viewport():
     pts = np.vstack([np.column_stack(p) for p in pts]
                     + [(3e3, -2e3) + rng.normal(scale=1e-3, size=(40, 2)),
                        rng.uniform(-1e6, 1e6, size=(40, 2)), FAR])
+    # the tiny circles share a grid side whose cells span far more than 2^20
+    # entries, so its bitmaps are coarsened
+    spans, sizes, prune, dilated = [], [], inc._prune, inc._dilated
+    monkeypatch.setattr(inc, "_prune", lambda ks, kp: spans.append(np.prod(np.ptp(ks, axis=1) + 1))
+                        or prune(ks, kp))
+    monkeypatch.setattr(inc, "_dilated", lambda cells, shape: sizes.append(np.prod(shape))
+                        or dilated(cells, shape))
     rows = inc._candidates(pts, inc._samples(traces), tol)
+    assert max(spans) > 2**40 and max(sizes) <= (2**10 + 2) ** 2
     assert np.array_equal(rows, _dense_rows(pts, traces, tol))
     assert set(rows[1].tolist()) == {0, 1, 2, 3}
     graph = inc.count_incidences(pts, curves, traces, tol)
