@@ -28,6 +28,7 @@ from .scene import load_scene, save_scene
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+_TRACE_BLOCK = 16  # curves `intersect` traces at a time, with one tangent pass
 
 
 def _default_seed(value):
@@ -84,9 +85,10 @@ def cmd_intersect(args):
     scene = load_scene(args.scene)
     curves = scene.curves
     branches = []
-    for i, c in enumerate(curves):  # one trace at a time, freed once its branches exist
-        tr = scene.trace(i)
-        branches.append(ix.monotone_branches(c, tr, ix.vertical_tangent_ts([c], [tr])[0]))
+    for a in range(0, len(curves), _TRACE_BLOCK):  # traces freed once their branches exist
+        block = curves[a:a + _TRACE_BLOCK]
+        traces = [scene.trace(i) for i in range(a, a + len(block))]
+        branches += map(ix.monotone_branches, block, traces, ix.vertical_tangent_ts(block, traces))
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
     text += "".join(f"{i},{j},{x!r},{y!r}\n"

@@ -12,6 +12,13 @@ the same sequence of operations form one group, whose parameters,
 transforms and field coefficients are columns, so each evaluation of the
 lanes makes one array call per group, however many curves they span, and
 gives each lane the bits of its curve's own evaluation.
+
+Samples are held in one format, a `SampleTable`: the pieces of many
+curves (trace components, monotone branches) as the columns xs, ys and ts,
+one row per sample, each piece's rows consecutive and in its order, and per
+piece its first row `start`, its `size` and its `curve`, ascending.  A
+`CurveTrace` holds the table of its samples inside the viewport, and its
+components are views into it; `trace_table` joins a pass's traces.
 """
 
 from __future__ import annotations
@@ -116,35 +123,79 @@ class TraceComponent:
         return len(self.ts)
 
 
+class SampleTable:
+    """The pieces of many curves as columns (see the module docstring).  ts
+    is an array, or the list of its parts, joined on first use, once a pass
+    has let go of the temporaries it made before it needs the parameters."""
+
+    def __init__(self, xs, ys, ts, size, curve):
+        self.xs, self.ys, self._ts = xs, ys, ts
+        self.size, self.curve = np.asarray(size, dtype=np.int64), np.asarray(curve, dtype=np.int64)
+        self.start = np.cumsum(self.size) - self.size
+
+    @classmethod
+    def join(cls, parts, size, curve):
+        """The samples of parts (objects with xs, ys and ts, such as branches
+        and tables) one after another, as pieces of sizes size, of curves curve."""
+        xs, ys = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
+                  for v in ("xs", "ys"))
+        return cls(xs, ys, [part.ts for part in parts], size, curve)
+
+    @cached_property
+    def ts(self):
+        return np.concatenate([np.zeros(0)] + self._ts) if isinstance(self._ts, list) else self._ts
+
+    def piece_ids(self):
+        """The piece of each row."""
+        return np.repeat(np.arange(len(self.size)), self.size)
+
+    def first(self, curve):
+        """The first piece of each curve of curve (an integer array)."""
+        return np.searchsorted(self.curve, curve)
+
+
 @dataclass
 class CurveTrace:
-    components: list
+    """A curve's samples inside the viewport; its components are views."""
+
+    table: SampleTable
     step: float
     bbox: tuple
 
-    def samples(self):
-        """All (t, x, y) samples concatenated across components."""
-        ts = np.concatenate([c.ts for c in self.components])
-        xs = np.concatenate([c.xs for c in self.components])
-        ys = np.concatenate([c.ys for c in self.components])
-        return ts, xs, ys
+    @property
+    def components(self):
+        t = self.table
+        return [TraceComponent(t.ts[s:e], t.xs[s:e], t.ys[s:e])
+                for s, e in zip(t.start.tolist(), (t.start + t.size).tolist())]
 
     @property
     def n_samples(self):
-        return sum(len(c) for c in self.components)
+        return len(self.table.xs)
+
+
+def trace_table(traces):
+    """The SampleTable of the traces' components; trace i is curve i."""
+    tables = [trace.table for trace in traces]
+    count = [len(t.size) for t in tables]
+    size = np.concatenate([np.zeros(0, np.int64)] + [t.size for t in tables])
+    return SampleTable.join(tables, size, np.repeat(np.arange(len(tables)), count))
 
 
 def trace_curve(curve, viewport, step=None, samples=1024):
     """Sample the closed-form parameterization, clipped to the viewport.
 
     Components split wherever the curve leaves the viewport or the domain
-    ends.  Raises EmptyTrace when nothing is visible.
+    ends; only their samples are kept.  Raises EmptyTrace when nothing is
+    visible, and ValueError unless samples is at least 1 and the step a
+    positive finite number.
     """
+    if not samples >= 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     lo, hi = curve.t_window(viewport)
     if step is None:
         step = (hi - lo) / samples
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
     n = int(math.ceil((hi - lo) / step)) + 1
     if n > 4_000_000:
         raise ValueError("step too small for the parameter window")
@@ -161,10 +212,12 @@ def trace_curve(curve, viewport, step=None, samples=1024):
         np.isfinite(xs) & np.isfinite(ys)
         & (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
     )
-    components = [TraceComponent(ts[s:e], xs[s:e], ys[s:e]) for s, e in _inside_runs(inside)]
-    if not components:
+    runs = _inside_runs(inside)
+    if not runs:
         raise EmptyTrace(f"{curve.kind} curve misses viewport {viewport}")
-    return CurveTrace(components, step, tuple(viewport))
+    keep = np.concatenate([np.arange(s, e) for s, e in runs])
+    return CurveTrace(SampleTable(xs[keep], ys[keep], ts[keep], [e - s for s, e in runs],
+                                  [0] * len(runs)), step, tuple(viewport))
 
 
 def _inside_runs(inside):
@@ -755,17 +808,12 @@ def check_separating_conditions(curve, trace, tol=1e-5, h=1e-6, offset_frac=0.02
     and reported, never asserted.
     """
     notes = []
-    max_err = 0.0
-    min_norm = math.inf
-    all_t, all_x, all_y = trace.samples()
-    for comp in trace.components:
-        interior = comp.ts[1:-1]
-        if len(interior) == 0:
-            continue
-        max_err = max(max_err, max_tangent_error(curve, interior, h))
-        vx, vy = curve.field_at(comp.xs, comp.ys)
-        norms = np.hypot(vx + np.zeros_like(comp.xs), vy + np.zeros_like(comp.xs))
-        min_norm = min(min_norm, float(np.min(norms)))
+    table = trace.table
+    all_x, all_y = table.xs, table.ys
+    interior = np.delete(table.ts, np.append(table.start, table.start + table.size - 1))
+    max_err = max_tangent_error(curve, interior, h) if len(interior) else 0.0
+    vx, vy = curve.field_at(all_x, all_y)
+    min_norm = float(np.min(np.hypot(vx + np.zeros_like(all_x), vy + np.zeros_like(all_x))))
     directional = max_err <= tol
     nonvanishing = min_norm > 1e-12
 

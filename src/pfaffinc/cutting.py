@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intersect as ix
+from .curves import trace_table
 from .errors import CuttingFailed
 from .intersect import monotone_branches, pair_intersections, points_at
 
@@ -207,20 +208,23 @@ class Cutting:
 
 def _collect_events(sample_ids, curves, traces, branch_map, tangents):
     """Deduplicated event points: crossings, vertical tangents (tangents[k]
-    the parameters of sample_ids[k]'s), loose ends."""
+    the parameters of sample_ids[k]'s), loose ends.  The crossings are
+    found with the curves by id, so they do not depend on the order of
+    sample_ids."""
     raw = []  # (x, y, priority, source)
-    for _, _, pts in pair_intersections([curves[i] for i in sample_ids],
-                                        [branch_map[i] for i in sample_ids]):
+    ids = sorted(sample_ids)
+    for _, _, pts in pair_intersections([curves[i] for i in ids], [branch_map[i] for i in ids]):
         raw.extend((x, y, 0, "crossing") for x, y in pts)
     for i, ts in zip(sample_ids, tangents):
-        for x, y in points_at(curves[i], ts):
-            raw.append((x, y, 1, "tangent"))
-        x0, x1, y0, y1 = traces[i].bbox
-        for comp in traces[i].components:
-            for px, py in ((comp.xs[0], comp.ys[0]), (comp.xs[-1], comp.ys[-1])):
-                on_edge = (min(px - x0, x1 - px, py - y0, y1 - py) <= 1e-6)
-                if not on_edge:
-                    raw.append((float(px), float(py), 2, "endpoint"))
+        raw.extend((x, y, 1, "tangent") for x, y in points_at(curves[i], ts))
+    # the component ends off their trace's viewport edge
+    table = trace_table([traces[i] for i in sample_ids])
+    ends = np.append(table.start, table.start + table.size - 1)
+    px, py = table.xs[ends], table.ys[ends]
+    bbox = np.array([traces[i].bbox for i in sample_ids], dtype=float).reshape(-1, 4)
+    x0, x1, y0, y1 = bbox[np.tile(table.curve, 2)].T
+    loose = np.minimum.reduce([px - x0, x1 - px, py - y0, y1 - py]) > 1e-6
+    raw.extend((x, y, 2, "endpoint") for x, y in zip(px[loose].tolist(), py[loose].tolist()))
     raw.sort(key=lambda e: (e[0], e[1], e[2]))
     clusters = []  # [x, y, priority, source]; keep the strongest member
     for x, y, pri, src in raw:
@@ -550,17 +554,12 @@ def _near_branches(branches, xs, ys, near):
 def _occupancy(cut, traces):
     """Sorted distinct keys cell * n + curve, one per unsampled curve whose
     trace enters the cell interior."""
-    sampled = np.bincount(cut.sample, minlength=cut.n) > 0
-    comps = [(i, comp.xs, comp.ys) for i, tr in enumerate(traces) if not sampled[i]
-             for comp in tr.components]
-    if not comps:
-        return np.empty(0, dtype=np.int64)
-    owner, xs, ys = zip(*comps)
-    ids = np.repeat(np.array(owner, dtype=np.int32), [len(x) for x in xs])
-    xs, ys = np.concatenate(xs), np.concatenate(ys)
-    order = np.argsort(xs, kind="stable")
-    xs, ys, ids = xs[order], ys[order], ids[order]
-    del order
+    rest = np.flatnonzero(np.bincount(cut.sample, minlength=cut.n) == 0)
+    table = trace_table([traces[i] for i in rest.tolist()])
+    order = np.argsort(table.xs, kind="stable")
+    xs, ys = table.xs[order], table.ys[order]
+    ids = np.repeat(rest.astype(np.int32)[table.curve], table.size)[order]
+    del order, table
 
     _x0, _x1, y0, y1 = cut.viewport
     slab, below, valid = _sweep(cut, xs, ys, 1e-9)

@@ -5,10 +5,10 @@ pruned to the points and samples within reach of each other, finds each
 point's nearest sample within the search radius, as a dense scan would
 (`_candidates`); the pairs are refined on the exact curves in one lockstep
 run (`_refined_distances`), whose rounds make one array call per curve
-signature through a `curves.CurveTable`.  Both read one table of all the
-traces' samples (`_samples`).  The cutting-decomposed count
-classifies the same pairs through the cell structure and must reproduce
-the total exactly.
+signature through a `curves.CurveTable`.  Both read the traces' samples
+as one `curves.SampleTable` (`curves.trace_table`).  The cutting-decomposed
+count classifies the same pairs through the cell structure and must
+reproduce the total exactly.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .curves import CurveTable, check_tol, refine_roots
+from .curves import CurveTable, check_tol, refine_roots, trace_table
 from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -57,51 +56,13 @@ class IncidenceGraph:
         return len(self.edges)
 
 
-@dataclass
-class _Samples:
-    """The samples of all the components of a list of traces, concatenated.
-
-    Component c, in the order of the traces, holds rows start[c] ...
-    start[c] + size[c] - 1 of xs, ys and ts, and is component local[c] of
-    trace curve[c]; trace i's components start at component first[i].
-    """
-
-    parts: list
-    xs: np.ndarray
-    ys: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
-    curve: np.ndarray
-    local: np.ndarray
-    first: np.ndarray
-
-    @cached_property
-    def ts(self):
-        """Built on first use, once the candidate search has let go of its
-        temporaries."""
-        return np.concatenate([np.zeros(0)] + [part.ts for part in self.parts])
-
-
-def _samples(traces):
-    """The _Samples of traces."""
-    parts = [comp for trace in traces for comp in trace.components]
-    size = np.array([len(part) for part in parts], dtype=np.int64)
-    count = np.array([len(trace.components) for trace in traces], dtype=np.int64)
-    first = np.cumsum(count) - count
-    curve = np.repeat(np.arange(len(traces)), count)
-    xs, ys = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
-              for v in ("xs", "ys"))
-    return _Samples(parts, xs, ys, np.cumsum(size) - size, size, curve,
-                    np.arange(len(parts)) - first[curve], first)
-
-
 def _refined_distances(curves, samples, cid, comp, iv, px, py):
     """Distance from each point (px[k], py[k]) to curve cid[k] near sample
-    iv[k] of its trace component comp[k] (samples holds the curves' traces,
-    `_samples`): the least over the samples iv-2 .. iv+2 of that component
-    and the minima between them, the - to + roots of (P - p) . V =
-    d/dt |P - p|^2 / 2, whose t-derivative is |V|^2 where the curve passes
-    through p.  The roots of every curve are refined in one lockstep run, and
+    iv[k] of its trace component comp[k] (samples: the curves' traces as
+    one `curves.SampleTable`): the least over the samples iv-2 .. iv+2 of
+    that component and the minima between them, the - to + roots of
+    (P - p) . V = d/dt |P - p|^2 / 2, whose t-derivative is |V|^2 where the
+    curve passes through p.  The roots of every curve are refined in one lockstep run, and
     each evaluation makes one array call per curve signature
     (`curves.CurveTable`)."""
     table = CurveTable(curves)
@@ -127,7 +88,7 @@ def _windows(table, samples, cid, comp, iv, px, py):
     the least distance from the point to them, and (P - p) . V at each (NaN
     past an end).  Its temporaries end with the call, before the refinement
     runs."""
-    part = samples.first[cid] + comp
+    part = samples.first(cid) + comp
     size = samples.size[part, None]
     j = iv[:, None] + np.arange(-2, 3)
     inside = (j >= 0) & (j < size)
@@ -142,13 +103,13 @@ def _windows(table, samples, cid, comp, iv, px, py):
 
 def _candidates(pts, samples, tol):
     """Rows (point, curve, component, nearest sample), by curve, component and
-    point, for each point whose nearest sample on a trace component (of
-    samples, `_samples`) lies within its search radius, half the longest
-    sample gap plus a margin.  Pairs come from one cell index per grid side,
+    point, for each point whose nearest sample on a trace component (a piece
+    of samples, `curves.trace_table`) lies within its search radius, half
+    the longest sample gap plus a margin.  Pairs come from one cell index per grid side,
     built and searched only over the samples and points with a cell of the
     other within reach (`_prune`), taken _BLOCK pairs at a time."""
     xs, ys, start = samples.xs, samples.ys, samples.start
-    owner = np.repeat(np.arange(len(start)), samples.size)
+    owner = samples.piece_ids()
     lo = np.array([[xs.min()], [ys.min()]])
     gap = np.hypot(np.diff(xs), np.diff(ys)) * (np.diff(owner) == 0)  # none across components
     radius = np.maximum.reduceat(np.append(gap, 0.0), start) / 2 + max(100 * tol, 1e-6)
@@ -205,7 +166,7 @@ def _candidates(pts, samples, tol):
     group, sj = map(np.concatenate, zip(*[g for side in np.unique(sides) for g in join(side)]))
     order = np.argsort(group)  # one row per (component, point)
     c, pi = np.divmod(group[order], len(pts))
-    return np.array([pi, samples.curve[c], samples.local[c], sj[order] - start[c]])
+    return np.array([pi, samples.curve[c], c - samples.first(samples.curve[c]), sj[order] - start[c]])
 
 
 def _prune(ks, kp):
@@ -252,7 +213,7 @@ def point_curve_distance(curve, trace, p, tol=1e-7):
     else the distance to that sample."""
     check_tol(tol)
     pts = _finite([p])
-    samples = _samples([trace])
+    samples = trace.table
     pi, cid, comp, iv = _candidates(pts, samples, tol)
     best = np.sqrt(np.minimum.reduceat((samples.xs - pts[0, 0]) ** 2
                                        + (samples.ys - pts[0, 1]) ** 2, samples.start))
@@ -268,7 +229,7 @@ def count_incidences(points, curves, traces, tol=1e-7):
     pts = _finite(points)
     if len(pts) == 0 or not curves:
         return IncidenceGraph(set(), len(pts), len(curves))
-    samples = _samples(traces)
+    samples = trace_table(traces)
     pi, cid, comp, iv = _candidates(pts, samples, tol)
     dist = _refined_distances(curves, samples, cid, comp, iv, pts[pi, 0], pts[pi, 1])
     on = dist <= tol

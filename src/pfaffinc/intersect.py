@@ -25,13 +25,12 @@ signature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .curves import CurveTable, check_tol, refine_roots
+from .curves import CurveTable, SampleTable, check_tol, refine_roots, trace_table
 from .errors import SharedComponent
 
 _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
@@ -64,41 +63,40 @@ def vertical_tangent_ts(curves, traces):
     changes sign along its trace: the sampled zeros, and every sign change,
     the one across a closed curve's parameter seam included, refined in one
     lockstep run over all the curves on f' = vx_rate, the t-derivative of
-    vx."""
-    zeros, ends, owner, seams = [], [np.zeros((0, 4))], [], []  # ends: (a, b, vx at a, at b)
-    for c, (curve, trace) in enumerate(zip(curves, traces)):
-        zeros.append([])
-        for comp in trace.components:
-            vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
-            sign = np.sign(vx)
-            at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-            ends.append(np.stack([comp.ts[at], comp.ts[at + 1], vx[at], vx[at + 1]], axis=1))
-            owner.extend([c] * len(at))
-            zeros[c].extend(comp.ts[sign == 0].tolist())
-        # closed parameterizations: check the wrap-around gap too
-        if curve.period is not None and trace.components:
-            first, last = trace.components[0], trace.components[-1]
-            gap = math.hypot(last.xs[-1] - first.xs[0], last.ys[-1] - first.ys[0])
-            if gap < 64 * trace.step * (1 + curve.period):
-                ab = np.array([last.ts[-1], first.ts[0] + curve.period])
-                va, vb = curve.field.vx(*curve.point_at(ab)) + np.zeros(2)
-                if va * vb < 0:
-                    ends.append([[*ab, va, vb]])
-                    seams.append(len(owner))
-                    owner.append(c)
-    owner, table = np.array(owner, dtype=np.int64), CurveTable(curves)
+    vx.  One pass over the traces' `curves.trace_table` finds them."""
+    samples, table = trace_table(traces), CurveTable(curves)
+    xs, ys, ts = samples.xs, samples.ys, samples.ts
+    piece = samples.piece_ids()
+    cid = samples.curve[piece]
+    vx = table.lanes(cid).poly("vx", xs, ys)
+    sign = np.sign(vx)
+    at = np.flatnonzero((sign[:-1] * sign[1:] < 0) & (piece[:-1] == piece[1:]))
+    brackets = np.stack([ts[at], ts[at + 1], vx[at], vx[at + 1]])  # a, b, vx at a, at b
+    # closed parameterizations: the wrap-around gap from a trace's last
+    # sample to its first sample one period on, if those nearly meet
+    period = np.array([np.nan if c.period is None else c.period for c in curves])
+    step = np.array([trace.step for trace in traces])
+    bounds = np.append(samples.start, len(xs))[samples.first(np.arange(len(curves) + 1))]
+    i0, i1 = bounds[:-1], bounds[1:] - 1  # each trace's first and last sample
+    closed = np.flatnonzero(np.hypot(xs[i1] - xs[i0], ys[i1] - ys[i0]) < 64 * step * (1 + period))
+    ab = np.concatenate([ts[i1[closed]], ts[i0[closed]] + period[closed]])
+    on = table.lanes(np.tile(closed, 2))
+    seam = np.vstack([ab, on.poly("vx", *on.point_at(ab))]).reshape(4, -1)
+    turn = seam[2] * seam[3] < 0
+    owner = np.append(cid[at], closed[turn])
 
     def along(t, lanes):
         on = table.lanes(owner[lanes])
         x, y = on.point_at(t)
         return on.poly("vx", x, y), on.poly("vx_rate", x, y)
 
-    roots = refine_roots(along, *np.concatenate(ends).T).tolist()
-    for k in seams:
-        roots[k] %= curves[owner[k]].period
-    for c, t in zip(owner.tolist(), roots):
-        zeros[c].append(t)
-    return [sorted(ts) for ts in zeros]
+    roots = refine_roots(along, *np.hstack([brackets, seam[:, turn]]))
+    roots[len(at):] %= period[closed[turn]]
+    zero = sign == 0
+    c, t = np.append(cid[zero], owner), np.append(ts[zero], roots)
+    order = np.lexsort((t, c))  # stable: by curve, then parameter
+    cuts = np.cumsum(np.bincount(c, minlength=len(curves)))
+    return [v.tolist() for v in np.split(t[order], cuts)[:-1]]
 
 
 def vertical_tangent_points(curve, trace):
@@ -159,14 +157,14 @@ class GraphBranch:
 
 class _Exact:
     """Exact evaluation on the branches flat: lane (k, x) is branch flat[k]
-    at abscissa x.  The branches' curves form one `curves.CurveTable`, a row
-    per branch, so each evaluation makes one array call per curve signature
-    present, not one per curve."""
+    at abscissa x.  The branches' curves form one `curves.CurveTable`, and
+    their samples one `curves.SampleTable`, branch k as row and piece k, so
+    each evaluation makes one array call per curve signature present."""
 
     def __init__(self, flat):
-        self.flat = flat
         self.table = CurveTable([b.curve for b in flat])
         self.t_mid = np.array([b.t_mid for b in flat])
+        self.samples = SampleTable.join(flat, [len(b.xs) for b in flat], np.arange(len(flat)))
 
     def heights(self, k, x):
         """Exact y of branches k at abscissas x."""
@@ -179,21 +177,18 @@ class _Exact:
         return lanes.point_at(t)[1]
 
     @cached_property
-    def _samples(self):
-        """The branches' samples, concatenated: keys _key(k, x) ascending,
-        parameters, and each branch's first row and size."""
-        size = np.array([len(b.xs) for b in self.flat], dtype=np.int64)
-        key = _key(np.repeat(np.arange(len(size)), size), np.concatenate([b.xs for b in self.flat]))
-        return key, np.concatenate([b.ts for b in self.flat]), np.cumsum(size) - size, size
+    def _keys(self):
+        """_key(k, x) of every sample x of every branch k, ascending."""
+        return _key(self.samples.piece_ids(), self.samples.xs)
 
     def _bracket(self, k, x):
         """(t, t', x(t) - x, x(t') - x) of the samples of branches k about x,
         between which x(t) is monotone and dx/dt = vx; past an end of the
         branch, the end pair.  One search over all the branches."""
-        key, ts, first, size = self._samples
-        i = first[k] + np.clip(np.searchsorted(key, _key(k, x)) - first[k], 1, size[k] - 1)
-        xs = key.imag
-        return ts[i - 1], ts[i], xs[i - 1] - x, xs[i] - x
+        s = self.samples
+        first = s.start[k]
+        i = first + np.clip(np.searchsorted(self._keys, _key(k, x)) - first, 1, s.size[k] - 1)
+        return s.ts[i - 1], s.ts[i], s.xs[i - 1] - x, s.xs[i] - x
 
     def both(self, k1, k2, *xs):
         """y and dy/dx = vy/vx of branches k1 and k2 (index arrays) at each
@@ -282,26 +277,26 @@ def _ends_meet(x1, y1, x2, y2, tol):
     return np.hypot(x1 - x2, y1 - y2) <= tol
 
 
-def _live(flat, owner, sep, tol):
-    """The live branch pairs (k1, k2) of flat, owner[k1] < owner[k2], in the
-    order of curve pair, k1, then k2; and whether each overlaps in x.
+def _live(samples, owner, sep, tol):
+    """The live branch pairs (k1, k2), owner[k1] < owner[k2], in the order of
+    curve pair, k1, then k2; and whether each overlaps in x.
 
-    owner[k] is the curve of flat[k], ascending.  A pair is live when it
-    overlaps in x by more than 1e-12 and its y-ranges are not _apart, or has
-    no overlap and an end of one branch within tol of an end of the other.
-    Other pairs yield no point.  Runs one row per branch, vectorised over the
-    branches of later curves.
+    Branch k is piece k of samples, of curve owner[k], ascending.  A pair is
+    live when it overlaps in x by more than 1e-12 and its y-ranges are not
+    _apart, or has no overlap and an end of one branch within tol of an end
+    of the other.  Other pairs yield no point.  Runs one row per branch,
+    vectorised over the branches of later curves.
     """
-    x_lo, x_hi, y_lo, y_hi, y_left, y_right = np.array(
-        [(b.x_lo, b.x_hi, b.y_lo, b.y_hi, b.ys[0], b.ys[-1]) for b in flat],
-        dtype=float).reshape(-1, 6).T
+    first, last = samples.start, samples.start + samples.size - 1
+    (x_lo, x_hi), (y_left, y_right) = samples.xs[[first, last]], samples.ys[[first, last]]
+    y_lo, y_hi = np.minimum.reduceat(samples.ys, first), np.maximum.reduceat(samples.ys, first)
     later = np.searchsorted(owner, owner, side="right")
     k1, k2 = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for k, (b, s) in enumerate(zip(flat, later.tolist())):
-        overlap = np.minimum(b.x_hi, x_hi[s:]) - np.maximum(b.x_lo, x_lo[s:]) > 1e-12
-        live = np.where(overlap, ~_apart(b.y_lo, b.y_hi, y_lo[s:], y_hi[s:], sep),
-                        _ends_meet(b.x_hi, b.ys[-1], x_lo[s:], y_left[s:], tol)
-                        | _ends_meet(b.x_lo, b.ys[0], x_hi[s:], y_right[s:], tol))
+    for k, s in enumerate(later.tolist()):
+        overlap = np.minimum(x_hi[k], x_hi[s:]) - np.maximum(x_lo[k], x_lo[s:]) > 1e-12
+        live = np.where(overlap, ~_apart(y_lo[k], y_hi[k], y_lo[s:], y_hi[s:], sep),
+                        _ends_meet(x_hi[k], y_right[k], x_lo[s:], y_left[s:], tol)
+                        | _ends_meet(x_lo[k], y_left[k], x_hi[s:], y_right[s:], tol))
         k2.append(np.nonzero(live)[0] + s)
         k1.append(np.full(len(k2[-1]), k))
     k1, k2 = np.concatenate(k1), np.concatenate(k2)
@@ -340,8 +335,8 @@ class _Chunks:
     """A pass's branches as tables: their samples, chunks and exact
     evaluation.
 
-    Branch k's samples are rows first[k] ... first[k] + size[k] - 1 of xs
-    and ys.  Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK
+    Branch k is piece k of exact.samples, a `curves.SampleTable`.
+    Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK
     + _CHUNK, size[k] - 1), sharing the last one with the next chunk, and
     has the y-range [lo[i], hi[i]], i = start[k] - k + c.  Its bounds, the
     abscissas x of those two samples, are rows start[k] + c and
@@ -349,10 +344,6 @@ class _Chunks:
     The chunk tables hold about one entry per _CHUNK samples.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    first: np.ndarray
-    size: np.ndarray
     key: np.ndarray
     start: np.ndarray  # one more entry than branches
     lo: np.ndarray
@@ -362,9 +353,9 @@ class _Chunks:
 
 def _chunks(flat):
     """The _Chunks of the branches flat."""
-    size = np.array([len(b.xs) for b in flat], dtype=np.int64)
-    first = np.cumsum(size) - size
-    xs, ys = (np.concatenate([np.zeros(0)] + [getattr(b, v) for b in flat]) for v in ("xs", "ys"))
+    exact = _Exact(flat)
+    s = exact.samples
+    xs, ys, first, size = s.xs, s.ys, s.start, s.size
     # per branch, the chunks' first samples, then its last sample
     count = (size - 2) // _CHUNK + 2
     at = np.repeat(first, count) + np.minimum(
@@ -372,13 +363,11 @@ def _chunks(flat):
     last = np.cumsum(count) - 1
     firsts = np.delete(at, last)
     ends = ys[np.delete(at, last - count + 1)]  # each chunk's last sample, the next one's first
-    lo = hi = np.zeros(0)
-    if len(firsts):
-        lo = np.minimum(np.minimum.reduceat(ys, firsts), ends)
-        hi = np.maximum(np.maximum.reduceat(ys, firsts), ends)
+    lo = np.minimum(np.minimum.reduceat(ys, firsts), ends)
+    hi = np.maximum(np.maximum.reduceat(ys, firsts), ends)
     start = np.append(0, np.cumsum(count))
-    key = _key(np.repeat(np.arange(len(flat)), count), xs[at])
-    return _Chunks(xs, ys, first, size, key, start, lo, hi, _Exact(flat))
+    key = _key(np.repeat(np.arange(len(size)), count), xs[at])
+    return _Chunks(key, start, lo, hi, exact)
 
 
 def _ranges(starts, counts):
@@ -442,11 +431,11 @@ def pair_intersections(curves, branches, tol=1e-9):
     sep = _separation(tol)
     flat = [b for bs in branches for b in bs]
     owner = np.repeat(np.arange(len(branches)), [len(bs) for bs in branches])
-    k1, k2, overlap = _live(flat, owner, sep, tol)
+    chunks = _chunks(flat)
+    k1, k2, overlap = _live(chunks.exact.samples, owner, sep, tol)
     i, j = owner[k1], owner[k2]
     new = np.diff(i * len(branches) + j, prepend=-1) != 0  # a curve pair's first
     cuts = np.append(np.flatnonzero(new)[::_BLOCK], len(new)).tolist()
-    chunks = _chunks(flat)
     return (out for s, e in zip(cuts, cuts[1:])
             for out in _block(curves, flat, chunks, i[s:e], j[s:e], k1[s:e], k2[s:e],
                               overlap[s:e], tol))
@@ -564,7 +553,7 @@ def _runs(chunks, r, k1, k2, sep):
                                     lo[g0:g1], hi[g0:g1], sep)
         ku = k[:, g0:g1][:, u]
         # the samples of each run's chunks, cs ... ce
-        n = np.minimum(_CHUNK * (ce + 1), chunks.size[ku] - 1) - _CHUNK * cs + 1
+        n = np.minimum(_CHUNK * (ce + 1), chunks.exact.samples.size[ku] - 1) - _CHUNK * cs + 1
         for f0, f1 in _groups(n.sum(0)):
             run, at, h, first = _fine(chunks, ku[:, f0:f1], _CHUNK * cs[:, f0:f1], n[:, f0:f1],
                                       ra[f0:f1], rb[f0:f1])
@@ -612,9 +601,9 @@ def _fine(chunks, k, a, n, ra, rb):
     run, are gathered: they reach from at or below ra to at or above rb, so
     they hold the two samples about every grid point, and are gathered by
     index from the pass's sample table."""
-    n, runs = n.ravel(), len(ra)
-    rows = _ranges(chunks.first[k.ravel()] + a.ravel(), n)
-    x, y = chunks.xs[rows], chunks.ys[rows]
+    n, runs, samples = n.ravel(), len(ra), chunks.exact.samples
+    rows = _ranges(samples.start[k.ravel()] + a.ravel(), n)
+    x, y = samples.xs[rows], samples.ys[rows]
     run = np.repeat(np.arange(2 * runs) % runs, n)
     order = _order(run, x)  # branch 1 first on equal x
     run, at = run[order], x[order]

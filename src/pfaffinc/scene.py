@@ -178,9 +178,9 @@ def _has_vertical_trace(scene, samples=128):
             tr = cv.trace_curve(c, scene.viewport, samples=samples)
         except PfaffincError:
             continue
-        for comp in tr.components:
-            if comp.xs.max() - comp.xs.min() < 1e-9:
-                return True
+        xs, start = tr.table.xs, tr.table.start
+        if (np.maximum.reduceat(xs, start) - np.minimum.reduceat(xs, start) < 1e-9).any():
+            return True
     return False
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from scipy.optimize import brentq
 
 import pfaffinc as pf
 from conftest import refine_root
-from pfaffinc.curves import CurveTable, KINDS, max_tangent_error, refine_roots, rotation_matrix
+from pfaffinc import generators as gen
+from pfaffinc.curves import (CurveTable, KINDS, max_tangent_error, refine_roots, rotation_matrix,
+                             trace_table)
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
-from pfaffinc.scene import Scene, scene_from_dict, scene_to_dict, scene_to_json
+from pfaffinc.scene import Scene, rotate_scene, scene_from_dict, scene_to_dict, scene_to_json
 
 VP = (-2.0, 2.0, -2.0, 2.0)
+TABLE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal", "exp-of-poly", "tan"]
 
 
 # -- eval_vector_field -------------------------------------------------------
@@ -42,7 +46,7 @@ def test_parabola_trace_hits_landmarks():
     c = pf.parabola(1, 0, 0)
     tr = pf.trace_curve(c, VP, step=1e-3)
     assert len(tr.components) == 1
-    _, xs, ys = tr.samples()
+    xs, ys = tr.table.xs, tr.table.ys
     for px, py in ((0, 0), (1, 1), (-1, 1)):
         d = np.min(np.hypot(xs - px, ys - py))
         assert d <= 1e-6
@@ -52,7 +56,7 @@ def test_circle_trace_excludes_seam_point():
     c = pf.circle(0, 0, 1)
     tr = pf.trace_curve(c, VP)
     assert len(tr.components) == 1
-    ts, _, _ = tr.samples()
+    ts = tr.table.ts
     assert ts.min() > 0.0 and ts.max() < 2 * math.pi
 
 
@@ -60,7 +64,7 @@ def test_reciprocal_trace_stays_in_open_first_quadrant():
     c = pf.reciprocal_curve(1.0, 1)
     tr = pf.trace_curve(c, VP)
     assert len(tr.components) == 1
-    _, xs, ys = tr.samples()
+    xs, ys = tr.table.xs, tr.table.ys
     assert np.all(xs > 0) and np.all(ys > 0)
 
 
@@ -144,6 +148,55 @@ def test_trace_components_equal_the_loop_on_every_kind(viewport):
         for comp, (s, e) in zip(got, runs):
             for mine, want in ((comp.ts, ts), (comp.xs, xs), (comp.ys, ys)):
                 assert mine.tobytes() == want[s:e].tobytes(), curve.kind
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"step": math.nan}, {"step": math.inf},
+                                    {"step": 0.0}],
+                         ids=["samples=0", "step=nan", "step=inf", "step=0"])
+def test_trace_rejects_bad_sampling_arguments(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            pf.trace_curve(pf.parabola(1, 0, 0), VP, **kwargs)
+
+
+def _loop_samples(traces):
+    """The component loop that gathered every trace's samples for the
+    brute-force count before the sample table, kept as its oracle: the
+    samples concatenated, and per component its first row, size, curve
+    and index within its trace."""
+    parts = [comp for trace in traces for comp in trace.components]
+    size = np.array([len(part) for part in parts], dtype=np.int64)
+    count = np.array([len(trace.components) for trace in traces], dtype=np.int64)
+    first = np.cumsum(count) - count
+    curve = np.repeat(np.arange(len(traces)), count)
+    xs, ys, ts = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
+                  for v in ("xs", "ys", "ts"))
+    return xs, ys, ts, np.cumsum(size) - size, size, curve, np.arange(len(parts)) - first[curve]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("theta", [None, 0.3, math.pi / 2 - 1e-9])
+def test_trace_table_equals_the_component_loop(seed, theta):
+    scene = gen.random_scene(TABLE_KINDS, m=0, n=24, planted=0.0, seed=seed)
+    # large circles, cut by the viewport's sides into several components
+    scene.curves += [pf.circle(0.2, -0.1, 5.3), pf.circle(0.0, 0.0, 4.5)]
+    if theta is not None:
+        scene = rotate_scene(scene, theta)
+    traces = scene.traces()
+    assert sum(len(trace.components) for trace in traces) > len(traces)  # some split
+    table = trace_table(traces)
+    xs, ys, ts, start, size, curve, local = _loop_samples(traces)
+    for mine, want in ((table.xs, xs), (table.ys, ys), (table.ts, ts), (table.start, start),
+                       (table.size, size), (table.curve, curve),
+                       (np.arange(len(size)) - table.first(table.curve), local),
+                       (table.piece_ids(), np.repeat(np.arange(len(size)), size))):
+        assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
+    # a trace holds only its components' samples, as views of its columns
+    for trace in traces:
+        assert trace.n_samples == len(trace.table.xs) == trace.table.size.sum()
+        for comp in trace.components:
+            assert comp.xs.base is trace.table.xs and comp.ts.base is trace.table.ts
 
 
 # -- apply_linear_transform ----------------------------------------------------

@@ -571,3 +571,16 @@ def test_failed_certification_raises():
     except CuttingFailed:
         return
     assert cut.max_crossings() <= 4 / 3
+
+
+def test_decompose_does_not_depend_on_the_order_of_the_sample():
+    # crossings found with the curves in the sample's order differed in the
+    # last bit from those found by curve id, and so did the rays
+    scene = pf.load_scene(Path(__file__).parent / "data" / "mixed_scene.json")
+    curves = scene.curves + [pf.apply_linear_transform(c, *pf.curves.rotation_matrix(theta))
+                             for c, theta in zip(scene.curves, (0.3, 0.5, 0.7, 0.9))]
+    traces = [pf.trace_curve(c, scene.viewport) for c in curves]
+    a, b = (ct.decompose(ids, curves, traces, scene.viewport).to_dict()
+            for ids in ([14, 0, 3, 2, 12], [0, 2, 3, 12, 14]))
+    assert a.pop("sample") == [14, 0, 3, 2, 12] and b.pop("sample") == [0, 2, 3, 12, 14]
+    assert json.dumps(a) == json.dumps(b)

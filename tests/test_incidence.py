@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import pfaffinc as pf
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
-from pfaffinc.curves import CurveTrace, TraceComponent, apply_linear_transform, refine_roots
+from pfaffinc.curves import (CurveTrace, SampleTable, TraceComponent, apply_linear_transform,
+                             refine_roots, trace_table)
 from pfaffinc.errors import ComplexityGuard, InconsistentScene
 
 from conftest import refine_root, zero_sum_line_scene
@@ -218,7 +219,7 @@ def test_candidates_match_dense_scan(seed, scale, monkeypatch):
         pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng), _beyond(traces, tol),
                          FAR])
         kept.clear()
-        rows = inc._candidates(pts, inc._samples(traces), tol)
+        rows = inc._candidates(pts, trace_table(traces), tol)
         assert rows.dtype == np.int64 and np.array_equal(rows, _dense_rows(pts, traces, tol))
         assert len(set(rows[1].tolist())) == scene.n
         # the far points at 1e300 and beyond, clipped to the grid's edge, are
@@ -229,7 +230,7 @@ def test_candidates_match_dense_scan(seed, scale, monkeypatch):
         # side keeps any
         for point in pts[[0, 1, -1]]:
             kept.clear()
-            rows = inc._candidates(point[None], inc._samples(traces), tol)
+            rows = inc._candidates(point[None], trace_table(traces), tol)
             assert np.array_equal(rows, _dense_rows(point[None], traces, tol))
             assert len(kept) == 1 or any(len(p) == n == 0 for p, n in kept)
         assert rows.shape == (4, 0) and all(len(p) == n == 0 for p, n in kept)
@@ -243,13 +244,14 @@ def test_candidates_break_distance_ties_to_the_lower_sample():
     line = TraceComponent(xs, xs, np.zeros_like(xs))
     sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]) / 4 + 1
     square = TraceComponent(np.arange(5.0), sq[:, 0], sq[:, 1])
-    traces = [CurveTrace([line], 0.25, (-3, 3, -3, 3)), CurveTrace([square], 1.0, (-3, 3, -3, 3))]
+    traces = [CurveTrace(SampleTable.join([line], [len(line.xs)], [0]), 0.25, (-3, 3, -3, 3)),
+              CurveTrace(SampleTable.join([square], [len(square.xs)], [0]), 1.0, (-3, 3, -3, 3))]
     mid = (xs[:-1] + xs[1:]) / 2
     pts = np.vstack([np.column_stack((mid, np.zeros_like(mid))),
                      np.column_stack((mid, np.full_like(mid, 1e-7))),
                      [(1.125, 1.0), (1.25, 1.125), (1.125, 1.25), (1.0, 1.125)]])
     for tol in (1e-7, 1e-4):
-        rows = inc._candidates(pts, inc._samples(traces), tol)
+        rows = inc._candidates(pts, trace_table(traces), tol)
         assert np.array_equal(rows, _dense_rows(pts, traces, tol))
         on_line = rows[:, rows[1] == 0]
         assert np.array_equal(on_line[0], np.arange(2 * len(mid)))
@@ -263,12 +265,13 @@ def test_candidates_at_the_radius_across_a_cell_boundary():
     # samples 1/4 apart on y = 0 lie on the lines of the grid of side 1/4;
     # points a search radius away along an axis lie in the neighbouring cells
     xs = np.arange(-8, 9) / 4
-    traces = [CurveTrace([TraceComponent(xs, xs, np.zeros_like(xs))], 0.25, (-3, 3, -3, 3))]
+    line = TraceComponent(xs, xs, np.zeros_like(xs))
+    traces = [CurveTrace(SampleTable.join([line], [len(xs)], [0]), 0.25, (-3, 3, -3, 3))]
     for tol in (1e-7, 1e-5):
         r = _radius(traces[0].components[0], tol)
         pts = np.vstack([np.column_stack((xs + dx, np.full_like(xs, dy)))
                          for dx, dy in [(-r, 0), (r, 0), (0, -r), (0, r)]])
-        rows = inc._candidates(pts, inc._samples(traces), tol)
+        rows = inc._candidates(pts, trace_table(traces), tol)
         assert np.array_equal(rows, _dense_rows(pts, traces, tol))
         assert len(rows[0]) >= 2 * len(xs)
 
@@ -296,7 +299,7 @@ def test_candidates_of_a_tiny_circle_in_a_wide_viewport(monkeypatch):
                         or prune(ks, kp))
     monkeypatch.setattr(inc, "_dilated", lambda cells, shape: sizes.append(np.prod(shape))
                         or dilated(cells, shape))
-    rows = inc._candidates(pts, inc._samples(traces), tol)
+    rows = inc._candidates(pts, trace_table(traces), tol)
     assert max(spans) > 2**40 and max(sizes) <= (2**10 + 2) ** 2
     assert np.array_equal(rows, _dense_rows(pts, traces, tol))
     assert set(rows[1].tolist()) == {0, 1, 2, 3}
@@ -312,7 +315,7 @@ def test_candidates_in_small_blocks_match_dense_scan(block, monkeypatch):
     pts = np.vstack([scene.points, FAR])
     monkeypatch.setattr(inc, "_BLOCK", block)
     for tol in (1e-7, 1e-4, 1e-2):
-        assert np.array_equal(inc._candidates(pts, inc._samples(traces), tol), _dense_rows(pts, traces, tol))
+        assert np.array_equal(inc._candidates(pts, trace_table(traces), tol), _dense_rows(pts, traces, tol))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -324,7 +327,7 @@ def test_wide_search_radius_memory_is_bounded():
     samples = sum(len(comp) for trace in traces for comp in trace.components)
     tracemalloc.start()
     try:
-        rows = inc._candidates(scene.points, inc._samples(traces), 1e-2)
+        rows = inc._candidates(scene.points, trace_table(traces), 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,7 +392,7 @@ def test_batched_refinement_matches_scalar_oracle(seed, tol):
         if not found:
             continue
         comp, near, iv = np.array(found).T
-        got = inc._refined_distances([curve], inc._samples([trace]), np.zeros_like(comp), comp, iv,
+        got = inc._refined_distances([curve], trace_table([trace]), np.zeros_like(comp), comp, iv,
                                      pts[near, 0], pts[near, 1])
         want = [_refine_distance(curve, trace.components[c], v, pts[pi, 0], pts[pi, 1])
                 for c, pi, v in found]
@@ -404,7 +407,7 @@ def test_batched_refinement_matches_scalar_oracle(seed, tol):
     # the lanes are independent: one call over every curve, as in counting,
     # gives the single-curve results bit for bit
     cid, comp, near, iv = np.array(lanes).T
-    assert np.array_equal(inc._refined_distances(scene.curves, inc._samples(traces), cid, comp, iv,
+    assert np.array_equal(inc._refined_distances(scene.curves, trace_table(traces), cid, comp, iv,
                                                  pts[near, 0], pts[near, 1]),
                           np.concatenate(parts))
     graph = inc.count_incidences(pts, scene.curves, traces, tol)
@@ -425,11 +428,11 @@ def test_refinement_window_reaches_two_samples_out(side):
     curve = pf.parabola(1.0, 0.0, 0.0)
     ts = np.sort(side * (s * np.arange(-3, 5) - m))
     comp = TraceComponent(ts, *curve.point_at(ts))
-    trace = CurveTrace([comp], s, (-2.0, 2.0, -1.0, 4.0))
+    trace = CurveTrace(SampleTable.join([comp], [len(comp.xs)], [0]), s, (-2.0, 2.0, -1.0, 4.0))
     px, py = side * lean, m * m + 0.5
     iv = int(np.argmin(np.hypot(comp.xs - px, comp.ys - py)))
     assert comp.ts[iv] == -side * m
-    got = inc._refined_distances([curve], inc._samples([trace]), np.array([0]), np.array([0]),
+    got = inc._refined_distances([curve], trace_table([trace]), np.array([0]), np.array([0]),
                                  np.array([iv]), np.array([px]), np.array([py]))[0]
     assert abs(got - _refine_distance(curve, comp, iv, px, py)) <= 1e-15
     assert got < np.hypot(comp.xs - px, comp.ys - py).min() - 1e-3

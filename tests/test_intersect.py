@@ -651,6 +651,18 @@ def test_multi_curve_tangents_equal_scalar_oracle():
     assert vertical_tangent_ts(curves[100:200], traces[100:200]) == want[100:200]
 
 
+def test_multi_curve_tangents_equal_per_curve_calls_bit_for_bit():
+    viewport = (-4.0, 4.0, -4.0, 4.0)
+    tans = [pf.tan_curve(0), pf.tan_curve(1), pf.tan_curve(-1)]
+    curves = _tangent_corpus() + tans + [pf.apply_linear_transform(c, *rotation_matrix(0.7))
+                                         for c in tans]
+    traces = [pf.trace_curve(c, viewport) for c in curves]
+    got = vertical_tangent_ts(curves, traces)
+    want = [vertical_tangent_ts([c], [t])[0] for c, t in zip(curves, traces)]
+    assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in want]
+    assert all(want[-3:]) and sum(map(len, want)) >= 250
+
+
 def test_graph_kinds_have_no_vertical_tangents(corpus):
     curves, traces, _vp = corpus
     for c, t in zip(curves, traces):
