@@ -21,6 +21,7 @@ from . import duality as du
 from . import generators as gen
 from . import incidence as inc
 from . import intersect as ix
+from .curves import SampleTable
 from .errors import DuplicateCurve, EmptyTrace, PfaffincError
 from .render import render_svg
 from .scene import load_scene, save_scene
@@ -83,12 +84,14 @@ def cmd_count(args):
 
 def cmd_intersect(args):
     scene = load_scene(args.scene)
-    curves = scene.curves
-    branches = []
-    for a in range(0, len(curves), _TRACE_BLOCK):  # traces freed once their branches exist
+    curves, tables = scene.curves, []
+    first = range(0, len(curves), _TRACE_BLOCK)
+    for a in first:  # traces freed once their branches exist
         block = curves[a:a + _TRACE_BLOCK]
         traces = [scene.trace(i) for i in range(a, a + len(block))]
-        branches += map(ix.monotone_branches, block, traces, ix.vertical_tangent_ts(block, traces))
+        tables.append(ix.monotone_branches(block, traces, ix.vertical_tangent_ts(block, traces)))
+    branches = SampleTable.concat(tables, first)
+    del tables  # the joined table holds copies of the blocks' columns
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
     text += "".join(f"{i},{j},{x!r},{y!r}\n"

@@ -16,9 +16,10 @@ gives each lane the bits of its curve's own evaluation.
 Samples are held in one format, a `SampleTable`: the pieces of many
 curves (trace components, monotone branches) as the columns xs, ys and ts,
 one row per sample, each piece's rows consecutive and in its order, and per
-piece its first row `start`, its `size` and its `curve`, ascending.  A
+piece its rows `start` to `stop`, its `size` and its `curve`, ascending.  A
 `CurveTrace` holds the table of its samples inside the viewport, and its
-components are views into it; `trace_table` joins a pass's traces.
+components are views into it; `trace_table` joins a pass's traces, and
+`intersect.monotone_branches` gives a pass's branches.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyTrace, NotComposable, SingularMatrix
+from .errors import EmptyTrace, InconsistentScene, NotComposable, SingularMatrix
 from .poly import BivariatePolynomial, eval_terms, poly1_der, poly1_eval
 
 TWO_PI = 2.0 * math.pi
@@ -131,19 +132,39 @@ class SampleTable:
     def __init__(self, xs, ys, ts, size, curve):
         self.xs, self.ys, self._ts = xs, ys, ts
         self.size, self.curve = np.asarray(size, dtype=np.int64), np.asarray(curve, dtype=np.int64)
-        self.start = np.cumsum(self.size) - self.size
+        self.stop = np.cumsum(self.size)
+        self.start = self.stop - self.size
+
+    def __len__(self):
+        """The number of pieces."""
+        return len(self.size)
 
     @classmethod
     def join(cls, parts, size, curve):
-        """The samples of parts (objects with xs, ys and ts, such as branches
+        """The samples of parts (objects with xs, ys and ts, such as components
         and tables) one after another, as pieces of sizes size, of curves curve."""
         xs, ys = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
                   for v in ("xs", "ys"))
         return cls(xs, ys, [part.ts for part in parts], size, curve)
 
+    @classmethod
+    def concat(cls, tables, first):
+        """The pieces of tables one after another, the curves of tables[i]
+        numbered from first[i]."""
+        size = np.concatenate([np.zeros(0, np.int64)] + [t.size for t in tables])
+        curve = [np.zeros(0, np.int64)] + [t.curve + a for t, a in zip(tables, first)]
+        return cls.join(tables, size, np.concatenate(curve))
+
     @cached_property
     def ts(self):
-        return np.concatenate([np.zeros(0)] + self._ts) if isinstance(self._ts, list) else self._ts
+        if isinstance(self._ts, list):  # the parts are let go once joined
+            self._ts = np.concatenate([np.zeros(0)] + self._ts)
+        return self._ts
+
+    def pieces(self):
+        """The (xs, ys, ts) of each piece, as views."""
+        return [(self.xs[s:e], self.ys[s:e], self.ts[s:e])
+                for s, e in zip(self.start.tolist(), self.stop.tolist())]
 
     def piece_ids(self):
         """The piece of each row."""
@@ -164,9 +185,7 @@ class CurveTrace:
 
     @property
     def components(self):
-        t = self.table
-        return [TraceComponent(t.ts[s:e], t.xs[s:e], t.ys[s:e])
-                for s, e in zip(t.start.tolist(), (t.start + t.size).tolist())]
+        return [TraceComponent(ts, xs, ys) for xs, ys, ts in self.table.pieces()]
 
     @property
     def n_samples(self):
@@ -175,10 +194,13 @@ class CurveTrace:
 
 def trace_table(traces):
     """The SampleTable of the traces' components; trace i is curve i."""
-    tables = [trace.table for trace in traces]
-    count = [len(t.size) for t in tables]
-    size = np.concatenate([np.zeros(0, np.int64)] + [t.size for t in tables])
-    return SampleTable.join(tables, size, np.repeat(np.arange(len(tables)), count))
+    return SampleTable.concat([trace.table for trace in traces], range(len(traces)))
+
+
+def check_traces(curves, traces):
+    """Raise InconsistentScene unless there is one trace per curve."""
+    if len(traces) != len(curves):
+        raise InconsistentScene(f"{len(traces)} traces for {len(curves)} curves")
 
 
 def trace_curve(curve, viewport, step=None, samples=1024):

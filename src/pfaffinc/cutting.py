@@ -7,9 +7,13 @@ slab structure between event abscissas and merging unseparated neighbors
 yields the pf-cells; a cutting is certified when no cell interior is crossed
 by more than n/r of the input curves.
 
-The slab structure is held in flat arrays: the arcs of slab k, bottom to
-top, are `_arcs[_arc_off[k]:_arc_off[k + 1]]` (branch indices), and region r
-of slab k (between arcs r - 1 and r) is entry `_arc_off[k] + k + r` of
+The sample's x-monotone branches are one `curves.SampleTable`,
+`_exact.samples` (`intersect.monotone_branches` of `_exact.curves`, the
+sample by curve id), held by their exact evaluator `_exact`, which serves
+the event pass, the rays and point location.  The slab structure is held in
+flat arrays: the arcs of slab k, bottom to top, are
+`_arcs[_arc_off[k]:_arc_off[k + 1]]` (branch indices), and region r of slab
+k (between arcs r - 1 and r) is entry `_arc_off[k] + k + r` of
 `_region_cell`.  The same slice of `_arc_lo` and of `_arc_hi` holds the
 lows and the highs of those arcs' y-extents over the slab, each sorted on
 its own (float32, rounded outward).  `_conflicts` holds the conflict lists,
@@ -25,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intersect as ix
-from .curves import trace_table
+from .curves import check_traces, trace_table
 from .errors import CuttingFailed
-from .intersect import monotone_branches, pair_intersections, points_at
+from .intersect import monotone_branches, points_at
 
 _VIEWPORT = -1  # the label of a region side on the viewport edge
 
@@ -124,7 +128,7 @@ class Cutting:
     viewport: tuple
     n: int
     slab_xs: np.ndarray = field(repr=False, default=None)
-    _branches: list = field(repr=False, default=None)  # (curve id, GraphBranch)
+    _exact: ix._Exact = field(repr=False, default=None)  # on the sample's branches
     _arcs: np.ndarray = field(repr=False, default=None)  # branch indices, slab by slab
     _arc_off: np.ndarray = field(repr=False, default=None)  # slab k's arcs start here
     _arc_lo: np.ndarray = field(repr=False, default=None)  # arc y-extents, sorted per slab
@@ -155,9 +159,9 @@ class Cutting:
         ends = xs[np.repeat(np.arange(len(xs) - 1), np.diff(arc_off)) + np.array([[0], [1]])]
         y = np.zeros((2, len(arcs) + 1))  # arc heights at their slab's ends; padded
         by_branch = np.argsort(arcs, kind="stable")
-        bounds = np.searchsorted(arcs[by_branch], np.arange(len(self._branches) + 1))
-        for (_cid, br), a, b in zip(self._branches, bounds[:-1], bounds[1:]):
-            y[:, by_branch[a:b]] = br.y_interp(ends[:, by_branch[a:b]])
+        bounds = np.searchsorted(arcs[by_branch], np.arange(len(self._exact.samples) + 1))
+        for (bx, by, _t), a, b in zip(self._exact.samples.pieces(), bounds[:-1], bounds[1:]):
+            y[:, by_branch[a:b]] = np.interp(ends[:, by_branch[a:b]], bx, by)
         # region g of slab k lies between arcs g - k - 1 and g - k of `_arcs`
         reg_slab = np.repeat(np.arange(len(xs) - 1), np.diff(arc_off) + 1)
         above = np.arange(len(self._region_cell)) - reg_slab
@@ -172,14 +176,6 @@ class Cutting:
         `_region_cell` index of its lowest region."""
         lo, hi = self._arc_off[k], self._arc_off[k + 1]
         return self._arcs[lo:hi].tolist(), int(lo) + k
-
-    def _region_bounds(self, slab_idx, region_idx, x):
-        arcs, _base = self._slab(slab_idx)
-        lo = self.viewport[2] if region_idx == 0 else \
-            float(self._branches[arcs[region_idx - 1]][1].y_interp(x))
-        hi = self.viewport[3] if region_idx == len(arcs) else \
-            float(self._branches[arcs[region_idx]][1].y_interp(x))
-        return lo, hi
 
     def to_dict(self):
         ids, off = (self._conflicts % self.n).tolist(), self._conflict_off().tolist()
@@ -206,22 +202,20 @@ class Cutting:
 # -- events and rays ----------------------------------------------------------
 
 
-def _collect_events(sample_ids, curves, traces, branch_map, tangents):
-    """Deduplicated event points: crossings, vertical tangents (tangents[k]
-    the parameters of sample_ids[k]'s), loose ends.  The crossings are
-    found with the curves by id, so they do not depend on the order of
-    sample_ids."""
+def _collect_events(exact, traces, tangents):
+    """Deduplicated event points of the curves of exact (an `intersect._Exact`
+    on their branches), with traces traces and vertical tangents tangents:
+    crossings, vertical tangents, loose ends."""
     raw = []  # (x, y, priority, source)
-    ids = sorted(sample_ids)
-    for _, _, pts in pair_intersections([curves[i] for i in ids], [branch_map[i] for i in ids]):
+    for _, _, pts in ix._pairs(exact):
         raw.extend((x, y, 0, "crossing") for x, y in pts)
-    for i, ts in zip(sample_ids, tangents):
-        raw.extend((x, y, 1, "tangent") for x, y in points_at(curves[i], ts))
+    for curve, ts in zip(exact.curves, tangents):
+        raw.extend((x, y, 1, "tangent") for x, y in points_at(curve, ts))
     # the component ends off their trace's viewport edge
-    table = trace_table([traces[i] for i in sample_ids])
-    ends = np.append(table.start, table.start + table.size - 1)
+    table = trace_table(traces)
+    ends = np.append(table.start, table.stop - 1)
     px, py = table.xs[ends], table.ys[ends]
-    bbox = np.array([traces[i].bbox for i in sample_ids], dtype=float).reshape(-1, 4)
+    bbox = np.array([trace.bbox for trace in traces], dtype=float).reshape(-1, 4)
     x0, x1, y0, y1 = bbox[np.tile(table.curve, 2)].T
     loose = np.minimum.reduce([px - x0, x1 - px, py - y0, y1 - py]) > 1e-6
     raw.extend((x, y, 2, "endpoint") for x, y in zip(px[loose].tolist(), py[loose].tolist()))
@@ -243,24 +237,25 @@ def _collect_events(sample_ids, curves, traces, branch_map, tangents):
     return [(x, y, src) for x, y, _pri, src in clusters]
 
 
-def _shoot_rays(events, branches, viewport):
-    """Up and down rays from each event, stopped at the first sampled arc."""
+def _shoot_rays(events, exact, viewport):
+    """Up and down rays from each event, stopped at the first arc of exact's branches."""
     _x0, _x1, y0, y1 = viewport
     xs_events = np.array([e[0] for e in events])
     ys_events = np.array([e[1] for e in events])
     eps = 1e-9
     # one lane per branch and event strictly inside its x-range: the event
     # and the branch's height there
-    sel = [np.nonzero((xs_events > br.x_lo + _X_EPS) & (xs_events < br.x_hi - _X_EPS))[0]
-           for _cid, br in branches]
-    ay = np.concatenate([np.zeros(0)] + [br.y_interp(xs_events[s])
-                                         for (_cid, br), s in zip(branches, sel)])
+    pieces = exact.samples.pieces()
+    sel = [np.nonzero((xs_events > bx[0] + _X_EPS) & (xs_events < bx[-1] - _X_EPS))[0]
+           for bx, _y, _t in pieces]
+    ay = np.concatenate([np.zeros(0)] + [np.interp(xs_events[s], bx, by)
+                                         for (bx, by, _t), s in zip(pieces, sel)])
     ev = np.concatenate([np.zeros(0, dtype=np.int64)] + sel)
     ey = ys_events[ev]
     tie = np.flatnonzero(np.abs(ay - ey) <= 1e-6)
     if len(tie):  # near ties: the exact heights, all in one call
         b = np.repeat(np.arange(len(sel)), [len(s) for s in sel])
-        ay[tie] = ix._Exact([br for _cid, br in branches]).heights(b[tie], xs_events[ev[tie]])
+        ay[tie] = exact.heights(b[tie], xs_events[ev[tie]])
     up = ay > ey + eps
     down = ~up & (ay < ey - eps)
     above = np.full(len(events), y1)
@@ -284,7 +279,9 @@ def decompose(sample_ids, curves, traces, viewport):
     one column table (`Cells`), and its conflict table (`_conflicts`).  An
     empty sample gives the single whole-viewport cell crossed by every curve.
     `sample` keeps the order of sample_ids; the branches go by curve id.
+    Raises InconsistentScene unless there is one trace per curve.
     """
+    check_traces(curves, traces)
     # the occupancy pass runs after _cells returns, so the slab temporaries
     # are freed before the trace samples are gathered (lower peak memory)
     cut = _cells(sample_ids, curves, traces, viewport)
@@ -297,8 +294,7 @@ def _slab_edges(events, branches, viewport):
     x0, x1, _y0, _y1 = viewport
     xs = [x0, x1]
     xs.extend(e[0] for e in events)
-    for _cid, br in branches:
-        xs.extend((br.x_lo, br.x_hi))
+    xs.extend(branches.xs[np.append(branches.start, branches.stop - 1)].tolist())
     xs = sorted(x for x in xs if x0 - _X_GROUP <= x <= x1 + _X_GROUP)
     slab_xs = [x0]
     for x in xs:
@@ -327,14 +323,15 @@ def _at_edges(values, base, b, k, default):
 
 
 def _cells(sample_ids, curves, traces, viewport):
-    # looked up on the module, where a traced run wraps it
-    tangents = ix.vertical_tangent_ts([curves[i] for i in sample_ids],
-                                      [traces[i] for i in sample_ids])
-    branch_map = {i: monotone_branches(curves[i], traces[i], ts)
-                  for i, ts in zip(sample_ids, tangents)}
-    branches = [(i, b) for i in sorted(sample_ids) for b in branch_map[i]]
-    events = _collect_events(sample_ids, curves, traces, branch_map, tangents)
-    rays, aux = _shoot_rays(events, branches, viewport)
+    # the sample by curve id, so nothing depends on the order of sample_ids;
+    # vertical_tangent_ts is looked up on the module, where a traced run wraps it
+    ids = sorted(sample_ids)
+    sample, sample_traces = [curves[i] for i in ids], [traces[i] for i in ids]
+    tangents = ix.vertical_tangent_ts(sample, sample_traces)
+    branches = monotone_branches(sample, sample_traces, tangents)
+    exact = ix._Exact(sample, branches)
+    events = _collect_events(exact, sample_traces, tangents)
+    rays, aux = _shoot_rays(events, exact, viewport)
     _x0, _x1, y0, y1 = viewport
     slab_xs = _slab_edges(events, branches, viewport)
     n_slabs = len(slab_xs) - 1
@@ -347,18 +344,18 @@ def _cells(sample_ids, curves, traces, viewport):
     # they scale with slabs x branches, and half-size temporaries keep the
     # heap's high-water mark down
     mids = 0.5 * (slab_xs[:-1] + slab_xs[1:])
-    first = np.searchsorted(mids, [br.x_lo for _c, br in branches], side="left")
-    stop = np.searchsorted(mids, [br.x_hi for _c, br in branches], side="right")
+    first = np.searchsorted(mids, branches.xs[branches.start], side="left")
+    stop = np.searchsorted(mids, branches.xs[branches.stop - 1], side="right")
     first, stop = first.astype(np.int32), stop.astype(np.int32)
     span = stop - first
     arc_base = (np.cumsum(span) - span - first).astype(np.int32)
     base = arc_base + np.arange(n_br, dtype=np.int32)
     arc_y, edge_y, edge_t = [np.empty(0)], [np.empty(0)], [np.empty(0)]
-    for (_cid, br), f, e in zip(branches, first, stop):
-        arc_y.append(br.y_interp(mids[f:e]))
+    for (bx, by, bt), f, e in zip(branches.pieces(), first, stop):
+        arc_y.append(np.interp(mids[f:e], bx, by))
         edges = slab_xs[f:e + 1]
-        edge_y.append(br.y_interp(edges))
-        edge_t.append(br.t_interp(edges))
+        edge_y.append(np.interp(edges, bx, by))
+        edge_t.append(np.interp(edges, bx, bt))
     arc_y, edge_y, edge_t = map(np.concatenate, (arc_y, edge_y, edge_t))
 
     # arcs per slab, sorted bottom to top at the midpoint by one stable sort of
@@ -446,7 +443,7 @@ def _cells(sample_ids, curves, traces, viewport):
     lo_c, hi_c = lo[starts], hi[starts]
     del reg_slab, reg_r, lo, hi
     # curve id per branch label; the last entry maps _VIEWPORT to itself
-    cids = np.array([cid for cid, _br in branches] + [_VIEWPORT], dtype=np.int64)
+    cids = np.append(np.array(ids, dtype=np.int64)[branches.curve], _VIEWPORT)
 
     def at_ends(values, b, default):  # values of arcs b at the cells' end edges
         return np.stack([_at_edges(values, base, b, k0, default),
@@ -461,11 +458,12 @@ def _cells(sample_ids, curves, traces, viewport):
     # heights at the slab's edges and at the vertices between them, rounded
     # outward to float32; lows and highs each sorted within their slab
     arc_lo, arc_hi = [np.empty(0, np.float32)], [np.empty(0, np.float32)]
-    for (_cid, br), f, e, b0 in zip(branches, first.tolist(), stop.tolist(), base.tolist()):
+    for (bx, by, _t), f, e, b0 in zip(branches.pieces(), first.tolist(), stop.tolist(),
+                                      base.tolist()):
         ey = edge_y[b0 + f:b0 + e + 1]
-        pos = np.searchsorted(br.xs, slab_xs[f:e + 1])
+        pos = np.searchsorted(bx, slab_xs[f:e + 1])
         at = pos + np.arange(len(pos))  # the edges' places among the vertices
-        ys = np.insert(br.ys, pos, ey)[at[0]:at[-1]]
+        ys = np.insert(by, pos, ey)[at[0]:at[-1]]
         for out, least, inf in ((arc_lo, np.minimum, -np.inf), (arc_hi, np.maximum, np.inf)):
             v = least(least.reduceat(ys, at[:-1] - at[0]), ey[1:])
             v32 = v.astype(np.float32)
@@ -481,7 +479,7 @@ def _cells(sample_ids, curves, traces, viewport):
     wall_order = np.argsort(wall_xs, kind="stable")
     return Cutting(sample=list(sample_ids), rays=rays, aux_walls=aux, cells=cells,
                    r=1, s=0, seed=0, retries_used=0, viewport=tuple(viewport),
-                   n=len(curves), slab_xs=slab_xs, _branches=branches,
+                   n=len(curves), slab_xs=slab_xs, _exact=exact,
                    _arcs=arcs, _arc_off=arc_off, _arc_lo=arc_lo, _arc_hi=arc_hi,
                    _region_cell=region_cell,
                    _wall_xs=wall_xs[wall_order], _wall_order=wall_order)
@@ -517,7 +515,7 @@ def _sweep(cut, xs, ys, near):
     slab_xs = cut.slab_xs
     slab = _slab_of(slab_xs, xs)
     clear = np.minimum(xs - slab_xs[slab], slab_xs[slab + 1] - xs) > 2 * _X_GROUP
-    y_max = max((max(-br.y_lo, br.y_hi) for _c, br in cut._branches), default=0.0)
+    y_max = float(np.abs(cut._exact.samples.ys).max(initial=0.0))
     m = 2 * near + 1e-12 * (1 + y_max)
     y_lo, y_hi = ys - m, ys + m
     below = np.empty(len(xs), dtype=np.int32)  # arcs with high <= y - m
@@ -531,21 +529,21 @@ def _sweep(cut, xs, ys, near):
     del y_lo, y_hi
     rest = np.nonzero(clear & (below != under))[0]
     del under
-    below[rest], clear[rest] = _near_branches(cut._branches, xs[rest], ys[rest], near)
+    below[rest], clear[rest] = _near_branches(cut._exact.samples, xs[rest], ys[rest], near)
     return slab, below, clear
 
 
 def _near_branches(branches, xs, ys, near):
-    """Per point (xs ascending): the branches over it with y below it, and
-    whether none lies within `near` (interpolated)."""
+    """Per point (xs ascending): the branches (a `curves.SampleTable`) over
+    it with y below it, and whether none lies within `near` (interpolated)."""
     below = np.zeros(len(xs), dtype=np.int32)
     clear = np.ones(len(xs), dtype=bool)
-    for _cid, br in branches:
-        lo = np.searchsorted(xs, br.x_lo, side="left")
-        hi = np.searchsorted(xs, br.x_hi, side="right")
+    for bx, by, _t in branches.pieces():
+        lo = np.searchsorted(xs, bx[0], side="left")
+        hi = np.searchsorted(xs, bx[-1], side="right")
         if hi <= lo:
             continue
-        gap = ys[lo:hi] - np.interp(xs[lo:hi], br.xs, br.ys)
+        gap = ys[lo:hi] - np.interp(xs[lo:hi], bx, by)
         clear[lo:hi] &= np.abs(gap) > near
         below[lo:hi] += gap > 0
     return below, clear
@@ -622,13 +620,13 @@ def locate_point(cutting, p, tol=1e-7):
 
     arcs, region0 = cutting._slab(_slab_of(cutting.slab_xs, px))
     below = 0
-    for b_idx in arcs:
-        cid, br = cutting._branches[b_idx]
-        ay = float(br.y_interp(px))
+    for b in arcs:
+        ay = _height(cutting, b, px)
         if abs(ay - py) <= 1e-5:
-            ay = br.y_at(px)
+            ay = float(cutting._exact.heights(np.array([b]), np.array([px]))[0])
         if abs(ay - py) <= tol:
             cells = cutting._region_cell[[region0 + below, region0 + min(below + 1, len(arcs))]]
+            cid = sorted(cutting.sample)[cutting._exact.samples.curve[b]]
             return Location("boundary", cells=tuple(np.unique(cells).tolist()),
                             on=("curve", cid))
         if ay < py:
@@ -668,5 +666,11 @@ def _slab_of(slab_xs, x):
 
 def _region_at(cutting, x, y):
     arcs, region0 = cutting._slab(_slab_of(cutting.slab_xs, x))
-    below = sum(float(cutting._branches[b][1].y_interp(x)) < y for b in arcs)
+    below = sum(_height(cutting, b, x) < y for b in arcs)
     return int(cutting._region_cell[region0 + below])
+
+
+def _height(cutting, b, x):
+    """The interpolated height at x of the cutting's branch b."""
+    t = cutting._exact.samples
+    return float(np.interp(x, t.xs[t.start[b]:t.stop[b]], t.ys[t.start[b]:t.stop[b]]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveTable, check_tol, refine_roots, trace_table
+from .curves import CurveTable, check_tol, check_traces, refine_roots, trace_table
 from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
@@ -224,8 +224,10 @@ def point_curve_distance(curve, trace, p, tol=1e-7):
 def count_incidences(points, curves, traces, tol=1e-7):
     """Bipartite incidence graph at the given tolerance: a point and a curve
     meet when one of their candidates (`_candidates`) lies within tol once
-    refined; the candidates of all curves are refined in one run."""
+    refined; the candidates of all curves are refined in one run.  Raises
+    InconsistentScene unless there is one trace per curve."""
     check_tol(tol)
+    check_traces(curves, traces)
     pts = _finite(points)
     if len(pts) == 0 or not curves:
         return IncidenceGraph(set(), len(pts), len(curves))
@@ -293,15 +295,21 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
     Points incident to sampled curves or lying on rays form the boundary
     class; every other point is located in a cell interior.  Each incidence
     is classified once, so the total matches the brute-force count exactly.
+    Raises InconsistentScene unless the traces, the cutting and the graph
+    are those of these points and curves.
     """
     if cutting.n != len(curves):
         raise InconsistentScene(
             f"cutting built for {cutting.n} curves, scene has {len(curves)}")
     check_tol(tol)
-    if graph is None:
-        graph = count_incidences(points, curves, traces, tol)
-    sample = np.bincount(cutting.sample, minlength=len(curves)) > 0  # sampled curves
+    check_traces(curves, traces)
     pts = _finite(points)
+    if graph is None:
+        graph = count_incidences(pts, curves, traces, tol)
+    if (graph.m, graph.n) != (len(pts), len(curves)):
+        raise InconsistentScene(f"graph of {graph.m} points and {graph.n} curves, "
+                                f"scene has {len(pts)} and {len(curves)}")
+    sample = np.bincount(cutting.sample, minlength=len(curves)) > 0  # sampled curves
     pi, ci = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2).T
     rest = np.bincount(pi[sample[ci]], minlength=len(pts)) == 0  # on no sampled curve
     cell_of = np.full(len(pts), -1, dtype=np.int64)  # -1: on a boundary

@@ -1,26 +1,28 @@
 """Pairwise curve intersection, vertical tangents, and intersection ceilings.
 
-Curves are handled as collections of x-monotone graph branches.  The
-intersections of all curve pairs are found a block of pairs at a time, in
-two phases (`pair_intersections`).  The scan walks every live branch pair
-(`_live`) on a trace-resolution grid and keeps only candidates: the brackets
-of sign changes of the interpolated gap, its grid zeros, the local minima of
-its size near zero (touches), and branch ends that meet.  It interpolates
-only where the two branches come close (`_runs`): the branches' samples form
-chunks of _CHUNK, whose bounds cut a pair's overlap into intervals, and an
-interval whose two chunks' y-ranges lie apart holds no candidate, since the
-gap keeps one sign above the touch threshold there, so it is skipped.  The
-kept stretches of all pairs are interpolated in one flat pass.  The refinement
-then solves every crossing in one lockstep run of `curves.refine_roots` on
-the exact parameterizations, and every touch in a second run on the slope
-difference, so reported points carry closed-form accuracy rather than
-polyline accuracy.  Each round evaluates its lanes through one
-`curves.CurveTable` of the pass's curves (`_Exact`), one array call per
-curve signature, not per curve.  Exact heights invert x(t) = x in closed
-form with `math` functions applied entry by entry, since numpy's arccos,
-log and arctan differ from them in the last bit on some inputs and the
-points would move; on transformed curves, by one nested refinement per
-signature.
+Curves are handled as collections of x-monotone graph branches: a pass's
+branches are one `curves.SampleTable` (`monotone_branches`), branch k its
+piece k, and one exact evaluator over that table (`_Exact`) serves every
+exact value the pass needs.  The intersections of all curve pairs are found
+a block of pairs at a time, in two phases (`pair_intersections`).  The scan
+walks every live branch pair (`_live`) on a trace-resolution grid and keeps
+only candidates: the brackets of sign changes of the interpolated gap, its
+grid zeros, the local minima of its size near zero (touches), and branch
+ends that meet.  It interpolates only where the two branches come close
+(`_runs`): the branches' samples form chunks of _CHUNK, whose bounds cut a
+pair's overlap into intervals, and an interval whose two chunks' y-ranges
+lie apart holds no candidate, since the gap keeps one sign above the touch
+threshold there, so it is skipped.  The kept stretches of all pairs are
+interpolated in one flat pass.  The refinement then solves every crossing
+in one lockstep run of `curves.refine_roots` on the exact
+parameterizations, and every touch in a second run on the slope difference,
+so reported points carry closed-form accuracy rather than polyline
+accuracy.  Each round evaluates its lanes through the evaluator's
+`curves.CurveTable` of the pass's curves, one array call per curve
+signature, not per curve.  Exact heights invert x(t) = x in closed form
+with `math` functions applied entry by entry, since numpy's arccos, log and
+arctan differ from them in the last bit on some inputs and the points would
+move; on transformed curves, by one nested refinement per signature.
 """
 
 from __future__ import annotations
@@ -112,63 +114,19 @@ def points_at(curve, ts):
 # -- monotone branches -------------------------------------------------------
 
 
-@dataclass
-class GraphBranch:
-    """One x-monotone piece of a trace, with exact evaluation."""
-
-    curve: object
-    ts: np.ndarray  # aligned with xs, ys; xs strictly ascending
-    xs: np.ndarray
-    ys: np.ndarray
-
-    @property
-    def x_lo(self):
-        return float(self.xs[0])
-
-    @property
-    def x_hi(self):
-        return float(self.xs[-1])
-
-    @cached_property
-    def y_lo(self):
-        return float(self.ys.min())
-
-    @cached_property
-    def y_hi(self):
-        return float(self.ys.max())
-
-    @cached_property
-    def t_mid(self):
-        """A parameter inside the branch, away from its turning points."""
-        return float(self.ts[len(self.ts) // 2])
-
-    def y_interp(self, x):
-        return np.interp(x, self.xs, self.ys)
-
-    def t_interp(self, x):
-        return np.interp(x, self.xs, self.ts)
-
-    def y_at(self, x):
-        """Exact y by inverting the parameterization at x (a float or an array)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ys = _Exact([self]).heights(np.zeros(len(xs), dtype=np.int64), xs)
-        return ys if np.ndim(x) else float(ys[0])
-
-
 class _Exact:
-    """Exact evaluation on the branches flat: lane (k, x) is branch flat[k]
-    at abscissa x.  The branches' curves form one `curves.CurveTable`, and
-    their samples one `curves.SampleTable`, branch k as row and piece k, so
-    each evaluation makes one array call per curve signature present."""
+    """Exact evaluation on a pass's branches: lane (k, x) is branch k at
+    abscissa x.  Branch k is piece k of samples, a `curves.SampleTable` of
+    curves (`monotone_branches`), so each evaluation makes one array call per
+    curve signature present in the `curves.CurveTable` of curves."""
 
-    def __init__(self, flat):
-        self.table = CurveTable([b.curve for b in flat])
-        self.t_mid = np.array([b.t_mid for b in flat])
-        self.samples = SampleTable.join(flat, [len(b.xs) for b in flat], np.arange(len(flat)))
+    def __init__(self, curves, samples):
+        self.curves, self.samples, self.table = curves, samples, CurveTable(curves)
+        self.t_mid = samples.ts[samples.start + samples.size // 2]  # inside, off the turns
 
     def heights(self, k, x):
         """Exact y of branches k at abscissas x."""
-        return self._heights(self.table.lanes(k), k, x)
+        return self._heights(self.table.lanes(self.samples.curve[k]), k, x)
 
     def _heights(self, lanes, k, x):
         """t inverts x(t) = x in closed form, or on transformed curves by
@@ -196,7 +154,7 @@ class _Exact:
         at xs[1], ..."""
         k = np.concatenate([k1, k2] * len(xs))
         x = np.concatenate([v for v in xs for _ in (k1, k2)])
-        lanes = self.table.lanes(k)
+        lanes = self.table.lanes(self.samples.curve[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             y = self._heights(lanes, k, x)
             vx, vy = lanes.field_at(x, y)
@@ -204,30 +162,33 @@ class _Exact:
         return list(zip(*out.reshape(2, 2 * len(xs), len(k1))))
 
 
-def monotone_branches(curve, trace, vts):
-    """Split trace components into x-monotone branches at the vertical
-    tangents vts, the curve's entry of `vertical_tangent_ts`."""
-    branches = []
-    for comp in trace.components:
-        cuts = [t for t in vts if comp.ts[0] < t < comp.ts[-1]]
-        bounds = [float(comp.ts[0])] + cuts + [float(comp.ts[-1])]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b - a <= 0:
-                continue
-            sel = (comp.ts > a) & (comp.ts < b)
-            ts = np.concatenate([[a], comp.ts[sel], [b]])
-            xs, ys = curve.point_at(ts)
-            xs = np.asarray(xs, float) + np.zeros_like(ts)
-            ys = np.asarray(ys, float) + np.zeros_like(ts)
-            if xs[0] > xs[-1]:
-                ts, xs, ys = ts[::-1], xs[::-1], ys[::-1]
-            # enforce strictly ascending x (drops jitter at the turning point)
-            run_max = np.maximum.accumulate(xs)
-            keep = np.concatenate([[True], np.diff(run_max) > 0])
-            ts, xs, ys = ts[keep], xs[keep], ys[keep]
-            if len(xs) >= 2:
-                branches.append(GraphBranch(curve, ts, xs, ys))
-    return branches
+def monotone_branches(curves, traces, tangents):
+    """The x-monotone branches of the traces' components, split at the
+    vertical tangents (tangents[i], curve i's entry of `vertical_tangent_ts`),
+    as one `curves.SampleTable`: a piece per branch, by curve, then by
+    component and parameter, its xs strictly ascending; its curve is an
+    index into curves."""
+    ts, xs, ys, owner = [], [], [], []
+    for i, (curve, trace, vts) in enumerate(zip(curves, traces, tangents)):
+        for comp in trace.components:
+            cuts = [t for t in vts if comp.ts[0] < t < comp.ts[-1]]
+            bounds = [float(comp.ts[0])] + cuts + [float(comp.ts[-1])]
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if b - a <= 0:
+                    continue
+                sel = (comp.ts > a) & (comp.ts < b)
+                t = np.concatenate([[a], comp.ts[sel], [b]])
+                x, y = (np.asarray(v, float) + np.zeros_like(t) for v in curve.point_at(t))
+                if x[0] > x[-1]:
+                    t, x, y = t[::-1], x[::-1], y[::-1]
+                # enforce strictly ascending x (drops jitter at the turning point)
+                keep = np.concatenate([[True], np.diff(np.maximum.accumulate(x)) > 0])
+                if np.count_nonzero(keep) >= 2:
+                    for column, v in ((ts, t), (xs, x), (ys, y)):
+                        column.append(v[keep])
+                    owner.append(i)
+    xs, ys = (np.concatenate([np.zeros(0)] + v) for v in (xs, ys))
+    return SampleTable(xs, ys, ts, list(map(len, ts)), owner)
 
 
 # -- intersections ------------------------------------------------------------
@@ -315,25 +276,23 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
     if c1 is c2:
         raise ValueError("curves must be distinct objects")
     pair, traces = [c1, c2], [trace1, trace2]
-    branches = list(map(monotone_branches, pair, traces, vertical_tangent_ts(pair, traces)))
+    branches = monotone_branches(pair, traces, vertical_tangent_ts(pair, traces))
     return next((pts for _, _, pts in pair_intersections(pair, branches, tol)), [])
 
 
-def _grid(b1, b2):
-    """The scan grid of a branch pair over its x-overlap: the samples of
-    both branches in it."""
-    lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
-    return np.unique(np.concatenate([
-        b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
-        b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
-        [lo, hi],
-    ]))
+def _grid(samples, k1, k2):
+    """The scan grid of branch pair (k1, k2), pieces of samples, over its
+    x-overlap: the samples of both branches in it."""
+    x1, x2 = (samples.xs[samples.start[k]:samples.stop[k]] for k in (k1, k2))
+    lo, hi = max(x1[0], x2[0]), min(x1[-1], x2[-1])
+    return np.unique(np.concatenate([x1[(x1 >= lo) & (x1 <= hi)], x2[(x2 >= lo) & (x2 <= hi)],
+                                     [lo, hi]]))
 
 
 @dataclass
 class _Chunks:
-    """A pass's branches as tables: their samples, chunks and exact
-    evaluation.
+    """A pass's branches as tables: their chunks, and the exact evaluator
+    on their samples.
 
     Branch k is piece k of exact.samples, a `curves.SampleTable`.
     Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK
@@ -351,9 +310,8 @@ class _Chunks:
     exact: _Exact
 
 
-def _chunks(flat):
-    """The _Chunks of the branches flat."""
-    exact = _Exact(flat)
+def _chunks(exact):
+    """The _Chunks of the branches of exact, an `_Exact`."""
     s = exact.samples
     xs, ys, first, size = s.xs, s.ys, s.start, s.size
     # per branch, the chunks' first samples, then its last sample
@@ -420,7 +378,7 @@ def _interp(x, y, at, j):
 def pair_intersections(curves, branches, tol=1e-9):
     """intersect_curves for every pair of curves that can meet.
 
-    branches[i] holds the monotone branches of curves[i].  Returns an
+    branches is the `monotone_branches` table of curves.  Returns an
     iterator over (i, j, deduplicated points) for i < j in lexicographic
     order, over the curve pairs with a live branch pair (`_live`); the
     others have no points.  tol is checked at the call.  The curve pairs are
@@ -428,26 +386,30 @@ def pair_intersections(curves, branches, tol=1e-9):
     only candidates, then every crossing, and every touch, is refined in one
     lockstep run of `refine_roots`.
     """
+    return _pairs(_Exact(curves, branches), tol)
+
+
+def _pairs(exact, tol=1e-9):
+    """pair_intersections on the branches of exact, an `_Exact`."""
     sep = _separation(tol)
-    flat = [b for bs in branches for b in bs]
-    owner = np.repeat(np.arange(len(branches)), [len(bs) for bs in branches])
-    chunks = _chunks(flat)
-    k1, k2, overlap = _live(chunks.exact.samples, owner, sep, tol)
+    owner, n = exact.samples.curve, len(exact.curves)
+    chunks = _chunks(exact)
+    k1, k2, overlap = _live(exact.samples, owner, sep, tol)
     i, j = owner[k1], owner[k2]
-    new = np.diff(i * len(branches) + j, prepend=-1) != 0  # a curve pair's first
+    new = np.diff(i * n + j, prepend=-1) != 0  # a curve pair's first
     cuts = np.append(np.flatnonzero(new)[::_BLOCK], len(new)).tolist()
     return (out for s, e in zip(cuts, cuts[1:])
-            for out in _block(curves, flat, chunks, i[s:e], j[s:e], k1[s:e], k2[s:e],
-                              overlap[s:e], tol))
+            for out in _block(chunks, i[s:e], j[s:e], k1[s:e], k2[s:e], overlap[s:e], tol))
 
 
-def _block(curves, flat, chunks, i, j, k1, k2, overlap, tol):
+def _block(chunks, i, j, k1, k2, overlap, tol):
     """(i, j, points) of each curve pair of the live branch pairs (i, j, k1,
     k2, overlap): scan, refine, then deduplicate and check the pair's
     ceiling."""
+    curves = chunks.exact.curves
     new = np.diff(i * len(curves) + j, prepend=-1) != 0
     p = np.cumsum(new) - 1  # the curve pair of each branch pair, from 0
-    points, cross, touch = _scan(flat, chunks, p, k1, k2, overlap, tol)
+    points, cross, touch = _scan(chunks, p, k1, k2, overlap, tol)
     both = chunks.exact.both
     for found in (_refine_crossings(both, cross), _refine_touches(both, touch, tol)):
         for q, x, y in zip(*(v.tolist() for v in found)):
@@ -458,7 +420,7 @@ def _block(curves, flat, chunks, i, j, k1, k2, overlap, tol):
         bound = pfaffian_bezout_bound(curves[ci].pf_degree, curves[cj].pf_degree)
         if len(pts) > bound:
             scanned = (p == q) & overlap
-            if _coincide(flat, k1[scanned], k2[scanned], tol):
+            if _coincide(chunks.exact, k1[scanned], k2[scanned], tol):
                 raise SharedComponent(
                     f"{len(pts)} surviving crossings with interval overlap "
                     f"(ceiling {bound}); curves appear to share a component")
@@ -466,10 +428,10 @@ def _block(curves, flat, chunks, i, j, k1, k2, overlap, tol):
     return out
 
 
-def _scan(flat, chunks, p, k1, k2, overlap, tol):
-    """Candidates of the live branch pairs (flat[k1], flat[k2]) of curve
-    pairs p: where a pair overlaps in x, from the gap h = y1 - y2 on its grid
-    (`_runs`; chunks are the pass's `_Chunks`), else from its ends.
+def _scan(chunks, p, k1, k2, overlap, tol):
+    """Candidates of the live branch pairs (k1, k2) of curve pairs p, chunks
+    the pass's `_Chunks`: where a pair overlaps in x, from the gap
+    h = y1 - y2 on its grid (`_runs`), else from its ends.
 
     Returns the points found as they are (grid zeros and meeting ends), one
     list per curve pair, and the columns (pair, branch 1, branch 2, a, b) of
@@ -477,13 +439,11 @@ def _scan(flat, chunks, p, k1, k2, overlap, tol):
     the touches, in the order of the branch pairs, then of x.
     """
     points = [[] for _ in range(p[-1] + 1)]
-    for r in np.flatnonzero(~overlap).tolist():
-        # no overlap to scan: the branches meet at ends
-        b1, b2 = flat[k1[r]], flat[k2[r]]
-        for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
-                                   ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
-            if _ends_meet(x1, y1, x2, y2, tol):
-                points[p[r]].append((x1, float(y1)))
+    s, r = chunks.exact.samples, np.flatnonzero(~overlap)  # no overlap: ends that meet
+    for a, b in ((s.stop[k1[r]] - 1, s.start[k2[r]]), (s.start[k1[r]], s.stop[k2[r]] - 1)):
+        meet = _ends_meet(s.xs[a], s.ys[a], s.xs[b], s.ys[b], tol)
+        for q, x, y in zip(p[r[meet]].tolist(), s.xs[a[meet]].tolist(), s.ys[a[meet]].tolist()):
+            points[q].append((x, y))
     # rows (branch pair, x...) of the crossings (a, b), grid zeros (x) and
     # touches (a, b, x): the columns of each scanned piece, after an empty one
     empty = [np.zeros(0, dtype=np.int64)] + [np.zeros(0)] * 3
@@ -524,7 +484,7 @@ def _candidates(x, h, first):
 
 
 def _runs(chunks, r, k1, k2, sep):
-    """The grids of the x-overlapping branch pairs (flat[k1[r]], flat[k2[r]]),
+    """The grids of the x-overlapping branch pairs (k1[r], k2[r]),
     where a candidate can lie, as pieces (branch pair, x, h, first): the
     pair of each grid point (an entry of r), its abscissa, the gap
     h = y1 - y2 interpolated there, and whether it starts a run, a stretch
@@ -670,13 +630,15 @@ def _refine_touches(both, columns, tol):
     return p[near], x[near], y1[near]
 
 
-def _coincide(flat, k1, k2, tol):
-    """Whether some of the x-overlapping branch pairs (flat[k1], flat[k2])
-    has its exact gap within 10*tol on most of its scan grid.  The exact gap,
-    not the interpolated one: two traces of one curve sampled at different
-    parameters differ by their chord error."""
-    for b1, b2 in zip((flat[k] for k in k1.tolist()), (flat[k] for k in k2.tolist())):
-        grid = _grid(b1, b2)
-        if len(grid) > 8 and np.mean(np.abs(b1.y_at(grid) - b2.y_at(grid)) <= 10 * tol) > 0.5:
-            return True
+def _coincide(exact, k1, k2, tol):
+    """Whether some of the x-overlapping branch pairs (k1, k2) of exact, an
+    `_Exact`, has its exact gap within 10*tol on most of its scan grid.  The
+    exact gap, not the interpolated one: two traces of one curve sampled at
+    different parameters differ by their chord error."""
+    for a, b in zip(k1.tolist(), k2.tolist()):
+        grid = _grid(exact.samples, a, b)
+        if len(grid) > 8:
+            y1, y2 = (exact.heights(np.full(len(grid), k), grid) for k in (a, b))
+            if np.mean(np.abs(y1 - y2) <= 10 * tol) > 0.5:
+                return True
     return False

@@ -102,11 +102,13 @@ def test_slab_arcs_go_bottom_to_top_on_branches_by_curve_id():
     scene = gen.random_scene(["line", "circle", "parabola"], m=0, n=12, planted=0.0, seed=3)
     cut = pf.decompose([6, 0, 4, 2], scene.curves, scene.traces(), scene.viewport)
     assert cut.sample == [6, 0, 4, 2]
-    assert [cid for cid, _br in cut._branches] == sorted(cid for cid, _br in cut._branches)
+    assert cut._exact.curves == [scene.curves[i] for i in (0, 2, 4, 6)]
+    assert np.array_equal(np.unique(cut._exact.samples.curve), np.arange(4))
+    assert np.all(np.diff(cut._exact.samples.curve) >= 0)
     mids = (cut.slab_xs[:-1] + cut.slab_xs[1:]) / 2
     for k, x in enumerate(mids):
         arcs = list(cut._slab(k)[0])
-        ys = [float(cut._branches[b][1].y_interp(x)) for b in arcs]
+        ys = [ct._height(cut, b, x) for b in arcs]
         assert sorted(zip(ys, arcs)) == list(zip(ys, arcs))
 
 
@@ -215,6 +217,28 @@ def test_invalid_r_rejected():
 
 # -- locate_point -----------------------------------------------------------------------
 
+def _pieces(cut):
+    """(branch, xs, ys) of each branch of the cutting's sample."""
+    return [(b, xs, ys) for b, (xs, ys, _ts) in enumerate(cut._exact.samples.pieces())]
+
+
+def _y_at(cut, b, x):
+    """The exact height of branch b at x (a float or an array)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ys = cut._exact.heights(np.full(len(xs), b), xs)
+    return ys if np.ndim(x) else float(ys[0])
+
+
+def _region_bounds(cut, slab_idx, region_idx, x):
+    """The heights at x of the arcs below and above region region_idx of
+    slab slab_idx, the viewport's edge where there is none."""
+    arcs, _base = cut._slab(slab_idx)
+    y0, y1 = cut.viewport[2:]
+    lo = y0 if region_idx == 0 else ct._height(cut, arcs[region_idx - 1], x)
+    hi = y1 if region_idx == len(arcs) else ct._height(cut, arcs[region_idx], x)
+    return lo, hi
+
+
 def test_locate_in_single_cell_cutting():
     cut = ct.decompose([], [], [], VP)
     for p in ((0.0, 0.0), (-1.9, 1.9), (1.5, -0.5)):
@@ -259,7 +283,7 @@ def test_locate_matches_linear_scan(line_scene):
         k = int(np.searchsorted(cut.slab_xs, p[0], side="right") - 1)
         arcs, region0 = cut._slab(k)
         for rr in range(len(arcs) + 1):
-            lo, hi = cut._region_bounds(k, rr, p[0])
+            lo, hi = _region_bounds(cut, k, rr, p[0])
             if lo + 1e-7 < p[1] < hi - 1e-7:
                 matches.append(int(cut._region_cell[region0 + rr]))
         if len(matches) == 1:
@@ -278,7 +302,7 @@ def _locate_by_scan(cut, p, tol=1e-7):
 
     def region_cell(k, x, y):
         arcs, region0 = cut._slab(k)
-        below = sum(float(cut._branches[b][1].y_interp(x)) < y for b in arcs)
+        below = sum(ct._height(cut, b, x) < y for b in arcs)
         return int(cut._region_cell[region0 + below])
 
     for w_idx, w in enumerate(cut.rays + cut.aux_walls):
@@ -290,10 +314,10 @@ def _locate_by_scan(cut, p, tol=1e-7):
     arcs, region0 = cut._slab(k)
     below = 0
     for b in arcs:
-        cid, br = cut._branches[b]
-        ay = float(br.y_interp(px))
+        cid = sorted(cut.sample)[cut._exact.samples.curve[b]]
+        ay = ct._height(cut, b, px)
         if abs(ay - py) <= 1e-5:
-            ay = br.y_at(px)
+            ay = _y_at(cut, b, px)
         if abs(ay - py) <= tol:
             cells = {int(cut._region_cell[region0 + below]),
                      int(cut._region_cell[region0 + min(below + 1, len(arcs))])}
@@ -314,9 +338,9 @@ def _probe_cutting():
     for w in cut.rays + cut.aux_walls:
         mid = 0.5 * (w.y_lo + w.y_hi)
         probes += [(w.x, mid), (w.x - 5e-8, mid), (w.x + 5e-8, mid), (w.x, w.y_lo), (w.x, w.y_hi)]
-    for _cid, br in cut._branches:
-        for x in rng.uniform(br.x_lo, br.x_hi, size=5):
-            probes.append((float(x), br.y_at(x)))
+    for b, xs, _ys in _pieces(cut):
+        for x in rng.uniform(xs[0], xs[-1], size=5):
+            probes.append((float(x), _y_at(cut, b, x)))
     inside = [p for p in probes if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
     return cut, inside
 
@@ -344,7 +368,7 @@ def test_branches_over_a_point_off_slab_edges_are_its_slab_arcs(seed):
         for x in rng.uniform(a + 2 * ct._X_GROUP, b - 2 * ct._X_GROUP, size=3):
             if not (a + 2 * ct._X_GROUP < x < b - 2 * ct._X_GROUP):
                 continue
-            over = {i for i, (_cid, br) in enumerate(cut._branches) if br.x_lo <= x <= br.x_hi}
+            over = {b for b, xs, _ys in _pieces(cut) if xs[0] <= x <= xs[-1]}
             assert over == set(cut._slab(k)[0]), (k, x)
             checked += 1
     assert checked > 20
@@ -357,9 +381,9 @@ def _sweep_by_branch(cut, xs, ys, near):
     """_sweep's reference: every branch over every point, no extents."""
     below = np.zeros(len(xs), dtype=int)
     clear = np.ones(len(xs), dtype=bool)
-    for _cid, br in cut._branches:
-        over = (br.x_lo <= xs) & (xs <= br.x_hi)
-        gap = ys[over] - np.interp(xs[over], br.xs, br.ys)
+    for _b, bx, by in _pieces(cut):
+        over = (bx[0] <= xs) & (xs <= bx[-1])
+        gap = ys[over] - np.interp(xs[over], bx, by)
         clear[over] &= np.abs(gap) > near
         below[over] += gap > 0
     edges = cut.slab_xs
@@ -388,10 +412,10 @@ def _sweep_probes(cut, traces, near, rng):
     probes = [np.column_stack([c.xs, c.ys]) for tr in traces for c in tr.components]
     probes.append(rng.uniform((x0, y0), (x1, y1), size=(400, 2)))
     offsets = near * np.array([0.0, 0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, -3.0])
-    for _cid, br in cut._branches:
-        x = rng.uniform(br.x_lo, br.x_hi, size=8)
-        at = np.append(rng.integers(0, len(br.xs), size=16), [br.ys.argmin(), br.ys.argmax()])
-        for px, py in ((x, br.y_at(x)), (x, br.y_interp(x)), (br.xs[at], br.ys[at])):
+    for b, bx, by in _pieces(cut):
+        x = rng.uniform(bx[0], bx[-1], size=8)
+        at = np.append(rng.integers(0, len(bx), size=16), [by.argmin(), by.argmax()])
+        for px, py in ((x, _y_at(cut, b, x)), (x, np.interp(x, bx, by)), (bx[at], by[at])):
             probes += [np.column_stack([px, py + d]) for d in offsets]
     inner = cut.slab_xs[1:-1]
     for d in (2 * ct._X_GROUP - 1e-9, 2 * ct._X_GROUP + 1e-9):
@@ -511,7 +535,7 @@ def test_cell_areas_partition_viewport(line_scene):
         for k, (a, b) in enumerate(zip(cut.slab_xs[:-1], cut.slab_xs[1:])):
             arcs, region0 = cut._slab(k)
             for rr in range(len(arcs) + 1):
-                (lo_a, hi_a), (lo_b, hi_b) = (cut._region_bounds(k, rr, x) for x in (a, b))
+                (lo_a, hi_a), (lo_b, hi_b) = (_region_bounds(cut, k, rr, x) for x in (a, b))
                 area = 0.5 * (hi_a - lo_a + hi_b - lo_b) * (b - a)
                 expect[cut._region_cell[region0 + rr]] += area
         np.testing.assert_allclose(areas, expect, rtol=1e-12, atol=1e-12)

@@ -665,6 +665,43 @@ def test_breakdown_rejects_foreign_cutting():
         inc.count_via_cutting(scene.points[:5], scene.curves[:5], traces[:5], cut)
 
 
+@pytest.fixture(scope="module")
+def four_kind_scene():
+    scene = gen.random_scene(["line", "circle", "parabola", "exp"], 200, 20, 0.6, seed=3)
+    traces = scene.traces()
+    return scene, traces, pf.build_cutting(scene.curves, traces, scene.viewport, r=2, seed=3)
+
+
+_FOREIGN = {
+    # the full count is 120 edges; ten traces counted 56, with no error
+    "count with short traces":
+        lambda s, tr, cut: inc.count_incidences(s.points, s.curves, tr[:10]),
+    "cutting with short traces":
+        lambda s, tr, cut: pf.build_cutting(s.curves, tr[:10], s.viewport, r=2, seed=3),
+    "decompose with short traces":
+        lambda s, tr, cut: pf.decompose([0, 4, 7], s.curves, tr[:10], s.viewport),
+    "split with short traces":
+        lambda s, tr, cut: inc.count_via_cutting(s.points, s.curves, tr[:10], cut,
+                                                 graph=_count(s)),
+    "split with a graph of other points":
+        lambda s, tr, cut: inc.count_via_cutting(
+            s.points, s.curves, tr, cut,
+            graph=inc.count_incidences(s.points[:150], s.curves, tr)),
+    "split with a graph of other curves":
+        lambda s, tr, cut: inc.count_via_cutting(
+            s.points, s.curves, tr, cut,
+            graph=inc.count_incidences(s.points, s.curves[:10], tr[:10])),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOREIGN))
+def test_inputs_of_another_scene_are_rejected(case, four_kind_scene):
+    scene, traces, cut = four_kind_scene
+    assert _count(scene).count() == 120
+    with pytest.raises(InconsistentScene):
+        _FOREIGN[case](scene, traces, cut)
+
+
 # -- bound evaluators -----------------------------------------------------------------
 
 def test_kst_bound_spot_values():

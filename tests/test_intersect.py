@@ -14,18 +14,28 @@ from pfaffinc.errors import SharedComponent
 from pfaffinc.incidence import point_curve_distance
 from pfaffinc import generators as gen
 from pfaffinc.scene import load_scene
-from pfaffinc.curves import KINDS, rotation_matrix
-from pfaffinc.intersect import (_TOUCH_SCAN, _apart, _dedup, _grid, monotone_branches,
+from pfaffinc.curves import KINDS, SampleTable, rotation_matrix
+from pfaffinc.errors import EmptyTrace
+from pfaffinc.intersect import (_TOUCH_SCAN, _Exact, _apart, _dedup, _grid, monotone_branches,
                                 pair_intersections, vertical_tangent_ts)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
 DATA = Path(__file__).parent / "data"
 
 
-def _branches(curve, viewport):
-    """The monotone branches of curve's trace in viewport."""
-    trace = pf.trace_curve(curve, viewport)
-    return monotone_branches(curve, trace, vertical_tangent_ts([curve], [trace])[0])
+def _table(curves, viewport, samples=1024):
+    """The monotone branch table of the curves' traces in viewport."""
+    traces = [pf.trace_curve(c, viewport, samples=samples) for c in curves]
+    return monotone_branches(curves, traces, vertical_tangent_ts(curves, traces))
+
+
+def _by_curve(table, n):
+    """Per curve of the n curves of a branch table, its branches as
+    (ts, xs, ys)."""
+    out = [[] for _ in range(n)]
+    for i, (xs, ys, ts) in zip(table.curve.tolist(), table.pieces()):
+        out[i].append((ts, xs, ys))
+    return out
 
 
 def _pair(c1, c2, viewport, tol=1e-9):
@@ -79,10 +89,11 @@ def test_circles_touching_at_branch_ends_meet_once():
     # every branch pair meets only at x = 0, where both circles are vertical
     c1, c2 = pf.circle(0.5, 0.0, 0.5), pf.circle(-0.5, 0.0, 0.5)
     vp = (-2.0, 2.0, -2.0, 2.0)
-    b1s, b2s = (_branches(c, vp) for c in (c1, c2))
-    assert all(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) <= 1e-12
-               for b1 in b1s for b2 in b2s)
-    assert [(i, j) for i, j, _ in pair_intersections([c1, c2], [b1s, b2s], 1e-9)] == [(0, 1)]
+    table = _table([c1, c2], vp)
+    b1s, b2s = _by_curve(table, 2)
+    assert all(min(x1[-1], x2[-1]) - max(x1[0], x2[0]) <= 1e-12
+               for _, x1, _ in b1s for _, x2, _ in b2s)
+    assert [(i, j) for i, j, _ in pair_intersections([c1, c2], table, 1e-9)] == [(0, 1)]
     for pts in (_pair(c1, c2, vp)[0], _pair(c2, c1, vp)[0]):
         assert len(pts) == 1 and math.hypot(*pts[0]) <= 1e-9
 
@@ -131,7 +142,7 @@ def test_shared_component_refines_its_brackets_in_bounded_slices():
 
 def test_crossings_do_not_depend_on_the_refinement_slices(monkeypatch):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=11)
-    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    branches = _table(scene.curves, scene.viewport)
     whole = list(pair_intersections(scene.curves, branches))
     assert sum(len(pts) for _, _, pts in whole) > 50
     monkeypatch.setattr(pf.intersect, "_LANES", 3)
@@ -147,6 +158,91 @@ def test_crossing_near_the_end_of_a_long_overlap_is_found():
                               pf.trace_curve(b, vp, samples=4001))
     assert len(pts) == 1
     assert math.hypot(pts[0][0] - 2.9999, pts[0][1] - 1.49995) <= 1e-9
+
+
+# -- the branch table ------------------------------------------------------------------
+
+
+def _split(curve, trace, vts):
+    """The x-monotone branches of one curve's trace as (ts, xs, ys), split
+    at the vertical tangents vts as the per-curve pass split them: the
+    oracle of the branch table."""
+    branches = []
+    for comp in trace.components:
+        cuts = [t for t in vts if comp.ts[0] < t < comp.ts[-1]]
+        bounds = [float(comp.ts[0])] + cuts + [float(comp.ts[-1])]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b - a <= 0:
+                continue
+            sel = (comp.ts > a) & (comp.ts < b)
+            ts = np.concatenate([[a], comp.ts[sel], [b]])
+            xs, ys = curve.point_at(ts)
+            xs = np.asarray(xs, float) + np.zeros_like(ts)
+            ys = np.asarray(ys, float) + np.zeros_like(ts)
+            if xs[0] > xs[-1]:
+                ts, xs, ys = ts[::-1], xs[::-1], ys[::-1]
+            run_max = np.maximum.accumulate(xs)
+            keep = np.concatenate([[True], np.diff(run_max) > 0])
+            ts, xs, ys = ts[keep], xs[keep], ys[keep]
+            if len(xs) >= 2:
+                branches.append((ts, xs, ys))
+    return branches
+
+
+def _varied_curves(seed):
+    """A random scene's curves of the eight bench kinds, rotated and sheared
+    images of some, and circles cut by the viewport's sides into several
+    components; the viewport."""
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    curves = scene.curves + [pf.circle(0.2, -0.1, 5.3), pf.circle(0.0, 0.0, 4.5)]
+    images = [pf.apply_linear_transform(c, *rotation_matrix(rng.uniform(0.1, 3.0)))
+              for c in curves[:12]]
+    images += [pf.apply_linear_transform(c, 1.0, rng.uniform(-1, 1), 0.0, 1.0)
+               for c in curves[12:]]
+    for c in images:
+        try:
+            pf.trace_curve(c, scene.viewport)
+        except EmptyTrace:
+            continue
+        curves.append(c)
+    return curves, scene.viewport
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_branch_table_equals_the_per_curve_split(seed):
+    curves, viewport = _varied_curves(seed)
+    traces = [pf.trace_curve(c, viewport) for c in curves]
+    tangents = vertical_tangent_ts(curves, traces)
+    table = monotone_branches(curves, traces, tangents)
+    want = [(i, b) for i, args in enumerate(zip(curves, traces, tangents)) for b in _split(*args)]
+    assert table.curve.dtype == table.size.dtype == np.int64
+    assert table.curve.tolist() == [i for i, _ in want] and len(table) == len(want)
+    assert table.size.tolist() == [len(b[0]) for _, b in want]
+    for mine, column in ((table.ts, 0), (table.xs, 1), (table.ys, 2)):
+        theirs = np.concatenate([b[column] for _, b in want])
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    # transformed and closed curves, components that are split, and curves
+    # with several branches are all present
+    assert sum(c.transform is not None for c in curves) > 10
+    assert sum(c.period is not None for c in curves) >= 4
+    assert sum(len(tr.components) > 1 for tr in traces) >= 2
+    assert np.bincount(table.curve).max() >= 4
+
+
+def test_branch_tables_joined_per_block_equal_one_table():
+    curves, viewport = _varied_curves(5)
+    traces = [pf.trace_curve(c, viewport) for c in curves]
+    whole = monotone_branches(curves, traces, vertical_tangent_ts(curves, traces))
+    first = range(0, len(curves), 16)
+    blocks = [monotone_branches(curves[a:a + 16], traces[a:a + 16],
+                                vertical_tangent_ts(curves[a:a + 16], traces[a:a + 16]))
+              for a in first]
+    joined = SampleTable.concat(blocks, first)
+    assert len(blocks) >= 3 and len(joined) == len(whole)
+    for column in ("xs", "ys", "ts", "size", "curve", "start", "stop"):
+        mine, theirs = getattr(joined, column), getattr(whole, column)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), column
 
 
 # -- _dedup ------------------------------------------------------------------------
@@ -199,51 +295,53 @@ _SCALAR_X_INVERSE = {
 }
 
 
-def _scalar_y_at(br, x):
-    """GraphBranch.y_at as it was for one float x: the oracle of the array
-    y_at."""
-    curve = br.curve
+def _scalar_y_at(curve, branch, x):
+    """The exact height of branch (ts, xs, ys) of curve at one float x, as
+    the per-branch evaluation found it: the oracle of `_Exact.heights`."""
+    ts, xs, _ys = branch
     if curve.transform is None:
-        t = _SCALAR_X_INVERSE.get(curve.kind, lambda p, x, hint: x)(curve.params, x, br.t_mid)
+        t_mid = float(ts[len(ts) // 2])
+        t = _SCALAR_X_INVERSE.get(curve.kind, lambda p, x, hint: x)(curve.params, x, t_mid)
     else:
         # transformed curves: x(t) is monotone on the branch, dx/dt = vx
-        i = min(max(int(np.searchsorted(br.xs, x)), 1), len(br.xs) - 1)
+        i = min(max(int(np.searchsorted(xs, x)), 1), len(xs) - 1)
         t = refine_root(lambda u: float(curve.point_at(u)[0]) - x,
-                        float(br.ts[i - 1]), float(br.ts[i]),
+                        float(ts[i - 1]), float(ts[i]),
                         lambda u: float(curve.field.vx(*curve.point_at(u))),
-                        float(br.xs[i - 1]) - x, float(br.xs[i]) - x)
+                        float(xs[i - 1]) - x, float(xs[i]) - x)
     return float(curve.point_at(t)[1])
 
 
 def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
     """The points of one curve pair as the per-pair pass found them, one
-    branch pair and one candidate at a time on the scalar y_at: the oracle of
-    the lockstep pass.  Without the y-range test every branch pair that
-    overlaps in x is scanned."""
+    branch pair (each (ts, xs, ys)) and one candidate at a time on the scalar
+    y_at: the oracle of the lockstep pass.  Without the y-range test every
+    branch pair that overlaps in x is scanned."""
     sep = max(_TOUCH_SCAN, 10 * tol)
     points = []
     overlap_votes = 0
     for b1 in b1s:
         for b2 in b2s:
-            lo = max(b1.x_lo, b2.x_lo)
-            hi = min(b1.x_hi, b2.x_hi)
+            (_, xs1, ys1), (_, xs2, ys2) = b1, b2
+            lo = max(float(xs1[0]), float(xs2[0]))
+            hi = min(float(xs1[-1]), float(xs2[-1]))
             if hi - lo <= 1e-12:
                 continue
-            if y_range_test and _apart(b1.y_lo, b1.y_hi, b2.y_lo, b2.y_hi, sep):
+            if y_range_test and _apart(ys1.min(), ys1.max(), ys2.min(), ys2.max(), sep):
                 continue
             grid = np.unique(np.concatenate([
-                b1.xs[(b1.xs >= lo) & (b1.xs <= hi)],
-                b2.xs[(b2.xs >= lo) & (b2.xs <= hi)],
+                xs1[(xs1 >= lo) & (xs1 <= hi)],
+                xs2[(xs2 >= lo) & (xs2 <= hi)],
                 [lo, hi],
             ]))
-            h = b1.y_interp(grid) - b2.y_interp(grid)
+            h = np.interp(grid, xs1, ys1) - np.interp(grid, xs2, ys2)
             if np.mean(np.abs(h) <= 10 * tol) > 0.5 and len(grid) > 8:
                 overlap_votes += 1
             y1 = y2 = 0.0
 
             def gap(x):
                 nonlocal y1, y2
-                y1, y2 = _scalar_y_at(b1, x), _scalar_y_at(b2, x)
+                y1, y2 = _scalar_y_at(c1, b1, x), _scalar_y_at(c2, b2, x)
                 return y1 - y2
 
             def gap_slope(x):
@@ -261,10 +359,10 @@ def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
                 if ga * gb > 0:
                     continue
                 x = refine_root(gap, a, b, gap_slope, ga, gb)
-                points.append((float(x), _scalar_y_at(b1, x)))
+                points.append((float(x), _scalar_y_at(c1, b1, x)))
             for i in np.nonzero(sign == 0)[0]:
                 x = float(grid[i])
-                points.append((x, _scalar_y_at(b1, x)))
+                points.append((x, _scalar_y_at(c1, b1, x)))
             absh = np.abs(h)
             near = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
             near = near[(absh[near] <= absh[near - 1]) & (absh[near] <= absh[near + 1])
@@ -275,7 +373,7 @@ def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
                 x = refine_root(slope_difference, a, b, fa=sa, fb=sb) \
                     if sa * sb <= 0 else float(grid[i])
                 if abs(gap(x)) <= tol:
-                    points.append((x, _scalar_y_at(b1, x)))
+                    points.append((x, _scalar_y_at(c1, b1, x)))
     points = _dedup(points, 10 * tol)
     bound = pf.pfaffian_bezout_bound(c1.pf_degree, c2.pf_degree)
     if overlap_votes and len(points) > bound:
@@ -288,10 +386,10 @@ def _scalar_pair(c1, b1s, c2, b2s, tol, y_range_test=True):
 def test_candidate_pairs_leave_out_only_empty_pairs(seed, tol):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
     curves = scene.curves
-    branches = [_branches(c, scene.viewport) for c in curves]
-    got = {(i, j): pts for i, j, pts in pair_intersections(curves, branches, tol)}
+    table = _table(curves, scene.viewport)
+    got = {(i, j): pts for i, j, pts in pair_intersections(curves, table, tol)}
     assert list(got) == sorted(got) and all(i < j for i, j in got)
-    left_out = 0
+    left_out, branches = 0, _by_curve(table, len(curves))
     for i, j in itertools.combinations(range(len(curves)), 2):
         want = _scalar_pair(curves[i], branches[i], curves[j], branches[j], tol,
                             y_range_test=False)
@@ -300,8 +398,8 @@ def test_candidate_pairs_leave_out_only_empty_pairs(seed, tol):
         else:
             assert want == [], (i, j)
             # count the pairs only the y-range test removes
-            left_out += any(min(b1.x_hi, b2.x_hi) - max(b1.x_lo, b2.x_lo) > 1e-12
-                            for b1 in branches[i] for b2 in branches[j])
+            left_out += any(min(x1[-1], x2[-1]) - max(x1[0], x2[0]) > 1e-12
+                            for _, x1, _ in branches[i] for _, x2, _ in branches[j])
     assert left_out > 0
 
 
@@ -310,8 +408,9 @@ def test_pair_pass_equals_scalar_oracle_on_mixed_scene(tol):
     scene = load_scene(DATA / "mixed_scene.json")
     curves = scene.curves
     assert any(c.transform is not None for c in curves)
-    branches = [_branches(c, scene.viewport) for c in curves]
-    got = {(i, j): pts for i, j, pts in pair_intersections(curves, branches, tol)}
+    table = _table(curves, scene.viewport)
+    got = {(i, j): pts for i, j, pts in pair_intersections(curves, table, tol)}
+    branches = _by_curve(table, len(curves))
     for i, j in itertools.combinations(range(len(curves)), 2):
         want = _scalar_pair(curves[i], branches[i], curves[j], branches[j], tol)
         assert got.get((i, j), []) == want, (i, j)
@@ -320,7 +419,7 @@ def test_pair_pass_equals_scalar_oracle_on_mixed_scene(tol):
 
 def test_pair_pass_gives_the_same_points_in_small_blocks(monkeypatch):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=11)
-    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    branches = _table(scene.curves, scene.viewport)
     whole = list(pair_intersections(scene.curves, branches))
     assert len(whole) > 7 * 10 and sum(len(pts) for _, _, pts in whole) > 0
     monkeypatch.setattr(pf.intersect, "_BLOCK", 7)
@@ -333,7 +432,7 @@ def test_shared_component_is_raised_for_the_first_offending_pair():
     circles = [circle, pf.apply_linear_transform(circle, *rotation_matrix(0.3))]
     vp = (-2.0, 2.0, -2.0, 2.0)
     for curves, ceiling in ((lines + circles, 1), (circles + lines, 8)):
-        branches = [_branches(c, vp) for c in curves]
+        branches = _table(curves, vp)
         with pytest.raises(SharedComponent, match=rf"\(ceiling {ceiling}\)"):
             list(pair_intersections(curves, branches))
 
@@ -350,16 +449,24 @@ def _every_kind():
 
 
 def test_array_y_at_equals_scalar_y_at():
+    # every branch of every kind at its samples, its midpoints and random
+    # abscissas, in one call over all the branches, and branch by branch in
+    # calls of a few lanes
     rng = np.random.default_rng(3)
-    circle_halves = 0
-    for curve in _every_kind():
-        for br in _branches(curve, CORPUS_VIEWPORT):
-            circle_halves += curve.kind == "circle" and curve.transform is None
-            xs = np.concatenate([br.xs, 0.5 * (br.xs[1:] + br.xs[:-1]),
-                                 rng.uniform(br.x_lo, br.x_hi, 200)])
-            want = [_scalar_y_at(br, x) for x in xs.tolist()]
-            assert br.y_at(xs).tolist() == want, curve.label
-            assert [br.y_at(x) for x in xs[::50].tolist()] == want[::50]
+    curves = _every_kind()
+    table = _table(curves, CORPUS_VIEWPORT)
+    exact = _Exact(curves, table)
+    circle_halves, k, xs, want = 0, [], [], []
+    for b, (i, (bx, by, bt)) in enumerate(zip(table.curve.tolist(), table.pieces())):
+        curve = curves[i]
+        circle_halves += curve.kind == "circle" and curve.transform is None
+        x = np.concatenate([bx, 0.5 * (bx[1:] + bx[:-1]), rng.uniform(bx[0], bx[-1], 200)])
+        w = [_scalar_y_at(curve, (bt, bx, by), v) for v in x.tolist()]
+        assert exact.heights(np.full(len(x[::50]), b), x[::50]).tolist() == w[::50], curve.label
+        k.append(np.full(len(x), b))
+        xs.append(x)
+        want += w
+    assert exact.heights(np.concatenate(k), np.concatenate(xs)).tolist() == want
     assert circle_halves == 4  # the upper and lower halves of each of two circles
 
 
@@ -367,15 +474,16 @@ def test_near_tangent_pair_stays_a_candidate():
     # the gap x^2 + 5e-4 never changes sign; its minimum is within tol
     vp = (-2.0, 2.0, -2.0, 2.0)
     c1, c2 = pf.line(a=0, b=0), pf.parabola(a=1, b=0, c=5e-4)
-    b1s, b2s = (_branches(c, vp) for c in (c1, c2))
-    assert list(pair_intersections([c1, c2], [b1s, b2s], 1e-3)) == [(0, 1, [(0.0, 0.0)])]
+    table = _table([c1, c2], vp)
+    b1s, b2s = _by_curve(table, 2)
+    assert list(pair_intersections([c1, c2], table, 1e-3)) == [(0, 1, [(0.0, 0.0)])]
     assert _scalar_pair(c1, b1s, c2, b2s, 1e-3, y_range_test=False) == [(0.0, 0.0)]
 
 
 def test_candidate_pairs_of_no_curves():
-    assert list(pair_intersections([], [], 1e-9)) == []
+    assert list(pair_intersections([], _table([], VP), 1e-9)) == []
     c = pf.line(1, 0)
-    assert list(pair_intersections([c], [_branches(c, VP)], 1e-9)) == []
+    assert list(pair_intersections([c], _table([c], VP), 1e-9)) == []
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
@@ -384,36 +492,38 @@ def test_bad_tolerance_is_rejected(tol):
     with pytest.raises(ValueError, match="tolerance"):
         _pair(c1, c2, VP, tol)
     with pytest.raises(ValueError, match="tolerance"):
-        pair_intersections([], [], tol)  # at the call, before any iteration
+        pair_intersections([], _table([], VP), tol)  # at the call, before any iteration
 
 
 # -- the scan ------------------------------------------------------------------------
 
 
-def _scan_oracle(flat, p, k1, k2, overlap, tol):
-    """The candidates of the live branch pairs as the per-pair scan found
-    them, every x-overlapping pair on its whole `_grid`: the oracle of the
-    chunk-pruned scan.  Returns the points (grid zeros and meeting ends) per
-    curve pair, and the rows (pair, branch 1, branch 2, a, b) of the
-    crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of
-    the touches."""
+def _scan_oracle(exact, p, k1, k2, overlap, tol):
+    """The candidates of the live branch pairs of exact's table as the
+    per-pair scan found them, every x-overlapping pair on its whole `_grid`:
+    the oracle of the chunk-pruned scan.  Returns the points (grid zeros and
+    meeting ends) per curve pair, and the rows (pair, branch 1, branch 2, a,
+    b) of the crossing brackets and (pair, branch 1, branch 2, a, b, grid
+    point) of the touches."""
     points = [[] for _ in range(p[-1] + 1)]
     cross, touch = [], []
+    pieces = exact.samples.pieces()
     for q, m1, m2, over in zip(p.tolist(), k1.tolist(), k2.tolist(), overlap.tolist()):
-        b1, b2 = flat[m1], flat[m2]
+        (xs1, ys1, _), (xs2, ys2, _) = pieces[m1], pieces[m2]
         if not over:
-            for (x1, y1), (x2, y2) in (((b1.x_hi, b1.ys[-1]), (b2.x_lo, b2.ys[0])),
-                                       ((b1.x_lo, b1.ys[0]), (b2.x_hi, b2.ys[-1]))):
+            for (x1, y1), (x2, y2) in (((xs1[-1], ys1[-1]), (xs2[0], ys2[0])),
+                                       ((xs1[0], ys1[0]), (xs2[-1], ys2[-1]))):
                 if np.hypot(x1 - x2, y1 - y2) <= tol:
-                    points[q].append((x1, float(y1)))
+                    points[q].append((float(x1), float(y1)))
             continue
-        grid = _grid(b1, b2)
-        h = b1.y_interp(grid) - b2.y_interp(grid)
+        grid = _grid(exact.samples, m1, m2)
+        h = np.interp(grid, xs1, ys1) - np.interp(grid, xs2, ys2)
         sign = np.sign(h)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0].tolist():
             cross.append((q, m1, m2, grid[i], grid[i + 1]))
         at = np.nonzero(sign == 0)[0]
-        points[q].extend(zip(grid[at].tolist(), b1.y_at(grid[at]).tolist()))
+        points[q].extend(zip(grid[at].tolist(),
+                             exact.heights(np.full(len(at), m1), grid[at]).tolist()))
         absh = np.abs(h)
         at = np.nonzero(absh[1:-1] <= _TOUCH_SCAN)[0] + 1
         at = at[(absh[at] <= absh[at - 1]) & (absh[at] <= absh[at + 1])
@@ -423,9 +533,10 @@ def _scan_oracle(flat, p, k1, k2, overlap, tol):
     return points, cross, touch
 
 
-def _overlap_samples(b1, b2):
-    lo, hi = max(b1.x_lo, b2.x_lo), min(b1.x_hi, b2.x_hi)
-    return sum(int(((b.xs >= lo) & (b.xs <= hi)).sum()) for b in (b1, b2))
+def _overlap_samples(samples, k1, k2):
+    xs = [samples.xs[samples.start[k]:samples.stop[k]] for k in (k1, k2)]
+    lo, hi = max(x[0] for x in xs), min(x[-1] for x in xs)
+    return sum(int(((x >= lo) & (x <= hi)).sum()) for x in xs)
 
 
 def _rows(columns):
@@ -447,13 +558,13 @@ def _checked_pass(monkeypatch, curves, branches, tol):
     the long branch pairs, whose overlaps hold over _LONG samples."""
     scan, seen = pf.intersect._scan, dict.fromkeys(["points", "cross", "touch", "long"], 0)
 
-    def checked(flat, chunks, p, k1, k2, overlap, tol):
-        got = scan(flat, chunks, p, k1, k2, overlap, tol)
-        _assert_scan_is_oracle(got, _scan_oracle(flat, p, k1, k2, overlap, tol))
+    def checked(chunks, p, k1, k2, overlap, tol):
+        got = scan(chunks, p, k1, k2, overlap, tol)
+        _assert_scan_is_oracle(got, _scan_oracle(chunks.exact, p, k1, k2, overlap, tol))
         seen["points"] += sum(map(len, got[0]))
         seen["cross"] += len(got[1][0])
         seen["touch"] += len(got[2][0])
-        seen["long"] += sum(_overlap_samples(flat[a], flat[b]) > _LONG
+        seen["long"] += sum(_overlap_samples(chunks.exact.samples, a, b) > _LONG
                             for a, b in zip(k1[overlap].tolist(), k2[overlap].tolist()))
         return got
 
@@ -466,7 +577,7 @@ def _checked_pass(monkeypatch, curves, branches, tol):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_scan_equals_oracle_on_random_scenes(seed, tol, monkeypatch):
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=24, planted=0.0, seed=seed)
-    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    branches = _table(scene.curves, scene.viewport)
     seen = _checked_pass(monkeypatch, scene.curves, branches, tol)
     assert seen["cross"] > 50
 
@@ -474,7 +585,7 @@ def test_scan_equals_oracle_on_random_scenes(seed, tol, monkeypatch):
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
 def test_scan_equals_oracle_on_mixed_scene(tol, monkeypatch):
     scene = load_scene(DATA / "mixed_scene.json")
-    branches = [_branches(c, scene.viewport) for c in scene.curves]
+    branches = _table(scene.curves, scene.viewport)
     seen = _checked_pass(monkeypatch, scene.curves, branches, tol)
     assert seen["points"] > 0 and seen["touch"] > 0
 
@@ -482,11 +593,7 @@ def test_scan_equals_oracle_on_mixed_scene(tol, monkeypatch):
 def test_scan_equals_oracle_on_dense_traces(monkeypatch):
     # 4,096 samples a trace: long branch pairs are scanned on their whole grid
     curves = corpus_curves()
-    branches = []
-    for c in curves:
-        trace = pf.trace_curve(c, CORPUS_VIEWPORT, samples=4096)
-        branches.append(monotone_branches(c, trace, vertical_tangent_ts([c], [trace])[0]))
-    seen = _checked_pass(monkeypatch, curves, branches, 1e-9)
+    seen = _checked_pass(monkeypatch, curves, _table(curves, CORPUS_VIEWPORT, samples=4096), 1e-9)
     assert seen["long"] > 0 and seen["cross"] > 0
 
 
@@ -497,7 +604,7 @@ def test_scan_equals_oracle_in_small_chunks_and_row_groups(chunk, rows, monkeypa
             monkeypatch.setattr(pf.intersect, name, value)
     for scene in (gen.random_scene(ACCEPTANCE_KINDS, m=0, n=16, planted=0.0, seed=11),
                   load_scene(DATA / "mixed_scene.json")):
-        branches = [_branches(c, scene.viewport) for c in scene.curves]
+        branches = _table(scene.curves, scene.viewport)
         seen = _checked_pass(monkeypatch, scene.curves, branches, 1e-3)
         assert seen["cross"] > 0
     assert seen["touch"] > 0  # on the mixed scene
@@ -515,14 +622,13 @@ def test_scan_keeps_a_touch_that_interpolation_rounds_past_a_chunk():
         c = math.nextafter(c, math.inf)
     assert v > y1 and c - v <= _TOUCH_SCAN
     line = pf.line(0.0, c)
-    b1 = pf.intersect.GraphBranch(line, np.array([x0, x1]), np.array([x0, x1]), np.array([y0, y1]))
-    xs = np.array([x0 - 1.0, 0.0, x, x1 + 1.0])
-    b2 = pf.intersect.GraphBranch(line, xs, xs, np.full(4, c))
-    flat, one = [b1, b2], np.zeros(1, dtype=int)
+    xs = np.array([x0, x1, x0 - 1.0, 0.0, x, x1 + 1.0])  # branch 1, then branch 2
+    table = SampleTable(xs, np.array([y0, y1, c, c, c, c]), xs, [2, 4], [0, 1])
+    exact, one = _Exact([line, line], table), np.zeros(1, dtype=int)
     args = (one, one, one + 1, np.ones(1, dtype=bool), 1e-9)
-    want = _scan_oracle(flat, *args)
+    want = _scan_oracle(exact, *args)
     assert [row[-1] for row in want[2]] == [x]
-    _assert_scan_is_oracle(pf.intersect._scan(flat, pf.intersect._chunks(flat), *args), want)
+    _assert_scan_is_oracle(pf.intersect._scan(pf.intersect._chunks(exact), *args), want)
 
 
 def test_interp_equals_numpy_interp():
@@ -742,14 +848,14 @@ def test_y_at_on_rotated_parabola_matches_closed_form():
     theta = 0.4
     c, s = math.cos(theta), math.sin(theta)
     curve = pf.apply_linear_transform(pf.parabola(1.0, 0.0, 0.0), c, -s, s, c)
-    trace = pf.trace_curve(curve, (-2.0, 2.0, -2.0, 2.0))
-    branches = monotone_branches(curve, trace, vertical_tangent_ts([curve], [trace])[0])
-    assert len(branches) == 2
-    for br in branches:
-        sign = 1.0 if br.t_mid > c / (2 * s) else -1.0
-        for x in np.linspace(br.x_lo, br.x_hi, 41)[1:-1]:
-            u = (c + sign * math.sqrt(c * c - 4 * s * x)) / (2 * s)
-            assert abs(br.y_at(float(x)) - (s * u + c * u * u)) <= 1e-12
+    table = _table([curve], (-2.0, 2.0, -2.0, 2.0))
+    exact = _Exact([curve], table)
+    assert len(table) == 2
+    for b, (xs, _ys, ts) in enumerate(table.pieces()):
+        sign = 1.0 if ts[len(ts) // 2] > c / (2 * s) else -1.0
+        x = np.linspace(xs[0], xs[-1], 41)[1:-1]
+        u = (c + sign * np.sqrt(c * c - 4 * s * x)) / (2 * s)
+        assert np.all(np.abs(exact.heights(np.full(len(x), b), x) - (s * u + c * u * u)) <= 1e-12)
 
 
 # -- curve tables in the passes ---------------------------------------------------------
@@ -790,8 +896,7 @@ def test_refinement_rounds_make_one_call_per_signature(monkeypatch):
     monkeypatch.setattr(group, "point_at", counted(group.point_at, lambda args: "point_at"))
     monkeypatch.setattr(group, "poly", counted(group.poly, lambda args: args[0]))
     intersect_rounds = _rounds(monkeypatch, pf.intersect, calls)
-    branches = [monotone_branches(c, tr, vts) for c, tr, vts in
-                zip(scene.curves, traces, vertical_tangent_ts(scene.curves, traces))]
+    branches = monotone_branches(scene.curves, traces, vertical_tangent_ts(scene.curves, traces))
     assert sum(len(pts) for _, _, pts in pair_intersections(scene.curves, branches)) > 50
     incidence_rounds = _rounds(monkeypatch, pf.incidence, calls)
     assert pf.count_incidences(scene.points, scene.curves, traces).count() > 100
@@ -812,7 +917,7 @@ def test_transformed_heights_refine_once_per_group_each_round(monkeypatch):
     table = pf.curves.CurveTable(curves)
     groups = {id(g) for g in table.groups if g.transform is not None}
     assert len(transformed) == 5 and len(groups) == 3
-    branches = [_branches(c, scene.viewport) for c in curves]
+    branches = _table(curves, scene.viewport)
     refine, param_from_x = pf.curves.refine_roots, pf.curves._Group.param_from_x
     nested, called, per_round = [], [], []
 
