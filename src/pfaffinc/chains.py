@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import check_tol
+from .curves import check_region, check_tol
 from .errors import DomainViolation, NotUnivariateForm
 from .poly import BivariatePolynomial, MultiPoly, poly1_der, poly1_eval
 
@@ -72,6 +72,9 @@ def _eval_prefix(links, x, y):
 class PfaffianChain:
     links: list
     region: tuple  # open rectangle (x0, x1, y0, y1)
+
+    def __post_init__(self):
+        check_region(self.region, "chain region")
 
     @property
     def order(self):

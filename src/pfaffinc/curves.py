@@ -17,14 +17,16 @@ Samples are held in one format, a `SampleTable`: the pieces of many
 curves (trace components, monotone branches) as the columns xs, ys and ts,
 one row per sample, each piece's rows consecutive and in its order, and per
 piece its rows `start` to `stop`, its `size` and its `curve`, ascending.  A
-`CurveTrace` holds the table of its samples inside the viewport, and its
-components are views into it; `trace_table` joins a pass's traces, and
-`intersect.monotone_branches` gives a pass's branches.
+`CurveTrace` is the table of one curve's samples inside the viewport, a
+piece per component; `trace_table` joins a pass's traces, and
+`intersect.monotone_branches` gives a pass's branches.  Readers walk the
+rows and pieces of a table; no piece is an object of its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
@@ -114,16 +116,6 @@ class PfaffianCurve:
         return lo + _INSET, hi - _INSET
 
 
-@dataclass
-class TraceComponent:
-    ts: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __len__(self):
-        return len(self.ts)
-
-
 class SampleTable:
     """The pieces of many curves as columns (see the module docstring).  ts
     is an array, or the list of its parts, joined on first use, once a pass
@@ -139,21 +131,16 @@ class SampleTable:
         """The number of pieces."""
         return len(self.size)
 
-    @classmethod
-    def join(cls, parts, size, curve):
-        """The samples of parts (objects with xs, ys and ts, such as components
-        and tables) one after another, as pieces of sizes size, of curves curve."""
-        xs, ys = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
-                  for v in ("xs", "ys"))
-        return cls(xs, ys, [part.ts for part in parts], size, curve)
-
-    @classmethod
-    def concat(cls, tables, first):
+    @staticmethod
+    def concat(tables, first):
         """The pieces of tables one after another, the curves of tables[i]
         numbered from first[i]."""
+        xs, ys = (np.concatenate([np.zeros(0)] + [getattr(t, v) for t in tables])
+                  for v in ("xs", "ys"))
         size = np.concatenate([np.zeros(0, np.int64)] + [t.size for t in tables])
-        curve = [np.zeros(0, np.int64)] + [t.curve + a for t, a in zip(tables, first)]
-        return cls.join(tables, size, np.concatenate(curve))
+        curve = np.concatenate([np.zeros(0, np.int64)]
+                               + [t.curve + a for t, a in zip(tables, first)])
+        return SampleTable(xs, ys, [t.ts for t in tables], size, curve)
 
     @cached_property
     def ts(self):
@@ -175,26 +162,22 @@ class SampleTable:
         return np.searchsorted(self.curve, curve)
 
 
-@dataclass
-class CurveTrace:
-    """A curve's samples inside the viewport; its components are views."""
+class CurveTrace(SampleTable):
+    """A curve's samples inside the viewport, a piece per component, all of
+    curve 0, sampled at parameter step step and clipped to bbox."""
 
-    table: SampleTable
-    step: float
-    bbox: tuple
-
-    @property
-    def components(self):
-        return [TraceComponent(ts, xs, ys) for xs, ys, ts in self.table.pieces()]
+    def __init__(self, xs, ys, ts, size, step, bbox):
+        super().__init__(xs, ys, ts, size, np.zeros(len(size), np.int64))
+        self.step, self.bbox = step, bbox
 
     @property
     def n_samples(self):
-        return len(self.table.xs)
+        return len(self.xs)
 
 
 def trace_table(traces):
     """The SampleTable of the traces' components; trace i is curve i."""
-    return SampleTable.concat([trace.table for trace in traces], range(len(traces)))
+    return SampleTable.concat(traces, range(len(traces)))
 
 
 def check_traces(curves, traces):
@@ -238,8 +221,8 @@ def trace_curve(curve, viewport, step=None, samples=1024):
     if not runs:
         raise EmptyTrace(f"{curve.kind} curve misses viewport {viewport}")
     keep = np.concatenate([np.arange(s, e) for s, e in runs])
-    return CurveTrace(SampleTable(xs[keep], ys[keep], ts[keep], [e - s for s, e in runs],
-                                  [0] * len(runs)), step, tuple(viewport))
+    return CurveTrace(xs[keep], ys[keep], ts[keep], [e - s for s, e in runs], step,
+                      tuple(viewport))
 
 
 def _inside_runs(inside):
@@ -256,6 +239,21 @@ def check_tol(tol):
     """Raise ValueError unless tol is a positive finite number."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+
+
+def finite_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_region(region, name):
+    """Raise ValueError unless region is four finite numbers x0, x1, y0, y1
+    with x0 < x1 and y0 < y1."""
+    if not (isinstance(region, (list, tuple)) and len(region) == 4
+            and all(map(finite_number, region))):
+        raise ValueError(f"{name} must be four finite numbers, got {region}")
+    x0, x1, y0, y1 = region
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"{name} {region} needs x0 < x1 and y0 < y1")
 
 
 def refine_roots(f, a, b, fa, fb, xtol=1e-14):
@@ -830,9 +828,8 @@ def check_separating_conditions(curve, trace, tol=1e-5, h=1e-6, offset_frac=0.02
     and reported, never asserted.
     """
     notes = []
-    table = trace.table
-    all_x, all_y = table.xs, table.ys
-    interior = np.delete(table.ts, np.append(table.start, table.start + table.size - 1))
+    all_x, all_y = trace.xs, trace.ys
+    interior = np.delete(trace.ts, np.append(trace.start, trace.stop - 1))
     max_err = max_tangent_error(curve, interior, h) if len(interior) else 0.0
     vx, vy = curve.field_at(all_x, all_y)
     min_norm = float(np.min(np.hypot(vx + np.zeros_like(all_x), vy + np.zeros_like(all_x))))
@@ -843,10 +840,10 @@ def check_separating_conditions(curve, trace, tol=1e-5, h=1e-6, offset_frac=0.02
     delta = offset_frac * min(x1 - x0, y1 - y0)
     sides = []
     clearance_ok = True
-    for comp in trace.components:
-        idx = np.linspace(1, len(comp) - 2, num=min(32, max(len(comp) - 2, 1)), dtype=int)
+    for start, size in zip(trace.start.tolist(), trace.size.tolist()):
+        idx = np.linspace(1, size - 2, num=min(32, max(size - 2, 1)), dtype=int)
         for i in np.unique(idx):
-            px, py = comp.xs[i], comp.ys[i]
+            px, py = all_x[start + i], all_y[start + i]
             vx, vy = curve.field_at(px, py)
             norm = math.hypot(vx, vy)
             if norm < 1e-12:

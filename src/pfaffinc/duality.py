@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_tol, refine_roots
+from .curves import check_region, check_tol, refine_roots
 from .errors import ChainMismatch, DegenerateDual, DuplicateCurve, RotationFailed
 from .incidence import IncidenceGraph
 from .poly import poly1_eval
@@ -78,6 +78,7 @@ class PfaffianFamily:
     def __post_init__(self):
         if len(self.terms) < 2:
             raise ValueError("a family needs dimension d >= 2")
+        check_region(self.region, "family region")
         if any(t.kind == "log-x" for t in self.terms) and self.region[0] <= 0:
             raise ValueError("log terms need a region with x > 0")
 

@@ -6,7 +6,9 @@ point's nearest sample within the search radius, as a dense scan would
 (`_candidates`); the pairs are refined on the exact curves in one lockstep
 run (`_refined_distances`), whose rounds make one array call per curve
 signature through a `curves.CurveTable`.  Both read the traces' samples
-as one `curves.SampleTable` (`curves.trace_table`).  The cutting-decomposed
+as one `curves.SampleTable` (`curves.trace_table`): a candidate is a point,
+a piece of that table and the row of its nearest sample, and the piece
+gives its curve and its window's ends.  The cutting-decomposed
 count classifies the same pairs through the cell structure and must
 reproduce the total exactly.
 """
@@ -56,19 +58,19 @@ class IncidenceGraph:
         return len(self.edges)
 
 
-def _refined_distances(curves, samples, cid, comp, iv, px, py):
-    """Distance from each point (px[k], py[k]) to curve cid[k] near sample
-    iv[k] of its trace component comp[k] (samples: the curves' traces as
-    one `curves.SampleTable`): the least over the samples iv-2 .. iv+2 of
-    that component and the minima between them, the - to + roots of
+def _refined_distances(curves, samples, piece, row, px, py):
+    """Distance from each point (px[k], py[k]) to its curve near row row[k]
+    of piece piece[k] of samples, the curves' trace components as one
+    `curves.SampleTable`: the least over the rows row-2 .. row+2 of that
+    piece and the minima between them, the - to + roots of
     (P - p) . V = d/dt |P - p|^2 / 2, whose t-derivative is |V|^2 where the
-    curve passes through p.  The roots of every curve are refined in one lockstep run, and
-    each evaluation makes one array call per curve signature
-    (`curves.CurveTable`)."""
+    curve passes through p.  The roots of every curve are refined in one
+    lockstep run, and each evaluation makes one array call per curve
+    signature (`curves.CurveTable`)."""
     table = CurveTable(curves)
-    tw, dist, g = _windows(table, samples, cid, comp, iv, px, py)
+    tw, dist, g = _windows(table, samples, piece, row, px, py)
     k, i = np.nonzero((g[:, :-1] < 0) & (g[:, 1:] > 0))
-    lc, lx, ly = cid[k], px[k], py[k]
+    lc, lx, ly = samples.curve[piece[k]], px[k], py[k]
 
     def along(t, lanes):
         on = table.lanes(lc[lanes])
@@ -82,19 +84,17 @@ def _refined_distances(curves, samples, cid, comp, iv, px, py):
     return dist
 
 
-def _windows(table, samples, cid, comp, iv, px, py):
-    """Per lane of `_refined_distances`, its window, the samples iv-2 ..
-    iv+2 of its component clipped at the component's ends: their parameters,
-    the least distance from the point to them, and (P - p) . V at each (NaN
-    past an end).  Its temporaries end with the call, before the refinement
-    runs."""
-    part = samples.first(cid) + comp
-    size = samples.size[part, None]
-    j = iv[:, None] + np.arange(-2, 3)
-    inside = (j >= 0) & (j < size)
-    win = samples.start[part, None] + np.clip(j, 0, size - 1)
+def _windows(table, samples, piece, row, px, py):
+    """Per lane of `_refined_distances`, its window, the rows row-2 ..
+    row+2 clipped to its piece: their parameters, the least distance from
+    the point to them, and (P - p) . V at each (NaN past an end).  Its
+    temporaries end with the call, before the refinement runs."""
+    start, stop = samples.start[piece, None], samples.stop[piece, None]
+    j = row[:, None] + np.arange(-2, 3)
+    inside = (j >= start) & (j < stop)
+    win = np.clip(j, start, stop - 1)
     dx, dy = samples.xs[win], samples.ys[win]
-    vx, vy = table.lanes(cid).field_at(dx, dy)
+    vx, vy = table.lanes(samples.curve[piece]).field_at(dx, dy)
     dx -= px[:, None]
     dy -= py[:, None]
     return (samples.ts[win], np.where(inside, np.hypot(dx, dy), np.inf).min(axis=1),
@@ -102,10 +102,10 @@ def _windows(table, samples, cid, comp, iv, px, py):
 
 
 def _candidates(pts, samples, tol):
-    """Rows (point, curve, component, nearest sample), by curve, component and
-    point, for each point whose nearest sample on a trace component (a piece
-    of samples, `curves.trace_table`) lies within its search radius, half
-    the longest sample gap plus a margin.  Pairs come from one cell index per grid side,
+    """Rows (point, piece, row of its nearest sample), by piece and point,
+    for each point whose nearest sample on a trace component (a piece of
+    samples, `curves.trace_table`) lies within its search radius, half the
+    longest sample gap plus a margin.  Pairs come from one cell index per grid side,
     built and searched only over the samples and points with a cell of the
     other within reach (`_prune`), taken _BLOCK pairs at a time."""
     xs, ys, start = samples.xs, samples.ys, samples.start
@@ -164,9 +164,9 @@ def _candidates(pts, samples, tol):
         return group[at], low, np.minimum.reduceat(np.where(tie, sj, len(xs)), at)
 
     group, sj = map(np.concatenate, zip(*[g for side in np.unique(sides) for g in join(side)]))
-    order = np.argsort(group)  # one row per (component, point)
-    c, pi = np.divmod(group[order], len(pts))
-    return np.array([pi, samples.curve[c], c - samples.first(samples.curve[c]), sj[order] - start[c]])
+    order = np.argsort(group)  # one row per (piece, point)
+    piece, pi = np.divmod(group[order], len(pts))
+    return np.array([pi, piece, sj[order]])
 
 
 def _prune(ks, kp):
@@ -213,11 +213,10 @@ def point_curve_distance(curve, trace, p, tol=1e-7):
     else the distance to that sample."""
     check_tol(tol)
     pts = _finite([p])
-    samples = trace.table
-    pi, cid, comp, iv = _candidates(pts, samples, tol)
-    best = np.sqrt(np.minimum.reduceat((samples.xs - pts[0, 0]) ** 2
-                                       + (samples.ys - pts[0, 1]) ** 2, samples.start))
-    best[comp] = _refined_distances([curve], samples, cid, comp, iv, pts[pi, 0], pts[pi, 1])
+    pi, piece, row = _candidates(pts, trace, tol)
+    best = np.sqrt(np.minimum.reduceat((trace.xs - pts[0, 0]) ** 2
+                                       + (trace.ys - pts[0, 1]) ** 2, trace.start))
+    best[piece] = _refined_distances([curve], trace, piece, row, pts[pi, 0], pts[pi, 1])
     return float(best.min())
 
 
@@ -232,10 +231,11 @@ def count_incidences(points, curves, traces, tol=1e-7):
     if len(pts) == 0 or not curves:
         return IncidenceGraph(set(), len(pts), len(curves))
     samples = trace_table(traces)
-    pi, cid, comp, iv = _candidates(pts, samples, tol)
-    dist = _refined_distances(curves, samples, cid, comp, iv, pts[pi, 0], pts[pi, 1])
+    pi, piece, row = _candidates(pts, samples, tol)
+    dist = _refined_distances(curves, samples, piece, row, pts[pi, 0], pts[pi, 1])
     on = dist <= tol
-    return IncidenceGraph(set(zip(pi[on].tolist(), cid[on].tolist())), len(pts), len(curves))
+    return IncidenceGraph(set(zip(pi[on].tolist(), samples.curve[piece[on]].tolist())),
+                          len(pts), len(curves))
 
 
 def kst_free(graph, s, t):

@@ -41,8 +41,8 @@ def render_svg(scene, traces, cutting=None, width=800):
     for ci, trace in enumerate(traces):
         color = _COLORS[ci % len(_COLORS)]
         swidth = 2.2 if ci in sampled else 1.1
-        for comp in trace.components:
-            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(comp.xs, comp.ys))
+        for xs, ys, _ in trace.pieces():
+            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="{swidth}"/>')
     for x, y in scene.points:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +66,6 @@ def _curve_to_dict(curve):
     return out
 
 
-def _is_finite_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _curve_from_dict(data):
     k = data["kind"]
     spec = cv.KINDS.get(k)
@@ -81,12 +76,12 @@ def _curve_from_dict(data):
         raise ValueError(f"{k} curve takes params {list(spec.params)}, got {sorted(params)}")
     for name, value in params.items():
         values = value if isinstance(value, (list, tuple)) else [value]
-        if name != "base_kind" and not all(map(_is_finite_number, values)):
+        if name != "base_kind" and not all(map(cv.finite_number, values)):
             raise ValueError(f"{k} param {name!r} must hold finite numbers, got {value!r}")
     c = spec.factory(**params, label=data.get("label", ""))
     if "transform" in data:
         m = data["transform"]
-        if not (isinstance(m, (list, tuple)) and len(m) == 4 and all(map(_is_finite_number, m))):
+        if not (isinstance(m, (list, tuple)) and len(m) == 4 and all(map(cv.finite_number, m))):
             raise ValueError(f"{k} transform must be 4 finite numbers, got {m!r}")
         try:
             c = cv.apply_linear_transform(c, *m)
@@ -115,12 +110,8 @@ def scene_from_dict(data):
     if not np.all(np.isfinite(pts)):
         raise ValueError("scene points must be finite")
     viewport = tuple(data["viewport"])
-    bounds = np.array(viewport, dtype=float)
-    if bounds.shape != (4,) or not np.all(np.isfinite(bounds)):
-        raise ValueError(f"viewport must be four finite numbers, got {viewport}")
-    x0, x1, y0, y1 = bounds
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError(f"viewport {viewport} needs x0 < x1 and y0 < y1")
+    cv.check_region(viewport, "viewport")
+    x0, x1, y0, y1 = viewport
     outside = ~((pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
     if outside.any():
         i = int(np.argmax(outside))
@@ -178,8 +169,8 @@ def _has_vertical_trace(scene, samples=128):
             tr = cv.trace_curve(c, scene.viewport, samples=samples)
         except PfaffincError:
             continue
-        xs, start = tr.table.xs, tr.table.start
-        if (np.maximum.reduceat(xs, start) - np.minimum.reduceat(xs, start) < 1e-9).any():
+        if (np.maximum.reduceat(tr.xs, tr.start) - np.minimum.reduceat(tr.xs, tr.start)
+                < 1e-9).any():
             return True
     return False
 

@@ -320,6 +320,31 @@ def test_chains_rejects_bad_tolerance(tol, tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("command, region", [
+    ("chains", [1, -1, -1, 1]),
+    ("chains", [math.nan, 1, -1, 1]),
+    ("duality", [-2, 2, -2, "x"]),
+    ("duality", [2, -2, -2, 2]),
+], ids=str)
+def test_bad_regions_are_usage_errors(command, region, tmp_path, capsys):
+    # a chain or family region must be four finite numbers with x0 < x1 and
+    # y0 < y1; the family file holds no points, so only its region is wrong
+    if command == "chains":
+        path, option = _chain_file(tmp_path), "--chain"
+        payload = json.loads(path.read_text())
+        payload["region"] = region
+    else:
+        path, option = _duality_family(tmp_path), "--family"
+        payload = json.loads(path.read_text())
+        payload["family"]["region"], payload["points"] = region, []
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert run([command, option, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "region" in captured.err
+    assert "PASS" not in captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--sizes", "-8"],
     ["sweep", "--sizes", "8,0"],

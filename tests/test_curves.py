@@ -45,8 +45,8 @@ def test_field_of_exp_at_origin():
 def test_parabola_trace_hits_landmarks():
     c = pf.parabola(1, 0, 0)
     tr = pf.trace_curve(c, VP, step=1e-3)
-    assert len(tr.components) == 1
-    xs, ys = tr.table.xs, tr.table.ys
+    assert len(tr) == 1
+    xs, ys = tr.xs, tr.ys
     for px, py in ((0, 0), (1, 1), (-1, 1)):
         d = np.min(np.hypot(xs - px, ys - py))
         assert d <= 1e-6
@@ -55,16 +55,16 @@ def test_parabola_trace_hits_landmarks():
 def test_circle_trace_excludes_seam_point():
     c = pf.circle(0, 0, 1)
     tr = pf.trace_curve(c, VP)
-    assert len(tr.components) == 1
-    ts = tr.table.ts
+    assert len(tr) == 1
+    ts = tr.ts
     assert ts.min() > 0.0 and ts.max() < 2 * math.pi
 
 
 def test_reciprocal_trace_stays_in_open_first_quadrant():
     c = pf.reciprocal_curve(1.0, 1)
     tr = pf.trace_curve(c, VP)
-    assert len(tr.components) == 1
-    xs, ys = tr.table.xs, tr.table.ys
+    assert len(tr) == 1
+    xs, ys = tr.xs, tr.ys
     assert np.all(xs > 0) and np.all(ys > 0)
 
 
@@ -77,17 +77,17 @@ def test_empty_trace_raises():
 def test_trace_parameters_strictly_increase():
     for c in (pf.line(1, 0), pf.circle(0, 0, 1), pf.exp_curve(), pf.tan_curve(0)):
         tr = pf.trace_curve(c, VP)
-        for comp in tr.components:
-            assert np.all(np.diff(comp.ts) > 0)
+        for _, _, ts in tr.pieces():
+            assert np.all(np.diff(ts) > 0)
 
 
 def test_trace_consecutive_points_bounded_by_field():
     for c in (pf.line(2, 0), pf.circle(0, 0, 1.5), pf.exp_curve(), pf.tan_curve(0)):
         tr = pf.trace_curve(c, VP)
-        for comp in tr.components:
-            vx, vy = c.field_at(comp.xs, comp.ys)
-            vmax = np.max(np.hypot(vx + 0 * comp.xs, vy + 0 * comp.xs))
-            gaps = np.hypot(np.diff(comp.xs), np.diff(comp.ys))
+        for xs, ys, _ in tr.pieces():
+            vx, vy = c.field_at(xs, ys)
+            vmax = np.max(np.hypot(vx + 0 * xs, vy + 0 * xs))
+            gaps = np.hypot(np.diff(xs), np.diff(ys))
             assert np.all(gaps <= 2 * tr.step * max(vmax, 1.0))
 
 
@@ -143,10 +143,10 @@ def test_trace_components_equal_the_loop_on_every_kind(viewport):
             with pytest.raises(EmptyTrace):
                 pf.trace_curve(curve, viewport)
             continue
-        got = pf.trace_curve(curve, viewport).components
+        got = pf.trace_curve(curve, viewport).pieces()
         assert len(got) == len(runs), curve.kind
         for comp, (s, e) in zip(got, runs):
-            for mine, want in ((comp.ts, ts), (comp.xs, xs), (comp.ys, ys)):
+            for mine, want in zip(comp, (xs, ys, ts)):
                 assert mine.tobytes() == want[s:e].tobytes(), curve.kind
 
 
@@ -165,13 +165,12 @@ def _loop_samples(traces):
     brute-force count before the sample table, kept as its oracle: the
     samples concatenated, and per component its first row, size, curve
     and index within its trace."""
-    parts = [comp for trace in traces for comp in trace.components]
-    size = np.array([len(part) for part in parts], dtype=np.int64)
-    count = np.array([len(trace.components) for trace in traces], dtype=np.int64)
+    parts = [comp for trace in traces for comp in trace.pieces()]
+    size = np.array([len(part[0]) for part in parts], dtype=np.int64)
+    count = np.array([len(trace.pieces()) for trace in traces], dtype=np.int64)
     first = np.cumsum(count) - count
     curve = np.repeat(np.arange(len(traces)), count)
-    xs, ys, ts = (np.concatenate([np.zeros(0)] + [getattr(part, v) for part in parts])
-                  for v in ("xs", "ys", "ts"))
+    xs, ys, ts = (np.concatenate([np.zeros(0)] + [part[v] for part in parts]) for v in range(3))
     return xs, ys, ts, np.cumsum(size) - size, size, curve, np.arange(len(parts)) - first[curve]
 
 
@@ -184,7 +183,7 @@ def test_trace_table_equals_the_component_loop(seed, theta):
     if theta is not None:
         scene = rotate_scene(scene, theta)
     traces = scene.traces()
-    assert sum(len(trace.components) for trace in traces) > len(traces)  # some split
+    assert sum(len(trace.pieces()) for trace in traces) > len(traces)  # some split
     table = trace_table(traces)
     xs, ys, ts, start, size, curve, local = _loop_samples(traces)
     for mine, want in ((table.xs, xs), (table.ys, ys), (table.ts, ts), (table.start, start),
@@ -194,9 +193,9 @@ def test_trace_table_equals_the_component_loop(seed, theta):
         assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
     # a trace holds only its components' samples, as views of its columns
     for trace in traces:
-        assert trace.n_samples == len(trace.table.xs) == trace.table.size.sum()
-        for comp in trace.components:
-            assert comp.xs.base is trace.table.xs and comp.ts.base is trace.table.ts
+        assert trace.n_samples == len(trace.xs) == trace.size.sum()
+        for xs, _, ts in trace.pieces():
+            assert xs.base is trace.xs and ts.base is trace.ts
 
 
 # -- apply_linear_transform ----------------------------------------------------
@@ -357,7 +356,7 @@ CATALOG = [
 @pytest.mark.parametrize("curve", CATALOG, ids=lambda c: c.kind)
 def test_numeric_tangent_agrees_with_field(curve):
     trace = pf.trace_curve(curve, (-2.5, 2.5, -2.5, 2.5), samples=256)
-    ts = np.concatenate([c.ts[1:-1] for c in trace.components])
+    ts = np.concatenate([t[1:-1] for _, _, t in trace.pieces()])
     assert len(ts) >= 100
     assert max_tangent_error(curve, ts, h=1e-6) <= 1e-5
 
@@ -384,7 +383,7 @@ def test_kind_record_roundtrips_and_inverts(kind):
     assert scene_to_json(back) == scene_to_json(scene)
 
     trace = pf.trace_curve(curve, (-2.5, 2.5, -2.5, 2.5), samples=256)
-    ts = np.concatenate([c.ts[1:-1] for c in trace.components])
+    ts = np.concatenate([t[1:-1] for _, _, t in trace.pieces()])
     assert max_tangent_error(curve, ts) <= 1e-5
 
     for t in ts[::16]:

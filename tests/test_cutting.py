@@ -409,7 +409,7 @@ def _sweep_probes(cut, traces, near, rng):
     random abscissas and at branch vertices, the extremes included), and
     points about 2 * _X_GROUP from the slab edges."""
     x0, x1, y0, y1 = cut.viewport
-    probes = [np.column_stack([c.xs, c.ys]) for tr in traces for c in tr.components]
+    probes = [np.column_stack([tr.xs, tr.ys]) for tr in traces]
     probes.append(rng.uniform((x0, y0), (x1, y1), size=(400, 2)))
     offsets = near * np.array([0.0, 0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, -3.0])
     for b, bx, by in _pieces(cut):

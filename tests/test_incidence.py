@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import pfaffinc as pf
 from pfaffinc import generators as gen
 from pfaffinc import incidence as inc
-from pfaffinc.curves import (CurveTrace, SampleTable, TraceComponent, apply_linear_transform,
-                             refine_roots, trace_table)
+from pfaffinc.curves import CurveTrace, apply_linear_transform, refine_roots, trace_table
 from pfaffinc.errors import ComplexityGuard, InconsistentScene
 
 from conftest import refine_root, zero_sum_line_scene
@@ -67,10 +66,11 @@ def test_zero_sum_construction_has_exactly_sixty():
 
 def _refine_distance(curve, comp, iv, px, py):
     """The scalar refiner that `inc._refined_distances` replaced, kept as its
-    oracle: distance to (px, py) near sample iv, the least over the samples
-    and the minima, the - to + roots of (P - p) . V, each refined alone."""
+    oracle: distance to (px, py) near sample iv of the trace component comp,
+    (xs, ys, ts), the least over the samples and the minima, the - to +
+    roots of (P - p) . V, each refined alone."""
     win = slice(max(0, iv - 2), iv + 3)
-    ts, xs, ys = comp.ts[win], comp.xs[win], comp.ys[win]
+    xs, ys, ts = (v[win] for v in comp)
     vx, vy = curve.field_at(xs, ys)
     g = (xs - px) * vx + (ys - py) * vy
     best = float(np.min(np.hypot(xs - px, ys - py)))
@@ -92,18 +92,17 @@ def _refine_distance(curve, comp, iv, px, py):
 
 
 def _dense_candidates(pts, trace, tol):
-    """(component index, component, point indices, nearest samples) of the
-    points within the search radius of their nearest sample, found by one
-    |points in box| x samples distance matrix per component."""
-    for c, comp in enumerate(trace.components):
-        radius = _radius(comp, tol)
-        box = np.nonzero((pts[:, 0] >= comp.xs.min() - radius)
-                         & (pts[:, 0] <= comp.xs.max() + radius)
-                         & (pts[:, 1] >= comp.ys.min() - radius)
-                         & (pts[:, 1] <= comp.ys.max() + radius))[0]
+    """(component index, component (xs, ys, ts), point indices, nearest
+    samples) of the points within the search radius of their nearest sample,
+    found by one |points in box| x samples distance matrix per component."""
+    for c, comp in enumerate(trace.pieces()):
+        xs, ys, _ = comp
+        radius = _radius(xs, ys, tol)
+        box = np.nonzero((pts[:, 0] >= xs.min() - radius) & (pts[:, 0] <= xs.max() + radius)
+                         & (pts[:, 1] >= ys.min() - radius) & (pts[:, 1] <= ys.max() + radius))[0]
         if len(box) == 0:
             continue
-        d2 = (pts[box, 0, None] - comp.xs) ** 2 + (pts[box, 1, None] - comp.ys) ** 2
+        d2 = (pts[box, 0, None] - xs) ** 2 + (pts[box, 1, None] - ys) ** 2
         iv = np.argmin(d2, axis=1)
         keep = np.sqrt(d2[np.arange(len(box)), iv]) <= radius
         yield c, comp, box[keep], iv[keep]
@@ -122,8 +121,8 @@ def _count_by_dense_scan(points, curves, traces, tol=1e-7):
     return edges
 
 
-def _radius(comp, tol):
-    seg = float(np.hypot(np.diff(comp.xs), np.diff(comp.ys)).max()) if len(comp) > 1 else 0.0
+def _radius(xs, ys, tol):
+    seg = float(np.hypot(np.diff(xs), np.diff(ys)).max()) if len(xs) > 1 else 0.0
     return seg / 2 + max(100 * tol, 1e-6)
 
 
@@ -133,14 +132,14 @@ def _edge_case_points(traces, tol, rng):
     the lines of the grid of side 2 * radius anchored at the component's box."""
     out = []
     for trace in traces:
-        for comp in trace.components:
-            if len(comp) < 2:
+        for xs, ys, _ in trace.pieces():
+            if len(xs) < 2:
                 continue
-            radius = _radius(comp, tol)
-            x0, y0, h = comp.xs.min() - radius, comp.ys.min() - radius, 2 * radius
-            for i in rng.choice(len(comp) - 1, size=4, replace=False):
-                sx, sy = comp.xs[i], comp.ys[i]
-                step = np.array([comp.xs[i + 1] - sx, comp.ys[i + 1] - sy])
+            radius = _radius(xs, ys, tol)
+            x0, y0, h = xs.min() - radius, ys.min() - radius, 2 * radius
+            for i in rng.choice(len(xs) - 1, size=4, replace=False):
+                sx, sy = xs[i], ys[i]
+                step = np.array([xs[i + 1] - sx, ys[i + 1] - sy])
                 theta = rng.uniform(0, 2 * np.pi, size=3)
                 dirs = [step / np.hypot(*step)] + list(zip(np.cos(theta), np.sin(theta)))
                 out += [(sx + radius * u, sy + radius * v) for u, v in dirs]
@@ -163,11 +162,15 @@ def test_grid_filter_matches_dense_scan(seed):
 
 
 def _dense_rows(pts, traces, tol):
-    """`inc._candidates` by the dense scan `_dense_candidates`."""
-    rows = [(p, ci, c, v) for ci, trace in enumerate(traces)
+    """`inc._candidates` by the dense scan `_dense_candidates`: rows (point,
+    piece, row) of the traces' `trace_table`, whose pieces and rows follow
+    trace by trace, component by component."""
+    piece0 = np.cumsum([0] + [len(trace) for trace in traces])
+    row0 = np.cumsum([0] + [trace.n_samples for trace in traces])
+    rows = [(p, piece0[ci] + c, row0[ci] + trace.start[c] + v) for ci, trace in enumerate(traces)
             for c, _, near, iv in _dense_candidates(pts, trace, tol)
             for p, v in zip(near.tolist(), iv.tolist())]
-    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
 def _scaled(scene, s):
@@ -184,16 +187,16 @@ def _beyond(traces, tol):
     `inc._candidates`, along each axis and at the corners, by 1/2, 1, 2, 4,
     8 and 16 cells: one cell beyond, and one coarse cell of a bitmap
     coarsened by 2 to 16."""
-    comps = [comp for trace in traces for comp in trace.components]
-    xs, ys = (np.concatenate([getattr(comp, v) for comp in comps]) for v in ("xs", "ys"))
+    comps = [comp for trace in traces for comp in trace.pieces()]
+    xs, ys = (np.concatenate([comp[v] for comp in comps]) for v in (0, 1))
     floor = max(np.ptp(xs), np.ptp(ys)) / 2**24
-    sides = [2.0 ** np.ceil(np.log2(max(_radius(comp, tol) * (1 + 2**-19), floor)))
-             for comp in comps]
+    sides = [2.0 ** np.ceil(np.log2(max(_radius(cx, cy, tol) * (1 + 2**-19), floor)))
+             for cx, cy, _ in comps]
     out = []
     for side in set(sides):
         on = [comp for comp, s in zip(comps, sides) if s == side]
-        x0, x1, y0, y1 = (f(np.concatenate([getattr(comp, v) for comp in on]))
-                          for v in ("xs", "ys") for f in (np.min, np.max))
+        x0, x1, y0, y1 = (f(np.concatenate([comp[v] for comp in on]))
+                          for v in (0, 1) for f in (np.min, np.max))
         for d in side * 2.0 ** np.arange(-1, 5):
             out += [(x, y) for x in (x0 - d, (x0 + x1) / 2, x1 + d)
                     for y in (y0 - d, (y0 + y1) / 2, y1 + d)]
@@ -219,9 +222,10 @@ def test_candidates_match_dense_scan(seed, scale, monkeypatch):
         pts = np.vstack([scene.points, _edge_case_points(traces, tol, rng), _beyond(traces, tol),
                          FAR])
         kept.clear()
-        rows = inc._candidates(pts, trace_table(traces), tol)
+        table = trace_table(traces)
+        rows = inc._candidates(pts, table, tol)
         assert rows.dtype == np.int64 and np.array_equal(rows, _dense_rows(pts, traces, tol))
-        assert len(set(rows[1].tolist())) == scene.n
+        assert len(set(table.curve[rows[1]].tolist())) == scene.n
         # the far points at 1e300 and beyond, clipped to the grid's edge, are
         # kept by no side
         assert all(p.max(initial=0) < len(pts) - 12 for p, _ in kept)
@@ -233,7 +237,7 @@ def test_candidates_match_dense_scan(seed, scale, monkeypatch):
             rows = inc._candidates(point[None], trace_table(traces), tol)
             assert np.array_equal(rows, _dense_rows(point[None], traces, tol))
             assert len(kept) == 1 or any(len(p) == n == 0 for p, n in kept)
-        assert rows.shape == (4, 0) and all(len(p) == n == 0 for p, n in kept)
+        assert rows.shape == (3, 0) and all(len(p) == n == 0 for p, n in kept)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -241,11 +245,9 @@ def test_candidates_break_distance_ties_to_the_lower_sample():
     # samples 1/4 apart on y = 0 and on a square; points halfway between two
     # samples are exactly as far from both
     xs = np.arange(-8, 9) / 4
-    line = TraceComponent(xs, xs, np.zeros_like(xs))
     sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]) / 4 + 1
-    square = TraceComponent(np.arange(5.0), sq[:, 0], sq[:, 1])
-    traces = [CurveTrace(SampleTable.join([line], [len(line.xs)], [0]), 0.25, (-3, 3, -3, 3)),
-              CurveTrace(SampleTable.join([square], [len(square.xs)], [0]), 1.0, (-3, 3, -3, 3))]
+    traces = [CurveTrace(xs, np.zeros_like(xs), xs, [len(xs)], 0.25, (-3, 3, -3, 3)),
+              CurveTrace(sq[:, 0], sq[:, 1], np.arange(5.0), [5], 1.0, (-3, 3, -3, 3))]
     mid = (xs[:-1] + xs[1:]) / 2
     pts = np.vstack([np.column_stack((mid, np.zeros_like(mid))),
                      np.column_stack((mid, np.full_like(mid, 1e-7))),
@@ -255,9 +257,10 @@ def test_candidates_break_distance_ties_to_the_lower_sample():
         assert np.array_equal(rows, _dense_rows(pts, traces, tol))
         on_line = rows[:, rows[1] == 0]
         assert np.array_equal(on_line[0], np.arange(2 * len(mid)))
-        assert np.array_equal(on_line[3], np.tile(np.arange(len(mid)), 2))
-        # the square's edge midpoints; the last ties on samples 0, 3 and 4
-        assert rows[3, rows[1] == 1].tolist() == [0, 1, 2, 0]
+        assert np.array_equal(on_line[2], np.tile(np.arange(len(mid)), 2))
+        # the square's edge midpoints, its rows after the line's; the last
+        # ties on samples 0, 3 and 4
+        assert (rows[2, rows[1] == 1] - len(xs)).tolist() == [0, 1, 2, 0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -265,10 +268,9 @@ def test_candidates_at_the_radius_across_a_cell_boundary():
     # samples 1/4 apart on y = 0 lie on the lines of the grid of side 1/4;
     # points a search radius away along an axis lie in the neighbouring cells
     xs = np.arange(-8, 9) / 4
-    line = TraceComponent(xs, xs, np.zeros_like(xs))
-    traces = [CurveTrace(SampleTable.join([line], [len(xs)], [0]), 0.25, (-3, 3, -3, 3))]
+    traces = [CurveTrace(xs, np.zeros_like(xs), xs, [len(xs)], 0.25, (-3, 3, -3, 3))]
     for tol in (1e-7, 1e-5):
-        r = _radius(traces[0].components[0], tol)
+        r = _radius(xs, np.zeros_like(xs), tol)
         pts = np.vstack([np.column_stack((xs + dx, np.full_like(xs, dy)))
                          for dx, dy in [(-r, 0), (r, 0), (0, -r), (0, r)]])
         rows = inc._candidates(pts, trace_table(traces), tol)
@@ -283,8 +285,7 @@ def test_candidates_of_a_tiny_circle_in_a_wide_viewport(monkeypatch):
               pf.parabola(1e-6, 0.0, -5e5)]
     traces = [pf.trace_curve(c, viewport) for c in curves]
     tol = 1e-7
-    comp = traces[0].components[0]
-    side = 2.0 ** np.ceil(np.log2(_radius(comp, tol)))
+    side = 2.0 ** np.ceil(np.log2(_radius(traces[0].xs, traces[0].ys, tol)))
     assert (2e6 / side) ** 2 > 2.0 ** 63  # cells keyed over the viewport would overflow
     rng = np.random.default_rng(4)
     pts = [curves[k].point_at(rng.uniform(*curves[k].t_window(viewport), size=20))
@@ -324,7 +325,7 @@ def test_wide_search_radius_memory_is_bounded():
     # quarter of the samples: 14 million (point, sample) pairs in all
     scene = gen.random_scene(KINDS, m=2000, n=30, planted=0.5, seed=9)
     traces = scene.traces()
-    samples = sum(len(comp) for trace in traces for comp in trace.components)
+    samples = sum(trace.n_samples for trace in traces)
     tracemalloc.start()
     try:
         rows = inc._candidates(scene.points, trace_table(traces), 1e-2)
@@ -363,13 +364,13 @@ def _threshold_points(curves, traces, tol, rng):
     component, whose windows are clipped."""
     out = []
     for curve, trace in zip(curves, traces):
-        for comp in trace.components:
-            i = rng.choice(len(comp) - 1, size=min(4, len(comp) - 1), replace=False)
-            t = comp.ts[i] + rng.uniform(size=len(i)) * (comp.ts[i + 1] - comp.ts[i])
-            ends = np.array([0, 1, len(comp) - 2, len(comp) - 1])
+        for xs, ys, ts in trace.pieces():
+            i = rng.choice(len(ts) - 1, size=min(4, len(ts) - 1), replace=False)
+            t = ts[i] + rng.uniform(size=len(i)) * (ts[i + 1] - ts[i])
+            ends = np.array([0, 1, len(ts) - 2, len(ts) - 1])
             for (x, y), scales in (
                     (curve.point_at(t), [1 - 1e-3, 1 + 1e-3]),
-                    ((comp.xs[ends], comp.ys[ends]), [0.5, 2.0])):
+                    ((xs[ends], ys[ends]), [0.5, 2.0])):
                 vx, vy = np.broadcast_arrays(*curve.field_at(x, y), x)[:2]
                 v = np.hypot(vx, vy)
                 for s in scales:
@@ -392,22 +393,25 @@ def test_batched_refinement_matches_scalar_oracle(seed, tol):
         if not found:
             continue
         comp, near, iv = np.array(found).T
-        got = inc._refined_distances([curve], trace_table([trace]), np.zeros_like(comp), comp, iv,
+        got = inc._refined_distances([curve], trace_table([trace]), comp, trace.start[comp] + iv,
                                      pts[near, 0], pts[near, 1])
-        want = [_refine_distance(curve, trace.components[c], v, pts[pi, 0], pts[pi, 1])
-                for c, pi, v in found]
+        comps = trace.pieces()
+        want = [_refine_distance(curve, comps[c], v, pts[pi, 0], pts[pi, 1]) for c, pi, v in found]
         assert np.max(np.abs(got - want)) <= 1e-15
         lanes += [(ci, *row) for row in found]
         parts.append(got)
         at_threshold |= {d <= tol for d in got if abs(d / tol - 1) <= 2e-3}
-        size = np.array([len(trace.components[c]) for c in comp])
+        size = trace.size[comp]
         clipped += np.count_nonzero((iv < 2) | (iv >= size - 2))
         multi += len(set(comp.tolist())) > 1
     assert at_threshold == {True, False} and clipped > 0 and (multi > 0) == (seed == 12)
     # the lanes are independent: one call over every curve, as in counting,
     # gives the single-curve results bit for bit
     cid, comp, near, iv = np.array(lanes).T
-    assert np.array_equal(inc._refined_distances(scene.curves, trace_table(traces), cid, comp, iv,
+    table = trace_table(traces)
+    piece = table.first(cid) + comp
+    row = table.start[piece] + iv
+    assert np.array_equal(inc._refined_distances(scene.curves, table, piece, row,
                                                  pts[near, 0], pts[near, 1]),
                           np.concatenate(parts))
     graph = inc.count_incidences(pts, scene.curves, traces, tol)
@@ -427,15 +431,15 @@ def test_refinement_window_reaches_two_samples_out(side):
     s, m, lean = 0.5, 0.375, 0.005
     curve = pf.parabola(1.0, 0.0, 0.0)
     ts = np.sort(side * (s * np.arange(-3, 5) - m))
-    comp = TraceComponent(ts, *curve.point_at(ts))
-    trace = CurveTrace(SampleTable.join([comp], [len(comp.xs)], [0]), s, (-2.0, 2.0, -1.0, 4.0))
+    xs, ys = curve.point_at(ts)
+    trace = CurveTrace(xs, ys, ts, [len(ts)], s, (-2.0, 2.0, -1.0, 4.0))
     px, py = side * lean, m * m + 0.5
-    iv = int(np.argmin(np.hypot(comp.xs - px, comp.ys - py)))
-    assert comp.ts[iv] == -side * m
-    got = inc._refined_distances([curve], trace_table([trace]), np.array([0]), np.array([0]),
-                                 np.array([iv]), np.array([px]), np.array([py]))[0]
-    assert abs(got - _refine_distance(curve, comp, iv, px, py)) <= 1e-15
-    assert got < np.hypot(comp.xs - px, comp.ys - py).min() - 1e-3
+    iv = int(np.argmin(np.hypot(xs - px, ys - py)))
+    assert ts[iv] == -side * m
+    got = inc._refined_distances([curve], trace_table([trace]), np.array([0]), np.array([iv]),
+                                 np.array([px]), np.array([py]))[0]
+    assert abs(got - _refine_distance(curve, (xs, ys, ts), iv, px, py)) <= 1e-15
+    assert got < np.hypot(xs - px, ys - py).min() - 1e-3
     assert inc.point_curve_distance(curve, trace, (px, py)) == got
 
 
@@ -456,11 +460,11 @@ def test_count_refines_in_one_run(monkeypatch):
 def _scalar_point_distance(curve, trace, p, tol):
     """point_curve_distance by the scalar refiner."""
     best = math.inf
-    for comp in trace.components:
-        d2 = (comp.xs - p[0]) ** 2 + (comp.ys - p[1]) ** 2
+    for comp in trace.pieces():
+        d2 = (comp[0] - p[0]) ** 2 + (comp[1] - p[1]) ** 2
         iv = int(np.argmin(d2))
         coarse = math.sqrt(d2[iv])
-        if coarse <= _radius(comp, tol):
+        if coarse <= _radius(comp[0], comp[1], tol):
             coarse = _refine_distance(curve, comp, iv, p[0], p[1])
         best = min(best, coarse)
     return best

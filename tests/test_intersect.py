@@ -168,14 +168,14 @@ def _split(curve, trace, vts):
     at the vertical tangents vts as the per-curve pass split them: the
     oracle of the branch table."""
     branches = []
-    for comp in trace.components:
-        cuts = [t for t in vts if comp.ts[0] < t < comp.ts[-1]]
-        bounds = [float(comp.ts[0])] + cuts + [float(comp.ts[-1])]
+    for _, _, comp_ts in trace.pieces():
+        cuts = [t for t in vts if comp_ts[0] < t < comp_ts[-1]]
+        bounds = [float(comp_ts[0])] + cuts + [float(comp_ts[-1])]
         for a, b in zip(bounds[:-1], bounds[1:]):
             if b - a <= 0:
                 continue
-            sel = (comp.ts > a) & (comp.ts < b)
-            ts = np.concatenate([[a], comp.ts[sel], [b]])
+            sel = (comp_ts > a) & (comp_ts < b)
+            ts = np.concatenate([[a], comp_ts[sel], [b]])
             xs, ys = curve.point_at(ts)
             xs = np.asarray(xs, float) + np.zeros_like(ts)
             ys = np.asarray(ys, float) + np.zeros_like(ts)
@@ -226,7 +226,7 @@ def test_branch_table_equals_the_per_curve_split(seed):
     # with several branches are all present
     assert sum(c.transform is not None for c in curves) > 10
     assert sum(c.period is not None for c in curves) >= 4
-    assert sum(len(tr.components) > 1 for tr in traces) >= 2
+    assert sum(len(tr) > 1 for tr in traces) >= 2
     assert np.bincount(table.curve).max() >= 4
 
 
@@ -698,19 +698,18 @@ def _scalar_vertical_tangent_ts(curve, trace, wraps):
                            lambda t: float(curve.field.vx_rate(*curve.point_at(t))), va, vb)
 
     out = []
-    for comp in trace.components:
-        vx = curve.field.vx(comp.xs, comp.ys) + np.zeros_like(comp.xs)
+    for xs, ys, ts in trace.pieces():
+        vx = curve.field.vx(xs, ys) + np.zeros_like(xs)
         sign = np.sign(vx)
         for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            out.append(vx_root(float(comp.ts[i]), float(comp.ts[i + 1]),
-                               float(vx[i]), float(vx[i + 1])))
+            out.append(vx_root(float(ts[i]), float(ts[i + 1]), float(vx[i]), float(vx[i + 1])))
         for i in np.nonzero(sign == 0)[0]:
-            out.append(float(comp.ts[i]))
-    if curve.period is not None and trace.components:
-        first, last = trace.components[0], trace.components[-1]
-        gap = math.hypot(last.xs[-1] - first.xs[0], last.ys[-1] - first.ys[0])
+            out.append(float(ts[i]))
+    if curve.period is not None and len(trace):
+        first, last = trace.start[0], trace.stop[-1] - 1
+        gap = math.hypot(trace.xs[last] - trace.xs[first], trace.ys[last] - trace.ys[first])
         if gap < 64 * trace.step * (1 + curve.period):
-            a, b = float(last.ts[-1]), float(first.ts[0]) + curve.period
+            a, b = float(trace.ts[last]), float(trace.ts[first]) + curve.period
             va, vb = vx_along(a), vx_along(b)
             if va * vb < 0:
                 wraps.append(vx_root(a, b, va, vb) % curve.period)

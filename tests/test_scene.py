@@ -70,6 +70,10 @@ def _set_viewport_inf(d):
     d["viewport"][1] = "inf"
 
 
+def _set_viewport_string(d):
+    d["viewport"][0] = str(d["viewport"][0])
+
+
 def _reverse_viewport(d):
     d["viewport"][0], d["viewport"][1] = d["viewport"][1], d["viewport"][0]
 
@@ -135,12 +139,12 @@ def _move_point_outside(d):
     d["points"][0] = [x1 + 1.0, y1 + 1.0]
 
 
-BAD_INPUTS = [_set_point_nan, _move_point_outside, _set_viewport_inf, _reverse_viewport,
-              _add_unknown_param, _drop_param, _duplicate_curve, _set_param_nan,
-              _set_param_string, _set_tan_branch_fraction, _set_root_order_fraction,
-              _set_reciprocal_branch_zero, _set_transform_string, _set_transform_nan,
-              _set_transform_three, _set_transform_zero, _set_transform_rank_one,
-              _set_unknown_kind]
+BAD_INPUTS = [_set_point_nan, _move_point_outside, _set_viewport_inf, _set_viewport_string,
+              _reverse_viewport, _add_unknown_param, _drop_param, _duplicate_curve,
+              _set_param_nan, _set_param_string, _set_tan_branch_fraction,
+              _set_root_order_fraction, _set_reciprocal_branch_zero, _set_transform_string,
+              _set_transform_nan, _set_transform_three, _set_transform_zero,
+              _set_transform_rank_one, _set_unknown_kind]
 
 
 @pytest.mark.parametrize("spoil", BAD_INPUTS, ids=lambda f: f.__name__.strip("_"))
@@ -181,5 +185,5 @@ def test_prerotation_moves_vertical_curve():
     assert theta != 0.0
     for c in out.curves:
         tr = pf.trace_curve(c, out.viewport, samples=128)
-        for comp in tr.components:
-            assert comp.xs.max() - comp.xs.min() >= 1e-9
+        for xs, _, _ in tr.pieces():
+            assert xs.max() - xs.min() >= 1e-9
