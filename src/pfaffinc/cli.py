@@ -8,6 +8,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -90,13 +91,15 @@ def cmd_intersect(args):
         block = curves[a:a + _TRACE_BLOCK]
         traces = [scene.trace(i) for i in range(a, a + len(block))]
         tables.append(ix.monotone_branches(block, traces, ix.vertical_tangent_ts(block, traces)))
+        del traces
     branches = SampleTable.concat(tables, first)
     del tables  # the joined table holds copies of the blocks' columns
     text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
-    text += "".join(f"{i},{j},{x!r},{y!r}\n"
-                    for i, j, pts in ix.pair_intersections(curves, branches, args.tol)
-                    for x, y in pts)
+    rows = (f"{i},{j},{x!r},{y!r}\n"
+            for i, j, pts in ix.pair_intersections(curves, branches, args.tol) for x, y in pts)
+    # joined 1,024 at a time: a string per row holds twice the text's memory
+    text += "".join(iter(lambda: "".join(itertools.islice(rows, 1024)), ""))
     _write(args.out, text)
     return EXIT_OK
 

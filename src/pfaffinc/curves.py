@@ -607,7 +607,7 @@ def _t_is_log_x(p, x, hint):
 
 def _circle_t(p, x, hint):
     cx, _cy, r = p
-    t0 = _by_math(lambda u: math.acos(min(1.0, max(-1.0, u))), (x - cx) / r)
+    t0 = _by_math(math.acos, np.fmin(1.0, np.fmax(-1.0, (x - cx) / r)))  # NaN to -1
     return np.where(hint % TWO_PI <= math.pi, t0, TWO_PI - t0)
 
 

@@ -9,15 +9,12 @@ walks every live branch pair (`_live`) on a trace-resolution grid and keeps
 only candidates: the brackets of sign changes of the interpolated gap, its
 grid zeros, the local minima of its size near zero (touches), and branch
 ends that meet.  It interpolates only where the two branches come close
-(`_runs`): the branches' samples form chunks of _CHUNK, whose bounds cut a
-pair's overlap into intervals, and an interval whose two chunks' y-ranges
-lie apart holds no candidate, since the gap keeps one sign above the touch
-threshold there, so it is skipped.  The kept stretches of all pairs are
-interpolated in one flat pass.  The refinement then solves every crossing
-in one lockstep run of `curves.refine_roots` on the exact
-parameterizations, and every touch in a second run on the slope difference,
-so reported points carry closed-form accuracy rather than polyline
-accuracy.  Each round evaluates its lanes through the evaluator's
+(`_runs`): x-bins shared by every branch hold each branch's y-ranges, and
+a pair skips a bin where its two ranges lie apart.  The refinement then
+solves every crossing in one lockstep run of `curves.refine_roots` on the
+exact parameterizations, and every touch in a second run on the slope
+difference, so reported points carry closed-form accuracy rather than
+polyline accuracy.  Each round evaluates its lanes through the evaluator's
 `curves.CurveTable` of the pass's curves, one array call per curve
 signature, not per curve.  Exact heights invert x(t) = x in closed form
 with `math` functions applied entry by entry, since numpy's arccos, log and
@@ -42,14 +39,15 @@ _TOUCH_SCAN = 1e-3  # coarse |gap| threshold that triggers tangency refinement
 # per candidate: one block for all pairs raised the tracemalloc peak of
 # `pfaffinc intersect` on 160 curves (8,949 live pairs) from 6.3 to 10.3 MB
 _BLOCK = 1024
-_CHUNK = 32  # samples per chunk of the scan's y-range prune
-_ROWS = 1 << 12  # chunk intervals or gathered samples per row group of the scan
+_BINS = 1 << 9  # sub-bins of the scan's prune; 1 << 10 ran slower, in twice the memory
+_SPAN = 16  # sub-bins per level-1 bin of the prune
+_ROWS = 1 << 12  # level-1 bins or gathered samples per row group of the scan
 _LANES = 1 << 14  # crossing brackets per refinement run
 
 
 def pfaffian_bezout_bound(k1, k2):
-    """Intersection ceiling for curves of field degrees k1 and k2."""
-    if k1 < 0 or k2 < 0:
+    """Intersection ceiling for curves of field degrees k1 and k2 (or arrays)."""
+    if np.any(np.less((k1, k2), 0)):
         raise ValueError("degrees must be nonnegative")
     return (k1 + k2) * (2 * k1 + k2) + k1 + 1
 
@@ -227,7 +225,7 @@ def _apart(lo1, hi1, lo2, hi2, sep):
     """Whether y-ranges [lo1, hi1] and [lo2, hi2] are more than sep apart.
 
     The slack covers np.interp overshooting a range by a few ulps of its
-    heights.  Takes floats, or arrays against one range.
+    heights.  Takes floats or arrays.
     """
     sep = sep + 1e-12 * (1 + abs(lo1) + abs(hi1) + abs(lo2) + abs(hi2))
     return (lo1 - hi2 > sep) | (lo2 - hi1 > sep)
@@ -262,8 +260,7 @@ def _live(samples, owner, sep, tol):
         k2.append(np.nonzero(live)[0] + s)
         k1.append(np.full(len(k2[-1]), k))
     k1, k2 = np.concatenate(k1), np.concatenate(k2)
-    order = np.lexsort((owner[k2], owner[k1]))  # stable
-    k1, k2 = k1[order], k2[order]
+    k1, k2 = np.stack([k1, k2])[:, np.lexsort((owner[k2], owner[k1]))]  # stable
     return k1, k2, np.minimum(x_hi[k1], x_hi[k2]) - np.maximum(x_lo[k1], x_lo[k2]) > 1e-12
 
 
@@ -291,42 +288,67 @@ def _grid(samples, k1, k2):
 
 
 @dataclass
-class _Chunks:
-    """A pass's branches as tables: their chunks, and the exact evaluator
-    on their samples.
+class _Bins:
+    """A pass's branches on x-bins that all of them share, and the exact
+    evaluator on their samples (branch k is piece k of exact.samples).
 
-    Branch k is piece k of exact.samples, a `curves.SampleTable`.
-    Chunk c of branch k holds its samples c*_CHUNK ... min(c*_CHUNK
-    + _CHUNK, size[k] - 1), sharing the last one with the next chunk, and
-    has the y-range [lo[i], hi[i]], i = start[k] - k + c.  Its bounds, the
-    abscissas x of those two samples, are rows start[k] + c and
-    start[k] + c + 1 of key = _key(k, x), which orders them for searches.
-    The chunk tables hold about one entry per _CHUNK samples.
+    Sub-bin b is [edges[b], edges[b + 1]], closed; level-1 bin c holds
+    sub-bins c*_SPAN ... c*_SPAN + _SPAN - 1.  Branch k spans sub-bins
+    first[k] ... last[k], and entry base[level][k] + b of lo[level] and
+    hi[level] is a y-range of its polyline over its bin b of level (0:
+    level 1, 1: sub-bins), rounded outward to float32.  pos[base[1][k] + b]
+    is the row of its first sample at or past edges[b], b <= last[k] + 1.
     """
 
-    key: np.ndarray
-    start: np.ndarray  # one more entry than branches
-    lo: np.ndarray
-    hi: np.ndarray
+    edges: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    base: tuple
+    pos: np.ndarray
+    lo: tuple
+    hi: tuple
     exact: _Exact
 
+    def near(self, level, k, b, sep):
+        """Whether branches k[0] and k[1] may come within sep on their bins
+        b of level: their ranges there are not _apart."""
+        lo, hi = (v[level][self.base[level][k] + b].astype(float) for v in (self.lo, self.hi))
+        return ~_apart(lo[0], hi[0], lo[1], hi[1], sep)
 
-def _chunks(exact):
-    """The _Chunks of the branches of exact, an `_Exact`."""
-    s = exact.samples
-    xs, ys, first, size = s.xs, s.ys, s.start, s.size
-    # per branch, the chunks' first samples, then its last sample
-    count = (size - 2) // _CHUNK + 2
-    at = np.repeat(first, count) + np.minimum(
-        _CHUNK * _ranges(np.zeros_like(count), count), np.repeat(size - 1, count))
-    last = np.cumsum(count) - 1
-    firsts = np.delete(at, last)
-    ends = ys[np.delete(at, last - count + 1)]  # each chunk's last sample, the next one's first
-    lo = np.minimum(np.minimum.reduceat(ys, firsts), ends)
-    hi = np.maximum(np.maximum.reduceat(ys, firsts), ends)
-    start = np.append(0, np.cumsum(count))
-    key = _key(np.repeat(np.arange(len(size)), count), xs[at])
-    return _Chunks(key, start, lo, hi, exact)
+
+def _bins(exact):
+    """The _Bins of the branches of exact, an `_Exact`: _BINS sub-bins at
+    equal counts of the branches' ends and about 8 _BINS abscissas spread
+    over the table (fewer where those repeat), a sub-bin's range over its
+    samples and the one on each side of each edge, _ROWS rows at a time."""
+    s, xs, ys = exact.samples, exact.samples.xs, exact.samples.ys
+    x = np.sort(np.concatenate([xs[::max(1, len(xs) // (8 * _BINS))], xs[s.start], xs[s.stop - 1]]))
+    edges = np.unique(x[np.linspace(0, len(x) - 1, _BINS + 1).astype(np.int64)]) if len(x) else x
+    first = np.searchsorted(edges, xs[s.start], side="right") - 1  # edges[b] <= x_lo < edges[b + 1]
+    last = np.searchsorted(edges, xs[s.stop - 1]) - 1  # edges[b] < x_hi <= edges[b + 1]
+    n = last - first + 2  # entries per branch: its edges; its sub-bins, then one unused
+    off = np.cumsum(n) - n
+    pos, (lo, hi) = np.empty(n.sum(), np.int32), np.empty((2, n.sum()), np.float32)
+    for k0, k1 in _groups(s.size + n):
+        rows, e = slice(s.start[k0], s.stop[k1 - 1]), slice(off[k0], off[k1 - 1] + n[k1 - 1])
+        # per branch and edge b, the samples before it: those of its sub-bins below b
+        sub = np.searchsorted(edges, xs[rows], side="right")  # 1 + each sample's sub-bin
+        count = np.bincount(np.repeat(off[k0:k1] - e.start - first[k0:k1], s.size[k0:k1]) + sub,
+                            minlength=e.stop - e.start + 1)
+        pos[e] = rows.start + np.cumsum(count)[:-1]
+        k = np.repeat(np.arange(k0, k1), n[k0:k1])
+        a, z = (np.minimum(v, s.stop[k] - 1) for v in (pos[e], np.append(pos[e][1:], rows.stop)))
+        ends = ys[np.maximum(a - 1, s.start[k])], ys[z]
+        for out, least, inf in ((lo, np.minimum, -np.inf), (hi, np.maximum, np.inf)):
+            v = least(least.reduceat(ys[rows], a - rows.start), least(*ends))
+            v32 = v.astype(np.float32)
+            out[e] = np.where(least(v32, v) != v32, np.nextafter(v32, np.float32(inf)), v32)
+    # level-1 bins: the sub-bins' ranges merged
+    c0, n1 = first // _SPAN, last // _SPAN - first // _SPAN + 1
+    k = np.repeat(np.arange(len(s)), n1)
+    at = off[k] + np.maximum(_ranges(c0, n1) * _SPAN, first[k]) - first[k]
+    return _Bins(edges, first, last, (np.cumsum(n1) - n1 - c0, off - first), pos,
+                 (np.minimum.reduceat(lo, at), lo), (np.maximum.reduceat(hi, at), hi), exact)
 
 
 def _ranges(starts, counts):
@@ -349,12 +371,6 @@ def _key(major, minor):
     key = np.empty(np.broadcast(major, minor).shape, dtype=complex)
     key.real, key.imag = major, minor
     return key
-
-
-def _order(major, minor):
-    """The stable sort of (major, minor) pairs, integers major.  On a few
-    concatenated sorted sequences, as here, it takes linear time."""
-    return np.argsort(_key(major, minor), kind="stable")
 
 
 def _interp(x, y, at, j):
@@ -394,78 +410,80 @@ def _pairs(exact, tol=1e-9):
     """pair_intersections on the branches of exact, an `_Exact`."""
     sep = _separation(tol)
     owner, n = exact.samples.curve, len(exact.curves)
-    chunks = _chunks(exact)
+    bins = _bins(exact)
     k1, k2, overlap = _live(exact.samples, owner, sep, tol)
     i, j = owner[k1], owner[k2]
     new = np.diff(i * n + j, prepend=-1) != 0  # a curve pair's first
     cuts = np.append(np.flatnonzero(new)[::_BLOCK], len(new)).tolist()
     return (out for s, e in zip(cuts, cuts[1:])
-            for out in _block(chunks, i[s:e], j[s:e], k1[s:e], k2[s:e], overlap[s:e], tol))
+            for out in _block(bins, i[s:e], j[s:e], k1[s:e], k2[s:e], overlap[s:e], tol))
 
 
-def _block(chunks, i, j, k1, k2, overlap, tol):
+def _block(bins, i, j, k1, k2, overlap, tol):
     """(i, j, points) of each curve pair of the live branch pairs (i, j, k1,
-    k2, overlap): scan, refine, then deduplicate and check the pair's
-    ceiling."""
-    curves = chunks.exact.curves
+    k2, overlap): scan, refine, then deduplicate and check the pairs'
+    ceilings."""
+    curves = bins.exact.curves
     new = np.diff(i * len(curves) + j, prepend=-1) != 0
     p = np.cumsum(new) - 1  # the curve pair of each branch pair, from 0
-    points, cross, touch = _scan(chunks, p, k1, k2, overlap, tol)
-    both = chunks.exact.both
-    for found in (_refine_crossings(both, cross), _refine_touches(both, touch, tol)):
-        for q, x, y in zip(*(v.tolist() for v in found)):
-            points[q].append((x, y))
-    out = []
-    for q, (ci, cj, pts) in enumerate(zip(i[new].tolist(), j[new].tolist(), points)):
-        pts = _dedup(pts, 10 * tol)
-        bound = pfaffian_bezout_bound(curves[ci].pf_degree, curves[cj].pf_degree)
-        if len(pts) > bound:
-            scanned = (p == q) & overlap
-            if _coincide(chunks.exact, k1[scanned], k2[scanned], tol):
-                raise SharedComponent(
-                    f"{len(pts)} surviving crossings with interval overlap "
-                    f"(ceiling {bound}); curves appear to share a component")
-        out.append((ci, cj, pts))
-    return out
+    found, cross, touch = _scan(bins, p, k1, k2, overlap, tol)
+    both = bins.exact.both
+    found += [_refine_crossings(both, cross), _refine_touches(both, touch, tol)]
+    points = _dedup_pairs(*(np.concatenate(c) for c in zip(*found)), p[-1] + 1, 10 * tol)
+    i, j = i[new], j[new]
+    degree = np.array([c.pf_degree for c in curves])
+    bound = pfaffian_bezout_bound(degree[i], degree[j])
+    for q in np.flatnonzero(np.fromiter(map(len, points), int, len(points)) > bound).tolist():
+        scanned = (p == q) & overlap
+        if _coincide(bins.exact, k1[scanned], k2[scanned], tol):
+            raise SharedComponent(
+                f"{len(points[q])} surviving crossings with interval overlap "
+                f"(ceiling {bound[q]}); curves appear to share a component")
+    return list(zip(i.tolist(), j.tolist(), points))
 
 
-def _scan(chunks, p, k1, k2, overlap, tol):
-    """Candidates of the live branch pairs (k1, k2) of curve pairs p, chunks
-    the pass's `_Chunks`: where a pair overlaps in x, from the gap
-    h = y1 - y2 on its grid (`_runs`), else from its ends.
+def _dedup_pairs(q, x, y, n, radius):
+    """_dedup of the points (x, y) of each pair 0 ... n - 1 of q, a list
+    per pair.  One stable sort orders them all, and _dedup runs only on a
+    pair with two points within 2 radius in x: the others keep them all."""
+    order = np.lexsort((y, x, q))
+    q, x, y = q[order], x[order], y[order]
+    near = np.bincount(q[1:][(q[1:] == q[:-1]) & (np.diff(x) <= 2 * radius)], minlength=n) > 0
+    cuts = np.searchsorted(q, np.arange(n + 1)).tolist()
+    xy = list(zip(x.tolist(), y.tolist()))
+    return [_dedup(xy[a:b], radius) if c else xy[a:b]
+            for a, b, c in zip(cuts, cuts[1:], near.tolist())]
 
-    Returns the points found as they are (grid zeros and meeting ends), one
-    list per curve pair, and the columns (pair, branch 1, branch 2, a, b) of
-    the crossing brackets and (pair, branch 1, branch 2, a, b, grid point) of
-    the touches, in the order of the branch pairs, then of x.
+
+def _scan(bins, p, k1, k2, overlap, tol):
+    """Candidates of the live branch pairs (k1, k2) of curve pairs p, bins
+    the pass's `_Bins`: where a pair overlaps in x, from the gap h = y1 - y2
+    on its grid (`_runs`), else from its ends.
+
+    Returns the points found as they are, columns (pair, x, y) of the
+    meeting ends, then of the grid zeros; and the columns (pair, branch 1,
+    branch 2, a, b) of the crossing brackets and (pair, branch 1, branch 2,
+    a, b, grid point) of the touches, by branch pair, then x.
     """
-    points = [[] for _ in range(p[-1] + 1)]
-    s, r = chunks.exact.samples, np.flatnonzero(~overlap)  # no overlap: ends that meet
+    s, r = bins.exact.samples, np.flatnonzero(~overlap)  # no overlap: ends that meet
+    found = []
     for a, b in ((s.stop[k1[r]] - 1, s.start[k2[r]]), (s.start[k1[r]], s.stop[k2[r]] - 1)):
         meet = _ends_meet(s.xs[a], s.ys[a], s.xs[b], s.ys[b], tol)
-        for q, x, y in zip(p[r[meet]].tolist(), s.xs[a[meet]].tolist(), s.ys[a[meet]].tolist()):
-            points[q].append((x, y))
+        found.append((p[r[meet]], s.xs[a[meet]], s.ys[a[meet]]))
     # rows (branch pair, x...) of the crossings (a, b), grid zeros (x) and
-    # touches (a, b, x): the columns of each scanned piece, after an empty one
+    # touches (a, b, x): the columns of each scanned piece (they come by
+    # branch pair and x), after an empty one
     empty = [np.zeros(0, dtype=np.int64)] + [np.zeros(0)] * 3
     cross, zeros, touch = [empty[:3]], [empty[:2]], [empty]
-    for pair, x, h, first in _runs(chunks, np.flatnonzero(overlap), k1, k2, _separation(tol)):
+    for pair, x, h, first in _runs(bins, np.flatnonzero(overlap), k1, k2, _separation(tol)):
         c, z, t = _candidates(x, h, first)
         cross.append((pair[c], x[c], x[c + 1]))
         zeros.append((pair[z], x[z]))
         touch.append((pair[t], x[t - 1], x[t + 1], x[t]))
-    (rc, *cross), (rz, xz), (rt, *touch) = (_by_pair(rows) for rows in (cross, zeros, touch))
-    yz = chunks.exact.heights(k1[rz], xz)
-    for r, x, y in zip(rz.tolist(), xz.tolist(), yz.tolist()):
-        points[p[r]].append((x, y))
-    return points, (p[rc], k1[rc], k2[rc], *cross), (p[rt], k1[rt], k2[rt], *touch)
-
-
-def _by_pair(rows):
-    """The columns of the row pieces rows, stably sorted by the first."""
-    columns = [np.concatenate(c) for c in zip(*rows)]
-    order = np.argsort(columns[0], kind="stable")
-    return [c[order] for c in columns]
+    (rc, *cross), (rz, xz), (rt, *touch) = ([np.concatenate(c) for c in zip(*rows)]
+                                             for rows in (cross, zeros, touch))
+    found.append((p[rz], xz, bins.exact.heights(k1[rz], xz)))
+    return found, (p[rc], k1[rc], k2[rc], *cross), (p[rt], k1[rt], k2[rt], *touch)
 
 
 def _candidates(x, h, first):
@@ -484,7 +502,7 @@ def _candidates(x, h, first):
     return np.flatnonzero(turn & ~first[1:]), np.flatnonzero(sign == 0), at
 
 
-def _runs(chunks, r, k1, k2, sep):
+def _runs(bins, r, k1, k2, sep):
     """The grids of the x-overlapping branch pairs (k1[r], k2[r]),
     where a candidate can lie, as pieces (branch pair, x, h, first): the
     pair of each grid point (an entry of r), its abscissa, the gap
@@ -492,81 +510,62 @@ def _runs(chunks, r, k1, k2, sep):
     of one pair's grid to scan on its own.
 
     A pair's grid is `_grid`, the union of both branches' samples in its
-    overlap [lo, hi], and only runs of it are kept: the chunk bounds of both
-    branches inside (lo, hi) cut [lo, hi] into intervals on which each
-    branch stays in one chunk, and an interval whose two chunks' y-ranges
-    are _apart by sep is dropped.  The prune is exact: consecutive grid
-    points share an interval (the bounds are samples), and on a dropped one
-    every h has one sign and |h| > sep >= _TOUCH_SCAN, so it holds no
-    bracket, zero or touch, and the neighbours of a touch lie in its run.
-    The intervals are taken about _ROWS at a time, and the pieces hold
-    about _ROWS samples, or one longer run.
+    overlap [lo, hi].  Its runs are the stretches of sub-bins that `_kept`
+    keeps, widened to the last grid point at or before the first edge and
+    the first at or after the last.  The prune is exact: on a dropped bin
+    every h has one sign and |h| > sep >= _TOUCH_SCAN over the closed bin,
+    so a sign change, zero or touch lies on a kept bin, and the widening
+    puts both ends of a bracket across an edge, and both neighbours of a
+    touch, in its run.  Two runs share only grid points about a dropped bin,
+    whose |h| > sep as well (a bin's range spans the samples about it), so
+    no candidate is found twice.  The pairs go about _ROWS level-1 bins at
+    a time, the pieces about _ROWS samples or one run.
     """
-    bx = chunks.key.imag
+    s, xs = bins.exact.samples, bins.exact.samples.xs
     k = np.stack([k1[r], k2[r]])  # (branch 1, branch 2) of each pair
-    s = chunks.start[k]
-    lo, hi = bx[s].max(0), bx[chunks.start[k + 1] - 1].min(0)
-    # per branch, the chunks of lo and of the interval that ends at hi
-    c_lo = np.searchsorted(chunks.key, _key(k, lo), side="right") - 1 - s
-    c_hi = np.searchsorted(chunks.key, _key(k, hi)) - 1 - s
-    for g0, g1 in _groups(2 + (c_hi - c_lo).sum(0)):
-        u, ra, rb, cs, ce = _coarse(chunks, k[:, g0:g1], c_lo[:, g0:g1], c_hi[:, g0:g1],
-                                    lo[g0:g1], hi[g0:g1], sep)
-        ku = k[:, g0:g1][:, u]
-        # the samples of each run's chunks, cs ... ce
-        n = np.minimum(_CHUNK * (ce + 1), chunks.exact.samples.size[ku] - 1) - _CHUNK * cs + 1
-        for f0, f1 in _groups(n.sum(0)):
-            run, at, h, first = _fine(chunks, ku[:, f0:f1], _CHUNK * cs[:, f0:f1], n[:, f0:f1],
-                                      ra[f0:f1], rb[f0:f1])
-            yield r[g0:g1][u[f0:f1]][run], at, h, first
+    lo, hi = xs[s.start[k]].max(0), xs[s.stop[k] - 1].min(0)
+    b0, b1 = bins.first[k].max(0), bins.last[k].min(0)
+    for g0, g1 in _groups(b1 // _SPAN - b0 // _SPAN + 1):
+        q, b = _kept(bins, k[:, g0:g1], b0[g0:g1], b1[g0:g1], sep)
+        new = (np.diff(q, prepend=-1) != 0) | (np.diff(b, prepend=-2) != 1)
+        q, b, e = q[new], b[new], b[np.roll(new, -1)] + 1  # a stretch's edges b ... e
+        kq = k[:, g0:g1][:, q]
+        # per branch, the last sample at or before edge b and the first at
+        # or after edge e (or its ends): they bound the stretch's grid
+        a, z = bins.pos[bins.base[1][kq] + b], bins.pos[bins.base[1][kq] + e]
+        a, z = np.maximum(a - (xs[a] != bins.edges[b]), s.start[kq]), np.minimum(z, s.stop[kq] - 1)
+        ra, rb = np.maximum(xs[a].max(0), lo[g0:g1][q]), np.minimum(xs[z].min(0), hi[g0:g1][q])
+        for f0, f1 in _groups((z - a + 1).sum(0)):
+            run, at, h, first = _fine(s, a[:, f0:f1], z[:, f0:f1], ra[f0:f1], rb[f0:f1])
+            yield r[g0:g1][q[f0:f1]][run], at, h, first
 
 
-def _coarse(chunks, k, c_lo, c_hi, lo, hi, sep):
-    """The runs of kept intervals of branch pairs k (see `_runs`), which
-    overlap on [lo, hi], with chunk bounds c_lo + 1 ... c_hi inside it: per
-    run, its pair, its ends ra < rb and, per branch, the chunks of its first
-    and last intervals."""
-    n, s = len(lo), chunks.start[k]
-    inner = (c_hi - c_lo).ravel()
-    own = np.repeat(np.arange(2 * n), inner)  # branch 1 of every pair, then branch 2
-    px = np.concatenate([lo, chunks.key.imag[s.ravel()[own] + _ranges(c_lo.ravel() + 1, inner)],
-                         hi])
-    pair = np.concatenate([np.arange(n), own % n, np.arange(n)])
-    side = np.concatenate([np.zeros(n, dtype=np.int64), own // n + 1, np.zeros(n, dtype=np.int64)])
-    order = _order(pair, px)
-    px, pair, side = px[order], pair[order], side[order]
-    # per branch, the chunk from each bound on: its bounds so far
-    count = 2 + inner.reshape(2, n).sum(0)
-    firsts = np.cumsum(count) - count
-    chunk = []
-    for i in (0, 1):
-        seen = np.cumsum(side == i + 1)
-        chunk.append(c_lo[i][pair] + seen - seen[firsts][pair])
-    chunk = np.stack(chunk)
-    # a bound of both branches: keep its last copy, which counts both
-    keep = np.append((px[1:] != px[:-1]) | (pair[1:] != pair[:-1]), True)
-    px, pair, chunk = px[keep], pair[keep], chunk[:, keep]
-    c = (s - k)[:, pair] + chunk
-    kept = np.append(pair[1:] == pair[:-1], False) & ~_apart(
-        chunks.lo[c[0]], chunks.hi[c[0]], chunks.lo[c[1]], chunks.hi[c[1]], sep)
-    prev = np.append(False, kept[:-1])
-    starts, ends = np.flatnonzero(kept & ~prev), np.flatnonzero(prev & ~kept)
-    return pair[starts], px[starts], px[ends], chunk[:, starts], chunk[:, ends - 1]
+def _kept(bins, k, b0, b1, sep):
+    """(pair, sub-bin), ascending, of the sub-bins b0 ... b1 of branch
+    pairs k (a row per branch) where the two may come within sep: their
+    ranges on its level-1 bin, and on it, are not _apart."""
+    c0, n = b0 // _SPAN, b1 // _SPAN - b0 // _SPAN + 1
+    q, c = np.repeat(np.arange(len(b0)), n), _ranges(c0, n)
+    keep = bins.near(0, k[:, q], c, sep)
+    q, b = q[keep], np.maximum(c[keep] * _SPAN, b0[q[keep]])
+    n = np.minimum(c[keep] * _SPAN + _SPAN - 1, b1[q]) - b + 1
+    q, b = np.repeat(q, n), _ranges(b, n)
+    keep = bins.near(1, k[:, q], b, sep)
+    return q[keep], b[keep]
 
 
-def _fine(chunks, k, a, n, ra, rb):
-    """The grids of runs [ra, rb] of branch pairs k (one row per branch, one
+def _fine(samples, a, z, ra, rb):
+    """The grids of runs [ra, rb] of branch pairs (one row per branch, one
     column per run) as (run, x, h, first): the union of both branches'
     samples in each run, ascending, and the gap h = y1 - y2 interpolated
-    there.  Samples a ... a + n - 1 of each branch, its chunks about the
-    run, are gathered: they reach from at or below ra to at or above rb, so
-    they hold the two samples about every grid point, and are gathered by
-    index from the pass's sample table."""
-    n, runs, samples = n.ravel(), len(ra), chunks.exact.samples
-    rows = _ranges(samples.start[k.ravel()] + a.ravel(), n)
+    there.  Rows a ... z of samples, the pass's sample table, are gathered
+    per branch: they reach from at or below ra to at or above rb, so they
+    hold the two samples about every grid point."""
+    n, runs = (z - a + 1).ravel(), len(ra)
+    rows = _ranges(a.ravel(), n)
     x, y = samples.xs[rows], samples.ys[rows]
     run = np.repeat(np.arange(2 * runs) % runs, n)
-    order = _order(run, x)  # branch 1 first on equal x
+    order = np.argsort(_key(run, x), kind="stable")  # merges sorted pieces; branch 1 first
     run, at = run[order], x[order]
     # per branch, the position of its last sample at or below each point
     mine = order < n[:runs].sum()
@@ -578,9 +577,7 @@ def _fine(chunks, k, a, n, ra, rb):
     keep[:-1] &= (at[1:] != at[:-1]) | (run[1:] != run[:-1])
     run, at = run[keep], at[keep]
     h = _interp(x, y, at, order[last[0][keep]]) - _interp(x, y, at, order[last[1][keep]])
-    first = np.ones(len(run), dtype=bool)
-    first[1:] = run[1:] != run[:-1]
-    return run, at, h, first
+    return run, at, h, np.diff(run, prepend=-1) != 0
 
 
 def _refine_crossings(both, columns):

@@ -1,5 +1,9 @@
+import os
+import re
+import subprocess
 from pathlib import Path
 
+import pytest
 import yaml
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
@@ -15,3 +19,48 @@ def test_workflow_file_loads_and_every_step_runs_something():
         assert job["steps"], name
         for step in job["steps"]:
             assert "run" in step or "uses" in step, (name, step)
+
+
+def _steps():
+    return [step for job in yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
+            for step in job["steps"]]
+
+
+def test_tier1_step_turns_runtime_warnings_into_errors():
+    tier1 = [step["run"] for step in _steps()
+             if "pytest" in step.get("run", "") and "perfbench/tests" not in step["run"]]
+    assert len(tier1) == 1
+    assert "-W error::RuntimeWarning" in tier1[0]
+
+
+def _smoke_steps():
+    steps = [step for step in _steps() if "perfbench/run.py" in step.get("run", "")]
+    assert len(steps) == 2 and sum("--trace 1" in step["run"] for step in steps) == 1
+    return steps
+
+
+ROW = '{"correct": %s, "attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": 0.2}}}'
+
+
+@pytest.mark.parametrize("rows, passes", [
+    ([ROW % "true"] * 3, True),
+    ([ROW % "true", ROW % "false", ROW % "true"], False),
+    ([], False),  # run.py printed no result line
+])
+def test_smoke_steps_fail_unless_every_row_is_correct(rows, passes, tmp_path):
+    # each step runs as GitHub runs a bash step, with the benchmark's output
+    # given in place of its run.py line
+    for step in _smoke_steps():
+        assert step["shell"] == "bash" and step["if"] == "${{ !cancelled() }}"
+        bench, rest = step["run"].split("\n", 1)
+        out = re.fullmatch(r"python3 perfbench/run\.py .*\| tee (\S+)", bench).group(1)
+        (tmp_path / out).write_text("".join(f"# w{i} seed=1: wall_s=0.2 s\n# {{}}\n{row}\n"
+                                            for i, row in enumerate(rows)))
+        summary = tmp_path / "summary.md"
+        summary.write_text("")
+        done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", rest],
+                              cwd=tmp_path, env={**os.environ, "GITHUB_STEP_SUMMARY": str(summary)})
+        assert (done.returncode == 0) == passes, step["name"]
+        # the page shows every result line, and not the details lines
+        shown = summary.read_text()
+        assert all(row in shown for row in rows) and "# {}" not in shown

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -84,6 +85,19 @@ def test_cutting_crossings_csv_matches_golden_bytes(tmp_path, capsys):
     got = csv_path.read_text().replace(f"# scene={scene_path}\n", "# scene=scene.json\n", 1)
     assert got == (DATA / "crossings_golden.csv").read_text()
     assert json.loads(cut_path.read_text()) == json.loads((DATA / "cutting_golden.json").read_text())
+
+
+def test_intersect_csv_rows_are_pinned_on_160_curves(tmp_path):
+    # the sha256 of the rows below the header, recorded with the earlier
+    # chunk-pruned scan: the scan's prune must not move, add or drop a row
+    scene_path = tmp_path / "scene.json"
+    save_scene(gen.random_scene(ACCEPTANCE_KINDS, m=0, n=160, planted=0.0, seed=7), scene_path)
+    out_path = tmp_path / "inter.csv"
+    assert run(["intersect", "--scene", str(scene_path), "--out", str(out_path)]) == 0
+    rows = [l for l in out_path.read_text().splitlines(keepends=True) if not l.startswith("#")]
+    assert rows[0] == "curve_i,curve_j,x,y\n" and len(rows) == 1 + 8687
+    assert hashlib.sha256("".join(rows[1:]).encode()).hexdigest() == (
+        "93fe91376dbbef6b3974554e11eb344b410591b3c226549292cf1b6391240f0b")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

@@ -394,6 +394,18 @@ def test_kind_record_roundtrips_and_inverts(kind):
         assert abs(bx - x) <= 1e-9 and abs(by - y) <= 1e-7
 
 
+def test_circle_inverse_clamps_like_the_scalar_min_max():
+    # the clamp was min(1.0, max(-1.0, u)) per entry, which sends NaN to -1.0
+    rng = np.random.default_rng(24)
+    specials = [math.nan, 0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0)]
+    u = np.concatenate([rng.uniform(-1.2, 1.2, 200_000), specials])
+    want = np.array([math.acos(min(1.0, max(-1.0, v))) for v in u.tolist()])
+    got = pf.curves._circle_t((0.0, 0.0, 1.0), u, np.zeros_like(u))
+    assert got.tobytes() == want.tobytes()
+
+
 # -- curve tables -----------------------------------------------------------------
 
 TRANSFORMED = [pf.apply_linear_transform(pf.circle(0.3, 0.1, 1.1), *rotation_matrix(0.7)),

@@ -274,6 +274,30 @@ def test_dedup_equals_quadratic_oracle(seed, radius):
         assert 1 < len(want) < len(set(points))
 
 
+@pytest.mark.parametrize("radius", [1e-8, 1.25])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dedup_of_all_pairs_equals_dedup_per_pair(seed, radius):
+    rng = np.random.default_rng(seed)
+    n = 64
+    q = rng.integers(3, n - 4, 900)
+    xy = np.where(rng.random((900, 1)) < 0.5, rng.uniform(-4, 4, (900, 2)),
+                  rng.integers(-12, 12, (900, 2)) / 5) * radius
+    # pair 0: a chain, p2 within radius of p1 and p3 within radius of p2 but
+    # not of p1, so p3 stays; pair 1: signed zeros, in the order given; pair
+    # 2: duplicates of one point
+    chain = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]]) * radius
+    zeros = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
+    q = np.concatenate([[0, 0, 0, 1, 1, 1, 1, 2, 2], q])
+    xy = np.concatenate([chain, zeros, [[0.5, 0.5]] * 2, xy])
+    got = pf.intersect._dedup_pairs(q, xy[:, 0], xy[:, 1], n, radius)
+    want = [_dedup([tuple(p) for p in xy[q == i].tolist()], radius) for i in range(n)]
+    assert got == want
+    assert [list(map(repr, p)) for pts in got for p in pts] == \
+        [list(map(repr, p)) for pts in want for p in pts]  # -0.0 stays -0.0
+    assert got[0] == [tuple(chain[0].tolist()), tuple(chain[2].tolist())]
+    assert len(got[2]) == 1 and [] in got  # a pair without points
+
+
 # -- candidate branch pairs ------------------------------------------------------------
 
 ACCEPTANCE_KINDS = ["line", "circle", "parabola", "exp", "log", "reciprocal",
@@ -501,7 +525,7 @@ def test_bad_tolerance_is_rejected(tol):
 def _scan_oracle(exact, p, k1, k2, overlap, tol):
     """The candidates of the live branch pairs of exact's table as the
     per-pair scan found them, every x-overlapping pair on its whole `_grid`:
-    the oracle of the chunk-pruned scan.  Returns the points (grid zeros and
+    the oracle of the bin-pruned scan.  Returns the points (grid zeros and
     meeting ends) per curve pair, and the rows (pair, branch 1, branch 2, a,
     b) of the crossing brackets and (pair, branch 1, branch 2, a, b, grid
     point) of the touches."""
@@ -543,8 +567,16 @@ def _rows(columns):
     return sorted(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
+def _by_pair(found, n):
+    """The points of the columns (pair, x, y) of found, a list per pair."""
+    points = [[] for _ in range(n)]
+    for q, x, y in zip(*(np.concatenate(c).tolist() for c in zip(*found))):
+        points[q].append((x, y))
+    return points
+
+
 def _assert_scan_is_oracle(got, want):
-    assert [sorted(q) for q in got[0]] == [sorted(q) for q in want[0]]
+    assert [sorted(q) for q in _by_pair(got[0], len(want[0]))] == [sorted(q) for q in want[0]]
     assert _rows(got[1]) == sorted(want[1])
     assert _rows(got[2]) == sorted(want[2])
 
@@ -558,13 +590,13 @@ def _checked_pass(monkeypatch, curves, branches, tol):
     the long branch pairs, whose overlaps hold over _LONG samples."""
     scan, seen = pf.intersect._scan, dict.fromkeys(["points", "cross", "touch", "long"], 0)
 
-    def checked(chunks, p, k1, k2, overlap, tol):
-        got = scan(chunks, p, k1, k2, overlap, tol)
-        _assert_scan_is_oracle(got, _scan_oracle(chunks.exact, p, k1, k2, overlap, tol))
-        seen["points"] += sum(map(len, got[0]))
+    def checked(bins, p, k1, k2, overlap, tol):
+        got = scan(bins, p, k1, k2, overlap, tol)
+        _assert_scan_is_oracle(got, _scan_oracle(bins.exact, p, k1, k2, overlap, tol))
+        seen["points"] += sum(len(q) for q, _, _ in got[0])
         seen["cross"] += len(got[1][0])
         seen["touch"] += len(got[2][0])
-        seen["long"] += sum(_overlap_samples(chunks.exact.samples, a, b) > _LONG
+        seen["long"] += sum(_overlap_samples(bins.exact.samples, a, b) > _LONG
                             for a, b in zip(k1[overlap].tolist(), k2[overlap].tolist()))
         return got
 
@@ -597,9 +629,11 @@ def test_scan_equals_oracle_on_dense_traces(monkeypatch):
     assert seen["long"] > 0 and seen["cross"] > 0
 
 
-@pytest.mark.parametrize("chunk, rows", [(1, None), (2, None), (3, None), (None, 5)])
-def test_scan_equals_oracle_in_small_chunks_and_row_groups(chunk, rows, monkeypatch):
-    for name, value in (("_CHUNK", chunk), ("_ROWS", rows)):
+@pytest.mark.parametrize("bins, span, rows", [(1, 1, None), (2, 3, None), (7, 5, None),
+                                              (512, 8, None), (1000, 4, None), (3, 200, None),
+                                              (None, None, 5)])
+def test_scan_equals_oracle_in_few_or_many_bins_and_row_groups(bins, span, rows, monkeypatch):
+    for name, value in (("_BINS", bins), ("_SPAN", span), ("_ROWS", rows)):
         if value is not None:
             monkeypatch.setattr(pf.intersect, name, value)
     for scene in (gen.random_scene(ACCEPTANCE_KINDS, m=0, n=16, planted=0.0, seed=11),
@@ -610,10 +644,75 @@ def test_scan_equals_oracle_in_small_chunks_and_row_groups(chunk, rows, monkeypa
     assert seen["touch"] > 0  # on the mixed scene
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_equals_oracle_on_random_polylines_in_few_bins(seed, monkeypatch):
+    # four short polylines, on abscissas of one grid so that they share
+    # samples, near each other on a handful of bins: kept stretches often
+    # widen across a dropped bin that holds no sample, so that two runs
+    # share grid points, from which no candidate may come twice
+    rng = np.random.default_rng(seed)
+    k1, k2 = np.triu_indices(4, 1)
+    for _ in range(200):
+        monkeypatch.setattr(pf.intersect, "_BINS", int(rng.integers(1, 30)))
+        monkeypatch.setattr(pf.intersect, "_SPAN", int(rng.integers(1, 6)))
+        size = rng.integers(2, 9, 4)
+        xs = np.concatenate([np.sort(rng.choice(np.linspace(0.0, 1.0, 41), n, replace=False))
+                             for n in size])
+        table = SampleTable(xs, rng.uniform(-0.03, 0.03, len(xs)), xs, size, [0, 1, 2, 3])
+        exact = _Exact([pf.line(0.0, 0.0)] * 4, table)
+        x_lo, x_hi = xs[table.start], xs[table.stop - 1]
+        overlap = np.minimum(x_hi[k1], x_hi[k2]) - np.maximum(x_lo[k1], x_lo[k2]) > 1e-12
+        args = (np.arange(len(k1)), k1, k2, overlap, 1e-3)
+        _assert_scan_is_oracle(pf.intersect._scan(pf.intersect._bins(exact), *args),
+                               _scan_oracle(exact, *args))
+
+
+def _mixed_scale_scene(seed):
+    """60 circles of radius 0.005-0.02 within 0.05 of the origin, and 20
+    lines, in a +-100 viewport: most of the pass's samples crowd into 0.1
+    of its 200 in x."""
+    rng = np.random.default_rng(seed)
+    curves = [pf.circle(*rng.uniform(-0.05, 0.05, 2), rng.uniform(0.005, 0.02))
+              for _ in range(60)]
+    curves += [pf.line(*rng.uniform(-1.0, 1.0, 2)) for _ in range(20)]
+    return curves, (-100.0, 100.0, -100.0, 100.0)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_scan_equals_oracle_on_a_mixed_scale_scene(tol, monkeypatch):
+    curves, viewport = _mixed_scale_scene(24)
+    seen = _checked_pass(monkeypatch, curves, _table(curves, viewport), tol)
+    assert seen["cross"] > 100
+
+
+def _transformed(curves, a, b, c, d):
+    return [pf.apply_linear_transform(curve, a, b, c, d) for curve in curves]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e6])
+def test_scan_equals_oracle_on_scaled_scenes(scale, monkeypatch):
+    # the bin edges follow the abscissas on tiny and on huge x-ranges alike
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=16, planted=0.0, seed=11)
+    curves = _transformed(scene.curves, scale, 0.0, 0.0, scale)
+    viewport = tuple(scale * v for v in scene.viewport)
+    for tol in (1e-9 * scale, 1e-3 * scale):
+        seen = _checked_pass(monkeypatch, curves, _table(curves, viewport), tol)
+        assert seen["cross"] > 0
+
+
+def test_scan_equals_oracle_on_nearly_vertical_scenes(monkeypatch):
+    # rotated by pi/2 - 1e-9, lines become nearly vertical: their branches
+    # span a few ulps of x, so their samples share one or two sub-bins
+    scene = gen.random_scene(ACCEPTANCE_KINDS, m=0, n=16, planted=0.0, seed=11)
+    curves = _transformed(scene.curves, *rotation_matrix(math.pi / 2 - 1e-9))
+    seen = _checked_pass(monkeypatch, curves, _table(curves, (-4.0, 4.0, -4.0, 4.0)), 1e-3)
+    assert seen["cross"] > 0
+
+
 def test_scan_keeps_a_touch_that_interpolation_rounds_past_a_chunk():
     # np.interp at x overshoots the segment's top y1 by an ulp, so a flat
     # branch at height c with c - y1 just over the scan threshold still comes
-    # within it at x: its chunks' y-ranges are apart only by rounding
+    # within it at x: its bins' y-ranges are apart only by rounding
     x0, x1, y0, y1 = -2.4975237871192744, 2.736192750117972, -1.1088691936974635, 1.3174741479388086
     x = 2.7361927501179717
     v = float(np.interp(x, [x0, x1], [y0, y1]))
@@ -628,7 +727,26 @@ def test_scan_keeps_a_touch_that_interpolation_rounds_past_a_chunk():
     args = (one, one, one + 1, np.ones(1, dtype=bool), 1e-9)
     want = _scan_oracle(exact, *args)
     assert [row[-1] for row in want[2]] == [x]
-    _assert_scan_is_oracle(pf.intersect._scan(pf.intersect._chunks(exact), *args), want)
+    _assert_scan_is_oracle(pf.intersect._scan(pf.intersect._bins(exact), *args), want)
+
+
+def test_scan_keeps_flat_branches_that_float32_rounding_would_part():
+    # two flat branches a gap just under the touch threshold apart, at
+    # heights that float32 rounds down and up: rounded to nearest, their
+    # ranges would lie apart; rounded outward, every touch is found
+    gap = _TOUCH_SCAN * (1 - 1e-9)
+    a = next(a for a in np.linspace(1.0, 2.0, 1001).tolist()
+             if float(np.float32(a)) < a and float(np.float32(a + gap)) > a + gap)
+    b = a + gap
+    assert not _apart(a, a, b, b, _TOUCH_SCAN)
+    assert _apart(*map(float, np.float32([a, a, b, b])), _TOUCH_SCAN)
+    xs = np.tile(np.linspace(0.0, 1.0, 9), 2)
+    table = SampleTable(xs, np.repeat([a, b], 9), xs, [9, 9], [0, 1])
+    exact, one = _Exact([pf.line(0.0, a), pf.line(0.0, b)], table), np.zeros(1, dtype=int)
+    args = (one, one, one + 1, np.ones(1, dtype=bool), 1e-9)
+    want = _scan_oracle(exact, *args)
+    assert len(want[2]) == 7  # every inner grid point
+    _assert_scan_is_oracle(pf.intersect._scan(pf.intersect._bins(exact), *args), want)
 
 
 def test_interp_equals_numpy_interp():
