@@ -4,17 +4,21 @@ A chain is a list of analytic nodes f1..fr on an open rectangle.  Each node
 declares polynomials gx, gy in (x, y, z1..zi) that are supposed to equal its
 partial derivatives once z1..zi are bound to f1..fi.  Verification compares
 declared polynomials against central differences; it never trusts them.
+
+Each node kind is one `NodeKind` record in `NODE_KINDS`: its value, and its
+params to JSON and back.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import check_region, check_tol
+from .curves import check_region, check_tol, finite_number
 from .errors import DomainViolation, NotUnivariateForm
 from .poly import BivariatePolynomial, MultiPoly, poly1_der, poly1_eval
 
@@ -23,49 +27,61 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
 @dataclass
 class ChainLink:
-    kind: str  # exp-poly | tan-half | cos2-half | reciprocal | poly | integral
+    kind: str  # a key of NODE_KINDS
     params: tuple
     gx: MultiPoly
     gy: MultiPoly
     fd_step: float = 1e-6
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def eval(self, x, y, prev_values, prefix_links):
-        k = self.kind
-        if k == "exp-poly":
-            (coeffs,) = self.params
-            return math.exp(poly1_eval(coeffs, x))
-        if k == "tan-half":
-            return math.tan(x / 2.0)
-        if k == "cos2-half":
-            return math.cos(x / 2.0) ** 2
-        if k == "reciprocal":
-            return 1.0 / x
-        if k == "poly":
-            (p,) = self.params
-            return p(x, y)
-        if k == "integral":
-            from scipy.integrate import quad
-
-            inner, c = self.params
-            key = float(x)
-            if key not in self._cache:
-                def integrand(t):
-                    vals = _eval_prefix(prefix_links, t, 0.0)
-                    return inner(t, 0.0, *vals)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    val, _err = quad(integrand, c, x, **_QUAD_OPTS)
-                self._cache[key] = val
-            return self._cache[key]
-        raise ValueError(f"unknown chain node kind {self.kind!r}")
+    def eval(self, x, y, prefix_links):
+        """The node's value at (x, y); prefix_links are the links before it."""
+        return NODE_KINDS[self.kind].value(self, x, y, prefix_links)
 
 
 def _eval_prefix(links, x, y):
-    values = []
-    for i, link in enumerate(links):
-        values.append(link.eval(x, y, values, links[:i]))
-    return values
+    return [link.eval(x, y, links[:i]) for i, link in enumerate(links)]
+
+
+def _integral(link, x, y, prefix_links):
+    """The node's integral from its start to x, by quadrature on y = 0, memoised per x."""
+    from scipy.integrate import quad
+
+    inner, c = link.params
+    key = float(x)
+    if key not in link._cache:
+        def integrand(t):
+            return inner(t, 0.0, *_eval_prefix(prefix_links, t, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            link._cache[key] = quad(integrand, c, x, **_QUAD_OPTS)[0]
+    return link._cache[key]
+
+
+@dataclass(frozen=True)
+class NodeKind:
+    """One node kind: its value (link, x, y, prefix_links) -> float, and its
+    params to JSON and back; `params` names the JSON keys."""
+
+    value: Callable
+    params: tuple = ()
+    to_json: Callable = lambda p: {}  # params -> JSON params
+    from_json: Callable = lambda d, nv: ()  # (JSON params, variables of gx) -> params
+
+
+NODE_KINDS = {
+    "exp-poly": NodeKind(lambda l, x, y, pre: math.exp(poly1_eval(l.params[0], x)), ("coeffs",),
+                         lambda p: {"coeffs": list(p[0])}, lambda d, nv: (tuple(d["coeffs"]),)),
+    "tan-half": NodeKind(lambda l, x, y, pre: math.tan(x / 2.0)),
+    "cos2-half": NodeKind(lambda l, x, y, pre: math.cos(x / 2.0) ** 2),
+    "reciprocal": NodeKind(lambda l, x, y, pre: 1.0 / x),
+    "poly": NodeKind(lambda l, x, y, pre: l.params[0](x, y), ("poly",),
+                     lambda p: {"poly": p[0].to_json()},
+                     lambda d, nv: (BivariatePolynomial.from_json(d["poly"]),)),
+    "integral": NodeKind(_integral, ("inner", "from"),
+                         lambda p: {"inner": p[0].to_json(), "from": p[1]},
+                         lambda d, nv: (MultiPoly.from_json(nv - 1, d["inner"]), float(d["from"]))),
+}
 
 
 @dataclass
@@ -158,10 +174,10 @@ def verify_chain(chain, samples=1000, tol=1e-6, region=None, seed=0):
             prefix = chain.links[:i]
             vals_here = _eval_prefix(chain.links[: i + 1], x, y)
             args = (x, y, *vals_here)
-            fxp = link.eval(x + h, y, None, prefix)
-            fxm = link.eval(x - h, y, None, prefix)
-            fyp = link.eval(x, y + h, None, prefix)
-            fym = link.eval(x, y - h, None, prefix)
+            fxp = link.eval(x + h, y, prefix)
+            fxm = link.eval(x - h, y, prefix)
+            fyp = link.eval(x, y + h, prefix)
+            fym = link.eval(x, y - h, prefix)
             dndx = (fxp - fxm) / (2 * h)
             dndy = (fyp - fym) / (2 * h)
             ex = abs(dndx - link.gx(*args)) / max(1.0, abs(dndx))
@@ -286,42 +302,28 @@ def extend_with_integral(pf, c):
 
 
 def chain_to_json(chain):
-    links = []
-    for link in chain.links:
-        entry = {
-            "node_kind": link.kind,
-            "gx": link.gx.to_json(),
-            "gy": link.gy.to_json(),
-            "fd_step": link.fd_step,
-        }
-        if link.kind == "exp-poly":
-            entry["params"] = {"coeffs": list(link.params[0])}
-        elif link.kind == "poly":
-            entry["params"] = {"poly": link.params[0].to_json()}
-        elif link.kind == "integral":
-            inner, c = link.params
-            entry["params"] = {"inner": inner.to_json(), "from": c}
-        else:
-            entry["params"] = {}
-        links.append(entry)
+    links = [{"node_kind": l.kind, "gx": l.gx.to_json(), "gy": l.gy.to_json(),
+              "fd_step": l.fd_step, "params": NODE_KINDS[l.kind].to_json(l.params)}
+             for l in chain.links]
     return {"links": links, "region": list(chain.region)}
 
 
 def chain_from_json(data):
+    """The chain of a chain JSON; ValueError on an unknown node kind, params
+    whose names differ from the kind's, or an fd_step that is not a positive
+    finite number."""
     links = []
     for i, entry in enumerate(data["links"]):
+        kind, params, h = entry["node_kind"], entry.get("params", {}), entry.get("fd_step", 1e-6)
+        spec = NODE_KINDS.get(kind)
+        if spec is None:
+            raise ValueError(f"link {i + 1} has unknown node kind {kind!r}")
+        if set(params) != set(spec.params):
+            raise ValueError(f"link {i + 1}: {kind} node takes params {list(spec.params)}, "
+                             f"got {sorted(params)}")
+        if not (finite_number(h) and h > 0):
+            raise ValueError(f"link {i + 1} fd_step must be a positive finite number, got {h!r}")
         nv = i + 3
-        kind = entry["node_kind"]
-        params = entry.get("params", {})
-        gx = MultiPoly.from_json(nv, entry["gx"])
-        gy = MultiPoly.from_json(nv, entry["gy"])
-        if kind == "exp-poly":
-            p = (tuple(params["coeffs"]),)
-        elif kind == "poly":
-            p = (BivariatePolynomial.from_json(params["poly"]),)
-        elif kind == "integral":
-            p = (MultiPoly.from_json(nv - 1, params["inner"]), float(params["from"]))
-        else:
-            p = ()
-        links.append(ChainLink(kind, p, gx, gy, entry.get("fd_step", 1e-6)))
+        gx, gy = (MultiPoly.from_json(nv, entry[g]) for g in ("gx", "gy"))
+        links.append(ChainLink(kind, spec.from_json(params, nv), gx, gy, h))
     return PfaffianChain(links, tuple(data["region"]))

@@ -55,19 +55,20 @@ def _write(path, text):
             fh.write(text)
 
 
+_FAMILIES = {  # generate --family: (args, seed) -> scene
+    "grid": lambda args, seed: gen.grid_lines(args.a, args.b),
+    "grid-exp": lambda args, seed: gen.exp_transform(gen.grid_lines(args.a, args.b)),
+    "circles": lambda args, seed: gen.unit_circles(args.m, args.n, seed, args.planted),
+    "random": lambda args, seed: gen.random_scene(
+        args.kinds.split(",") if args.kinds else ["line", "circle", "parabola", "exp"],
+        args.m, args.n, args.planted, seed),
+}
+_BOUNDS = {"kst": inc.bound_kst, "pach-sharir": inc.bound_pach_sharir,
+           "pfaffian": inc.bound_pfaffian_curves}  # verify-bound --theorem: (m, n, s) -> bound
+
+
 def cmd_generate(args):
-    seed = _default_seed(args.seed)
-    if args.family == "grid":
-        scene = gen.grid_lines(args.a, args.b)
-    elif args.family == "grid-exp":
-        scene = gen.exp_transform(gen.grid_lines(args.a, args.b))
-    elif args.family == "circles":
-        scene = gen.unit_circles(args.m, args.n, seed, args.planted)
-    elif args.family == "random":
-        kinds = args.kinds.split(",") if args.kinds else ["line", "circle", "parabola", "exp"]
-        scene = gen.random_scene(kinds, args.m, args.n, args.planted, seed)
-    else:
-        raise PfaffincError(f"unknown family {args.family!r}")
+    scene = _FAMILIES[args.family](args, _default_seed(args.seed))
     save_scene(scene, args.out)
     print(f"wrote {args.out} (m={scene.m}, n={scene.n})")
     return EXIT_OK
@@ -129,12 +130,7 @@ def cmd_verify_bound(args):
     graph = inc.count_incidences(scene.points, scene.curves, scene.traces(), args.tol)
     count = graph.count()
     m, n = scene.m, scene.n
-    if args.theorem == "kst":
-        base = inc.bound_kst(m, n, args.s)
-    elif args.theorem == "pach-sharir":
-        base = inc.bound_pach_sharir(m, n, args.s)
-    else:
-        base = inc.bound_pfaffian_curves(m, n, args.s)
+    base = _BOUNDS[args.theorem](m, n, args.s)
     c_fit = count / base if base > 0 else 0.0
     c_used = args.c_fit if args.c_fit is not None else c_fit
     passed = count <= c_used * base + 1e-9
@@ -217,8 +213,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a scene JSON")
-    g.add_argument("--family", required=True,
-                   choices=["grid", "grid-exp", "circles", "random"])
+    g.add_argument("--family", required=True, choices=list(_FAMILIES))
     g.add_argument("--a", type=int, default=4)
     g.add_argument("--b", type=int, default=4)
     g.add_argument("--m", type=int, default=100)
@@ -255,8 +250,7 @@ def build_parser():
     v.add_argument("--scene", required=True)
     v.add_argument("--s", type=int, default=2)
     v.add_argument("--t", type=int, default=2)
-    v.add_argument("--theorem", default="pfaffian",
-                   choices=["kst", "pach-sharir", "pfaffian"])
+    v.add_argument("--theorem", default="pfaffian", choices=list(_BOUNDS))
     v.add_argument("--c-fit", type=float, default=None)
     v.add_argument("--tol", type=float, default=1e-7)
     v.add_argument("--out", default="-")

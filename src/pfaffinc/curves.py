@@ -626,9 +626,7 @@ class KindSpec:
     x_inverse: Callable = _t_is_x  # (params, xs, hints) -> ts with x(t) = x, on arrays
     window: Callable = _x_window  # (params, x0, x1, y0, y1) -> parameter bounds
     period: float | None = None
-    # composable graphs y = f(x), whose derivative is a polynomial q in f
-    value: Callable | None = None  # (params, u) -> f(u)
-    value_derivative: Callable | None = None  # params -> q(y)
+    composable: bool = False  # a graph y = f(x) with f' in field.vy a polynomial in y only
     compose: Callable | None = None  # (params, coeffs, label) -> f(p(x)) as a catalog kind
 
 
@@ -647,18 +645,14 @@ KINDS = {
                                                      scale=p[0], label=label)),
     "log": KindSpec(("s", "c"), log_curve, lambda p, t: (np.exp(t), p[0] * t + p[1]),
                     x_inverse=_t_is_log_x, window=_log_window),
-    "tan": KindSpec(
-        ("branch",), tan_curve, lambda p, t: (t, np.tan(t)),
-        value=lambda p, u: np.tan(u),
-        value_derivative=lambda p: BivariatePolynomial({(0, 0): 1.0, (0, 2): 1.0})),
+    "tan": KindSpec(("branch",), tan_curve, lambda p, t: (t, np.tan(t)), composable=True),
     "arctan": KindSpec(
         (), arctan_curve, lambda p, t: (np.tan(t), t),
         x_inverse=lambda p, x, hint: _by_math(math.atan, x),
         window=lambda p, x0, x1, y0, y1: (math.atan(x0), math.atan(x1))),
     "reciprocal": KindSpec(
         ("a", "branch"), reciprocal_curve, lambda p, t: (t, p[0] / t),
-        window=_reciprocal_window, value=lambda p, u: p[0] / u,
-        value_derivative=lambda p: BivariatePolynomial({(0, 2): -1.0 / p[0]})),
+        window=_reciprocal_window, composable=True),
     "exp-of-poly": KindSpec(("coeffs", "scale"), exp_of_poly,
                             lambda p, t: (t, p[1] * np.exp(poly1_eval(p[0], t)))),
     "reciprocal-root": KindSpec(("k",), reciprocal_root,
@@ -666,7 +660,7 @@ KINDS = {
                                 x_inverse=_t_is_log_x, window=_reciprocal_root_window),
     "composed": KindSpec(
         ("base_kind", "base_params", "coeffs"), composed,
-        lambda p, t: (t, KINDS[p[0]].value(p[1], poly1_eval(p[2], t)))),
+        lambda p, t: (t, KINDS[p[0]].point(p[1], poly1_eval(p[2], t))[1])),
 }
 
 
@@ -682,11 +676,10 @@ def compose_with_polynomial(curve, coeffs, label=""):
     spec = KINDS[curve.kind]
     if spec.compose is not None:
         return spec.compose(curve.params, coeffs, label or curve.label)
-    if spec.value_derivative is None:
+    if not spec.composable:
         raise NotComposable(f"{curve.kind} has no polynomial derivative in its value")
-    q = spec.value_derivative(curve.params)
     dp = poly1_der(coeffs)
-    vy = q * BivariatePolynomial({(k, 0): c for k, c in enumerate(dp)})
+    vy = curve.field.vy * BivariatePolynomial({(k, 0): c for k, c in enumerate(dp)})
     field = PolyVectorField(BivariatePolynomial.const(1.0), vy)
     domain = _composed_domain(curve, coeffs)
     params = (curve.kind, curve.params, coeffs)

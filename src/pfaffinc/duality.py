@@ -5,15 +5,19 @@ is a unit coefficient vector a with zero set a.m(x,y) = 0.  The curve maps
 to the point a in R^d, a plane point p maps to the hyperplane through the
 origin with normal (m_1(p)..m_d(p)), and incidence survives both the map
 and the central projection onto the slice z_1 = 1.
+
+Each term kind is one `TermKind` record in `TERM_KINDS`: its JSON keys,
+the factory that checks them, and its evaluation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_region, check_tol, refine_roots
+from .curves import check_region, check_tol, finite_number, refine_roots
 from .errors import ChainMismatch, DegenerateDual, DuplicateCurve, RotationFailed
 from .incidence import IncidenceGraph
 from .poly import poly1_eval
@@ -21,38 +25,25 @@ from .poly import poly1_eval
 
 @dataclass(frozen=True)
 class Term:
-    kind: str  # monomial | exp-poly | log-x
+    kind: str  # a key of TERM_KINDS
     params: tuple
 
     def eval(self, x, y):
-        if self.kind == "monomial":
-            i, j = self.params
-            out = np.ones_like(np.asarray(x, dtype=float))
-            if i:
-                out = out * np.power(x, i)
-            if j:
-                out = out * np.power(y, j)
-            return out
-        if self.kind == "exp-poly":
-            (coeffs,) = self.params
-            return np.exp(poly1_eval(coeffs, x))
-        if self.kind == "log-x":
-            return np.log(x)
-        raise ValueError(f"unknown term kind {self.kind!r}")
+        return TERM_KINDS[self.kind].value(self.params, x, y)
 
     def to_dict(self):
-        if self.kind == "monomial":
-            return {"kind": "monomial", "i": self.params[0], "j": self.params[1]}
-        if self.kind == "exp-poly":
-            return {"kind": "exp-poly", "coeffs": list(self.params[0])}
-        return {"kind": "log-x"}
+        return {"kind": self.kind, **dict(zip(TERM_KINDS[self.kind].params, self.params))}
 
 
 def monomial(i, j):
+    if not all(finite_number(v) and v == int(v) and v >= 0 for v in (i, j)):
+        raise ValueError(f"monomial i and j must be nonnegative integers, got {i!r}, {j!r}")
     return Term("monomial", (int(i), int(j)))
 
 
 def exp_term(coeffs):
+    if not (isinstance(coeffs, (list, tuple, np.ndarray)) and all(map(finite_number, coeffs))):
+        raise ValueError(f"exp-poly coeffs must be a list of finite numbers, got {coeffs!r}")
     return Term("exp-poly", (tuple(float(c) for c in coeffs),))
 
 
@@ -60,14 +51,33 @@ def log_term():
     return Term("log-x", ())
 
 
+@dataclass(frozen=True)
+class TermKind:
+    """One term kind: `params` names the entries of `Term.params`, which are
+    the JSON keys of a saved term and the arguments of `factory`."""
+
+    params: tuple
+    factory: Callable
+    value: Callable  # (params, x, y) -> term values, on arrays
+    positive_x: bool = False  # defined only for x > 0
+
+
+TERM_KINDS = {
+    "monomial": TermKind(("i", "j"), monomial,
+                         lambda p, x, y: np.power(x, p[0]) * np.power(y, p[1])),
+    "exp-poly": TermKind(("coeffs",), exp_term, lambda p, x, y: np.exp(poly1_eval(p[0], x))),
+    "log-x": TermKind((), log_term, lambda p, x, y: np.log(x), positive_x=True),
+}
+
+
 def term_from_dict(d):
-    if d["kind"] == "monomial":
-        return monomial(d["i"], d["j"])
-    if d["kind"] == "exp-poly":
-        return exp_term(d["coeffs"])
-    if d["kind"] == "log-x":
-        return log_term()
-    raise ValueError(f"unknown term kind {d['kind']!r}")
+    spec = TERM_KINDS.get(d.get("kind")) if isinstance(d, dict) else None
+    if spec is None:
+        raise ValueError(f"a term is an object with a known kind, got {d!r}")
+    params = {k: v for k, v in d.items() if k != "kind"}
+    if set(params) != set(spec.params):
+        raise ValueError(f"{d['kind']} term takes params {list(spec.params)}, got {sorted(params)}")
+    return spec.factory(**params)
 
 
 @dataclass
@@ -79,7 +89,7 @@ class PfaffianFamily:
         if len(self.terms) < 2:
             raise ValueError("a family needs dimension d >= 2")
         check_region(self.region, "family region")
-        if any(t.kind == "log-x" for t in self.terms) and self.region[0] <= 0:
+        if any(TERM_KINDS[t.kind].positive_x for t in self.terms) and self.region[0] <= 0:
             raise ValueError("log terms need a region with x > 0")
 
     @property
@@ -97,6 +107,8 @@ class PfaffianFamily:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data["terms"], list):
+            raise ValueError(f"family terms must be a list, got {data['terms']!r}")
         return cls([term_from_dict(t) for t in data["terms"]], tuple(data["region"]))
 
 

@@ -177,18 +177,18 @@ def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
 # -- term-family scenes -------------------------------------------------------
 
 
+_FAMILY_TERMS = {  # (d, variant) -> the terms of the family
+    (3, 0): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1)),
+    (3, 1): (du.monomial(0, 0), du.monomial(1, 0), du.exp_term((0.0, 1.0))),
+    (4, 0): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(1, 1)),
+    (4, 1): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(2, 0)),
+}
+
+
 def _family_for(d, variant, region=(-2.0, 2.0, -2.0, 2.0)):
-    if d == 3 and variant == 0:
-        terms = [du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1)]
-    elif d == 3 and variant == 1:
-        terms = [du.monomial(0, 0), du.monomial(1, 0), du.exp_term((0.0, 1.0))]
-    elif d == 4 and variant == 0:
-        terms = [du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(1, 1)]
-    elif d == 4 and variant == 1:
-        terms = [du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(2, 0)]
-    else:
+    if (d, variant) not in _FAMILY_TERMS:
         raise ValueError(f"no family variant {variant} in dimension {d}")
-    return du.PfaffianFamily(terms, region)
+    return du.PfaffianFamily(list(_FAMILY_TERMS[d, variant]), region)
 
 
 def duality_scene(d, m, n, seed=0, variant=0, max_rolls=50):

@@ -25,7 +25,6 @@ class Scene:
     viewport: tuple  # (x0, x1, y0, y1)
     seed: int = 0
     meta: dict = field(default_factory=dict)
-    _traces: list = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -36,10 +35,8 @@ class Scene:
         return len(self.curves)
 
     def traces(self):
-        """Traces for all curves, cached on the first call."""
-        if self._traces is None:
-            self._traces = [self.trace(i) for i in range(self.n)]
-        return self._traces
+        """Traces for all curves, made anew on each call."""
+        return [self.trace(i) for i in range(self.n)]
 
     def trace(self, i):
         """Trace of curve i, not cached; an EmptyTrace names the curve."""

@@ -159,7 +159,7 @@ def test_criterion_5_chain_verification():
     ext = ch.extend_with_integral(ch.function_exp_graph(), 0.0)
     link = ext.chain.links[-1]
     prefix = ext.chain.links[:-1]
-    worst = max(abs(link.eval(x, 0.0, None, prefix) - (math.exp(x) - 1.0))
+    worst = max(abs(link.eval(x, 0.0, prefix) - (math.exp(x) - 1.0))
                 for x in np.linspace(-1.9, 1.9, 41))
     assert worst <= 1e-8
     print(f"PASS criterion 5: order/degree (1, (2, 6)); cos chain and "

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -66,7 +67,7 @@ def test_integral_of_exp_matches_closed_form():
     ext = ch.extend_with_integral(ch.function_exp_graph(), 0.0)
     link = ext.chain.links[-1]
     for x in (-1.5, -0.3, 0.4, 1.7):
-        got = link.eval(x, 0.0, None, ext.chain.links[:-1])
+        got = link.eval(x, 0.0, ext.chain.links[:-1])
         assert abs(got - (math.exp(x) - 1.0)) <= 1e-8
     rep = ch.verify_chain(ext.chain, samples=60, tol=1e-6)
     assert rep.passed
@@ -77,7 +78,7 @@ def test_integral_of_constant_is_linear_and_raises_order():
     ext = ch.extend_with_integral(base, 0.0)
     assert ch.order_and_degree(ext)[0] == ch.order_and_degree(base)[0] + 1
     link = ext.chain.links[-1]
-    assert abs(link.eval(1.25, 0.0, None, []) - 1.25) <= 1e-12
+    assert abs(link.eval(1.25, 0.0, []) - 1.25) <= 1e-12
     assert abs(ext.eval(0.5, 0.5)) <= 1e-12  # y - x vanishes on y = x
 
 
@@ -98,8 +99,8 @@ def test_new_link_is_independent_of_y():
     prefix = ext.chain.links[:-1]
     h = 1e-4
     for x in (-1.0, 0.3, 1.1):
-        up = link.eval(x, h, None, prefix)
-        dn = link.eval(x, -h, None, prefix)
+        up = link.eval(x, h, prefix)
+        dn = link.eval(x, -h, prefix)
         assert abs(up - dn) / (2 * h) <= 1e-10
 
 
@@ -135,4 +136,33 @@ def test_integral_chain_json_roundtrip():
     ext = ch.extend_with_integral(ch.function_exp_graph(), 0.0)
     back = ch.chain_from_json(ch.chain_to_json(ext.chain))
     link = back.links[-1]
-    assert abs(link.eval(1.0, 0.0, None, back.links[:-1]) - (math.e - 1)) <= 1e-8
+    assert abs(link.eval(1.0, 0.0, back.links[:-1]) - (math.e - 1)) <= 1e-8
+
+
+# -- the node table -------------------------------------------------------------
+
+NODE_EXAMPLES = {  # JSON params of a first link, whose gx has 3 variables
+    "exp-poly": {"coeffs": [0.25, -1.0, 0.5]},
+    "tan-half": {},
+    "cos2-half": {},
+    "reciprocal": {},
+    "poly": {"poly": BivariatePolynomial({(2, 1): 1.5, (0, 0): -0.25}).to_json()},
+    "integral": {"inner": MultiPoly(2, {(1, 0): 2.0, (0, 0): 0.5}).to_json(), "from": 0.3},
+}
+
+
+def test_every_node_kind_has_an_example():
+    assert set(NODE_EXAMPLES) == set(ch.NODE_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_EXAMPLES))
+def test_node_kind_roundtrips_through_json_bit_for_bit(kind):
+    entry = {"node_kind": kind, "gx": {}, "gy": {}, "fd_step": 1e-5,
+             "params": NODE_EXAMPLES[kind]}
+    chain = ch.chain_from_json({"links": [entry], "region": [0.2, 1.5, -1.0, 1.0]})
+    saved = json.loads(json.dumps(ch.chain_to_json(chain)))
+    assert saved["links"] == [entry]
+    back = ch.chain_from_json(saved)
+    for x, y in ((0.25, -0.5), (0.7, 0.0), (1.4, 0.9)):
+        assert back.eval_links(x, y) == chain.eval_links(x, y)
+

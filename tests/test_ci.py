@@ -64,3 +64,19 @@ def test_smoke_steps_fail_unless_every_row_is_correct(rows, passes, tmp_path):
         # the page shows every result line, and not the details lines
         shown = summary.read_text()
         assert all(row in shown for row in rows) and "# {}" not in shown
+
+
+def test_line_count_step_lists_every_module(tmp_path):
+    # the step runs from the repository root, as GitHub runs it, and its
+    # summary holds a line per module and the total
+    step, = [step for step in _steps() if step.get("name") == "source line count"]
+    assert step["shell"] == "bash" and step["if"] == "${{ !cancelled() }}"
+    summary = tmp_path / "summary.md"
+    done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step["run"]],
+                          cwd=WORKFLOW.parent.parent.parent,
+                          env={**os.environ, "GITHUB_STEP_SUMMARY": str(summary)})
+    assert done.returncode == 0
+    shown = summary.read_text()
+    modules = sorted((WORKFLOW.parent.parent.parent / "src" / "pfaffinc").glob("*.py"))
+    assert modules and all(f"src/pfaffinc/{m.name}\n" in shown for m in modules)
+    assert re.search(r"^    +\d+ total$", shown, re.M)

@@ -401,3 +401,58 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     run(["generate", "--family", "circles", "--m", "6", "--n", "4",
          "--out", str(p2)])
     assert p1.read_bytes() != p2.read_bytes()
+
+
+@pytest.mark.parametrize("term", [
+    {"kind": "monomial", "i": 1.5, "j": 0},  # was cut to x and passed
+    {"kind": "monomial", "i": -1, "j": 0},
+    {"kind": "monomial", "i": True, "j": 0},
+    {"kind": "monomial", "i": 1},
+    {"kind": "exp-poly", "coeffs": [math.nan]},
+    {"kind": "monomial", "i": 1, "j": 0, "k": 2},
+    {"kind": "sin"},
+    1,  # not an object
+    "no list",  # the terms are not a list
+], ids=str)
+def test_duality_rejects_bad_terms_at_load(term, tmp_path, capsys):
+    path = _duality_family(tmp_path)
+    payload = json.loads(path.read_text())
+    if term == "no list":
+        payload["family"]["terms"] = 5
+    else:
+        payload["family"]["terms"][1] = term
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert run(["duality", "--family", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "PASS" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("link, bad", [
+    ({"fd_step": 0}, "fd_step"), ({"fd_step": math.nan}, "fd_step"),
+    ({"fd_step": "abc"}, "fd_step"), ({"fd_step": -1e-6}, "fd_step"),
+    ({"fd_step": True}, "fd_step"), ({"node_kind": "sin-half"}, "unknown node kind 'sin-half'"),
+    ({"params": {"junk": 1}}, "tan-half node takes params [], got ['junk']"),
+    ({"node_kind": "exp-poly", "params": {"coefs": [0.0, 1.0]}},
+     "exp-poly node takes params ['coeffs'], got ['coefs']"),
+], ids=str)
+def test_chains_rejects_bad_links_at_load(link, bad, tmp_path, capsys):
+    path = _chain_file(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["links"][0].update(link)
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert run(["chains", "--chain", str(path), "--samples", "20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: link 1") and bad in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
+def test_choices_are_the_dispatch_tables_keys():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    choices = {(name, a.dest): a.choices for name, sub in commands.items()
+               for a in sub._actions if a.choices is not None}
+    assert choices[("generate", "family")] == list(cli._FAMILIES)
+    assert choices[("verify-bound", "theorem")] == list(cli._BOUNDS)

@@ -16,6 +16,7 @@ from pfaffinc import generators as gen
 from pfaffinc.curves import (CurveTable, KINDS, max_tangent_error, refine_roots, rotation_matrix,
                              trace_table)
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
+from pfaffinc.poly import BivariatePolynomial, poly1_der, poly1_eval
 from pfaffinc.scene import Scene, rotate_scene, scene_from_dict, scene_to_dict, scene_to_json
 
 VP = (-2.0, 2.0, -2.0, 2.0)
@@ -542,3 +543,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("base, q", [
+    (pf.tan_curve(1), {(0, 0): 1.0, (0, 2): 1.0}),  # tan' = 1 + tan^2
+    (pf.reciprocal_curve(-2.5, -1), {(0, 2): -1.0 / -2.5}),  # (a/x)' = -(a/x)^2 / a
+], ids=["tan", "reciprocal"])
+def test_composed_field_is_the_chain_rule_in_the_value(base, q):
+    # the base curve's own vy is its derivative as a polynomial in its value
+    coeffs = (0.3, -1.2, 0.7)
+    out = pf.compose_with_polynomial(base, coeffs)
+    dp = poly1_der(coeffs)
+    want = BivariatePolynomial(q) * BivariatePolynomial({(k, 0): c for k, c in enumerate(dp)})
+    assert list(out.field.vy.terms.items()) == list(want.terms.items())
+    assert list(out.field.vx.terms.items()) == [((0, 0), 1.0)]
+    ts = np.linspace(-0.4, 0.4, 41)
+    u = poly1_eval(coeffs, ts)
+    value = np.tan(u) if base.kind == "tan" else base.params[0] / u
+    assert out.point_at(ts)[1].tobytes() == value.tobytes()
+
+
+def test_only_tan_and_reciprocal_compose_by_the_chain_rule():
+    assert [k for k, spec in KINDS.items() if spec.composable] == ["tan", "reciprocal"]

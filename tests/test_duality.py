@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -364,3 +365,49 @@ def test_planted_point_lands_on_trace():
     d = np.min(np.hypot(segs[:, :, 0] - p[0], segs[:, :, 1] - p[1]))
     assert d <= 0.05
     assert du.primal_residual(family, curves[0], p) <= 1e-12
+
+
+# -- the term table -------------------------------------------------------------
+
+TERM_EXAMPLES = {
+    "monomial": {"kind": "monomial", "i": 2, "j": 3},
+    "exp-poly": {"kind": "exp-poly", "coeffs": [0.1, -1.3, 0.7]},
+    "log-x": {"kind": "log-x"},
+}
+
+
+def test_every_term_kind_has_an_example():
+    assert set(TERM_EXAMPLES) == set(du.TERM_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(TERM_EXAMPLES))
+def test_term_kind_roundtrips_through_json_bit_for_bit(kind):
+    term = du.term_from_dict(TERM_EXAMPLES[kind])
+    saved = json.loads(json.dumps(term.to_dict()))
+    assert saved == TERM_EXAMPLES[kind]
+    back = du.term_from_dict(saved)
+    assert back == term
+    x, y = np.meshgrid(np.linspace(0.1, 2.0, 7), np.linspace(-2.0, 2.0, 5))
+    assert back.eval(x, y).tobytes() == term.eval(x, y).tobytes()
+
+
+def test_monomial_equals_the_product_of_its_powers():
+    # x^i y^j, with a zero exponent's factor left out, on signed and zero
+    # coordinates
+    x, y = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 1.5, 7))
+    for i in range(3):
+        for j in range(3):
+            want = np.ones_like(x)
+            want = want * np.power(x, i) if i else want
+            want = want * np.power(y, j) if j else want
+            assert du.monomial(i, j).eval(x, y).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: du.monomial(1.5, 0), lambda: du.monomial(0, -1), lambda: du.monomial(True, 0),
+    lambda: du.monomial("1", 0), lambda: du.monomial(math.inf, 0),
+    lambda: du.exp_term([0.0, math.nan]), lambda: du.exp_term(["a"]), lambda: du.exp_term(1.0),
+], ids=["fractional", "negative", "bool", "string", "inf", "nan-coef", "string-coef", "scalar"])
+def test_term_factories_reject_bad_params(make):
+    with pytest.raises(ValueError):
+        make()

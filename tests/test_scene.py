@@ -187,3 +187,13 @@ def test_prerotation_moves_vertical_curve():
         tr = pf.trace_curve(c, out.viewport, samples=128)
         for xs, _, _ in tr.pieces():
             assert xs.max() - xs.min() >= 1e-9
+
+
+def test_traces_leave_the_scene_unchanged():
+    # no trace is kept on the scene, so it stays as constructed
+    scene = gen.grid_lines(2, 2)
+    fields = dict(vars(scene))
+    first, second = scene.traces(), scene.traces()
+    assert first is not second and len(first) == scene.n
+    assert vars(scene).keys() == fields.keys()
+    assert all(vars(scene)[k] is v for k, v in fields.items())
