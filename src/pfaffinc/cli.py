@@ -40,7 +40,7 @@ def _default_seed(value):
     return int(env) if env else 0
 
 
-def _header(args, **extra):
+def _header(**extra):
     fields = {"format_version": 1, "version": __version__}
     fields.update(extra)
     lines = [f"# {k}={v}" for k, v in fields.items()]
@@ -77,7 +77,7 @@ def cmd_generate(args):
 def cmd_count(args):
     scene = load_scene(args.scene)
     graph = inc.count_incidences(scene.points, scene.curves, scene.traces(), args.tol)
-    text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
+    text = _header(seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "m,n,I\n"
     text += f"{scene.m},{scene.n},{graph.count()}\n"
     _write(args.out, text)
@@ -95,7 +95,7 @@ def cmd_intersect(args):
         del traces
     branches = SampleTable.concat(tables, first)
     del tables  # the joined table holds copies of the blocks' columns
-    text = _header(args, seed=scene.seed, scene=args.scene, tol=args.tol)
+    text = _header(seed=scene.seed, scene=args.scene, tol=args.tol)
     text += "curve_i,curve_j,x,y\n"
     rows = (f"{i},{j},{x!r},{y!r}\n"
             for i, j, pts in ix.pair_intersections(curves, branches, args.tol) for x, y in pts)
@@ -113,8 +113,7 @@ def cmd_cutting(args):
                            seed=seed, max_retries=args.max_retries)
     payload = cut.to_dict()
     _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    csv = _header(args, seed=seed, scene=args.scene, r=args.r,
-                  s=cut.s, retries_used=cut.retries_used)
+    csv = _header(seed=seed, scene=args.scene, r=args.r, s=cut.s, retries_used=cut.retries_used)
     csv += "cell,crossings\n"
     csv += "".join(f"{i},{k}\n" for i, k in enumerate(np.diff(cut._conflict_off()).tolist()))
     _write(args.crossings_out, csv)
@@ -135,7 +134,7 @@ def cmd_verify_bound(args):
     c_used = args.c_fit if args.c_fit is not None else c_fit
     passed = count <= c_used * base + 1e-9
     r_opt, regime = inc.optimal_r(m, n, args.s)
-    text = _header(args, seed=scene.seed, scene=args.scene, theorem=args.theorem)
+    text = _header(seed=scene.seed, scene=args.scene, theorem=args.theorem)
     text += "m,n,s,t,I,bound,C_fit,regime\n"
     text += (f"{m},{n},{args.s},{args.t},{count},{c_used * base!r},"
              f"{c_fit!r},{regime or 'interior'}\n")
@@ -155,7 +154,7 @@ def cmd_sweep(args):
         scene = gen.grid_lines(g, g)
         graph = inc.count_incidences(scene.points, scene.curves, scene.traces(), args.tol)
         rows.append((nominal, g, scene.m, scene.n, graph.count()))
-    text = _header(args, sizes=args.sizes)
+    text = _header(sizes=args.sizes)
     text += "nominal,a,m,n,I\n"
     text += "".join(",".join(str(v) for v in row) + "\n" for row in rows)
     slope = None
@@ -184,7 +183,7 @@ def cmd_duality(args):
     except PfaffincError as err:
         print(f"FAIL: {err}")
         return EXIT_VERIFICATION
-    text = _header(args, seed=seed, family=args.family, tol=args.tol)
+    text = _header(seed=seed, family=args.family, tol=args.tol)
     text += "primal,dual,projected,transpose_ok\n"
     text += f"{counts[0]},{counts[1]},{counts[2]},{ok}\n"
     _write(args.out, text)
@@ -197,7 +196,7 @@ def cmd_chains(args):
         data = json.load(fh)
     chain = ch.chain_from_json(data)
     report = ch.verify_chain(chain, samples=args.samples, tol=args.tol, seed=_default_seed(args.seed))
-    text = _header(args, chain=args.chain, samples=args.samples, tol=args.tol)
+    text = _header(chain=args.chain, samples=args.samples, tol=args.tol)
     text += "link,kind,max_error_x,max_error_y\n"
     text += "".join(f"{i + 1},{c.kind},{float(c.max_error_x)!r},{float(c.max_error_y)!r}\n"
                     for i, c in enumerate(report.checks))

@@ -628,36 +628,51 @@ class KindSpec:
     period: float | None = None
     composable: bool = False  # a graph y = f(x) with f' in field.vy a polynomial in y only
     compose: Callable | None = None  # (params, coeffs, label) -> f(p(x)) as a catalog kind
+    draw: Callable | None = None  # rng -> params of a random curve, for `random_scene`
 
 
 KINDS = {
-    "line": KindSpec(("a", "b"), line, lambda p, t: (t, p[0] * t + p[1])),
+    "line": KindSpec(("a", "b"), line, lambda p, t: (t, p[0] * t + p[1]),
+                     draw=lambda rng: (rng.uniform(-2, 2), rng.uniform(-3, 3))),
     "circle": KindSpec(
         ("cx", "cy", "r"), circle,
         lambda p, t: (p[0] + p[2] * np.cos(t), p[1] + p[2] * np.sin(t)),
         x_inverse=_circle_t, window=lambda p, x0, x1, y0, y1: (0.0, TWO_PI),
-        period=TWO_PI),
+        period=TWO_PI,
+        draw=lambda rng: (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 2.5))),
     "parabola": KindSpec(("a", "b", "c"), parabola,
-                         lambda p, t: (t, (p[0] * t + p[1]) * t + p[2])),
+                         lambda p, t: (t, (p[0] * t + p[1]) * t + p[2]),
+                         draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.2, 1.5),
+                                           rng.uniform(-1.5, 1.5), rng.uniform(-3, 3))),
     "exp": KindSpec(
         ("a", "b"), exp_curve, lambda p, t: (t, p[0] * np.exp(p[1] * t)),
         compose=lambda p, coeffs, label: exp_of_poly(tuple(p[1] * c for c in coeffs),
-                                                     scale=p[0], label=label)),
+                                                     scale=p[0], label=label),
+        draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 2.0),
+                          rng.choice([-1, 1]) * rng.uniform(0.3, 1.5))),
     "log": KindSpec(("s", "c"), log_curve, lambda p, t: (np.exp(t), p[0] * t + p[1]),
-                    x_inverse=_t_is_log_x, window=_log_window),
-    "tan": KindSpec(("branch",), tan_curve, lambda p, t: (t, np.tan(t)), composable=True),
+                    x_inverse=_t_is_log_x, window=_log_window,
+                    draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 2.0),
+                                      rng.uniform(-2, 2))),
+    "tan": KindSpec(("branch",), tan_curve, lambda p, t: (t, np.tan(t)), composable=True,
+                    draw=lambda rng: (int(rng.integers(-1, 2)),)),
     "arctan": KindSpec(
         (), arctan_curve, lambda p, t: (np.tan(t), t),
         x_inverse=lambda p, x, hint: _by_math(math.atan, x),
-        window=lambda p, x0, x1, y0, y1: (math.atan(x0), math.atan(x1))),
+        window=lambda p, x0, x1, y0, y1: (math.atan(x0), math.atan(x1)), draw=lambda rng: ()),
     "reciprocal": KindSpec(
         ("a", "branch"), reciprocal_curve, lambda p, t: (t, p[0] / t),
-        window=_reciprocal_window, composable=True),
-    "exp-of-poly": KindSpec(("coeffs", "scale"), exp_of_poly,
-                            lambda p, t: (t, p[1] * np.exp(poly1_eval(p[0], t)))),
+        window=_reciprocal_window, composable=True,
+        draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 3.0),
+                          int(rng.choice([-1, 1])))),
+    "exp-of-poly": KindSpec(
+        ("coeffs", "scale"), exp_of_poly, lambda p, t: (t, p[1] * np.exp(poly1_eval(p[0], t))),
+        draw=lambda rng: (tuple(np.round((rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                          rng.choice([-1, 1]) * rng.uniform(0.2, 0.8)), 6)),)),
     "reciprocal-root": KindSpec(("k",), reciprocal_root,
                                 lambda p, t: (np.exp(t), np.exp(-t / p[0])),
-                                x_inverse=_t_is_log_x, window=_reciprocal_root_window),
+                                x_inverse=_t_is_log_x, window=_reciprocal_root_window,
+                                draw=lambda rng: (int(rng.integers(1, 4)),)),
     "composed": KindSpec(
         ("base_kind", "base_params", "coeffs"), composed,
         lambda p, t: (t, KINDS[p[0]].point(p[1], poly1_eval(p[2], t))[1])),

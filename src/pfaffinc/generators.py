@@ -104,23 +104,6 @@ def unit_circles(m, n, seed=0, planted=0.6, viewport=DEFAULT_VIEWPORT):
                  meta={"family": "unit-circles", "planted": planted})
 
 
-_PARAM_DRAWS = {
-    "line": lambda rng: (rng.uniform(-2, 2), rng.uniform(-3, 3)),
-    "circle": lambda rng: (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 2.5)),
-    "parabola": lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.2, 1.5),
-                             rng.uniform(-1.5, 1.5), rng.uniform(-3, 3)),
-    "exp": lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 2.0),
-                        rng.choice([-1, 1]) * rng.uniform(0.3, 1.5)),
-    "log": lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 2.0), rng.uniform(-2, 2)),
-    "tan": lambda rng: (int(rng.integers(-1, 2)),),
-    "arctan": lambda rng: (),
-    "reciprocal": lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 3.0),
-                               int(rng.choice([-1, 1]))),
-    "exp-of-poly": lambda rng: (tuple(np.round((rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                                rng.choice([-1, 1]) * rng.uniform(0.2, 0.8)), 6)),),
-    "reciprocal-root": lambda rng: (int(rng.integers(1, 4)),),
-}
-
 def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
     """n distinct random catalog curves and m points, a planted fraction of
     which sits exactly on curve parameterizations."""
@@ -129,6 +112,9 @@ def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
     if not 0.0 <= planted <= 1.0:
         raise ValueError("planted fraction must lie in [0, 1]")
     kinds = list(kinds)
+    undrawn = [k for k in kinds if k not in cv.KINDS or cv.KINDS[k].draw is None]
+    if undrawn:
+        raise ValueError(f"no random draw for curve kinds {undrawn}")
     rng = np.random.default_rng(seed)
     curves = []
     seen = set()
@@ -138,7 +124,7 @@ def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
         if guard > 100 * n + 100:
             raise PfaffincError("could not draw enough distinct visible curves")
         kind = kinds[int(rng.integers(0, len(kinds)))]
-        params = _PARAM_DRAWS[kind](rng)
+        params = cv.KINDS[kind].draw(rng)
         key = (kind, tuple(np.round(np.atleast_1d(np.hstack(params) if params else []), 9).tolist()))
         if key in seen:
             continue

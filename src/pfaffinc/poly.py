@@ -1,22 +1,37 @@
-"""Sparse polynomials in two variables (x, y) and in (x, y, z1..zr).
+"""Sparse polynomials: `MultiPoly` in (x, y, z1..zr), and its two-variable
+subclass `BivariatePolynomial` in (x, y).
 
-Coefficients are plain floats keyed by exponent tuples.  Evaluation is
-numpy-friendly: feeding arrays for the variables returns arrays.
+Coefficients are plain floats keyed by exponent tuples; exact zeros are
+dropped, tiny coefficients are kept.  Every polynomial evaluates through
+`eval_terms`, which is numpy-friendly: feeding arrays for the variables
+returns arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_PRUNE = 0.0  # exact-zero pruning only; tiny coefficients are meaningful
 
+class MultiPoly:
+    """Polynomial in nvars variables (x, y, z1..zr) stored as {exponent tuple
+    of length nvars: coefficient}."""
 
-class _Sparse:
-    """Arithmetic shared by the polynomial types, which hold terms {exponent
-    tuple: coefficient} in nvars variables; _like(terms) makes one of the
-    same type and arity."""
+    __slots__ = ("terms", "nvars")
 
-    __slots__ = ()
+    def __init__(self, nvars, terms=None):
+        self.nvars = int(nvars)
+        self.terms = {}
+        if terms:
+            for key, c in dict(terms).items():
+                key = tuple(int(e) for e in key)
+                if len(key) != self.nvars:
+                    raise ValueError(f"exponent tuple {key} has wrong arity")
+                if c != 0.0:
+                    self.terms[key] = float(c)
+
+    def _like(self, terms):
+        """A polynomial of the same type and arity with these terms."""
+        return MultiPoly(self.nvars, terms)
 
     @property
     def degree(self):
@@ -26,8 +41,13 @@ class _Sparse:
     def is_zero(self):
         return not self.terms
 
+    def __call__(self, *args):
+        if len(args) != self.nvars:
+            raise ValueError(f"expected {self.nvars} arguments, got {len(args)}")
+        return eval_terms(self.terms, self.terms.values(), *args)
+
     def _coerce(self, value):
-        return value if isinstance(value, _Sparse) else self._like({(0,) * self.nvars: value})
+        return value if isinstance(value, MultiPoly) else self._like({(0,) * self.nvars: value})
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -54,27 +74,36 @@ class _Sparse:
 
     __rmul__ = __mul__
 
-    def to_json(self):
-        return {",".join(str(e) for e in key): c for key, c in sorted(self.terms.items())}
-
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
+    def lift(self, nvars):
+        """Reinterpret in a larger variable tuple (new trailing variables)."""
+        if nvars < self.nvars:
+            raise ValueError("cannot shrink arity")
+        pad = nvars - self.nvars
+        return MultiPoly(nvars, {key + (0,) * pad: c for key, c in self.terms.items()})
 
-class BivariatePolynomial(_Sparse):
+    def to_json(self):
+        return {",".join(str(e) for e in key): c for key, c in sorted(self.terms.items())}
+
+    @classmethod
+    def from_json(cls, nvars, data):
+        return cls(nvars, {tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
+
+    def __repr__(self):
+        return f"MultiPoly({self.nvars}, {self.terms!r})"
+
+
+class BivariatePolynomial(MultiPoly):
     """Polynomial in (x, y) stored as {(i, j): coefficient}."""
 
-    __slots__ = ("terms",)
-    nvars = 2
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (i, j), c in dict(terms).items():
-                if c != _PRUNE:
-                    self.terms[(int(i), int(j))] = float(c)
+        super().__init__(2, terms)
 
     @classmethod
     def const(cls, c):
@@ -82,9 +111,6 @@ class BivariatePolynomial(_Sparse):
 
     def _like(self, terms):
         return BivariatePolynomial(terms)
-
-    def __call__(self, x, y):
-        return eval_terms(self.terms, self.terms.values(), x, y)
 
     def partial(self, var):
         """Partial derivative with respect to "x" or "y"."""
@@ -119,7 +145,7 @@ class BivariatePolynomial(_Sparse):
 
     @classmethod
     def from_json(cls, data):
-        return cls({tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
+        return cls(MultiPoly.from_json(2, data).terms)
 
     def __repr__(self):
         if not self.terms:
@@ -131,72 +157,21 @@ class BivariatePolynomial(_Sparse):
         return f"BivariatePolynomial({' + '.join(bits)})"
 
 
-class MultiPoly(_Sparse):
-    """Polynomial in (x, y, z1..zr), exponent tuples of length r + 2."""
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = int(nvars)
-        self.terms = {}
-        if terms:
-            for key, c in dict(terms).items():
-                key = tuple(int(e) for e in key)
-                if len(key) != self.nvars:
-                    raise ValueError(f"exponent tuple {key} has wrong arity")
-                if c != 0.0:
-                    self.terms[key] = float(c)
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    def _like(self, terms):
-        return MultiPoly(self.nvars, terms)
-
-    def __call__(self, *args):
-        if len(args) != self.nvars:
-            raise ValueError(f"expected {self.nvars} arguments, got {len(args)}")
-        out = 0.0
-        for key, c in self.terms.items():
-            term = c
-            for v, e in zip(args, key):
-                if e:
-                    term = term * np.power(v, e)
-            out = out + term
-        return out
-
-    def lift(self, nvars):
-        """Reinterpret in a larger variable tuple (new trailing variables)."""
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink arity")
-        pad = nvars - self.nvars
-        return MultiPoly(nvars, {key + (0,) * pad: c for key, c in self.terms.items()})
-
-    @classmethod
-    def from_json(cls, nvars, data):
-        return cls(nvars, {tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
-
-    def __repr__(self):
-        return f"MultiPoly({self.nvars}, {self.terms!r})"
-
-
-def eval_terms(keys, coefs, x, y):
-    """The sum of c * x^i * y^j over the exponents (i, j) of keys and the
-    coefficients c of coefs, term by term in their order; zeros shaped like
-    x + y when there are no terms.  A coefficient may be a scalar or an
-    array over the entries of x and y: either way each entry takes the same
-    operations."""
-    out = 0.0
-    for (i, j), c in zip(keys, coefs):
-        term = c
-        if i:
-            term = term * np.power(x, i)
-        if j:
-            term = term * np.power(y, j)
-        out = out + term
+def eval_terms(keys, coefs, *args):
+    """The sum of c * args[0]^key[0] * args[1]^key[1] * ... over the exponent
+    tuples key of keys and the coefficients c of coefs, term by term in their
+    order, skipping zero exponents; zeros shaped like the broadcast args when
+    there are no terms.  A coefficient may be a scalar or an array over the
+    entries of the args: either way each entry takes the same operations."""
     if not len(keys):
-        return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
+        return np.zeros(np.broadcast(*args).shape)
+    out = 0.0
+    for key, c in zip(keys, coefs):
+        term = c
+        for v, e in zip(args, key):
+            if e:
+                term = term * np.power(v, e)
+        out = out + term
     return out
 
 

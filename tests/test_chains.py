@@ -24,11 +24,31 @@ def test_cos_halfangle_chain_verifies():
 def test_wrong_declared_partial_fails_with_unit_error():
     gx = MultiPoly(3, {(0, 0, 1): 2.0})  # claims d/dx exp(x) = 2 exp(x)
     bad = ch.PfaffianChain(
-        [ch.ChainLink("exp-poly", ((0.0, 1.0),), gx, MultiPoly.zero(3))],
+        [ch.ChainLink("exp-poly", ((0.0, 1.0),), gx, MultiPoly(3))],
         (-2.0, 2.0, -2.0, 2.0))
     rep = ch.verify_chain(bad, samples=100, tol=1e-6)
     assert not rep.passed
     assert 0.4 <= rep.checks[0].max_error <= 1.1
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_nan_error_fails_its_link(axis):
+    # a NaN compares false with everything, so a running max() kept the old
+    # maximum and the link passed
+    exp_x = MultiPoly(3, {(0, 0, 1): 1.0})
+    nan = MultiPoly(3, {(0, 0, 0): math.nan})
+    gx, gy = (nan, MultiPoly(3)) if axis == "x" else (exp_x, nan)
+    chain = ch.PfaffianChain([ch.ChainLink("exp-poly", ((0.0, 1.0),), gx, gy)],
+                             (-2.0, 2.0, -2.0, 2.0))
+    rep = ch.verify_chain(chain, samples=20, tol=1e-6)
+    assert not rep.passed
+    check = rep.checks[0]
+    assert math.isnan(check.max_error) and math.isnan(getattr(check, f"max_error_{axis}"))
+
+
+def test_chain_without_links_passes_with_no_checks():
+    rep = ch.verify_chain(ch.function_constant_graph().chain, samples=5)
+    assert rep.passed and rep.checks == []
 
 
 def test_sampling_region_must_stay_inside():

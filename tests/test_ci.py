@@ -68,15 +68,46 @@ def test_smoke_steps_fail_unless_every_row_is_correct(rows, passes, tmp_path):
 
 def test_line_count_step_lists_every_module(tmp_path):
     # the step runs from the repository root, as GitHub runs it, and its
-    # summary holds a line per module and the total
+    # summary holds a line per module and the total, then the net change of
+    # src/pfaffinc against the first parent, or a line saying there is none
     step, = [step for step in _steps() if step.get("name") == "source line count"]
     assert step["shell"] == "bash" and step["if"] == "${{ !cancelled() }}"
-    summary = tmp_path / "summary.md"
-    done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step["run"]],
-                          cwd=WORKFLOW.parent.parent.parent,
-                          env={**os.environ, "GITHUB_STEP_SUMMARY": str(summary)})
-    assert done.returncode == 0
-    shown = summary.read_text()
+    checkout, = [step for step in _steps() if step.get("uses", "").startswith("actions/checkout")]
+    assert checkout["with"]["fetch-depth"] == 2
+
+    def summary_in(root):
+        summary = tmp_path / "summary.md"
+        summary.write_text("")
+        done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c",
+                               step["run"]], cwd=root,
+                              env={**os.environ, "GITHUB_STEP_SUMMARY": str(summary)})
+        assert done.returncode == 0
+        return summary.read_text()
+
+    shown = summary_in(WORKFLOW.parent.parent.parent)
     modules = sorted((WORKFLOW.parent.parent.parent / "src" / "pfaffinc").glob("*.py"))
     assert modules and all(f"src/pfaffinc/{m.name}\n" in shown for m in modules)
     assert re.search(r"^    +\d+ total$", shown, re.M)
+    assert re.search(r"^net src/pfaffinc lines(: no parent| against the first parent: [+-]\d+$)",
+                     shown, re.M)
+
+    # in a repository of its own: a first commit has no parent, and a second
+    # that adds 3 lines to src/pfaffinc, removes 1, and adds one elsewhere
+    # shows +2
+    repo = tmp_path / "repo"
+    (repo / "src" / "pfaffinc").mkdir(parents=True)
+    module = repo / "src" / "pfaffinc" / "a.py"
+    module.write_text("a = 1\nb = 2\n")
+
+    def commit():
+        git = ["git", "-c", "user.name=ci", "-c", "user.email=ci@example.com"]
+        subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+        subprocess.run(git + ["commit", "-qm", "c"], cwd=repo, check=True)
+
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    commit()
+    assert "\nnet src/pfaffinc lines: no parent commit to compare with\n" in summary_in(repo)
+    module.write_text("a = 1\nc = 3\nd = 4\ne = 5\n")
+    (repo / "README").write_text("more\n")
+    commit()
+    assert "\nnet src/pfaffinc lines against the first parent: +2\n" in summary_in(repo)

@@ -287,6 +287,18 @@ def test_chains_command(tmp_path):
         assert int(link) >= 1 and float(err_x) >= 0 and float(err_y) >= 0
 
 
+def test_chains_fails_a_link_whose_error_is_nan(tmp_path, capsys):
+    path = _chain_file(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["links"][0]["gx"] = {"0,0,0": math.nan}
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "rep.csv"
+    assert run(["chains", "--chain", str(path), "--samples", "20", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "FAIL\n"
+    lines = out.read_text().splitlines()
+    assert lines[-3].startswith("1,tan-half,nan,") and lines[-1] == "# FAIL"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_duality_rejects_bad_tolerance(tol, tmp_path, capsys):
     path = _duality_family(tmp_path)
@@ -366,6 +378,8 @@ def test_bad_regions_are_usage_errors(command, region, tmp_path, capsys):
     ["cutting", "--r", "2", "--max-retries", "-3"],
     ["generate", "--family", "random", "--m", "-5"],
     ["generate", "--family", "random", "--n", "-5"],
+    ["generate", "--family", "random", "--kinds", "composed"],  # a kind with no random draw
+    ["generate", "--family", "random", "--kinds", "line,nope"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_sizes_are_usage_errors(argv, tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
@@ -436,6 +450,9 @@ def test_duality_rejects_bad_terms_at_load(term, tmp_path, capsys):
     ({"params": {"junk": 1}}, "tan-half node takes params [], got ['junk']"),
     ({"node_kind": "exp-poly", "params": {"coefs": [0.0, 1.0]}},
      "exp-poly node takes params ['coeffs'], got ['coefs']"),
+    ({"node_kind": "exp-poly", "params": {"coeffs": [math.nan, 1.0]}},
+     "exp-poly coeffs must be a list of finite numbers, got [nan, 1.0]"),
+    ({"node_kind": "exp-poly", "params": {"coeffs": 1.0}}, "exp-poly coeffs must be a list"),
 ], ids=str)
 def test_chains_rejects_bad_links_at_load(link, bad, tmp_path, capsys):
     path = _chain_file(tmp_path)

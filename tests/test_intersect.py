@@ -849,7 +849,8 @@ def test_vertical_tangents_equal_scalar_oracle():
 def _tangent_corpus():
     """312 curves: random catalog curves, rotated and sheared images of
     them, and circles, plain and sheared."""
-    curves = gen.random_scene(list(gen._PARAM_DRAWS), m=0, n=120, planted=0.0, seed=5).curves
+    drawn = [kind for kind, spec in KINDS.items() if spec.draw]
+    curves = gen.random_scene(drawn, m=0, n=120, planted=0.0, seed=5).curves
     rng = np.random.default_rng(5)
     curves += [pf.apply_linear_transform(c, *rotation_matrix(rng.uniform(0.1, 3.0)))
                for c in curves[:60]]

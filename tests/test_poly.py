@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfaffinc.poly import BivariatePolynomial, MultiPoly, poly1_der, poly1_eval
+from pfaffinc.poly import BivariatePolynomial, MultiPoly, eval_terms, poly1_der, poly1_eval
 
 coeff = st.floats(-5, 5, allow_nan=False)
 exponent = st.integers(0, 4)
@@ -53,8 +54,21 @@ def test_partial_derivatives():
 
 
 def test_json_roundtrip():
-    p = BivariatePolynomial({(1, 2): -0.5, (0, 0): 3.0})
-    assert BivariatePolynomial.from_json(p.to_json()) == p
+    for p in (BivariatePolynomial({(1, 2): -0.5, (0, 0): 3.0}), BivariatePolynomial(),
+              MultiPoly(4, {(1, 0, 2, 0): 1e-300, (0, 0, 0, 3): -2.5}), MultiPoly(3)):
+        data = json.loads(json.dumps(p.to_json()))
+        back = (BivariatePolynomial.from_json(data) if type(p) is BivariatePolynomial
+                else MultiPoly.from_json(p.nvars, data))
+        assert type(back) is type(p) and back == p, p
+
+
+def test_bivariate_arithmetic_stays_bivariate():
+    p = BivariatePolynomial({(2, 1): 3.0, (0, 1): 1.0})
+    q = BivariatePolynomial({(1, 0): -1.0})
+    for r in (p + q, p - q, p * q, -p, p + 2.0, p - 1.0, p * 2.0, 2.0 * p, p * 3, p.partial("x"),
+              p.substitute_linear(1.0, 2.0, 3.0, 4.0), BivariatePolynomial.const(5.0)):
+        assert type(r) is BivariatePolynomial and r.nvars == 2
+    assert type(MultiPoly(2, {(1, 0): 1.0}) + 1.0) is MultiPoly
 
 
 def test_vectorized_evaluation():
@@ -78,3 +92,42 @@ def test_univariate_helpers():
     coeffs = (3.0, -5.0, 1.0)  # 3 - 5x + x^2
     assert poly1_eval(coeffs, 2.0) == 3 - 10 + 4
     np.testing.assert_allclose(poly1_der(coeffs), [-5.0, 2.0])
+
+
+def _reference_eval(terms, *args):
+    """The evaluation loop MultiPoly had before every polynomial went through
+    eval_terms: term by term, skipping zero exponents."""
+    out = 0.0
+    for key, c in terms.items():
+        term = c
+        for v, e in zip(args, key):
+            if e:
+                term = term * np.power(v, e)
+        out = out + term
+    return out
+
+
+@st.composite
+def terms_and_args(draw):
+    nvars = draw(st.integers(2, 5))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * nvars), coeff, max_size=6))
+    size = draw(st.sampled_from([None, 1, 7]))
+    if size is None:
+        args = [draw(st.floats(-2, 2)) for _ in range(nvars)]
+    else:
+        args = [np.array(draw(st.lists(st.floats(-2, 2), min_size=size, max_size=size)))
+                for _ in range(nvars)]
+    return MultiPoly(nvars, terms), args
+
+
+@given(terms_and_args())
+@settings(max_examples=200)
+def test_eval_terms_matches_the_reference_loop_bit_for_bit(case):
+    p, args = case
+    got = eval_terms(p.terms, p.terms.values(), *args)
+    want = _reference_eval(p.terms, *args)
+    if p.is_zero():  # zeros shaped like the broadcast args
+        want = np.zeros(np.broadcast(*args).shape)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert np.asarray(p(*args), dtype=float).tobytes() == np.asarray(got, dtype=float).tobytes()
