@@ -11,6 +11,7 @@ params to JSON and back.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from collections.abc import Callable
@@ -59,6 +60,13 @@ def _integral(link, x, y, prefix_links):
     return link._cache[key]
 
 
+def _start(value):
+    """An integral node's start, a finite number."""
+    if not finite_number(value):
+        raise ValueError(f"integral from must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NodeKind:
     """One node kind: its value (link, x, y, prefix_links) -> float, and its
@@ -82,7 +90,7 @@ NODE_KINDS = {
                      lambda d, nv: (BivariatePolynomial.from_json(d["poly"]),)),
     "integral": NodeKind(_integral, ("inner", "from"),
                          lambda p: {"inner": p[0].to_json(), "from": p[1]},
-                         lambda d, nv: (MultiPoly.from_json(nv - 1, d["inner"]), float(d["from"]))),
+                         lambda d, nv: (MultiPoly.from_json(nv - 1, d["inner"]), _start(d["from"]))),
 }
 
 
@@ -151,8 +159,9 @@ def verify_chain(chain, samples=1000, tol=1e-6, region=None, seed=0):
     """Compare declared partials against central differences on samples.
 
     Error per link is max over samples of |numeric - declared| relative to
-    max(1, |numeric|), NaN if any sample's is; the report passes iff every
-    link stays within tol, so a NaN error fails its link.
+    max(1, |numeric|), NaN if any sample's is, and inf if a value of the
+    link or of an earlier one overflows; the report passes iff every link
+    stays within tol, so a NaN or infinite error fails its link.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -170,17 +179,20 @@ def verify_chain(chain, samples=1000, tol=1e-6, region=None, seed=0):
     xs = rng.uniform(x0 + 2 * hmax, x1 - 2 * hmax, size=samples)
     ys = rng.uniform(y0 + 2 * hmax, y1 - 2 * hmax, size=samples)
 
-    # each sample's links once; then a link's central differences sample by
+    # per link, its values at all samples, its central differences sample by
     # sample, and its declared partials at all samples in one call each
-    vals = np.reshape([_eval_prefix(chain.links, x, y) for x, y in zip(xs, ys)], (samples, -1)).T
-    checks = []
+    vals, checks = [], []
     for i, link in enumerate(chain.links):
-        h, prefix, args = link.fd_step, chain.links[:i], (xs, ys, *vals[: i + 1])
-        numeric = np.array([(link.eval(x + h, y, prefix) - link.eval(x - h, y, prefix),
-                             link.eval(x, y + h, prefix) - link.eval(x, y - h, prefix))
-                            for x, y in zip(xs, ys)]) / (2 * h)
-        ex, ey = (float(np.max(np.abs(d - g(*args)) / np.maximum(1.0, np.abs(d))))
-                  for d, g in zip(numeric.T, (link.gx, link.gy)))
+        h, prefix = link.fd_step, chain.links[:i]
+        ex = ey = math.inf  # if a value it needs overflows
+        with contextlib.suppress(OverflowError):
+            if len(vals) == i:  # else an earlier link's values overflowed
+                vals.append(np.array([link.eval(x, y, prefix) for x, y in zip(xs, ys)]))
+                numeric = np.array([(link.eval(x + h, y, prefix) - link.eval(x - h, y, prefix),
+                                     link.eval(x, y + h, prefix) - link.eval(x, y - h, prefix))
+                                    for x, y in zip(xs, ys)]) / (2 * h)
+                ex, ey = (float(np.max(np.abs(d - g(xs, ys, *vals)) / np.maximum(1.0, np.abs(d))))
+                          for d, g in zip(numeric.T, (link.gx, link.gy)))
         checks.append(LinkCheck(link.kind, ex, ey))
     passed = all(c.max_error <= tol for c in checks)
     return ChainReport(checks, tol, samples, passed)
@@ -306,8 +318,9 @@ def chain_to_json(chain):
 
 def chain_from_json(data):
     """The chain of a chain JSON; ValueError on an unknown node kind, params
-    whose names differ from the kind's or that it rejects, or an fd_step
-    that is not a positive finite number."""
+    whose names differ from the kind's or that it rejects, a polynomial with
+    a coefficient that is not finite, or an fd_step that is not a positive
+    finite number."""
     links = []
     for i, entry in enumerate(data["links"]):
         kind, params, h = entry["node_kind"], entry.get("params", {}), entry.get("fd_step", 1e-6)
@@ -322,8 +335,8 @@ def chain_from_json(data):
         nv = i + 3
         try:
             params = spec.from_json(params, nv)
+            gx, gy = (MultiPoly.from_json(nv, entry[g]) for g in ("gx", "gy"))
         except ValueError as err:
             raise ValueError(f"link {i + 1}: {err}") from None
-        gx, gy = (MultiPoly.from_json(nv, entry[g]) for g in ("gx", "gy"))
         links.append(ChainLink(kind, params, gx, gy, h))
     return PfaffianChain(links, tuple(data["region"]))

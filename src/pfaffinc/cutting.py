@@ -219,22 +219,8 @@ def _collect_events(exact, traces, tangents):
     x0, x1, y0, y1 = bbox[np.tile(table.curve, 2)].T
     loose = np.minimum.reduce([px - x0, x1 - px, py - y0, y1 - py]) > 1e-6
     raw.extend((x, y, 2, "endpoint") for x, y in zip(px[loose].tolist(), py[loose].tolist()))
-    raw.sort(key=lambda e: (e[0], e[1], e[2]))
-    clusters = []  # [x, y, priority, source]; keep the strongest member
-    for x, y, pri, src in raw:
-        merged = False
-        for k in range(len(clusters) - 1, -1, -1):
-            cx, cy, cpri, _csrc = clusters[k]
-            if x - cx > _EVENT_EPS:
-                break
-            if (x - cx) ** 2 + (y - cy) ** 2 <= _EVENT_EPS ** 2:
-                if pri < cpri:
-                    clusters[k] = [x, y, pri, src]
-                merged = True
-                break
-        if not merged:
-            clusters.append([x, y, pri, src])
-    return [(x, y, src) for x, y, _pri, src in clusters]
+    # a cluster keeps its strongest member, the lowest priority
+    return [(x, y, src) for x, y, _pri, src in ix._dedup(raw, _EVENT_EPS)]
 
 
 def _shoot_rays(events, exact, viewport):
@@ -290,20 +276,15 @@ def decompose(sample_ids, curves, traces, viewport):
 
 
 def _slab_edges(events, branches, viewport):
-    """Slab boundaries: event and branch-end abscissas, grouped within _X_GROUP."""
+    """Slab boundaries: event and branch-end abscissas, merged within _X_GROUP,
+    those below x0 raised to it; the last edge, within _X_GROUP of x1, is x1."""
     x0, x1, _y0, _y1 = viewport
     xs = [x0, x1]
     xs.extend(e[0] for e in events)
     xs.extend(branches.xs[np.append(branches.start, branches.stop - 1)].tolist())
-    xs = sorted(x for x in xs if x0 - _X_GROUP <= x <= x1 + _X_GROUP)
-    slab_xs = [x0]
-    for x in xs:
-        if x - slab_xs[-1] > _X_GROUP:
-            slab_xs.append(x)
-    if slab_xs[-1] < x1 - _X_GROUP:
-        slab_xs.append(x1)
-    else:
-        slab_xs[-1] = x1
+    slab_xs = [x for x, _ in ix._dedup([(max(x, x0), 0.0) for x in xs
+                                        if x0 - _X_GROUP <= x <= x1 + _X_GROUP], _X_GROUP)]
+    slab_xs[-1] = x1
     return np.array(slab_xs)
 
 

@@ -138,7 +138,7 @@ class FamilyCurve:
 
 def family_curve_set(coeff_list, d, tol=1e-12):
     """Build curves of a family with d terms, rejecting coefficient vectors
-    that are not flat lists of d numbers and proportional ones."""
+    that are not flat lists of d finite numbers and proportional ones."""
     out = []
     for k, coeffs in enumerate(coeff_list):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -146,6 +146,8 @@ def family_curve_set(coeff_list, d, tol=1e-12):
             raise ValueError(f"curve{k} is not a flat list of {d} coefficients")
         if len(coeffs) != d:
             raise ValueError(f"curve{k} has {len(coeffs)} coefficients, the family has {d} terms")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"curve{k} coefficients must be finite, got {coeffs.tolist()}")
         c = FamilyCurve(coeffs, label=f"curve{k}")
         for prev in out:
             if np.linalg.norm(prev.coeffs - c.coeffs) <= tol:

@@ -194,15 +194,18 @@ def monotone_branches(curves, traces, tangents):
 
 
 def _dedup(points, radius):
-    """The sorted points, less each within radius of an earlier kept one.
-    The kept points ascend in x, so the search walks back from the last one
-    and stops where the x-distance alone exceeds radius."""
+    """The sorted points (x, y, ...), less each within radius of an earlier
+    kept one, which a duplicate ranked higher by its entries past (x, y)
+    replaces.  The search walks back from the last kept point and stops
+    where the x-distance alone exceeds radius."""
     merged, r2 = [], radius * radius
     for p in sorted(points):
         i = len(merged) - 1
         while i >= 0 and (p[0] - merged[i][0]) ** 2 <= r2:
             if (p[0] - merged[i][0]) ** 2 + (p[1] - merged[i][1]) ** 2 <= r2:
-                break  # p is merged[i]'s duplicate
+                if p[2:] < merged[i][2:]:  # p is merged[i]'s duplicate
+                    merged[i] = p
+                break
             i -= 1
         else:
             merged.append(p)
@@ -422,24 +425,31 @@ def _pairs(exact, tol=1e-9):
 def _block(bins, i, j, k1, k2, overlap, tol):
     """(i, j, points) of each curve pair of the live branch pairs (i, j, k1,
     k2, overlap): scan, refine, then deduplicate and check the pairs'
-    ceilings."""
+    ceilings.  A pair with more crossing brackets than its ceiling is checked
+    for a shared component before any bracket is refined."""
     curves = bins.exact.curves
     new = np.diff(i * len(curves) + j, prepend=-1) != 0
     p = np.cumsum(new) - 1  # the curve pair of each branch pair, from 0
+    degree = np.array([c.pf_degree for c in curves])
+    bound = pfaffian_bezout_bound(degree[i[new]], degree[j[new]])
+
+    def check(counts, what, early=False):
+        for q in np.flatnonzero(counts > bound).tolist():
+            scanned = (p == q) & overlap
+            if _coincide(bins.exact, k1[scanned], k2[scanned], tol):
+                if early and q:  # the pairs before q, refined, raise first if one is shared
+                    e = np.searchsorted(p, q)
+                    _block(bins, i[:e], j[:e], k1[:e], k2[:e], overlap[:e], tol)
+                raise SharedComponent(f"{counts[q]} {what} with interval overlap (ceiling "
+                                      f"{bound[q]}); curves appear to share a component")
+
     found, cross, touch = _scan(bins, p, k1, k2, overlap, tol)
+    check(np.bincount(cross[0], minlength=len(bound)), "crossing brackets", early=True)
     both = bins.exact.both
     found += [_refine_crossings(both, cross), _refine_touches(both, touch, tol)]
     points = _dedup_pairs(*(np.concatenate(c) for c in zip(*found)), p[-1] + 1, 10 * tol)
-    i, j = i[new], j[new]
-    degree = np.array([c.pf_degree for c in curves])
-    bound = pfaffian_bezout_bound(degree[i], degree[j])
-    for q in np.flatnonzero(np.fromiter(map(len, points), int, len(points)) > bound).tolist():
-        scanned = (p == q) & overlap
-        if _coincide(bins.exact, k1[scanned], k2[scanned], tol):
-            raise SharedComponent(
-                f"{len(points[q])} surviving crossings with interval overlap "
-                f"(ceiling {bound[q]}); curves appear to share a component")
-    return list(zip(i.tolist(), j.tolist(), points))
+    check(np.fromiter(map(len, points), int, len(points)), "surviving crossings")
+    return list(zip(i[new].tolist(), j[new].tolist(), points))
 
 
 def _dedup_pairs(q, x, y, n, radius):

@@ -91,7 +91,10 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, nvars, data):
-        return cls(nvars, {tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
+        poly = cls(nvars, {tuple(int(p) for p in key.split(",")): c for key, c in data.items()})
+        if not all(map(np.isfinite, poly.terms.values())):
+            raise ValueError(f"polynomial coefficients must be finite, got {data!r}")
+        return poly
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"

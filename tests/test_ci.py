@@ -1,10 +1,13 @@
 import os
 import re
+import shlex
 import subprocess
 from pathlib import Path
 
 import pytest
 import yaml
+
+from pfaffinc import cli
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -111,3 +114,15 @@ def test_line_count_step_lists_every_module(tmp_path):
     (repo / "README").write_text("more\n")
     commit()
     assert "\nnet src/pfaffinc lines against the first parent: +2\n" in summary_in(repo)
+
+
+def test_readme_command_lines_parse_and_cover_every_subcommand():
+    # the README's "Command line" examples and the parser drift apart silently
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("pfaffinc ")]
+    parser = cli.build_parser()
+    used = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert used == set(commands)

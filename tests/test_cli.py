@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -287,16 +288,20 @@ def test_chains_command(tmp_path):
         assert int(link) >= 1 and float(err_x) >= 0 and float(err_y) >= 0
 
 
-def test_chains_fails_a_link_whose_error_is_nan(tmp_path, capsys):
-    path = _chain_file(tmp_path)
-    payload = json.loads(path.read_text())
-    payload["links"][0]["gx"] = {"0,0,0": math.nan}
+def test_chains_fails_a_link_whose_value_overflows(tmp_path, capsys):
+    # exp(800 x) overflows for x > 0.89 on the default region: the link's
+    # error is infinite, so it fails, with no traceback and no warning
+    payload = ch.chain_to_json(ch.chain_exp_poly((0, 3, 1)))
+    payload["links"][0]["params"]["coeffs"] = [0, 800]
+    path, out = tmp_path / "chain.json", tmp_path / "rep.csv"
     path.write_text(json.dumps(payload))
-    out = tmp_path / "rep.csv"
-    assert run(["chains", "--chain", str(path), "--samples", "20", "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["chains", "--chain", str(path), "--samples", "20", "--seed", "0",
+                    "--out", str(out)]) == 1
     assert capsys.readouterr().out == "FAIL\n"
     lines = out.read_text().splitlines()
-    assert lines[-3].startswith("1,tan-half,nan,") and lines[-1] == "# FAIL"
+    assert lines[-2:] == ["1,exp-poly,inf,inf", "# FAIL"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -334,6 +339,18 @@ def test_duality_rejects_curves_with_the_wrong_number_of_coefficients(curves, ba
     out = tmp_path / "out.csv"
     assert run(["duality", "--family", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"usage error: {bad}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_duality_rejects_curves_with_coefficients_that_are_not_finite(bad, tmp_path, capsys):
+    path = _duality_family(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["curves"][1][2] = bad
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    assert run(["duality", "--family", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: curve1 coefficients must be finite")
     assert not out.exists()
 
 
@@ -453,6 +470,14 @@ def test_duality_rejects_bad_terms_at_load(term, tmp_path, capsys):
     ({"node_kind": "exp-poly", "params": {"coeffs": [math.nan, 1.0]}},
      "exp-poly coeffs must be a list of finite numbers, got [nan, 1.0]"),
     ({"node_kind": "exp-poly", "params": {"coeffs": 1.0}}, "exp-poly coeffs must be a list"),
+    ({"gx": {"0,0,0": math.nan}}, "polynomial coefficients must be finite, got {'0,0,0': nan}"),
+    ({"gy": {"0,0,1": math.inf}}, "polynomial coefficients must be finite, got {'0,0,1': inf}"),
+    ({"node_kind": "poly", "params": {"poly": {"1,0": math.nan}}},
+     "polynomial coefficients must be finite"),
+    ({"node_kind": "integral", "params": {"inner": {"0,0": -math.inf}, "from": 0.0}},
+     "polynomial coefficients must be finite"),
+    ({"node_kind": "integral", "params": {"inner": {"0,0": 1.0}, "from": math.nan}},
+     "integral from must be a finite number, got nan"),
 ], ids=str)
 def test_chains_rejects_bad_links_at_load(link, bad, tmp_path, capsys):
     path = _chain_file(tmp_path)

@@ -2,9 +2,12 @@ import itertools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfaffinc as pf
 from pfaffinc import cutting as ct
@@ -608,3 +611,88 @@ def test_decompose_does_not_depend_on_the_order_of_the_sample():
             for ids in ([14, 0, 3, 2, 12], [0, 2, 3, 12, 14]))
     assert a.pop("sample") == [14, 0, 3, 2, 12] and b.pop("sample") == [0, 2, 3, 12, 14]
     assert json.dumps(a) == json.dumps(b)
+
+
+# -- the merge rule of events and slab edges --------------------------------------
+
+def _reference_clusters(raw):
+    """The event clusters of `ct._collect_events` as a loop of its own, before
+    they went through `intersect._dedup`: each cluster keeps its member of
+    lowest priority."""
+    clusters = []
+    for x, y, pri, src in sorted(raw, key=lambda e: (e[0], e[1], e[2])):
+        merged = False
+        for k in range(len(clusters) - 1, -1, -1):
+            cx, cy, cpri, _csrc = clusters[k]
+            if x - cx > ct._EVENT_EPS:
+                break
+            if (x - cx) ** 2 + (y - cy) ** 2 <= ct._EVENT_EPS ** 2:
+                if pri < cpri:
+                    clusters[k] = [x, y, pri, src]
+                merged = True
+                break
+        if not merged:
+            clusters.append([x, y, pri, src])
+    return [(x, y, src) for x, y, _pri, src in clusters]
+
+
+def _reference_slab_edges(events, branches, viewport):
+    """`ct._slab_edges` as a grouping loop of its own, before `intersect._dedup`."""
+    x0, x1, _y0, _y1 = viewport
+    xs = [x0, x1]
+    xs.extend(e[0] for e in events)
+    xs.extend(branches.xs[np.append(branches.start, branches.stop - 1)].tolist())
+    xs = sorted(x for x in xs if x0 - ct._X_GROUP <= x <= x1 + ct._X_GROUP)
+    slab_xs = [x0]
+    for x in xs:
+        if x - slab_xs[-1] > ct._X_GROUP:
+            slab_xs.append(x)
+    if slab_xs[-1] < x1 - ct._X_GROUP:
+        slab_xs.append(x1)
+    else:
+        slab_xs[-1] = x1
+    return np.array(slab_xs)
+
+
+# steps in units of the merge radius: exact duplicates, and distances just
+# under and just over it (a relative 1e-6 stays far above the rounding of
+# the differences and squares, which the two rules take differently)
+_STEPS = st.sampled_from([0.0, 0.5, 1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-5, 5), steps=st.lists(st.tuples(_STEPS, _STEPS, st.integers(0, 2)),
+                                           min_size=1, max_size=40))
+def test_event_clusters_match_the_reference_loop(x, steps):
+    # chains of points about the radius apart, in x, in y or both, of mixed
+    # priorities, so a crossing often comes after a tangent or an endpoint
+    # of its cluster and replaces it
+    eps, y, raw = ct._EVENT_EPS, 0.0, []
+    for dx, dy, pri in steps:
+        x, y = x + dx * eps, y + dy * eps * (-1) ** pri
+        raw.append((x, y, pri, ("crossing", "tangent", "endpoint")[pri]))
+    raw += raw[::3]  # exact duplicates
+    got = [(x, y, src) for x, y, _pri, src in pf.intersect._dedup(raw, eps)]
+    assert got == _reference_clusters(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=st.floats(-5, 5), width=st.floats(1e-6, 10),
+       inner=st.lists(st.tuples(st.floats(0, 1), _STEPS), max_size=20),
+       outer=st.lists(st.tuples(st.booleans(), _STEPS), max_size=8))
+def test_slab_edges_match_the_reference_loop(x0, width, inner, outer):
+    # abscissas inside, chains of them about _X_GROUP apart, and abscissas
+    # within a few _X_GROUP outside the viewport on both sides
+    g, x1 = ct._X_GROUP, x0 + width
+    xs = []
+    for u, step in inner:
+        xs += [x0 + u * width, x0 + u * width + step * g]
+    xs += [x1 + step * g if right else x0 - step * g for right, step in outer]
+    events = [(x, 0.0, "crossing") for x in xs[::2]]
+    ends = np.array(xs[1::2] + [x0 + width / 2] * (len(xs[1::2]) % 2))
+    branches = SimpleNamespace(xs=ends, start=np.arange(0, len(ends), 2),
+                               stop=np.arange(2, len(ends) + 1, 2))
+    viewport = (x0, x1, -1.0, 1.0)
+    got, want = (f(events, branches, viewport) for f in (ct._slab_edges, _reference_slab_edges))
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == x0 and got[-1] == x1

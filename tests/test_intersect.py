@@ -274,6 +274,17 @@ def test_dedup_equals_quadratic_oracle(seed, radius):
         assert 1 < len(want) < len(set(points))
 
 
+def test_dedup_keeps_the_higher_ranked_duplicate():
+    # past (x, y), the entry that sorts first ranks higher: a later crossing
+    # (rank 0) takes an earlier tangent's place, and the kept point moves
+    tangent, crossing, endpoint = (0.0, 0.0, 1, "tangent"), (5e-8, 0.0, 0, "crossing"), \
+        (9e-8, 0.0, 2, "endpoint")
+    assert _dedup([endpoint, crossing, tangent], 1e-7) == [crossing]
+    assert _dedup([(0.0, 0.0, 0, "crossing"), (5e-8, 0.0, 1, "tangent")], 1e-7) == \
+        [(0.0, 0.0, 0, "crossing")]
+    assert _dedup([(5e-8, 0.0), (0.0, 0.0)], 1e-7) == [(0.0, 0.0)]  # no rank: the first stays
+
+
 @pytest.mark.parametrize("radius", [1e-8, 1.25])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dedup_of_all_pairs_equals_dedup_per_pair(seed, radius):
@@ -448,6 +459,22 @@ def test_pair_pass_gives_the_same_points_in_small_blocks(monkeypatch):
     assert len(whole) > 7 * 10 and sum(len(pts) for _, _, pts in whole) > 0
     monkeypatch.setattr(pf.intersect, "_BLOCK", 7)
     assert list(pair_intersections(scene.curves, branches)) == whole
+
+
+def test_shared_component_raises_before_its_brackets_are_refined(monkeypatch):
+    # a pair with more crossing brackets than its ceiling is tested for a
+    # shared component first: the circle and its rotated copy raise unrefined
+    a = pf.circle(0.0, 0.0, 1.0)
+    b = pf.apply_linear_transform(a, *rotation_matrix(0.3))
+    vp = (-2.0, 2.0, -2.0, 2.0)
+    ta, tb = (pf.trace_curve(c, vp, samples=4096) for c in (a, b))
+
+    def refine(*args):
+        raise AssertionError("brackets refined")
+
+    monkeypatch.setattr(pf.intersect, "_refine_crossings", refine)
+    with pytest.raises(SharedComponent, match=r"crossing brackets .*\(ceiling 8\)"):
+        pf.intersect_curves(a, b, ta, tb)
 
 
 def test_shared_component_is_raised_for_the_first_offending_pair():
