@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import check_region, check_tol, finite_number
-from .duality import exp_term
+from .curves import check_region, check_tol, exp_coeffs, finite_number
 from .errors import DomainViolation, NotUnivariateForm
 from .poly import BivariatePolynomial, MultiPoly, poly1_der, poly1_eval
 
@@ -81,7 +80,7 @@ class NodeKind:
 NODE_KINDS = {
     "exp-poly": NodeKind(lambda l, x, y, pre: math.exp(poly1_eval(l.params[0], x)), ("coeffs",),
                          lambda p: {"coeffs": list(p[0])},
-                         lambda d, nv: exp_term(d["coeffs"]).params),  # finite coeffs only
+                         lambda d, nv: (exp_coeffs(d["coeffs"]),)),
     "tan-half": NodeKind(lambda l, x, y, pre: math.tan(x / 2.0)),
     "cos2-half": NodeKind(lambda l, x, y, pre: math.cos(x / 2.0) ** 2),
     "reciprocal": NodeKind(lambda l, x, y, pre: 1.0 / x),

@@ -2,7 +2,9 @@
 
 Every output file starts with a header recording the format version, the
 seed, the parameters, and the library version, so identical command lines
-produce byte-identical outputs.
+produce byte-identical outputs.  Each command imports the modules it runs,
+so `import pfaffinc.cli` loads only `scene` and what it imports (`curves`,
+`poly`, `errors`).
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import chains as ch
-from . import cutting as ct
-from . import duality as du
-from . import generators as gen
-from . import incidence as inc
-from . import intersect as ix
-from .curves import SampleTable
 from .errors import DuplicateCurve, EmptyTrace, PfaffincError
-from .render import render_svg
 from .scene import load_scene, save_scene
 
 EXIT_OK = 0
@@ -55,26 +49,30 @@ def _write(path, text):
             fh.write(text)
 
 
-_FAMILIES = {  # generate --family: (args, seed) -> scene
-    "grid": lambda args, seed: gen.grid_lines(args.a, args.b),
-    "grid-exp": lambda args, seed: gen.exp_transform(gen.grid_lines(args.a, args.b)),
-    "circles": lambda args, seed: gen.unit_circles(args.m, args.n, seed, args.planted),
-    "random": lambda args, seed: gen.random_scene(
+_FAMILIES = {  # generate --family: (generators, args, seed) -> scene
+    "grid": lambda gen, args, seed: gen.grid_lines(args.a, args.b),
+    "grid-exp": lambda gen, args, seed: gen.exp_transform(gen.grid_lines(args.a, args.b)),
+    "circles": lambda gen, args, seed: gen.unit_circles(args.m, args.n, seed, args.planted),
+    "random": lambda gen, args, seed: gen.random_scene(
         args.kinds.split(",") if args.kinds else ["line", "circle", "parabola", "exp"],
         args.m, args.n, args.planted, seed),
 }
-_BOUNDS = {"kst": inc.bound_kst, "pach-sharir": inc.bound_pach_sharir,
-           "pfaffian": inc.bound_pfaffian_curves}  # verify-bound --theorem: (m, n, s) -> bound
+_BOUNDS = {"kst": "bound_kst", "pach-sharir": "bound_pach_sharir",
+           "pfaffian": "bound_pfaffian_curves"}  # verify-bound --theorem: incidence.<name>(m, n, s)
 
 
 def cmd_generate(args):
-    scene = _FAMILIES[args.family](args, _default_seed(args.seed))
+    from . import generators
+
+    scene = _FAMILIES[args.family](generators, args, _default_seed(args.seed))
     save_scene(scene, args.out)
     print(f"wrote {args.out} (m={scene.m}, n={scene.n})")
     return EXIT_OK
 
 
 def cmd_count(args):
+    from . import incidence as inc
+
     scene = load_scene(args.scene)
     graph = inc.count_incidences(scene.points, scene.curves, scene.traces(), args.tol)
     text = _header(seed=scene.seed, scene=args.scene, tol=args.tol)
@@ -85,6 +83,9 @@ def cmd_count(args):
 
 
 def cmd_intersect(args):
+    from . import intersect as ix
+    from .curves import SampleTable
+
     scene = load_scene(args.scene)
     curves, tables = scene.curves, []
     first = range(0, len(curves), _TRACE_BLOCK)
@@ -106,6 +107,9 @@ def cmd_intersect(args):
 
 
 def cmd_cutting(args):
+    from . import cutting as ct
+    from .render import render_svg
+
     seed = _default_seed(args.seed)
     scene = load_scene(args.scene)
     traces = scene.traces()
@@ -125,11 +129,13 @@ def cmd_cutting(args):
 
 
 def cmd_verify_bound(args):
+    from . import incidence as inc
+
     scene = load_scene(args.scene)
     graph = inc.count_incidences(scene.points, scene.curves, scene.traces(), args.tol)
     count = graph.count()
     m, n = scene.m, scene.n
-    base = _BOUNDS[args.theorem](m, n, args.s)
+    base = getattr(inc, _BOUNDS[args.theorem])(m, n, args.s)
     c_fit = count / base if base > 0 else 0.0
     c_used = args.c_fit if args.c_fit is not None else c_fit
     passed = count <= c_used * base + 1e-9
@@ -145,6 +151,8 @@ def cmd_verify_bound(args):
 
 
 def cmd_sweep(args):
+    from . import generators as gen, incidence as inc
+
     sizes = [int(v) for v in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"sizes must be positive, got {args.sizes}")
@@ -170,6 +178,8 @@ def cmd_sweep(args):
 
 
 def cmd_duality(args):
+    from . import duality as du
+
     seed = _default_seed(args.seed)
     with open(args.family) as fh:
         data = json.load(fh)
@@ -192,6 +202,8 @@ def cmd_duality(args):
 
 
 def cmd_chains(args):
+    from . import chains as ch
+
     with open(args.chain) as fh:
         data = json.load(fh)
     chain = ch.chain_from_json(data)

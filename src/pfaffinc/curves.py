@@ -245,6 +245,13 @@ def finite_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def exp_coeffs(coeffs):
+    """The coefficients of an exp-poly term or node, as floats."""
+    if not (isinstance(coeffs, (list, tuple, np.ndarray)) and all(map(finite_number, coeffs))):
+        raise ValueError(f"exp-poly coeffs must be a list of finite numbers, got {coeffs!r}")
+    return tuple(float(c) for c in coeffs)
+
+
 def check_region(region, name):
     """Raise ValueError unless region is four finite numbers x0, x1, y0, y1
     with x0 < x1 and y0 < y1."""

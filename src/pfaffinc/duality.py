@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_region, check_tol, finite_number, refine_roots
+from .curves import check_region, check_tol, exp_coeffs, finite_number, refine_roots
 from .errors import ChainMismatch, DegenerateDual, DuplicateCurve, RotationFailed
 from .incidence import IncidenceGraph
 from .poly import poly1_eval
@@ -42,9 +42,7 @@ def monomial(i, j):
 
 
 def exp_term(coeffs):
-    if not (isinstance(coeffs, (list, tuple, np.ndarray)) and all(map(finite_number, coeffs))):
-        raise ValueError(f"exp-poly coeffs must be a list of finite numbers, got {coeffs!r}")
-    return Term("exp-poly", (tuple(float(c) for c in coeffs),))
+    return Term("exp-poly", (exp_coeffs(coeffs),))
 
 
 def log_term():

@@ -194,21 +194,32 @@ def monotone_branches(curves, traces, tangents):
 
 
 def _dedup(points, radius):
-    """The sorted points (x, y, ...), less each within radius of an earlier
-    kept one, which a duplicate ranked higher by its entries past (x, y)
-    replaces.  The search walks back from the last kept point and stops
-    where the x-distance alone exceeds radius."""
-    merged, r2 = [], radius * radius
+    """The sorted points (x, y, ...), less each within radius of a kept one it
+    does not outrank by its entries past (x, y) (the entries that sort first
+    rank higher).  A point that outranks every kept point within radius
+    takes the place of the last of them, and the others go.  The search
+    walks back from the last kept point and stops where the point lies more
+    than radius in x past every kept one up to there: reach[i] bounds the x
+    of merged[:i + 1], which a replacement can move past the kept points
+    after it."""
+    merged, reach, r2 = [], [], radius * radius
     for p in sorted(points):
-        i = len(merged) - 1
-        while i >= 0 and (p[0] - merged[i][0]) ** 2 <= r2:
+        near, i = [], len(merged) - 1
+        while i >= 0 and (p[0] - reach[i]) ** 2 <= r2:
             if (p[0] - merged[i][0]) ** 2 + (p[1] - merged[i][1]) ** 2 <= r2:
-                if p[2:] < merged[i][2:]:  # p is merged[i]'s duplicate
-                    merged[i] = p
-                break
+                if not p[2:] < merged[i][2:]:  # p is merged[i]'s duplicate
+                    break
+                near.append(i)
             i -= 1
         else:
-            merged.append(p)
+            if not near:
+                merged.append(p)
+                reach.append(p[0])
+                continue
+            merged[near[0]] = p
+            for k in near[1:]:  # descending, so each index still holds
+                del merged[k]
+            reach[near[-1]:] = [p[0]] * (len(merged) - near[-1])  # no kept x exceeds p's
     return merged
 
 

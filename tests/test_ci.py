@@ -116,6 +116,33 @@ def test_line_count_step_lists_every_module(tmp_path):
     assert "\nnet src/pfaffinc lines against the first parent: +2\n" in summary_in(repo)
 
 
+def test_import_times_step_shows_the_cli_imports_and_fails_nothing(tmp_path):
+    # run from the repository root, as GitHub runs it: the page lists the
+    # modules `import pfaffinc.cli` loads and none it does not; with a python
+    # that fails, the step still passes
+    step, = [step for step in _steps() if step.get("name") == "import times"]
+    assert step["shell"] == "bash" and step["if"] == "${{ !cancelled() }}"
+    root = WORKFLOW.parent.parent.parent
+    broken = tmp_path / "bin"
+    broken.mkdir()
+    (broken / "python").write_text("#!/bin/sh\nexit 1\n")
+    (broken / "python").chmod(0o755)
+    for path in (os.environ["PATH"], f"{broken}:{os.environ['PATH']}"):
+        summary = tmp_path / "summary.md"
+        summary.write_text("")
+        env = {**os.environ, "GITHUB_STEP_SUMMARY": str(summary), "TMPDIR": str(tmp_path),
+               "PATH": path}
+        done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c",
+                               step["run"]], cwd=root, env=env)
+        assert done.returncode == 0
+        shown = re.findall(r"^    import time: +\d+ \| +\d+ \| +(\S+)$", summary.read_text(), re.M)
+        if path == os.environ["PATH"]:
+            assert sorted(shown) == ["pfaffinc", "pfaffinc.cli", "pfaffinc.curves",
+                                     "pfaffinc.errors", "pfaffinc.poly", "pfaffinc.scene"]
+        else:
+            assert shown == []
+
+
 def test_readme_command_lines_parse_and_cover_every_subcommand():
     # the README's "Command line" examples and the parser drift apart silently
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -116,8 +116,8 @@ def test_slab_arcs_go_bottom_to_top_on_branches_by_curve_id():
 
 
 def test_cells_are_built_only_on_access(monkeypatch):
-    built = []
-    monkeypatch.setattr(ct, "PfCell", lambda *fields: built.append(fields) or pf.PfCell(*fields))
+    built, cell = [], ct.PfCell  # bound first: pf.PfCell may first resolve after the patch
+    monkeypatch.setattr(ct, "PfCell", lambda *fields: built.append(fields) or cell(*fields))
     scene = gen.random_scene(ACCEPTANCE_KINDS, m=60, n=60, planted=0.5, seed=7)
     traces = scene.traces()
     cut = pf.build_cutting(scene.curves, traces, scene.viewport, r=4, seed=7)
@@ -616,23 +616,19 @@ def test_decompose_does_not_depend_on_the_order_of_the_sample():
 # -- the merge rule of events and slab edges --------------------------------------
 
 def _reference_clusters(raw):
-    """The event clusters of `ct._collect_events` as a loop of its own, before
-    they went through `intersect._dedup`: each cluster keeps its member of
-    lowest priority."""
+    """The event clusters of `ct._collect_events` as a loop of its own, each
+    event tested against every kept one: it is dropped if one within the
+    radius has no higher priority, and otherwise takes the place of the last
+    kept event within the radius, and the others within it go."""
     clusters = []
     for x, y, pri, src in sorted(raw, key=lambda e: (e[0], e[1], e[2])):
-        merged = False
-        for k in range(len(clusters) - 1, -1, -1):
-            cx, cy, cpri, _csrc = clusters[k]
-            if x - cx > ct._EVENT_EPS:
-                break
-            if (x - cx) ** 2 + (y - cy) ** 2 <= ct._EVENT_EPS ** 2:
-                if pri < cpri:
-                    clusters[k] = [x, y, pri, src]
-                merged = True
-                break
-        if not merged:
-            clusters.append([x, y, pri, src])
+        near = [k for k, (cx, cy, _cpri, _csrc) in enumerate(clusters)
+                if (x - cx) ** 2 + (y - cy) ** 2 <= ct._EVENT_EPS ** 2]
+        if not near:
+            clusters.append((x, y, pri, src))
+        elif all(pri < clusters[k][2] for k in near):
+            clusters[near[-1]] = (x, y, pri, src)
+            clusters = [c for k, c in enumerate(clusters) if k not in near[:-1]]
     return [(x, y, src) for x, y, _pri, src in clusters]
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import pfaffinc as pf
@@ -283,6 +285,27 @@ def test_dedup_keeps_the_higher_ranked_duplicate():
     assert _dedup([(0.0, 0.0, 0, "crossing"), (5e-8, 0.0, 1, "tangent")], 1e-7) == \
         [(0.0, 0.0, 0, "crossing")]
     assert _dedup([(5e-8, 0.0), (0.0, 0.0)], 1e-7) == [(0.0, 0.0)]  # no rank: the first stays
+
+
+def test_dedup_walks_back_past_a_replaced_point():
+    # the crossing at x = 0.7 replaces the endpoint at 0 and now lies right
+    # of the kept (0.6, 1.5); the endpoint at 1.65 is 1.05 past that in x
+    # but 0.95 from the crossing, so it merges into the crossing
+    points = [(0, 0, 2, "e"), (0.6, 1.5, 2, "e"), (0.7, -0.2, 0, "c"), (1.65, -0.2, 2, "e")]
+    assert _dedup(points, 1.0) == [(0.7, -0.2, 0, "c"), (0.6, 1.5, 2, "e")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(-8, 8), st.integers(0, 2)),
+                max_size=40))
+def test_dedup_keeps_no_two_points_within_the_radius(cells):
+    # points on a lattice a fifth of the radius apart, of mixed ranks, so
+    # merges and replacements abound and some points lie exactly radius apart
+    radius = 1.25
+    kept = _dedup([(i * radius / 5, j * radius / 5, rank) for i, j, rank in cells], radius)
+    assert all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > radius * radius
+               for p, q in itertools.combinations(kept, 2))
+    assert len(kept) == len({p[:2] for p in kept}) and (kept or not cells)
 
 
 @pytest.mark.parametrize("radius", [1e-8, 1.25])
