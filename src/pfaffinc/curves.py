@@ -6,6 +6,12 @@ is the exact t-derivative of the parameterization, so root refinement
 (`refine_roots`, over arrays of brackets) takes its Newton steps from it;
 it is never used as an ODE integrator, so traces carry no drift.
 
+A curve is its kind, its params and its transform (`PfaffianCurve`).  The
+kind's record in `KINDS` gives the closed-form map, the field and the
+parameter domain from the params, and `transform_field` carries the field
+through the transform, so curves of equal kind, params and transform have
+fields equal bit for bit, however they were made.
+
 Lanes, arrays of (curve, value) pairs that a pass evaluates in lockstep,
 meet the curves through a `CurveTable`: the curves whose evaluation takes
 the same sequence of operations form one group, whose parameters,
@@ -65,13 +71,28 @@ def eval_vector_field(field, p):
 
 @dataclass(frozen=True)
 class PfaffianCurve:
+    """A catalog curve (see the module docstring); its field, domain and
+    Pfaffian degree are computed once, on first access."""
+
     kind: str
     params: tuple
-    field: PolyVectorField
-    domain: tuple  # open parameter interval, may be +-inf
-    pf_degree: int
     transform: tuple | None = None  # row-major (a1, a2, a3, a4), None = identity
     label: str = ""
+
+    @cached_property
+    def field(self):
+        """The polynomial vector field: the kind's, carried by the transform."""
+        field = KINDS[self.kind].field(self.params)
+        return field if self.transform is None else transform_field(field, self.transform)
+
+    @cached_property
+    def domain(self):
+        """The open parameter interval, whose ends may be +-inf."""
+        return KINDS[self.kind].domain(self.params)
+
+    @cached_property
+    def pf_degree(self):
+        return self.field.degree
 
     # -- parameterization ------------------------------------------------
 
@@ -445,75 +466,47 @@ class Lanes:
 # -- catalog factories ----------------------------------------------------
 
 
-def _fld(vx_terms, vy_terms):
-    return PolyVectorField(BivariatePolynomial(vx_terms), BivariatePolynomial(vy_terms))
-
-
-def _finish(kind, params, field, domain, transform=None, label=""):
-    if transform is not None:
-        field = transform_field(field, transform)
-    if field.vx.is_zero() and field.vy.is_zero():
-        raise ValueError("vector field must be nonzero")
-    return PfaffianCurve(kind, params, field, domain, field.degree, transform, label)
-
-
 def line(a, b, label=""):
     """The line y = a*x + b."""
-    return _finish("line", (float(a), float(b)),
-                   _fld({(0, 0): 1.0}, {(0, 0): float(a)} if a else None),
-                   (-math.inf, math.inf), label=label)
+    return PfaffianCurve("line", (float(a), float(b)), label=label)
 
 
 def circle(cx, cy, r, label=""):
     """Circle of radius r about (cx, cy); the parameter endpoint is excluded."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    vx = BivariatePolynomial({(0, 0): cy, (0, 1): -1.0})
-    vy = BivariatePolynomial({(1, 0): 1.0, (0, 0): -cx})
-    return _finish("circle", (float(cx), float(cy), float(r)),
-                   PolyVectorField(vx, vy), (0.0, TWO_PI), label=label)
+    return PfaffianCurve("circle", (float(cx), float(cy), float(r)), label=label)
 
 
 def parabola(a, b, c, label=""):
     """The graph y = a*x^2 + b*x + c."""
     if a == 0:
         raise ValueError("use line() for a degenerate parabola")
-    return _finish("parabola", (float(a), float(b), float(c)),
-                   _fld({(0, 0): 1.0}, {(1, 0): 2.0 * a, (0, 0): b}),
-                   (-math.inf, math.inf), label=label)
+    return PfaffianCurve("parabola", (float(a), float(b), float(c)), label=label)
 
 
 def exp_curve(a=1.0, b=1.0, label=""):
     """The graph y = a*exp(b*x)."""
     if a == 0 or b == 0:
         raise ValueError("degenerate exponential")
-    return _finish("exp", (float(a), float(b)),
-                   _fld({(0, 0): 1.0}, {(0, 1): float(b)}),
-                   (-math.inf, math.inf), label=label)
+    return PfaffianCurve("exp", (float(a), float(b)), label=label)
 
 
 def log_curve(s=1.0, c=0.0, label=""):
     """The graph y = s*ln(x) + c for x > 0."""
-    return _finish("log", (float(s), float(c)),
-                   _fld({(1, 0): 1.0}, {(0, 0): float(s)} if s else None),
-                   (-math.inf, math.inf), label=label)
+    return PfaffianCurve("log", (float(s), float(c)), label=label)
 
 
 def tan_curve(branch=0, label=""):
     """One period of y = tan(x), centered at branch*pi."""
     if branch != int(branch):
         raise ValueError(f"tan param 'branch' must be an integer, got {branch!r}")
-    mid = branch * math.pi
-    return _finish("tan", (int(branch),),
-                   _fld({(0, 0): 1.0}, {(0, 0): 1.0, (0, 2): 1.0}),
-                   (mid - math.pi / 2, mid + math.pi / 2), label=label)
+    return PfaffianCurve("tan", (int(branch),), label=label)
 
 
 def arctan_curve(label=""):
     """The graph y = arctan(x)."""
-    return _finish("arctan", (),
-                   _fld({(0, 0): 1.0, (2, 0): 1.0}, {(0, 0): 1.0}),
-                   (-math.pi / 2, math.pi / 2), label=label)
+    return PfaffianCurve("arctan", (), label=label)
 
 
 def reciprocal_curve(a=1.0, branch=1, label=""):
@@ -522,9 +515,7 @@ def reciprocal_curve(a=1.0, branch=1, label=""):
         raise ValueError("degenerate hyperbola")
     if branch not in (1, -1):
         raise ValueError(f"reciprocal param 'branch' must be 1 or -1, got {branch!r}")
-    dom = (0.0, math.inf) if branch > 0 else (-math.inf, 0.0)
-    return _finish("reciprocal", (float(a), int(branch)),
-                   _fld({(0, 0): 1.0}, {(0, 2): -1.0 / a}), dom, label=label)
+    return PfaffianCurve("reciprocal", (float(a), int(branch)), label=label)
 
 
 def exp_of_poly(coeffs, scale=1.0, label=""):
@@ -532,21 +523,14 @@ def exp_of_poly(coeffs, scale=1.0, label=""):
     coeffs = tuple(float(c) for c in coeffs)
     if scale == 0:
         raise ValueError("degenerate exponential")
-    dp = poly1_der(coeffs)
-    vy = BivariatePolynomial({(k, 1): c for k, c in enumerate(dp)})
-    return _finish("exp-of-poly", (coeffs, float(scale)),
-                   PolyVectorField(BivariatePolynomial.const(1.0), vy),
-                   (-math.inf, math.inf), label=label)
+    return PfaffianCurve("exp-of-poly", (coeffs, float(scale)), label=label)
 
 
 def reciprocal_root(k, label=""):
     """The graph y = x^(-1/k) for x > 0, parameterized as (e^t, e^(-t/k))."""
     if k != int(k) or k < 1:
         raise ValueError(f"reciprocal-root param 'k' must be a positive integer, got {k!r}")
-    k = int(k)
-    return _finish("reciprocal-root", (k,),
-                   _fld({(1, 0): 1.0}, {(0, 1): -1.0 / k}),
-                   (-math.inf, math.inf), label=label)
+    return PfaffianCurve("reciprocal-root", (int(k),), label=label)
 
 
 def composed(base_kind, base_params, coeffs, label=""):
@@ -618,18 +602,42 @@ def _circle_t(p, x, hint):
     return np.where(hint % TWO_PI <= math.pi, t0, TWO_PI - t0)
 
 
+def _fld(vx_terms, vy_terms):
+    return PolyVectorField(BivariatePolynomial(vx_terms), BivariatePolynomial(vy_terms))
+
+
+def _composed_domain(p):
+    """Widest open t-interval with p(t) inside the base domain; t beyond
+    +-1e6 is unbounded."""
+    base_kind, base_params, coeffs = p
+    lo, hi = KINDS[base_kind].domain(base_params)
+    cpoly = np.polynomial.polynomial.Polynomial(coeffs)
+    shifted = [cpoly - bound for bound in (lo, hi) if math.isfinite(bound)]
+    breaks = [r.real for q in shifted if q.degree() >= 1 for r in q.roots() if abs(r.imag) < 1e-9]
+    cuts = sorted(set([-1e6, 1e6] + breaks))
+    spans = [(a, b) for a, b in zip(cuts, cuts[1:])
+             if b - a >= 1e-9 and lo < poly1_eval(coeffs, 0.5 * (a + b)) < hi]
+    if not spans:
+        raise NotComposable("composition image misses the base domain")
+    a, b = max(spans, key=lambda span: span[1] - span[0])  # the first of the widest
+    return (a if a > -1e6 else -math.inf), (b if b < 1e6 else math.inf)
+
+
 @dataclass(frozen=True)
 class KindSpec:
     """Everything that differs between curve kinds, for one kind.
 
     `params` names the entries of `PfaffianCurve.params`; the names are both
-    the JSON keys of a saved curve and the argument names of `factory`.  The
-    defaults describe a graph y = f(x) parameterized by t = x.
+    the JSON keys of a saved curve and the argument names of `factory`, which
+    checks and normalises them.  `field` and `domain` are the untransformed
+    curve's.  The defaults describe a graph y = f(x) parameterized by t = x.
     """
 
     params: tuple
     factory: Callable
     point: Callable  # (params, t) -> (x, y), the closed-form map
+    field: Callable  # params -> PolyVectorField, nonzero, the t-derivative of point
+    domain: Callable = lambda p: (-math.inf, math.inf)  # params -> (lo, hi), ends may be +-inf
     x_inverse: Callable = _t_is_x  # (params, xs, hints) -> ts with x(t) = x, on arrays
     window: Callable = _x_window  # (params, x0, x1, y0, y1) -> parameter bounds
     period: float | None = None
@@ -640,49 +648,67 @@ class KindSpec:
 
 KINDS = {
     "line": KindSpec(("a", "b"), line, lambda p, t: (t, p[0] * t + p[1]),
+                     lambda p: _fld({(0, 0): 1.0}, {(0, 0): p[0]}),
                      draw=lambda rng: (rng.uniform(-2, 2), rng.uniform(-3, 3))),
     "circle": KindSpec(
         ("cx", "cy", "r"), circle,
         lambda p, t: (p[0] + p[2] * np.cos(t), p[1] + p[2] * np.sin(t)),
+        lambda p: _fld({(0, 0): p[1], (0, 1): -1.0}, {(1, 0): 1.0, (0, 0): -p[0]}),
+        domain=lambda p: (0.0, TWO_PI),
         x_inverse=_circle_t, window=lambda p, x0, x1, y0, y1: (0.0, TWO_PI),
         period=TWO_PI,
         draw=lambda rng: (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 2.5))),
     "parabola": KindSpec(("a", "b", "c"), parabola,
                          lambda p, t: (t, (p[0] * t + p[1]) * t + p[2]),
+                         lambda p: _fld({(0, 0): 1.0}, {(1, 0): 2.0 * p[0], (0, 0): p[1]}),
                          draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.2, 1.5),
                                            rng.uniform(-1.5, 1.5), rng.uniform(-3, 3))),
     "exp": KindSpec(
         ("a", "b"), exp_curve, lambda p, t: (t, p[0] * np.exp(p[1] * t)),
+        lambda p: _fld({(0, 0): 1.0}, {(0, 1): p[1]}),
         compose=lambda p, coeffs, label: exp_of_poly(tuple(p[1] * c for c in coeffs),
                                                      scale=p[0], label=label),
         draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 2.0),
                           rng.choice([-1, 1]) * rng.uniform(0.3, 1.5))),
     "log": KindSpec(("s", "c"), log_curve, lambda p, t: (np.exp(t), p[0] * t + p[1]),
+                    lambda p: _fld({(1, 0): 1.0}, {(0, 0): p[0]}),
                     x_inverse=_t_is_log_x, window=_log_window,
                     draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 2.0),
                                       rng.uniform(-2, 2))),
-    "tan": KindSpec(("branch",), tan_curve, lambda p, t: (t, np.tan(t)), composable=True,
-                    draw=lambda rng: (int(rng.integers(-1, 2)),)),
+    "tan": KindSpec(("branch",), tan_curve, lambda p, t: (t, np.tan(t)),
+                    lambda p: _fld({(0, 0): 1.0}, {(0, 0): 1.0, (0, 2): 1.0}),
+                    domain=lambda p: (p[0] * math.pi - math.pi / 2, p[0] * math.pi + math.pi / 2),
+                    composable=True, draw=lambda rng: (int(rng.integers(-1, 2)),)),
     "arctan": KindSpec(
         (), arctan_curve, lambda p, t: (np.tan(t), t),
+        lambda p: _fld({(0, 0): 1.0, (2, 0): 1.0}, {(0, 0): 1.0}),
+        domain=lambda p: (-math.pi / 2, math.pi / 2),
         x_inverse=lambda p, x, hint: _by_math(math.atan, x),
         window=lambda p, x0, x1, y0, y1: (math.atan(x0), math.atan(x1)), draw=lambda rng: ()),
     "reciprocal": KindSpec(
         ("a", "branch"), reciprocal_curve, lambda p, t: (t, p[0] / t),
+        lambda p: _fld({(0, 0): 1.0}, {(0, 2): -1.0 / p[0]}),
+        domain=lambda p: (0.0, math.inf) if p[1] > 0 else (-math.inf, 0.0),
         window=_reciprocal_window, composable=True,
         draw=lambda rng: (rng.choice([-1, 1]) * rng.uniform(0.3, 3.0),
                           int(rng.choice([-1, 1])))),
     "exp-of-poly": KindSpec(
         ("coeffs", "scale"), exp_of_poly, lambda p, t: (t, p[1] * np.exp(poly1_eval(p[0], t))),
+        lambda p: _fld({(0, 0): 1.0}, {(k, 1): c for k, c in enumerate(poly1_der(p[0]))}),
         draw=lambda rng: (tuple(np.round((rng.uniform(-1, 1), rng.uniform(-1, 1),
                                           rng.choice([-1, 1]) * rng.uniform(0.2, 0.8)), 6)),)),
     "reciprocal-root": KindSpec(("k",), reciprocal_root,
                                 lambda p, t: (np.exp(t), np.exp(-t / p[0])),
+                                lambda p: _fld({(1, 0): 1.0}, {(0, 1): -1.0 / p[0]}),
                                 x_inverse=_t_is_log_x, window=_reciprocal_root_window,
                                 draw=lambda rng: (int(rng.integers(1, 4)),)),
     "composed": KindSpec(
         ("base_kind", "base_params", "coeffs"), composed,
-        lambda p, t: (t, KINDS[p[0]].point(p[1], poly1_eval(p[2], t))[1])),
+        lambda p, t: (t, KINDS[p[0]].point(p[1], poly1_eval(p[2], t))[1]),
+        lambda p: PolyVectorField(  # the chain rule: f' is the base vy, a polynomial in y
+            BivariatePolynomial.const(1.0), KINDS[p[0]].field(p[1]).vy
+            * BivariatePolynomial({(k, 0): c for k, c in enumerate(poly1_der(p[2]))})),
+        domain=_composed_domain),
 }
 
 
@@ -700,43 +726,9 @@ def compose_with_polynomial(curve, coeffs, label=""):
         return spec.compose(curve.params, coeffs, label or curve.label)
     if not spec.composable:
         raise NotComposable(f"{curve.kind} has no polynomial derivative in its value")
-    dp = poly1_der(coeffs)
-    vy = curve.field.vy * BivariatePolynomial({(k, 0): c for k, c in enumerate(dp)})
-    field = PolyVectorField(BivariatePolynomial.const(1.0), vy)
-    domain = _composed_domain(curve, coeffs)
-    params = (curve.kind, curve.params, coeffs)
-    return PfaffianCurve("composed", params, field, domain, field.degree,
-                         None, label or curve.label)
-
-
-def _composed_domain(curve, coeffs):
-    """Widest open t-interval with p(t) inside the base domain."""
-    lo, hi = curve.domain
-    breaks = []
-    cpoly = np.polynomial.polynomial.Polynomial(coeffs)
-    for bound in (lo, hi):
-        if math.isfinite(bound):
-            shifted = cpoly - bound
-            if shifted.degree() >= 1:
-                roots = shifted.roots()
-                breaks.extend(r.real for r in roots if abs(r.imag) < 1e-9)
-    cuts = sorted(set([-1e6, 1e6] + breaks))
-    best = None
-    best_width = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-9:
-            continue
-        mid = 0.5 * (a + b)
-        val = poly1_eval(coeffs, mid)
-        if lo < val < hi:
-            left = a if a > -1e6 else -math.inf
-            right = b if b < 1e6 else math.inf
-            if best is None or (b - a) > best_width:
-                best = (left, right)
-                best_width = b - a
-    if best is None:
-        raise NotComposable("composition image misses the base domain")
-    return best
+    out = PfaffianCurve("composed", (curve.kind, curve.params, coeffs), label=label or curve.label)
+    out.domain  # computed now, so that an empty domain raises here
+    return out
 
 
 # -- linear transforms ----------------------------------------------------
@@ -777,24 +769,12 @@ def apply_linear_transform(curve, a1, a2, a3, a4):
     if abs(det) <= 1e-12:
         raise SingularMatrix(f"determinant {det} is below tolerance")
     m = (float(a1), float(a2), float(a3), float(a4))
-    total = m if curve.transform is None else _mat_mul(m, curve.transform)
-    base = _base_field(curve)
-    new_field = transform_field(base, total)
-    return replace(curve, transform=total, field=new_field,
-                   pf_degree=new_field.degree)
+    return replace(curve, transform=m if curve.transform is None else _mat_mul(m, curve.transform))
 
 
 def rotation_matrix(theta):
     c, s = math.cos(theta), math.sin(theta)
     return (c, -s, s, c)
-
-
-def _base_field(curve):
-    if curve.transform is None:
-        return curve.field
-    # undo the stored transform to recover the catalog field
-    inv = _mat_inv(curve.transform)
-    return transform_field(curve.field, inv)
 
 
 def _preimage_bbox(matrix, viewport):

@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from . import curves as cv
-from . import duality as du
 from .errors import EmptyTrace, PfaffincError
 from .scene import Scene
 
@@ -163,18 +162,18 @@ def random_scene(kinds, m, n, planted, seed=0, viewport=DEFAULT_VIEWPORT):
 # -- term-family scenes -------------------------------------------------------
 
 
-_FAMILY_TERMS = {  # (d, variant) -> the terms of the family
-    (3, 0): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1)),
-    (3, 1): (du.monomial(0, 0), du.monomial(1, 0), du.exp_term((0.0, 1.0))),
-    (4, 0): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(1, 1)),
-    (4, 1): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(2, 0)),
-}
-
-
 def _family_for(d, variant, region=(-2.0, 2.0, -2.0, 2.0)):
-    if (d, variant) not in _FAMILY_TERMS:
+    from . import duality as du
+
+    terms = {  # (d, variant) -> the terms of the family
+        (3, 0): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1)),
+        (3, 1): (du.monomial(0, 0), du.monomial(1, 0), du.exp_term((0.0, 1.0))),
+        (4, 0): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(1, 1)),
+        (4, 1): (du.monomial(0, 0), du.monomial(1, 0), du.monomial(0, 1), du.monomial(2, 0)),
+    }
+    if (d, variant) not in terms:
         raise ValueError(f"no family variant {variant} in dimension {d}")
-    return du.PfaffianFamily(list(_FAMILY_TERMS[d, variant]), region)
+    return du.PfaffianFamily(list(terms[d, variant]), region)
 
 
 def duality_scene(d, m, n, seed=0, variant=0, max_rolls=50):
@@ -184,6 +183,8 @@ def duality_scene(d, m, n, seed=0, variant=0, max_rolls=50):
     a wide residual gap, which keeps the three dual counts unambiguous.
     Each roll draws its brackets in order, then bisects them in one run.
     """
+    from . import duality as du
+
     for roll in range(max_rolls):
         rng = np.random.default_rng(seed + 1009 * roll)
         family = _family_for(d, variant)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveTable, check_tol, check_traces, refine_roots, trace_table
-from .cutting import locate_points
 from .errors import ComplexityGuard, InconsistentScene
 
 FEW_POINTS = "few-points"
@@ -298,6 +297,8 @@ def count_via_cutting(points, curves, traces, cutting, tol=1e-7, graph=None):
     Raises InconsistentScene unless the traces, the cutting and the graph
     are those of these points and curves.
     """
+    from .cutting import locate_points
+
     if cutting.n != len(curves):
         raise InconsistentScene(
             f"cutting built for {cutting.n} curves, scene has {len(curves)}")

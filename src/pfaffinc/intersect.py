@@ -292,15 +292,6 @@ def intersect_curves(c1, c2, trace1, trace2, tol=1e-9):
     return next((pts for _, _, pts in pair_intersections(pair, branches, tol)), [])
 
 
-def _grid(samples, k1, k2):
-    """The scan grid of branch pair (k1, k2), pieces of samples, over its
-    x-overlap: the samples of both branches in it."""
-    x1, x2 = (samples.xs[samples.start[k]:samples.stop[k]] for k in (k1, k2))
-    lo, hi = max(x1[0], x2[0]), min(x1[-1], x2[-1])
-    return np.unique(np.concatenate([x1[(x1 >= lo) & (x1 <= hi)], x2[(x2 >= lo) & (x2 <= hi)],
-                                     [lo, hi]]))
-
-
 @dataclass
 class _Bins:
     """A pass's branches on x-bins that all of them share, and the exact
@@ -530,8 +521,8 @@ def _runs(bins, r, k1, k2, sep):
     h = y1 - y2 interpolated there, and whether it starts a run, a stretch
     of one pair's grid to scan on its own.
 
-    A pair's grid is `_grid`, the union of both branches' samples in its
-    overlap [lo, hi].  Its runs are the stretches of sub-bins that `_kept`
+    A pair's grid is the union of both branches' samples in its x-overlap
+    [lo, hi].  Its runs are the stretches of sub-bins that `_kept`
     keeps, widened to the last grid point at or before the first edge and
     the first at or after the last.  The prune is exact: on a dropped bin
     every h has one sign and |h| > sep >= _TOUCH_SCAN over the closed bin,
@@ -651,13 +642,21 @@ def _refine_touches(both, columns, tol):
 
 def _coincide(exact, k1, k2, tol):
     """Whether some of the x-overlapping branch pairs (k1, k2) of exact, an
-    `_Exact`, has its exact gap within 10*tol on most of its scan grid.  The
-    exact gap, not the interpolated one: two traces of one curve sampled at
-    different parameters differ by their chord error."""
-    for a, b in zip(k1.tolist(), k2.tolist()):
-        grid = _grid(exact.samples, a, b)
-        if len(grid) > 8:
-            y1, y2 = (exact.heights(np.full(len(grid), k), grid) for k in (a, b))
-            if np.mean(np.abs(y1 - y2) <= 10 * tol) > 0.5:
-                return True
+    `_Exact`, has its exact gap within 10*tol on most of its scan grid, the
+    union of both branches' samples over their x-overlap, of more than 8
+    points.  The exact gap, not the interpolated one: two traces of one
+    curve sampled at different parameters differ by their chord error.  The
+    pairs go about _ROWS samples or one pair at a time, which bounds the
+    memory of the exact heights."""
+    s = exact.samples
+    k = np.stack([k1, k2])
+    a, z = s.start[k], s.stop[k] - 1
+    lo, hi = s.xs[a].max(0), s.xs[z].min(0)
+    for g0, g1 in _groups((z - a + 1).sum(0)):
+        pair, at, _, _ = _fine(s, a[:, g0:g1], z[:, g0:g1], lo[g0:g1], hi[g0:g1])
+        y1, y2 = (exact.heights(kb[g0:g1][pair], at) for kb in (k1, k2))
+        size = np.bincount(pair, minlength=g1 - g0)
+        near = np.bincount(pair, np.abs(y1 - y2) <= 10 * tol, g1 - g0)
+        if np.any((size > 8) & (2 * near > size)):
+            return True
     return False

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -13,8 +14,8 @@ from scipy.optimize import brentq
 import pfaffinc as pf
 from conftest import refine_root
 from pfaffinc import generators as gen
-from pfaffinc.curves import (CurveTable, KINDS, max_tangent_error, refine_roots, rotation_matrix,
-                             trace_table)
+from pfaffinc.curves import (CurveTable, KINDS, PolyVectorField, max_tangent_error, refine_roots,
+                             rotation_matrix, trace_table, transform_field)
 from pfaffinc.errors import EmptyTrace, NotComposable, SingularMatrix
 from pfaffinc.poly import BivariatePolynomial, poly1_der, poly1_eval
 from pfaffinc.scene import Scene, rotate_scene, scene_from_dict, scene_to_dict, scene_to_json
@@ -260,6 +261,31 @@ def test_transformed_field_matches_tangents():
     assert max_tangent_error(rot, ts) <= 1e-6
 
 
+def _bits(poly):
+    """The terms of poly in their order, each coefficient's bits as hex."""
+    return [(key, c.hex()) for key, c in poly.terms.items()]
+
+
+def test_twice_transformed_curve_equals_its_scene_round_trip():
+    # the field follows from kind, params and transform: two transforms in
+    # turn and their product read back from JSON give the same bits
+    curve = pf.apply_linear_transform(pf.parabola(0.7, -0.3, 0.2), *rotation_matrix(0.3))
+    curve = pf.apply_linear_transform(curve, *rotation_matrix(1.1))
+    other = pf.circle(0.2, 0.1, 1.5)
+    vp = (-3.0, 3.0, -3.0, 3.0)
+    back = scene_from_dict(json.loads(scene_to_json(Scene(np.zeros((0, 2)), [curve, other], vp))))
+    assert back.curves[0].transform == curve.transform
+    for name in ("vx", "vy", "vx_rate"):
+        assert _bits(getattr(back.curves[0].field, name)) == _bits(getattr(curve.field, name))
+
+    def crossings(c1, c2):
+        return pf.intersect_curves(c1, c2, pf.trace_curve(c1, vp), pf.trace_curve(c2, vp))
+
+    points = crossings(curve, other)
+    assert len(points) == 2
+    assert crossings(*back.curves) == points
+
+
 # -- compose_with_polynomial ----------------------------------------------------
 
 def test_compose_exp_with_quadratic():
@@ -287,6 +313,8 @@ def test_compose_rejects_non_graph_kinds():
         pf.compose_with_polynomial(pf.circle(0, 0, 1), (0.0, 1.0))
     with pytest.raises(NotComposable):
         pf.compose_with_polynomial(pf.parabola(1, 0, 0), (0.0, 1.0))
+    with pytest.raises(NotComposable, match="misses the base domain"):  # -1 - x^2 < 0 < a/x
+        pf.curves.composed("reciprocal", (1.0, 1), (-1.0, 0.0, -1.0))
 
 
 def test_composed_trace_equals_nested_evaluation():
@@ -322,15 +350,10 @@ def test_circle_field_has_unit_norm_on_trace():
 
 
 def test_wrong_field_fails_direction_check():
-    from dataclasses import replace
+    class WrongField(pf.PfaffianCurve):  # the parabola y = x^2 with the field of y = 1.5 x^2
+        field = PolyVectorField(BivariatePolynomial.const(1.0), BivariatePolynomial({(1, 0): 3.0}))
 
-    from pfaffinc.poly import BivariatePolynomial
-    from pfaffinc.curves import PolyVectorField
-
-    c = pf.parabola(1, 0, 0)
-    bad_field = PolyVectorField(BivariatePolynomial.const(1.0),
-                                BivariatePolynomial({(1, 0): 3.0}))
-    bad = replace(c, field=bad_field)
+    bad = WrongField("parabola", (1.0, 0.0, 0.0))
     tr = pf.trace_curve(bad, VP)
     rep = pf.check_separating_conditions(bad, tr)
     assert not rep.directional_match
@@ -565,3 +588,120 @@ def test_composed_field_is_the_chain_rule_in_the_value(base, q):
 
 def test_only_tan_and_reciprocal_compose_by_the_chain_rule():
     assert [k for k, spec in KINDS.items() if spec.composable] == ["tan", "reciprocal"]
+
+
+# -- field, domain and degree from the kind records ---------------------------------
+
+
+def _fld(vx_terms, vy_terms):
+    return PolyVectorField(BivariatePolynomial(vx_terms), BivariatePolynomial(vy_terms))
+
+
+def _reference_composed_domain(base_domain, coeffs):
+    """Widest open t-interval with p(t) inside the base domain."""
+    lo, hi = base_domain
+    breaks = []
+    cpoly = np.polynomial.polynomial.Polynomial(coeffs)
+    for bound in (lo, hi):
+        if math.isfinite(bound):
+            shifted = cpoly - bound
+            if shifted.degree() >= 1:
+                breaks.extend(r.real for r in shifted.roots() if abs(r.imag) < 1e-9)
+    cuts = sorted(set([-1e6, 1e6] + breaks))
+    best, best_width = None, 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a < 1e-9:
+            continue
+        if lo < poly1_eval(coeffs, 0.5 * (a + b)) < hi and (best is None or b - a > best_width):
+            best = (a if a > -1e6 else -math.inf, b if b < 1e6 else math.inf)
+            best_width = b - a
+    if best is None:
+        raise NotComposable("composition image misses the base domain")
+    return best
+
+
+def _reference(kind, args):
+    """The field and domain of the untransformed curve factory(*args), built
+    term by term from the factory's raw arguments: the reference for the
+    kind records."""
+    inf = math.inf
+    if kind == "line":
+        a, b = args
+        return _fld({(0, 0): 1.0}, {(0, 0): float(a)} if a else None), (-inf, inf)
+    if kind == "circle":
+        cx, cy, r = args
+        return _fld({(0, 0): cy, (0, 1): -1.0}, {(1, 0): 1.0, (0, 0): -cx}), (0.0, 2.0 * math.pi)
+    if kind == "parabola":
+        a, b, c = args
+        return _fld({(0, 0): 1.0}, {(1, 0): 2.0 * a, (0, 0): b}), (-inf, inf)
+    if kind == "exp":
+        return _fld({(0, 0): 1.0}, {(0, 1): float(args[1])}), (-inf, inf)
+    if kind == "log":
+        s = args[0]
+        return _fld({(1, 0): 1.0}, {(0, 0): float(s)} if s else None), (-inf, inf)
+    if kind == "tan":
+        mid = args[0] * math.pi
+        return (_fld({(0, 0): 1.0}, {(0, 0): 1.0, (0, 2): 1.0}),
+                (mid - math.pi / 2, mid + math.pi / 2))
+    if kind == "arctan":
+        return _fld({(0, 0): 1.0, (2, 0): 1.0}, {(0, 0): 1.0}), (-math.pi / 2, math.pi / 2)
+    if kind == "reciprocal":
+        a, branch = args
+        return (_fld({(0, 0): 1.0}, {(0, 2): -1.0 / a}),
+                (0.0, inf) if branch > 0 else (-inf, 0.0))
+    if kind == "exp-of-poly":
+        dp = poly1_der(tuple(float(c) for c in args[0]))
+        return _fld({(0, 0): 1.0}, {(k, 1): c for k, c in enumerate(dp)}), (-inf, inf)
+    if kind == "reciprocal-root":
+        return _fld({(1, 0): 1.0}, {(0, 1): -1.0 / int(args[0])}), (-inf, inf)
+    assert kind == "composed"
+    base_kind, base_args, coeffs = args
+    base_field, base_domain = _reference(base_kind, base_args)
+    coeffs = tuple(float(c) for c in coeffs)
+    dp = BivariatePolynomial({(k, 0): c for k, c in enumerate(poly1_der(coeffs))})
+    return (PolyVectorField(BivariatePolynomial.const(1.0), base_field.vy * dp),
+            _reference_composed_domain(base_domain, coeffs))
+
+
+_NUM = st.one_of(st.integers(-3, 3), st.floats(-3, 3))
+_NONZERO = _NUM.filter(lambda v: v != 0)
+_ARGS = {  # kind -> factory arguments
+    "line": st.tuples(_NUM, _NUM),
+    "circle": st.tuples(_NUM, _NUM, _NUM.filter(lambda v: v > 0)),
+    "parabola": st.tuples(_NONZERO, _NUM, _NUM),
+    "exp": st.tuples(_NONZERO, _NONZERO),
+    "log": st.tuples(_NUM, _NUM),
+    "tan": st.tuples(st.integers(-2, 2)),
+    "arctan": st.just(()),
+    "reciprocal": st.tuples(_NONZERO, st.sampled_from([1, -1])),
+    "exp-of-poly": st.tuples(st.lists(_NUM, min_size=1, max_size=4), _NONZERO),
+    "reciprocal-root": st.tuples(st.integers(1, 5)),
+    "composed": st.sampled_from(["tan", "reciprocal"]).flatmap(lambda base: st.tuples(
+        st.just(base), _ARGS[base], st.lists(_NUM, min_size=1, max_size=3))),
+}
+_MATRIX = st.tuples(*[st.floats(-2, 2)] * 4).filter(lambda m: abs(m[0] * m[3] - m[1] * m[2]) > 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tiny drawn numbers overflow on both sides
+@pytest.mark.parametrize("transformed", [False, True], ids=["plain", "transformed"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kind_records_give_the_reference_field_domain_and_degree(kind, transformed, data):
+    args = data.draw(_ARGS[kind], label="args")
+    try:
+        field, domain = _reference(kind, args)
+    except Exception as err:  # NotComposable, or roots of tiny coefficients overflow
+        with pytest.raises(type(err)):
+            KINDS[kind].factory(*args)
+        return
+    curve = KINDS[kind].factory(*args)
+    if transformed:
+        m = data.draw(_MATRIX, label="transform")
+        curve = pf.apply_linear_transform(curve, *m)
+        field = transform_field(field, m)
+    assert _bits(curve.field.vx) == _bits(field.vx)
+    assert _bits(curve.field.vy) == _bits(field.vy)
+    assert not (curve.field.vx.is_zero() and curve.field.vy.is_zero())
+    assert [v.hex() for v in map(float, curve.domain)] == [v.hex() for v in map(float, domain)]
+    assert curve.pf_degree == field.degree

@@ -2,17 +2,26 @@
 init, and each command imports only the modules it runs.  Every check runs
 in a fresh interpreter, since this one has long since loaded them all."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pfaffinc as pf
 from pfaffinc import cli
+from test_cli import _chain_file, _duality_family
 
 SRC = Path(pf.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
+# what the `pfaffinc` command loads before its subcommand runs
+_COMMAND_BASE = {"pfaffinc", "pfaffinc.cli", "pfaffinc.scene", "pfaffinc.curves",
+                 "pfaffinc.poly", "pfaffinc.errors"}
 _LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
            "if m.split('.')[0] in ('pfaffinc', 'numpy'))))")
 
@@ -80,3 +89,48 @@ def test_unknown_names_raise():
                  "    errors.append(type(err).__name__)\n"
                  "print(json.dumps(errors))")
     assert got == ["module 'pfaffinc' has no attribute 'nope'", "ImportError"]
+
+
+def _command_table():
+    """{command: the modules it also loads} from README's table."""
+    text = README.read_text()
+    rows = text[text.index("| Command | Also loads |"):].split("\n\n")[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        commands, modules = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = {f"pfaffinc.{m}" for m in re.findall(r"`([^`]+)`",
+                                                                   modules.split("(")[0])}
+    return table
+
+
+def _command_lines(command, tmp_path):
+    """Command lines that run command on small inputs; generate once per
+    family."""
+    scene, out = str(DATA / "mixed_scene.json"), str(tmp_path / "out")
+    if command == "generate":
+        return [["generate", "--family", family, "--a", "2", "--b", "2", "--m", "5", "--n", "3",
+                 "--kinds", "line", "--out", out] for family in cli._FAMILIES]
+    return [{
+        "intersect": ["intersect", "--scene", scene],
+        "cutting": ["cutting", "--scene", scene, "--r", "2", "--seed", "7",
+                    "--crossings-out", out + ".csv", "--svg", out + ".svg"],
+        "count": ["count", "--scene", scene],
+        "verify-bound": ["verify-bound", "--scene", scene],
+        "sweep": ["sweep", "--sizes", "8,27"],
+        "duality": ["duality", "--family", str(_duality_family(tmp_path)), "--seed", "2"],
+        "chains": ["chains", "--chain", str(_chain_file(tmp_path)), "--samples", "20"],
+    }[command] + ["--out", out]]
+
+
+def test_the_command_table_lists_every_command():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(_command_table()) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", sorted(_command_table()))
+def test_each_command_loads_the_modules_the_readme_lists(command, tmp_path):
+    for argv in _command_lines(command, tmp_path):
+        loaded = _fresh(f"from pfaffinc import cli\nassert cli.main({argv!r}) == 0\n" + _LOADED)
+        assert {m for m in loaded if m.split(".")[0] == "pfaffinc"} == (
+            _COMMAND_BASE | _command_table()[command]), argv

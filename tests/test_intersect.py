@@ -18,7 +18,7 @@ from pfaffinc import generators as gen
 from pfaffinc.scene import load_scene
 from pfaffinc.curves import KINDS, SampleTable, rotation_matrix
 from pfaffinc.errors import EmptyTrace
-from pfaffinc.intersect import (_TOUCH_SCAN, _Exact, _apart, _dedup, _grid, monotone_branches,
+from pfaffinc.intersect import (_TOUCH_SCAN, _Exact, _apart, _coincide, _dedup, monotone_branches,
                                 pair_intersections, vertical_tangent_ts)
 
 VP = (-3.0, 3.0, -1.0, 8.0)
@@ -570,6 +570,41 @@ def test_bad_tolerance_is_rejected(tol):
 
 
 # -- the scan ------------------------------------------------------------------------
+
+
+def _grid(samples, k1, k2):
+    """The scan grid of branch pair (k1, k2), pieces of samples, over its
+    x-overlap: the samples of both branches in it."""
+    x1, x2 = (samples.xs[samples.start[k]:samples.stop[k]] for k in (k1, k2))
+    lo, hi = max(x1[0], x2[0]), min(x1[-1], x2[-1])
+    return np.unique(np.concatenate([x1[(x1 >= lo) & (x1 <= hi)], x2[(x2 >= lo) & (x2 <= hi)],
+                                     [lo, hi]]))
+
+
+def _coincide_oracle(exact, a, b, tol):
+    """The shared-component test of branch pair (a, b), on its `_grid`."""
+    grid = _grid(exact.samples, a, b)
+    y1, y2 = (exact.heights(np.full(len(grid), k), grid) for k in (a, b))
+    return len(grid) > 8 and np.mean(np.abs(y1 - y2) <= 10 * tol) > 0.5
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_coincide_equals_the_per_pair_oracle(tol):
+    c = pf.circle(0.0, 0.0, 1.0)
+    curves = [c, pf.apply_linear_transform(c, *rotation_matrix(0.3)), pf.circle(0.0, 0.0, 1 + 1e-9),
+              pf.circle(0.0, 0.0, 1.001), pf.line(1, 0), pf.line(1, 5e-9), pf.line(1, 1e-6),
+              pf.apply_linear_transform(pf.line(0.5, 0.0), *rotation_matrix(0.4))]
+    table = _table(curves, (-2, 2, -2, 2))
+    exact = _Exact(curves, table)
+    k1, k2 = np.triu_indices(len(table), 1)
+    lo = np.maximum(table.xs[table.start[k1]], table.xs[table.start[k2]])
+    hi = np.minimum(table.xs[table.stop[k1] - 1], table.xs[table.stop[k2] - 1])
+    keep = (table.curve[k1] != table.curve[k2]) & (hi - lo > 1e-12)
+    k1, k2 = k1[keep], k2[keep]
+    want = np.array([_coincide_oracle(exact, a, b, tol) for a, b in zip(k1.tolist(), k2.tolist())])
+    assert 0 < want.sum() < len(want)
+    assert [_coincide(exact, k1[[q]], k2[[q]], tol) for q in range(len(k1))] == want.tolist()
+    assert _coincide(exact, k1, k2, tol) and not _coincide(exact, k1[~want], k2[~want], tol)
 
 
 def _scan_oracle(exact, p, k1, k2, overlap, tol):
